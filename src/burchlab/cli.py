@@ -138,6 +138,8 @@ def parse_session(path: str, modulus: int | None = None) -> Session:
                 session.modules[name] = target
             else:
                 raise SessionError(f"unknown directive {head!r}")
+        except PreconditionError:
+            raise  # e.g. a modulus too large for exact arithmetic: exit 3, not 2
         except (ParseError, ValueError) as exc:
             raise SessionError(f"{path}:{lineno}: {exc}") from exc
     if session is None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .linalg import PreconditionError
 from .poly import (
     Block,
     MonomialOrder,
@@ -29,10 +30,6 @@ from .poly import (
     mono_mul,
     monomials_of_degree,
 )
-
-
-class PreconditionError(ValueError):
-    """An operation's stated precondition failed."""
 
 
 # ---------------------------------------------------------------------------

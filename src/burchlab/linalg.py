@@ -1,11 +1,17 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  Elimination
-runs on float64 copies so the trailing-submatrix updates hit vectorized BLAS
-paths; this is exact because every intermediate value stays below 2**53
-(entries are < p and products are < p**2 with p < 2**15.5 by default, and we
-reduce mod p after every pivot).  Pivoting is deterministic: the first nonzero
-entry in row order, columns scanned left to right.
+and products run on float64 copies so the updates hit vectorized BLAS paths.
+float64 holds integers exactly below 2**53, which bounds the prime:
+
+- `rref` reduces mod p after every pivot, so its largest intermediate value
+  is a product of two residues: it is exact while p**2 < 2**53;
+- `matmul` sums `inner` such products before reducing, so it is exact while
+  inner * (p-1)**2 < 2**53, and raises `PreconditionError` otherwise.
+
+`RingContext` refuses primes with p**2 >= 2**53 up front.  Pivoting is
+deterministic: the first nonzero entry in row order, columns scanned left to
+right.
 """
 from __future__ import annotations
 
@@ -14,8 +20,13 @@ import numpy as np
 DEFAULT_PRIME = 32003
 
 # float64 holds integers exactly up to 2**53; matmul accumulates at most
-# inner_dim * (p-1)**2, so this caps the allowed inner dimension.
-_EXACT_LIMIT = 2**53
+# inner_dim * (p-1)**2, so this caps its inner dimension, and rref's single
+# products cap the prime itself.
+EXACT_LIMIT = 2**53
+
+
+class PreconditionError(ValueError):
+    """An operation's stated precondition failed."""
 
 
 def is_prime(n: int) -> bool:
@@ -96,8 +107,11 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     if A.shape[1] == 0:
         return zeros(A.shape[0], B.shape[1])
-    if A.shape[1] * (p - 1) ** 2 >= _EXACT_LIMIT:
-        raise OverflowError("inner dimension too large for exact float64 matmul")
+    if A.shape[1] * (p - 1) ** 2 >= EXACT_LIMIT:
+        raise PreconditionError(
+            f"inner dimension {A.shape[1]} too large for exact float64 matmul mod {p} "
+            "(needs inner * (p-1)^2 < 2^53)"
+        )
     C = (A.astype(np.float64) @ B.astype(np.float64)) % p
     return C.astype(np.int64)
 
@@ -121,13 +135,14 @@ def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
+        # rows r.. are zero left of c, so columns before c never change
         inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
+        R[r, c:] = (R[r, c:] * inv) % p
         col = R[:, c].copy()
         col[r] = 0.0
         rows = np.nonzero(col)[0]
         if rows.size:
-            R[rows] = (R[rows] - np.outer(col[rows], R[r])) % p
+            R[rows, c:] = (R[rows, c:] - np.outer(col[rows], R[r, c:])) % p
         pivots.append(c)
         r += 1
     return R.astype(np.int64), tuple(pivots)
@@ -141,14 +156,12 @@ def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of {v : Av = 0}; count = cols - rank(A)."""
     n = A.shape[1]
     R, pivots = rref(A, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    K = zeros(n, len(free))
-    for k, j in enumerate(free):
-        K[j, k] = 1
-        for r, c in enumerate(pivots):
-            if c < j:
-                K[c, k] = (-int(R[r, j])) % p
+    free = np.setdiff1d(np.arange(n), pivots)
+    K = zeros(n, free.size)
+    K[free, np.arange(free.size)] = 1
+    # x_free = e_k forces x_c = -R[r, j] at the pivot c of row r; in RREF
+    # R[r, j] is already 0 for every free j left of c
+    K[list(pivots), :] = (-R[: len(pivots)][:, free]) % p
     return K
 
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .linalg import PrimeField, is_prime
+from .linalg import EXACT_LIMIT, PreconditionError, PrimeField
 
 MAX_VARIABLES = 8
 
@@ -116,10 +116,16 @@ class RingContext:
     p: int
     variables: tuple[str, ...]
     order: MonomialOrder = GREVLEX
+    field: PrimeField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        # the float64 elimination in linalg is exact only while p^2 < 2^53;
+        # checked before primality, whose trial division grows with sqrt(p)
+        if self.p * self.p >= EXACT_LIMIT:
+            raise PreconditionError(
+                f"modulus {self.p} too large for exact float64 elimination (needs p^2 < 2^53)"
+            )
+        object.__setattr__(self, "field", PrimeField(self.p))
         if not (1 <= len(self.variables) <= MAX_VARIABLES):
             raise ValueError(f"need 1..{MAX_VARIABLES} variables")
         if len(set(self.variables)) != len(self.variables):
@@ -131,10 +137,6 @@ class RingContext:
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    @property
-    def field(self) -> PrimeField:
-        return PrimeField(self.p)
 
     def zero_exps(self) -> Exponents:
         return (0,) * self.nvars

@@ -9,6 +9,7 @@ the free cover, which is what the socle-split test needs.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,33 +169,23 @@ def _apply_var(R: QuotientAlgebra, Z: np.ndarray, m: int, v: int) -> np.ndarray:
     return out.reshape(d, m, s).transpose(1, 0, 2).reshape(m * d, s)
 
 
-def _m_multiples(R: QuotientAlgebra, Z: np.ndarray, m: int) -> np.ndarray:
-    images = [_apply_var(R, Z, m, v) for v in range(R.ctx.nvars)]
-    return linalg.column_space_basis(linalg.hstack(images, m * R.dim), R.p)
-
-
-def _monomial_multiples(R: QuotientAlgebra, g: np.ndarray, m: int) -> np.ndarray:
-    """(m·dim × dim) array whose b-th column is (basis monomial b)·g."""
+def _free_map_matrix(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> np.ndarray:
+    """Matrix of R^{len(gens)} -> R^m sending e_j to gens[j], as a linear map
+    on coordinates (column j·dim + b is (basis monomial b)·gens[j])."""
     d = R.dim
-    out = np.zeros((m * d, d), dtype=np.int64)
-    out[:, 0] = g
+    mu = len(gens)
+    if mu == 0:
+        return linalg.zeros(m * d, 0)
+    # multiples[b] holds (basis monomial b)·g for all generators at once; the
+    # basis lists every monomial after the parent it is a variable multiple of
+    multiples = np.zeros((d, m * d, mu), dtype=np.int64)
+    multiples[0] = np.stack(gens, axis=1)
     for b in range(1, d):
         exps = R.basis[b]
         i = next(k for k, e in enumerate(exps) if e)
         parent = R.index[tuple(e - 1 if k == i else e for k, e in enumerate(exps))]
-        out[:, b] = _apply_var(R, out[:, parent].reshape(-1, 1), m, i).ravel()
-    return out
-
-
-def _free_map_matrix(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> np.ndarray:
-    """Matrix of R^{len(gens)} -> R^m sending e_j to gens[j], as a linear map
-    on coordinates (columns indexed by (j, basis monomial))."""
-    blocks = [_monomial_multiples(R, g, m) for g in gens]
-    return linalg.hstack(blocks, m * R.dim)
-
-
-def lift_entry(R: QuotientAlgebra, vec: np.ndarray) -> Polynomial:
-    return R.lift(vec)
+        multiples[b] = _apply_var(R, multiples[parent], m, i)
+    return multiples.transpose(1, 2, 0).reshape(m * d, mu * d)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,7 @@ class SyzygyModule:
     ambient_rank: int
     basis: np.ndarray  # (ambient_rank * dim) x s
     index: int
-    of: AlgebraModule
+    of: AlgebraModule | None  # None once the resolved module has been freed
 
     @property
     def dim(self) -> int:
@@ -226,14 +217,12 @@ def _m_multiples_of_span(R: QuotientAlgebra, Z: np.ndarray, m: int) -> np.ndarra
     return linalg.column_space_basis(linalg.hstack(images, m * R.dim), R.p)
 
 
-def _adic_order(R: QuotientAlgebra, g: np.ndarray, m: int) -> int:
-    """Smallest degree of a basis monomial supported by any entry of g."""
-    best = R.dim
-    for c in range(m):
-        chunk = g[c * R.dim : (c + 1) * R.dim]
-        for b in np.nonzero(chunk)[0]:
-            best = min(best, sum(R.basis[int(b)]))
-    return best
+def _adic_order(g: np.ndarray, degrees: np.ndarray) -> int:
+    """Smallest degree of a basis monomial supported by any entry of g, a
+    vector of R^m; degrees[b] is the degree of basis monomial b, and the
+    value for g = 0 is dim R."""
+    support = g.reshape(-1, degrees.size).any(axis=0)
+    return int(degrees[support].min(initial=degrees.size))
 
 
 def _sort_generators(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> list[np.ndarray]:
@@ -241,11 +230,12 @@ def _sort_generators(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> list
     the first nonzero coordinate scanning components in order and monomials
     from highest to lowest (so x-entries precede y-entries)."""
     perm = _witness_coordinate_order(R, m)
+    degrees = np.array([sum(e) for e in R.basis], dtype=np.int64)
 
     def key(g):
         scanned = g[perm]
         first = int(np.nonzero(scanned)[0][0])
-        return (_adic_order(R, g, m), first)
+        return (_adic_order(g, degrees), first)
 
     return sorted(gens, key=key)
 
@@ -255,16 +245,25 @@ class Resolution:
 
     matrices[i] has shape (betti[i], betti[i+1], dim R): entry (r, j) is the
     coordinate vector of an algebra element, and ∂_{i+1} = matrices[i].
+
+    The module caches its resolution, so the resolution refers back to it
+    weakly: a module and its resolution are then freed by reference counting
+    alone, without waiting for a cycle collection.
     """
 
     def __init__(self, module: AlgebraModule):
-        self.module = module
+        self._module = weakref.ref(module)
         self.R = module.algebra
         self.betti: list[int] = []
         self.matrices: list[np.ndarray] = []
         self._omegas: list[np.ndarray] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
         self._gens: list[list[np.ndarray]] = []
         self._start()
+
+    @property
+    def module(self) -> AlgebraModule | None:
+        """The resolved module, or None once it has been freed."""
+        return self._module()
 
     def _start(self) -> None:
         M = self.module
@@ -349,17 +348,11 @@ class Resolution:
         """∂_i ∂_{i+1} = 0, with compositions evaluated on coordinates."""
         R = self.R
         for i in range(1, len(self.matrices)):
-            prev_gens = self._gens[i - 1]
-            m = self.betti[i - 1]
-            for g in self._gens[i]:
-                acc = np.zeros(m * R.dim, dtype=np.int64)
-                for j, prev in enumerate(prev_gens):
-                    coeff = g[j * R.dim : (j + 1) * R.dim]
-                    for b in np.nonzero(coeff)[0]:
-                        mult = _monomial_multiples(R, prev, m)[:, int(b)]
-                        acc = (acc + int(coeff[b]) * mult) % R.p
-                if acc.any():
-                    raise AssertionError("∂∂ != 0")
+            if not self._gens[i]:
+                continue
+            phi = _free_map_matrix(R, self._gens[i - 1], self.betti[i - 1])
+            if linalg.matmul(phi, np.stack(self._gens[i], axis=1), R.p).any():
+                raise AssertionError("∂∂ != 0")
 
 
 def minimal_resolution(M: AlgebraModule, length: int) -> Resolution:
@@ -393,7 +386,6 @@ def k_summand_test(Z: SyzygyModule) -> SummandVerdict:
     m = Z.ambient_rank
     if Z.dim == 0:
         return SummandVerdict(False, None, None, 0)
-    stacked = linalg.hstack([], 0)
     blocks = [_apply_var(R, Z.basis, m, v) for v in range(R.ctx.nvars)]
     stacked = np.concatenate(blocks, axis=0)
     coeffs = linalg.kernel_basis(stacked, p)
@@ -460,17 +452,12 @@ def koszul_h1(R: QuotientAlgebra) -> int:
 
 def _tensor_map(res_matrix: np.ndarray, N: AlgebraModule) -> np.ndarray:
     """∂ ⊗ N as a matrix on coordinates of N^{betti} (component-major)."""
-    m, mu, _ = res_matrix.shape
+    m, mu, d = res_matrix.shape
     dN = N.dim
-    out = np.zeros((m * dN, mu * dN), dtype=np.int64)
-    for r in range(m):
-        for j in range(mu):
-            coeff = res_matrix[r, j]
-            if coeff.any():
-                out[r * dN : (r + 1) * dN, j * dN : (j + 1) * dN] = N.element_operator(
-                    N.algebra.element_from_vector(coeff)
-                )
-    return out
+    # block (r, j) is the sum over b of res_matrix[r, j, b] · (monomial b on N)
+    ops = np.stack([N.monomial_operator(b) for b in range(d)])
+    blocks = linalg.matmul(res_matrix.reshape(m * mu, d), ops.reshape(d, dN * dN), N.p)
+    return blocks.reshape(m, mu, dN, dN).transpose(0, 2, 1, 3).reshape(m * dN, mu * dN)
 
 
 def tor(M: AlgebraModule, N: AlgebraModule, i: int) -> int:
@@ -552,11 +539,7 @@ def module_from_presentation(R: QuotientAlgebra, P: np.ndarray, label: str = "")
     if d != R.dim:
         raise ValueError("presentation entries must be algebra element vectors")
     # span of all basis-monomial multiples of the columns
-    col_vecs = []
-    for j in range(cols):
-        g = P[:, j, :].reshape(rows * d)
-        col_vecs.append(_monomial_multiples(R, g, rows))
-    W = linalg.hstack(col_vecs, rows * d)
+    W = _free_map_matrix(R, [P[:, j, :].reshape(rows * d) for j in range(cols)], rows)
     ech, pivots = linalg.rref(W.T, R.p)
     ech_rows = [ech[r] for r in range(ech.shape[0]) if ech[r].any()]
     pivot_coords = list(pivots)

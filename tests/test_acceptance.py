@@ -6,6 +6,7 @@ wall-clock budgets.  Criterion 2 keeps one sub-assertion in a separate test
 the asserted identity contradicts the printed colon generators on degree
 grounds; see notes outside the package for the analysis.
 """
+import hashlib
 import random
 import time
 from math import comb
@@ -245,6 +246,48 @@ def test_criterion_8_tor_vanishing():
     elapsed = time.monotonic() - start
     ok = not violations and elapsed < 300.0
     report("8", ok, f"5 rings x 10 pairs, {len(violations)} double-vanishings, {elapsed:.1f}s")
+
+
+# Betti numbers to length 6 and a SHA-256 prefix of ∂_1..∂_6 (each as its
+# shape, then its little-endian int64 entries) of k and R/(x) over the rings
+# of test_criterion_8, recorded before the resolution code was vectorized
+RESOLUTION_FIXTURE = {
+    ("y", "x^2"): {
+        "k": ((1, 1, 1, 1, 1, 1, 1), "09697aaaf0761c40"),
+        "x": ((1, 1, 1, 1, 1, 1, 1), "09697aaaf0761c40"),
+    },
+    ("y^2", "x*y", "x^2"): {
+        "k": ((1, 2, 4, 8, 16, 32, 64), "eab094b8f079436f"),
+        "x": ((1, 1, 2, 4, 8, 16, 32), "e5ddd598ffb386f0"),
+    },
+    ("y^2", "x*y", "x^3"): {
+        "k": ((1, 2, 4, 8, 16, 32, 64), "2b475f1aa1be244f"),
+        "x": ((1, 1, 2, 4, 8, 16, 32), "4db5fb4266996622"),
+    },
+    ("y^2", "x*y", "x^4"): {
+        "k": ((1, 2, 4, 8, 16, 32, 64), "e37bb1f5e0591e0e"),
+        "x": ((1, 1, 2, 4, 8, 16, 32), "ed8a8139ff9f6fed"),
+    },
+    ("y^2", "x*y", "x^5"): {
+        "k": ((1, 2, 4, 8, 16, 32, 64), "6a251ab85f0d75e0"),
+        "x": ((1, 1, 2, 4, 8, 16, 32), "0d64dba716473bf7"),
+    },
+}
+
+
+def test_tor_rings_resolutions_match_fixture():
+    found = {}
+    for R in _burch_ring_sample():
+        modules = {"k": residue_field(R), "x": module_from_cyclic(R, R.ideal.sum(ideal(CTX, "x")))}
+        for name, M in modules.items():
+            res = M.resolution(6)
+            h = hashlib.sha256()
+            for i in range(1, 7):
+                h.update(repr(res.matrix(i).shape).encode())
+                h.update(res.matrix(i).astype("<i8").tobytes())
+            gens = tuple(str(g) for g in R.ideal.gens)
+            found.setdefault(gens, {})[name] = (tuple(res.betti[:7]), h.hexdigest()[:16])
+    assert found == RESOLUTION_FIXTURE
 
 
 def test_criterion_9_exact_pair_regression():

@@ -214,6 +214,22 @@ def test_corpus_alternate_modulus(capsys):
     assert code == EXIT_OK and "PASS r8" in out
 
 
+@pytest.mark.parametrize("modulus", ["94906249", "2147483647"])
+def test_modulus_beyond_exact_arithmetic_exit_3(modulus, capsys):
+    # 94906249 is the largest prime with p^2 < 2^53: the context accepts it
+    # and the first product refuses it; 2^31 - 1 is refused up front
+    code, out, err = run_cli(capsys, "--modulus", modulus, "corpus")
+    assert code == EXIT_PRECONDITION
+    assert out == "" and len(err.splitlines()) == 1 and "2^53" in err
+
+
+def test_session_modulus_beyond_exact_arithmetic_exit_3(tmp_path, capsys):
+    path = tmp_path / "big.session"
+    path.write_text("ring 2147483647 x y\nideal I = x^2, y^2\n")
+    code, _, err = run_cli(capsys, "check", str(path), "I")
+    assert code == EXIT_PRECONDITION and "2^53" in err
+
+
 # -- JSON reports ------------------------------------------------------------------
 
 

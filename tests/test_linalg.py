@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burchlab import linalg
-from burchlab.linalg import PrimeField
+from burchlab.linalg import PreconditionError, PrimeField
+from burchlab.poly import RingContext
 
 P = 32003
 
@@ -141,3 +144,113 @@ def test_subspace_relations():
     assert linalg.subspace_le(B, A, P)
     assert not linalg.subspace_le(A, B, P)
     assert linalg.subspace_eq(A, A[:, ::-1], P)
+
+
+# -- vectorized kernel against the loop it replaced ------------------------------
+
+
+def _kernel_basis_loop(A, p):
+    """Reference: back-substitution one entry at a time."""
+    n = A.shape[1]
+    R, pivots = linalg.rref(A, p)
+    free = [j for j in range(n) if j not in set(pivots)]
+    K = linalg.zeros(n, len(free))
+    for k, j in enumerate(free):
+        K[j, k] = 1
+        for r, c in enumerate(pivots):
+            if c < j:
+                K[c, k] = (-int(R[r, j])) % p
+    return K
+
+
+@st.composite
+def kernel_cases(draw):
+    """(A, p) with A random, sparse, zero or of full rank, 0-7 rows and columns."""
+    p = draw(st.sampled_from([2, 3, P]))
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["random", "sparse", "zero", "full_rank"]))
+    A = linalg.zeros(rows, cols)
+    if kind == "full_rank":
+        k = min(rows, cols)
+        A[:k, :k] = np.triu(np.ones((k, k), dtype=np.int64))
+    elif kind != "zero":
+        entries = st.integers(0, p - 1) if kind == "random" else st.sampled_from([0, 0, 0, 1, p - 1])
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        A = np.array(flat, dtype=np.int64).reshape(rows, cols)
+    return A, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+@example((linalg.zeros(0, 0), P))
+@example((linalg.zeros(0, 4), P))
+@example((linalg.zeros(3, 0), P))
+def test_kernel_basis_matches_loop_reference(case):
+    A, p = case
+    K = linalg.kernel_basis(A, p)
+    ref = _kernel_basis_loop(A, p)
+    assert K.dtype == ref.dtype and K.shape == ref.shape and np.array_equal(K, ref)
+
+
+# -- the prime bound of the float64 path ------------------------------------------
+
+
+def _largest_exact_prime():
+    p = math.isqrt(linalg.EXACT_LIMIT - 1)
+    while not linalg.is_prime(p):
+        p -= 1
+    return p
+
+
+def _rref_python(rows, p):
+    """Reference: Gauss-Jordan on Python ints, with rref's pivoting rule."""
+    R = [[x % p for x in row] for row in rows]
+    m, n = len(R), len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for k in range(m):
+            if k != r and R[k][c]:
+                f = R[k][c]
+                R[k] = [(a - f * b) % p for a, b in zip(R[k], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, tuple(pivots)
+
+
+def test_rref_exact_at_largest_accepted_prime():
+    p = _largest_exact_prime()
+    assert p == 94906249
+    RingContext(p, ("x",))  # accepted
+    rng = np.random.default_rng(7)
+    full = rng.integers(0, p, size=(40, 40))
+    deficient = np.concatenate([full[:25], (3 * full[:15] + full[10:25]) % p])
+    for A in (full, deficient[:, :33]):
+        R, pivots = linalg.rref(A.astype(np.int64), p)
+        ref, ref_pivots = _rref_python(A.tolist(), p)
+        assert pivots == ref_pivots
+        assert R.tolist() == ref
+
+
+def test_context_refuses_inexact_prime():
+    with pytest.raises(PreconditionError):
+        RingContext(2**31 - 1, ("x",))
+    with pytest.raises(PreconditionError):
+        RingContext(_largest_exact_prime() + 2**20, ("x",))  # composite, but too large first
+
+
+def test_matmul_refuses_inexact_inner_dimension():
+    p = _largest_exact_prime()
+    A = np.ones((1, 2), dtype=np.int64)
+    assert linalg.matmul(A[:, :1], A[:, :1].T, p).tolist() == [[1]]
+    with pytest.raises(PreconditionError):
+        linalg.matmul(A, A.T, p)

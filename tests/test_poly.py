@@ -200,3 +200,15 @@ def test_context_validation():
         RingContext(10, ("x",))
     with pytest.raises(ValueError):
         RingContext(P, tuple("abcdefghi"))
+
+
+def test_context_checks_primality_once(monkeypatch):
+    from burchlab import linalg
+
+    calls = []
+    real = linalg.is_prime
+    monkeypatch.setattr(linalg, "is_prime", lambda n: calls.append(n) or real(n))
+    ctx = RingContext(P, ("x", "y"))
+    fields = {id(ctx.field) for _ in range(100)}
+    assert calls == [P] and len(fields) == 1 and ctx.field.p == P
+    assert ctx == CTX and hash(ctx) == hash(CTX) and "field" not in repr(ctx)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,10 @@ from burchlab.groebner import Ideal, PreconditionError, max_ideal
 from burchlab.poly import RingContext, parse_polynomial
 from burchlab.resolution import (
     AlgebraModule,
+    _adic_order,
+    _apply_var,
+    _free_map_matrix,
+    _tensor_map,
     free_module,
     k_summand_test,
     koszul_h1,
@@ -269,3 +276,126 @@ def test_mapping_cone_exact_sequence_tor_bound():
     M = module_from_cyclic(R, ideal(CTX, "x", "y^2"))
     cone = mapping_cone_module(M, R.element(parse_polynomial("x", CTX)))
     assert tor(cone.module, k, 3) > 0
+
+
+# -- vectorized helpers against the loops they replaced ----------------------------
+
+
+def _adic_order_loop(R, g, m):
+    best = R.dim
+    for c in range(m):
+        chunk = g[c * R.dim : (c + 1) * R.dim]
+        for b in np.nonzero(chunk)[0]:
+            best = min(best, sum(R.basis[int(b)]))
+    return best
+
+
+def _free_map_matrix_loop(R, gens, m):
+    """One generator and one basis monomial at a time."""
+    d = R.dim
+    blocks = []
+    for g in gens:
+        out = np.zeros((m * d, d), dtype=np.int64)
+        out[:, 0] = g
+        for b in range(1, d):
+            exps = R.basis[b]
+            i = next(k for k, e in enumerate(exps) if e)
+            parent = R.index[tuple(e - 1 if k == i else e for k, e in enumerate(exps))]
+            out[:, b] = _apply_var(R, out[:, parent].reshape(-1, 1), m, i).ravel()
+        blocks.append(out)
+    return linalg.hstack(blocks, m * d)
+
+
+def _tensor_map_loop(res_matrix, N):
+    """One element operator per nonzero entry of the differential."""
+    m, mu, _ = res_matrix.shape
+    dN = N.dim
+    out = np.zeros((m * dN, mu * dN), dtype=np.int64)
+    for r in range(m):
+        for j in range(mu):
+            coeff = res_matrix[r, j]
+            if coeff.any():
+                out[r * dN : (r + 1) * dN, j * dN : (j + 1) * dN] = N.element_operator(
+                    N.algebra.element_from_vector(coeff)
+                )
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_rings(r12):
+    return [r12, quotient(CX, "x^4"), quotient(CTX, "x^2", "x*y", "y^3")]
+
+
+def _random_vectors(R, m, count, rng):
+    """Dense, sparse and zero vectors of R^m."""
+    vecs = [np.zeros(m * R.dim, dtype=np.int64)]
+    for t in range(count):
+        v = rng.integers(0, P, size=m * R.dim)
+        if t % 2:
+            v[rng.random(v.size) < 0.8] = 0
+        vecs.append(v.astype(np.int64))
+    return vecs
+
+
+def test_adic_order_matches_loop_reference(oracle_rings):
+    rng = np.random.default_rng(1)
+    for R in oracle_rings:
+        degrees = np.array([sum(e) for e in R.basis], dtype=np.int64)
+        for m in (1, 3):
+            for g in _random_vectors(R, m, 20, rng):
+                assert _adic_order(g, degrees) == _adic_order_loop(R, g, m)
+
+
+def test_free_map_matrix_matches_loop_reference(oracle_rings):
+    rng = np.random.default_rng(2)
+    for R in oracle_rings:
+        for m, mu in ((1, 1), (2, 3), (3, 0)):
+            gens = _random_vectors(R, m, mu, rng)[1:] if mu else []
+            got = _free_map_matrix(R, gens, m)
+            assert np.array_equal(got, _free_map_matrix_loop(R, gens, m))
+        # columns of a real resolution, zero vector included
+        res = minimal_resolution(residue_field(R), 3)
+        gens = res._gens[2] + [np.zeros_like(res._gens[2][0])]
+        assert np.array_equal(_free_map_matrix(R, gens, res.betti[2]), _free_map_matrix_loop(R, gens, res.betti[2]))
+
+
+def test_tensor_map_matches_loop_reference(oracle_rings):
+    for R in oracle_rings:
+        proper = [e for e in R.basis if sum(e) >= 1]
+        ctx = R.ctx
+        modules = [residue_field(R), free_module(R, 2)] + [
+            module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.monomial(e)]))) for e in proper[:3]
+        ]
+        for M in modules[2:] + modules[:1]:
+            res = minimal_resolution(M, 4)
+            for N in modules:
+                for i in range(1, 5):
+                    got = _tensor_map(res.matrix(i), N)
+                    assert np.array_equal(got, _tensor_map_loop(res.matrix(i), N))
+
+
+def test_check_complex_detects_a_broken_differential(r12):
+    res = minimal_resolution(residue_field(r12), 3)
+    res.check_complex()
+    g = res._gens[2][0]
+    g[np.flatnonzero(g)[0]] += 1
+    with pytest.raises(AssertionError):
+        res.check_complex()
+
+
+# -- lifetime ------------------------------------------------------------------------
+
+
+def test_module_with_resolution_freed_by_refcount(r12):
+    """A module caches its resolution; dropping the module frees both without
+    the cycle collector."""
+    gc.disable()
+    try:
+        M = module_from_cyclic(r12, ideal(CTX, "x^2", "x*y", "y^2"))
+        res = M.resolution(3)
+        assert res.syzygy(2).of is M and res.module is M
+        module_ref, res_ref = weakref.ref(M), weakref.ref(res)
+        del M, res
+        assert module_ref() is None and res_ref() is None
+    finally:
+        gc.enable()
