@@ -4,7 +4,6 @@ from .artinian import (
     AlgebraElement,
     QuotientAlgebra,
     annihilator,
-    build_quotient,
     fibre_product,
     find_exact_pairs,
 )
@@ -53,7 +52,6 @@ from .resolution import (
     k_summand_test,
     koszul_h1,
     mapping_cone_module,
-    minimal_resolution,
     module_from_cyclic,
     residue_field,
     tor,

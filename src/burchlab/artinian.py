@@ -10,6 +10,7 @@ non-homogeneous ideals too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +33,12 @@ class QuotientAlgebra:
         self.dim = len(self.basis)
         self._gb = list(ideal.groebner())
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
-        self._check_commuting()
+        check_commuting(self.mult, self.p, "multiplication matrices")
+        self._parents = self._basis_parents()
         self._filtration = self._m_adic_chain()
         self.hilbert = self._hilbert_from_chain()
         self.edim = self.hilbert[1] if len(self.hilbert) > 1 else 0
         self.socle = self._socle_basis()
-        self._mono_ops: list[np.ndarray | None] = [None] * self.dim
 
     # -- construction ---------------------------------------------------------
 
@@ -61,21 +62,25 @@ class QuotientAlgebra:
             cols.append(col)
         return np.stack(cols, axis=1)
 
-    def _check_commuting(self) -> None:
-        for i in range(len(self.mult)):
-            for j in range(i + 1, len(self.mult)):
-                a = linalg.matmul(self.mult[i], self.mult[j], self.p)
-                b = linalg.matmul(self.mult[j], self.mult[i], self.p)
-                if not np.array_equal(a, b):
-                    raise AssertionError("multiplication matrices do not commute")
+    def _basis_parents(self) -> list[tuple[int, int]]:
+        """Entry b-1 is (index of basis[b] / x_v, v) for the first variable
+        x_v dividing basis[b].  basis[0] is 1 and the ascending basis lists
+        every standard monomial after its parent."""
+        parents = []
+        for exps in self.basis[1:]:
+            v = next(k for k, e in enumerate(exps) if e)
+            parents.append((self.index[exps[:v] + (exps[v] - 1,) + exps[v + 1 :]], v))
+        return parents
+
+    def _act(self, v: int, Y: np.ndarray) -> np.ndarray:
+        return linalg.matmul(self.mult[v], Y, self.p)
 
     def _m_adic_chain(self) -> list[np.ndarray]:
         """Bases of m^0 = R, m^1, m^2, ... down to 0 (as column spans)."""
         chain = [linalg.identity(self.dim)]
         current = chain[0]
         while current.shape[1]:
-            images = [linalg.matmul(M, current, self.p) for M in self.mult]
-            nxt = linalg.column_space_basis(linalg.hstack(images, self.dim), self.p)
+            nxt = self.m_span(current, self._act)
             chain.append(nxt)
             if nxt.shape[1] == current.shape[1]:
                 raise AssertionError("m-adic filtration does not terminate")
@@ -129,25 +134,32 @@ class QuotientAlgebra:
         v[self.index[self.ctx.zero_exps()]] = 1
         return AlgebraElement(self, v)
 
-    def monomial_operator(self, b: int) -> np.ndarray:
-        """Multiplication matrix of the b-th basis monomial (cached)."""
-        if self._mono_ops[b] is None:
-            exps = self.basis[b]
-            if sum(exps) == 0:
-                op = linalg.identity(self.dim)
-            else:
-                i = next(k for k, e in enumerate(exps) if e)
-                parent = tuple(e - 1 if k == i else e for k, e in enumerate(exps))
-                op = linalg.matmul(self.mult[i], self.monomial_operator(self.index[parent]), self.p)
-            self._mono_ops[b] = op
-        return self._mono_ops[b]
+    def basis_multiples(self, X: np.ndarray, act) -> np.ndarray:
+        """(basis monomial b)·X for every b, stacked on axis 0, where
+        act(v, Y) computes x_v·Y: one act call per basis monomial other
+        than 1, on the multiple of its parent."""
+        out = np.empty((self.dim,) + X.shape, dtype=np.int64)
+        out[0] = X
+        for b, (parent, v) in enumerate(self._parents, start=1):
+            out[b] = act(v, out[parent])
+        return out
+
+    def m_span(self, W: np.ndarray, act) -> np.ndarray:
+        """Basis of m·span(W) chosen among the columns of the x_v·W, where
+        act(v, Y) computes x_v·Y."""
+        images = [act(v, W) for v in range(self.ctx.nvars)]
+        return linalg.column_space_basis(linalg.hstack(images, W.shape[0]), self.p)
+
+    @cached_property
+    def monomial_operators(self) -> np.ndarray:
+        """Multiplication matrices of the basis monomials, shape (dim, dim, dim)."""
+        return self.basis_multiples(linalg.identity(self.dim), self._act)
 
     def operator(self, a: "AlgebraElement") -> np.ndarray:
         """The multiplication-by-a matrix on the standard basis."""
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for b in np.nonzero(a.vec)[0]:
-            out = (out + int(a.vec[b]) * self.monomial_operator(int(b))) % self.p
-        return out
+        d = self.dim
+        ops = self.monomial_operators.reshape(d, d * d)
+        return linalg.matmul(a.vec.reshape(1, d), ops, self.p).reshape(d, d)
 
     def lift(self, v: np.ndarray) -> Polynomial:
         """The standard-monomial representative in S of a coordinate vector."""
@@ -156,8 +168,7 @@ class QuotientAlgebra:
 
     def minimal_generators(self, subspace: np.ndarray) -> list[np.ndarray]:
         """Minimal generators (over R) of an ideal given as a subspace of R."""
-        images = [linalg.matmul(M, subspace, self.p) for M in self.mult]
-        mW = linalg.column_space_basis(linalg.hstack(images, self.dim), self.p)
+        mW = self.m_span(subspace, self._act)
         chosen = linalg.complete_columns(mW, subspace, self.p)
         return [subspace[:, j] for j in chosen]
 
@@ -208,21 +219,14 @@ class AlgebraElement:
         return f"AlgebraElement({self.to_polynomial()})"
 
 
-def build_quotient(I: Ideal) -> QuotientAlgebra:
-    return QuotientAlgebra(I)
-
-
-def socle(R: QuotientAlgebra) -> np.ndarray:
-    return R.socle
-
-
-def type_and_gorenstein(R: QuotientAlgebra) -> tuple[int, bool]:
-    t = R.type()
-    return t, t == 1
-
-
-def hilbert_function(R: QuotientAlgebra) -> tuple[int, ...]:
-    return R.hilbert
+def check_commuting(matrices: list[np.ndarray], p: int, what: str) -> None:
+    """Raise AssertionError unless the matrices commute pairwise mod p."""
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            a = linalg.matmul(matrices[i], matrices[j], p)
+            b = linalg.matmul(matrices[j], matrices[i], p)
+            if not np.array_equal(a, b):
+                raise AssertionError(f"{what} do not commute")
 
 
 @dataclass

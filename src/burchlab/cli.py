@@ -12,7 +12,7 @@ Reports are deterministic for a fixed seed and flags; wall-clock timing is
 only included when --timing is passed.
 
 Exit codes: 0 ok, 1 corpus failure, 2 input error, 3 precondition failure,
-4 internal-consistency failure.
+4 internal-consistency failure, 5 unexpected internal error.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .burch import (
 )
 from .corpus import run_corpus
 from .groebner import Ideal, PreconditionError
-from .monomial import count_m_primary
 from .poly import ParseError, Polynomial, RingContext, parse_polynomial
 from .resolution import AlgebraModule, k_summand_test, module_from_cyclic, residue_field, tor_profile
 from .sweep import ALL_CHECKS, run_sweep
@@ -60,6 +59,7 @@ EXIT_CORPUS = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_CONSISTENCY = 4
+EXIT_INTERNAL = 5
 
 
 class SessionError(ValueError):
@@ -420,10 +420,6 @@ def cmd_sweep(args) -> int:
     for c in checks:
         if c not in ALL_CHECKS:
             raise SessionError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
-    if args.max_socle_degree > 7:
-        raise PreconditionError(
-            f"socle degree bound {args.max_socle_degree} too large; 7 enumerates {count_m_primary(7)} ideals"
-        )
     result = run_sweep(args.max_socle_degree, p=args.modulus or 32003, checks=checks)
     report = Report(
         "sweep", {"max_socle_degree": args.max_socle_degree, "checks": list(checks)}
@@ -549,6 +545,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

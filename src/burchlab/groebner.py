@@ -174,7 +174,8 @@ class Ideal:
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.variables, self.gens))
+        # equality compares reduced bases, so the hash must too
+        return hash((self.ctx.p, self.ctx.variables, self.groebner()))
 
     @staticmethod
     def make(ctx: RingContext, gens) -> "Ideal":
@@ -239,10 +240,6 @@ class Ideal:
     def colon(self, other: "Ideal") -> "Ideal":
         return ideal_colon(self, other)
 
-    def max_ideal(self) -> "Ideal":
-        ctx = self.ctx
-        return Ideal.make(ctx, [ctx.variable(i) for i in range(ctx.nvars)])
-
     def is_m_primary(self) -> bool:
         gb = self.groebner()
         if not gb:
@@ -296,7 +293,7 @@ class Ideal:
         if not self.gens:
             return 0
         dmax = max(g.total_degree() for g in self.gens)
-        mI = self.max_ideal().product(self)
+        mI = max_ideal(self.ctx).product(self)
         return sum(self.dim_in_degree(d) - mI.dim_in_degree(d) for d in range(dmax + 1))
 
     def __repr__(self):
@@ -306,14 +303,6 @@ class Ideal:
 
 def max_ideal(ctx: RingContext) -> Ideal:
     return Ideal.make(ctx, [ctx.variable(i) for i in range(ctx.nvars)])
-
-
-def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    return I == J
-
-
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    return I.product(J)
 
 
 def _fresh_variable(ctx: RingContext) -> str:

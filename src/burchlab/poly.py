@@ -437,10 +437,6 @@ def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:
     return _Parser(text, ctx).parse()
 
 
-def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
 def monomials_of_degree(ctx: RingContext, d: int) -> list[Exponents]:
     """All exponent tuples of total degree d, descending in ctx.order."""
     out: list[Exponents] = []

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .artinian import AlgebraElement, QuotientAlgebra
+from .artinian import AlgebraElement, QuotientAlgebra, check_commuting
 from .groebner import Ideal, PreconditionError
 from .poly import Polynomial
 
@@ -34,43 +35,24 @@ class AlgebraModule:
             if A.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
         self.label = label
-        self._mono_ops: list[np.ndarray | None] = [None] * algebra.dim
         self._resolution: "Resolution | None" = None
         if check:
             self._validate()
 
     def _validate(self) -> None:
         p = self.p
-        for i in range(len(self.actions)):
-            for j in range(i + 1, len(self.actions)):
-                a = linalg.matmul(self.actions[i], self.actions[j], p)
-                b = linalg.matmul(self.actions[j], self.actions[i], p)
-                if not np.array_equal(a, b):
-                    raise AssertionError("module actions do not commute")
+        check_commuting(self.actions, p, "module actions")
         for g in self.algebra.ideal.groebner():
             if not np.array_equal(self.poly_operator(g) % p, np.zeros((self.dim, self.dim), dtype=np.int64)):
                 raise AssertionError(f"relation {g} does not annihilate the module")
 
-    def monomial_operator(self, b: int) -> np.ndarray:
-        """Action of the b-th standard basis monomial of the algebra."""
-        if self._mono_ops[b] is None:
-            exps = self.algebra.basis[b]
-            if sum(exps) == 0:
-                op = linalg.identity(self.dim)
-            else:
-                i = next(k for k, e in enumerate(exps) if e)
-                parent = tuple(e - 1 if k == i else e for k, e in enumerate(exps))
-                op = linalg.matmul(
-                    self.actions[i], self.monomial_operator(self.algebra.index[parent]), self.p
-                )
-            self._mono_ops[b] = op
-        return self._mono_ops[b]
+    def _act(self, v: int, Y: np.ndarray) -> np.ndarray:
+        return linalg.matmul(self.actions[v], Y, self.p)
 
-    def element_operator(self, a: AlgebraElement) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for b in np.nonzero(a.vec)[0]:
-            out = (out + int(a.vec[b]) * self.monomial_operator(int(b))) % self.p
-        return out
+    @cached_property
+    def monomial_operators(self) -> np.ndarray:
+        """Actions of the algebra's basis monomials, shape (dim R, dim, dim)."""
+        return self.algebra.basis_multiples(linalg.identity(self.dim), self._act)
 
     def poly_operator(self, f: Polynomial) -> np.ndarray:
         """Evaluate a polynomial at the action matrices (no normal form)."""
@@ -85,8 +67,8 @@ class AlgebraModule:
 
     def m_submodule(self) -> np.ndarray:
         """Basis of mM as a subspace of the module."""
-        images = [linalg.matmul(A, linalg.identity(self.dim), self.p) for A in self.actions]
-        return linalg.column_space_basis(linalg.hstack(images, self.dim), self.p)
+        # x_v applied to the identity is the action matrix itself
+        return self.algebra.m_span(linalg.identity(self.dim), lambda v, _: self.actions[v])
 
     def min_gen_count(self) -> int:
         return self.dim - self.m_submodule().shape[1]
@@ -169,23 +151,20 @@ def _apply_var(R: QuotientAlgebra, Z: np.ndarray, m: int, v: int) -> np.ndarray:
     return out.reshape(d, m, s).transpose(1, 0, 2).reshape(m * d, s)
 
 
+def _free_act(R: QuotientAlgebra, m: int):
+    """act(v, Z) = x_v·Z on columns of R^m, for the algebra's walks and spans."""
+    return lambda v, Z: _apply_var(R, Z, m, v)
+
+
 def _free_map_matrix(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> np.ndarray:
     """Matrix of R^{len(gens)} -> R^m sending e_j to gens[j], as a linear map
     on coordinates (column j·dim + b is (basis monomial b)·gens[j])."""
     d = R.dim
-    mu = len(gens)
-    if mu == 0:
+    if not gens:
         return linalg.zeros(m * d, 0)
-    # multiples[b] holds (basis monomial b)·g for all generators at once; the
-    # basis lists every monomial after the parent it is a variable multiple of
-    multiples = np.zeros((d, m * d, mu), dtype=np.int64)
-    multiples[0] = np.stack(gens, axis=1)
-    for b in range(1, d):
-        exps = R.basis[b]
-        i = next(k for k, e in enumerate(exps) if e)
-        parent = R.index[tuple(e - 1 if k == i else e for k, e in enumerate(exps))]
-        multiples[b] = _apply_var(R, multiples[parent], m, i)
-    return multiples.transpose(1, 2, 0).reshape(m * d, mu * d)
+    # multiples[b] holds (basis monomial b)·g for all generators at once
+    multiples = R.basis_multiples(np.stack(gens, axis=1), _free_act(R, m))
+    return multiples.transpose(1, 2, 0).reshape(m * d, len(gens) * d)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +192,7 @@ class SyzygyModule:
 
 
 def _m_multiples_of_span(R: QuotientAlgebra, Z: np.ndarray, m: int) -> np.ndarray:
-    images = [_apply_var(R, Z, m, v) for v in range(R.ctx.nvars)]
-    return linalg.column_space_basis(linalg.hstack(images, m * R.dim), R.p)
+    return R.m_span(Z, _free_act(R, m))
 
 
 def _adic_order(g: np.ndarray, degrees: np.ndarray) -> int:
@@ -270,18 +248,14 @@ class Resolution:
         R = self.R
         mM = M.m_submodule()
         chosen = linalg.complete_columns(mM, linalg.identity(M.dim), R.p)
-        gens = [np.eye(M.dim, dtype=np.int64)[:, j] for j in chosen]
-        self.betti.append(len(gens))
-        self.generator_vectors = gens
-        if not gens:
+        self.betti.append(len(chosen))
+        if not chosen:
             self._omegas.append(linalg.zeros(0, 0))
             return
-        ops = [M.monomial_operator(b) for b in range(R.dim)]
-        cols = []
-        for g in gens:
-            for b in range(R.dim):
-                cols.append(linalg.matvec(ops[b], g, R.p))
-        phi = np.stack(cols, axis=1) if cols else linalg.zeros(M.dim, 0)
+        # the generators are unit vectors, so column j·dim R + b of φ, the
+        # image of (monomial b)·e_j, is column chosen[j] of monomial b's action
+        ops = M.monomial_operators[:, :, chosen]
+        phi = ops.transpose(1, 2, 0).reshape(M.dim, len(chosen) * R.dim)
         self._omegas.append(linalg.kernel_basis(phi, R.p))
 
     def ensure_length(self, length: int) -> None:
@@ -353,15 +327,6 @@ class Resolution:
             phi = _free_map_matrix(R, self._gens[i - 1], self.betti[i - 1])
             if linalg.matmul(phi, np.stack(self._gens[i], axis=1), R.p).any():
                 raise AssertionError("∂∂ != 0")
-
-
-def minimal_resolution(M: AlgebraModule, length: int) -> Resolution:
-    return M.resolution(length)
-
-
-def betti_numbers(M: AlgebraModule, length: int) -> tuple[int, ...]:
-    res = M.resolution(length)
-    return tuple(res.betti[: length + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +420,8 @@ def _tensor_map(res_matrix: np.ndarray, N: AlgebraModule) -> np.ndarray:
     m, mu, d = res_matrix.shape
     dN = N.dim
     # block (r, j) is the sum over b of res_matrix[r, j, b] · (monomial b on N)
-    ops = np.stack([N.monomial_operator(b) for b in range(d)])
-    blocks = linalg.matmul(res_matrix.reshape(m * mu, d), ops.reshape(d, dN * dN), N.p)
+    ops = N.monomial_operators.reshape(d, dN * dN)
+    blocks = linalg.matmul(res_matrix.reshape(m * mu, d), ops, N.p)
     return blocks.reshape(m, mu, dN, dN).transpose(0, 2, 1, 3).reshape(m * dN, mu * dN)
 
 

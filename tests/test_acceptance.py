@@ -28,7 +28,6 @@ from burchlab.poly import RingContext, parse_polynomial
 from burchlab.resolution import (
     k_summand_test,
     koszul_h1,
-    minimal_resolution,
     module_from_cyclic,
     residue_field,
     tor_profile,
@@ -61,7 +60,7 @@ def test_criterion_1_twelve_dim_regression():
     start = time.monotonic()
     I = ideal(CTX, "x^4", "x^2*y^2", "y^4")
     R = QuotientAlgebra(I)
-    res = minimal_resolution(residue_field(R), 3)
+    res = residue_field(R).resolution(3)
     checks = []
     checks.append(res.betti[:4] == [1, 2, 4, 8])
     checks.append(sorted(str(f) for f in R.socle_polynomials()) == ["x*y^3", "x^3*y"])
@@ -194,8 +193,8 @@ def test_criterion_7_cube_zero_suite(sweep5):
     ]
     spot1 = QuotientAlgebra(ideal(CTX, "x^2", "x*y", "y^2"))
     spot2 = QuotientAlgebra(ideal(CTX, "x^2", "y^2"))
-    res1 = minimal_resolution(residue_field(spot1), 2)
-    res2 = minimal_resolution(residue_field(spot2), 2)
+    res1 = residue_field(spot1).resolution(2)
+    res2 = residue_field(spot2).resolution(2)
     checks = [not bad, res1.betti[2] == 4, res2.betti[2] == 3]
     report("7", all(checks), f"cube-zero agreement defects {bad[:3]}; beta2 spots {res1.betti[2]},{res2.betti[2]}")
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from burchlab.cli import EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, main, parse_session
+from burchlab import cli
+from burchlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION, main, parse_session
 
 SESSION = """\
 # demo ring
@@ -207,6 +208,16 @@ def test_corpus_only_entry(capsys):
 def test_corpus_unknown_entry(capsys):
     code, _, err = run_cli(capsys, "corpus", "--only", "zzz")
     assert code == EXIT_INPUT
+
+
+def test_unexpected_exception_exit_5(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_corpus", broken)
+    code, out, err = run_cli(capsys, "corpus")
+    assert code == EXIT_INTERNAL == 5
+    assert out == "" and err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
 def test_corpus_alternate_modulus(capsys):

@@ -75,6 +75,13 @@ def test_ideal_equality_generating_sets():
     assert ideal(CTX, "x^2") != ideal(CTX, "x")
 
 
+def test_equal_ideals_hash_equal():
+    I, J = ideal(CTX, "x", "y"), ideal(CTX, "x + y", "y")
+    assert I == J and hash(I) == hash(J)
+    assert len({I, J}) == 1
+    assert len({I, ideal(CTX, "x", "y^2")}) == 2
+
+
 def test_equality_burch_definition_for_m_squared():
     # m(m^2 : m) = m·m = m^2 versus m·m^2 = m^3
     m = max_ideal(CTX)

@@ -18,7 +18,6 @@ from burchlab.resolution import (
     k_summand_test,
     koszul_h1,
     mapping_cone_module,
-    minimal_resolution,
     module_from_cyclic,
     residue_field,
     tor,
@@ -84,13 +83,13 @@ def test_module_validation_catches_bad_actions(r12):
 
 
 def test_betti_doubling(r12):
-    res = minimal_resolution(residue_field(r12), 3)
+    res = residue_field(r12).resolution(3)
     assert res.betti[:4] == [1, 2, 4, 8]
 
 
 def test_hypersurface_periodic():
     R = quotient(CX, "x^3")
-    res = minimal_resolution(residue_field(R), 5)
+    res = residue_field(R).resolution(5)
     assert res.betti == [1, 1, 1, 1, 1, 1]
     assert str(R.lift(res.matrix(1)[0, 0])) == "x"
     assert str(R.lift(res.matrix(2)[0, 0])) == "x^2"
@@ -98,26 +97,26 @@ def test_hypersurface_periodic():
 
 
 def test_free_module_resolution_stops(r12):
-    res = minimal_resolution(free_module(r12, 2), 3)
+    res = free_module(r12, 2).resolution(3)
     assert res.betti == [2, 0, 0, 0]
 
 
 def test_minimality_no_constant_entries(r12):
-    res = minimal_resolution(residue_field(r12), 3)
+    res = residue_field(r12).resolution(3)
     one_index = r12.index[(0, 0)]
     for i in range(1, 4):
         assert not res.matrix(i)[:, :, one_index].any()
 
 
 def test_complex_composition_zero(r12):
-    res = minimal_resolution(residue_field(r12), 3)
+    res = residue_field(r12).resolution(3)
     res.check_complex()
 
 
 def test_rank_nullity_audit(r12):
     # betti[i-1]*len(R) = dim im(phi_i) + dim ker(phi_i) via stored data:
     # ker phi_i = Omega^{i+1}, im phi_i = Omega^i
-    res = minimal_resolution(residue_field(r12), 3)
+    res = residue_field(r12).resolution(3)
     ell = r12.dim
     for i in range(1, 3):
         omega_i = res.syzygy(i).dim
@@ -127,14 +126,14 @@ def test_rank_nullity_audit(r12):
 
 def test_syzygy_of_m_squared_zero_ring():
     R = quotient(CTX, "x^2", "x*y", "y^2")
-    res = minimal_resolution(residue_field(R), 2)
+    res = residue_field(R).resolution(2)
     z1 = res.syzygy(1)
     assert z1.dim == 2  # the maximal ideal, a 2-dim k-vector space
     assert res.betti[1] == 2
 
 
 def test_free_module_has_zero_first_syzygy(r12):
-    res = minimal_resolution(free_module(r12, 1), 1)
+    res = free_module(r12, 1).resolution(1)
     assert res.syzygy(1).dim == 0
 
 
@@ -142,7 +141,7 @@ def test_free_module_has_zero_first_syzygy(r12):
 
 
 def test_summand_verdicts(r12):
-    res = minimal_resolution(residue_field(r12), 3)
+    res = residue_field(r12).resolution(3)
     assert not k_summand_test(res.syzygy(2)).splits
     v3 = k_summand_test(res.syzygy(3))
     assert v3.splits
@@ -152,7 +151,7 @@ def test_summand_verdicts(r12):
 def test_summand_witness_is_socle_outside_mz(r12):
     from burchlab.resolution import _apply_var, _m_multiples_of_span
 
-    res = minimal_resolution(residue_field(r12), 3)
+    res = residue_field(r12).resolution(3)
     Z = res.syzygy(3)
     v = k_summand_test(Z).witness
     for var in range(2):
@@ -163,7 +162,7 @@ def test_summand_witness_is_socle_outside_mz(r12):
 
 def test_summand_m2_zero_ring():
     R = quotient(CTX, "x^2", "x*y", "y^2")
-    res = minimal_resolution(residue_field(R), 2)
+    res = residue_field(R).resolution(2)
     assert k_summand_test(res.syzygy(2)).splits
 
 
@@ -186,7 +185,7 @@ def test_koszul_identity_beta2():
 
     for gens in [("x^2", "x*y", "y^2"), ("x^3", "x*y", "y^3"), ("x^4", "x^2*y^2", "y^4"), ("x^2", "y^2")]:
         R = quotient(CTX, *gens)
-        res = minimal_resolution(residue_field(R), 2)
+        res = residue_field(R).resolution(2)
         assert koszul_h1(R) == res.betti[2] - comb(R.edim, 2)
 
 
@@ -307,7 +306,8 @@ def _free_map_matrix_loop(R, gens, m):
 
 
 def _tensor_map_loop(res_matrix, N):
-    """One element operator per nonzero entry of the differential."""
+    """One polynomial evaluated at N's actions per nonzero entry of the
+    differential, without the basis-monomial walk."""
     m, mu, _ = res_matrix.shape
     dN = N.dim
     out = np.zeros((m * dN, mu * dN), dtype=np.int64)
@@ -315,9 +315,8 @@ def _tensor_map_loop(res_matrix, N):
         for j in range(mu):
             coeff = res_matrix[r, j]
             if coeff.any():
-                out[r * dN : (r + 1) * dN, j * dN : (j + 1) * dN] = N.element_operator(
-                    N.algebra.element_from_vector(coeff)
-                )
+                block = N.poly_operator(N.algebra.lift(coeff))
+                out[r * dN : (r + 1) * dN, j * dN : (j + 1) * dN] = block
     return out
 
 
@@ -354,7 +353,7 @@ def test_free_map_matrix_matches_loop_reference(oracle_rings):
             got = _free_map_matrix(R, gens, m)
             assert np.array_equal(got, _free_map_matrix_loop(R, gens, m))
         # columns of a real resolution, zero vector included
-        res = minimal_resolution(residue_field(R), 3)
+        res = residue_field(R).resolution(3)
         gens = res._gens[2] + [np.zeros_like(res._gens[2][0])]
         assert np.array_equal(_free_map_matrix(R, gens, res.betti[2]), _free_map_matrix_loop(R, gens, res.betti[2]))
 
@@ -367,15 +366,32 @@ def test_tensor_map_matches_loop_reference(oracle_rings):
             module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.monomial(e)]))) for e in proper[:3]
         ]
         for M in modules[2:] + modules[:1]:
-            res = minimal_resolution(M, 4)
+            res = M.resolution(4)
             for N in modules:
                 for i in range(1, 5):
                     got = _tensor_map(res.matrix(i), N)
                     assert np.array_equal(got, _tensor_map_loop(res.matrix(i), N))
 
 
+def test_monomial_operators_match_polynomial_evaluation(oracle_rings):
+    """The shared basis-monomial walk against evaluation at the action
+    matrices: R.operator(a) for random a, and the cached operators of k, R^2
+    and a cyclic module."""
+    rng = np.random.default_rng(3)
+    for R in oracle_rings:
+        regular = AlgebraModule(R, R.mult, check=False)
+        for a in _random_vectors(R, 1, 6, rng):
+            assert np.array_equal(R.operator(R.element_from_vector(a)), regular.poly_operator(R.lift(a)))
+        ctx = R.ctx
+        cyclic = module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.variable(0)])))
+        for M in (residue_field(R), free_module(R, 2), cyclic):
+            assert M.monomial_operators.shape == (R.dim, M.dim, M.dim)
+            for b, exps in enumerate(R.basis):
+                assert np.array_equal(M.monomial_operators[b], M.poly_operator(ctx.monomial(exps)))
+
+
 def test_check_complex_detects_a_broken_differential(r12):
-    res = minimal_resolution(residue_field(r12), 3)
+    res = residue_field(r12).resolution(3)
     res.check_complex()
     g = res._gens[2][0]
     g[np.flatnonzero(g)[0]] += 1
