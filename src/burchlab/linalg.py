@@ -12,6 +12,14 @@ float64 holds integers exactly below 2**53, which bounds the prime:
 `RingContext` refuses primes with p**2 >= 2**53 up front.  Pivoting is
 deterministic: the first nonzero entry in row order, columns scanned left to
 right.
+
+The matrices of the rings and modules here are mostly monomial: most blocks
+of their row/column nonzero graph are a single row or a single column.
+`rref` takes those pivots straight from the nonzero pattern, with a few
+whole-array operations: a lone row is scaled by the inverse of its first
+entry, a lone column is a unit row.  The per-pivot loop `_eliminate` runs
+only on the submatrix of the remaining blocks, which for a dense matrix is
+all of it.  The RREF is unique, so the result is the same either way.
 """
 from __future__ import annotations
 
@@ -106,9 +114,70 @@ def matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot-column indices."""
+    """Reduced row echelon form and the pivot-column indices.
+
+    Blocks of the row/column nonzero graph that are a single row or a single
+    column are reduced in place: a lone row is scaled by the inverse of its
+    first entry, a lone column becomes a unit row.  `_eliminate` runs only on
+    the submatrix of the remaining blocks.  The RREF of a block-diagonal
+    matrix (up to permutation) is the union of its blocks' RREF rows ordered
+    by pivot column, so the result equals a full elimination's.
+    """
     m, n = A.shape
-    R = (A.astype(np.float64)) % p
+    A = np.asarray(A, dtype=np.int64)
+    if A.size and (A.min() < 0 or A.max() >= p):
+        A = A % p
+    R = zeros(m, n)
+    rows, cols = np.nonzero(A)
+    if rows.size == 0:
+        return R, ()
+    row_count = np.bincount(rows, minlength=m)
+    col_count = np.bincount(cols, minlength=n)
+    lone_row = row_count > 0
+    lone_row[rows[col_count[cols] > 1]] = False
+    lone_col = col_count > 1  # a 1x1 block counts once, as a row
+    lone_col[cols[row_count[rows] > 1]] = False
+    in_row = lone_row[rows]
+    rest = ~(in_row | lone_col[cols])
+
+    # nonzero() lists entries row by row, left to right: a lone row's first
+    # entry is its pivot
+    r_rows, r_cols = rows[in_row], cols[in_row]
+    head = np.ones(r_rows.size, dtype=bool)
+    head[1:] = r_rows[1:] != r_rows[:-1]
+    vals = A[r_rows, r_cols]
+    scale = vals[head]
+    odd = scale != 1
+    if odd.any():
+        firsts, index = np.unique(scale[odd], return_inverse=True)
+        scale[odd] = np.array([pow(a, p - 2, p) for a in firsts.tolist()], dtype=np.int64)[index]
+    run = np.cumsum(head) - 1  # entry -> its lone row, in row order
+    r_pivots = r_cols[head]
+    c_pivots = np.flatnonzero(lone_col)
+    sub_cols = s_pivots = np.zeros(0, dtype=np.int64)  # empty without a rest block
+    if rest.any():
+        sub_rows = np.flatnonzero(np.bincount(rows[rest], minlength=m))
+        sub_cols = np.flatnonzero(np.bincount(cols[rest], minlength=n))
+        sub, sub_pivots = _eliminate(A[np.ix_(sub_rows, sub_cols)], p)
+        s_pivots = sub_cols[list(sub_pivots)]
+
+    pivots = np.concatenate([r_pivots, c_pivots, s_pivots])
+    order = np.argsort(pivots)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    nr, nc = r_pivots.size, c_pivots.size
+    R[slot[run], r_cols] = vals * scale[run] % p
+    R[slot[nr : nr + nc], c_pivots] = 1
+    if s_pivots.size:
+        R[np.ix_(slot[nr + nc :], sub_cols)] = sub[: s_pivots.size]
+    return R, tuple(pivots[order].tolist())
+
+
+def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination of a canonical matrix, one pivot at a time:
+    the first nonzero entry in row order, columns scanned left to right."""
+    m, n = A.shape
+    R = A.astype(np.float64)
     pivots = []
     r = 0
     for c in range(n):
@@ -141,7 +210,9 @@ def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of {v : Av = 0}; count = cols - rank(A)."""
     n = A.shape[1]
     R, pivots = rref(A, p)
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
     K = zeros(n, free.size)
     K[free, np.arange(free.size)] = 1
     # x_free = e_k forces x_c = -R[r, j] at the pivot c of row r; in RREF
@@ -162,8 +233,7 @@ def in_column_space(A: np.ndarray, v: np.ndarray, p: int) -> bool:
         raise ValueError(f"vector length {v.shape[0]} != row count {A.shape[0]}")
     if not v.any():
         return True
-    aug = np.concatenate([A, v.reshape(-1, 1)], axis=1)
-    return rank(aug, p) == rank(A, p)
+    return not complete_columns(A, v.reshape(-1, 1), p)
 
 
 def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -191,24 +261,21 @@ def hstack(blocks: list[np.ndarray], rows: int) -> np.ndarray:
 
 def complete_columns(W: np.ndarray, C: np.ndarray, p: int) -> list[int]:
     """Greedy indices j such that the columns C[:, j] extend span(W) to
-    span(W) + span(C), scanning C left to right."""
+    span(W) + span(C), scanning C left to right: the pivots of [W | C] past
+    W, since those inside W are exactly the pivots of W alone."""
     if W.shape[0] != C.shape[0]:
         raise ValueError("ambient dimension mismatch")
-    base = rank(W, p)
     _, pivots = rref(np.concatenate([W, C], axis=1), p)
     w = W.shape[1]
-    chosen = [c - w for c in pivots if c >= w]
-    assert len(chosen) + base == len(pivots)
-    return chosen
+    return [c - w for c in pivots if c >= w]
 
 
 def subspace_le(A: np.ndarray, B: np.ndarray, p: int) -> bool:
     """span(A) <= span(B), both given by column spans."""
     if A.shape[1] == 0:
         return True
-    rb = rank(B, p)
-    return rank(np.concatenate([B, A], axis=1), p) == rb
+    return not complete_columns(B, A, p)
 
 
 def subspace_eq(A: np.ndarray, B: np.ndarray, p: int) -> bool:
-    return rank(A, p) == rank(B, p) and subspace_le(A, B, p)
+    return subspace_le(A, B, p) and subspace_le(B, A, p)

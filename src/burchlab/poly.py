@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .linalg import EXACT_LIMIT, PreconditionError, PrimeField
 
@@ -298,7 +297,15 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        return reduce(lambda a, b: a * b, [self] * n, self.ctx.one())
+        # square-and-multiply: one squaring per bit of n
+        result, base = self.ctx.one(), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     # -- printing ------------------------------------------------------------
 

@@ -195,27 +195,24 @@ def _m_multiples_of_span(R: QuotientAlgebra, Z: np.ndarray, m: int) -> np.ndarra
     return R.m_span(Z, _free_act(R, m))
 
 
-def _adic_order(g: np.ndarray, degrees: np.ndarray) -> int:
-    """Smallest degree of a basis monomial supported by any entry of g, a
-    vector of R^m; degrees[b] is the degree of basis monomial b, and the
-    value for g = 0 is dim R."""
-    support = g.reshape(-1, degrees.size).any(axis=0)
-    return int(degrees[support].min(initial=degrees.size))
+def _adic_order(G: np.ndarray, degrees: np.ndarray):
+    """Smallest degree of a basis monomial supported by any entry of G, a
+    vector of R^m, or of each column of G, a matrix of such vectors;
+    degrees[b] is the degree of basis monomial b, and the value for a zero
+    vector is dim R."""
+    support = G.reshape(-1, degrees.size, *G.shape[1:]).any(axis=0)
+    return np.where(support.T, degrees, degrees.size).min(axis=-1)
 
 
 def _sort_generators(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> list[np.ndarray]:
     """Deterministic column order: lowest m-adic order first, ties broken by
     the first nonzero coordinate scanning components in order and monomials
     from highest to lowest (so x-entries precede y-entries)."""
-    perm = _witness_coordinate_order(R, m)
+    G = np.stack(gens, axis=1)
     degrees = np.array([sum(e) for e in R.basis], dtype=np.int64)
-
-    def key(g):
-        scanned = g[perm]
-        first = int(np.nonzero(scanned)[0][0])
-        return (_adic_order(g, degrees), first)
-
-    return sorted(gens, key=key)
+    first = (G[_witness_coordinate_order(R, m)] != 0).argmax(axis=0)
+    # np.lexsort sorts by its last key first, and is stable
+    return [gens[j] for j in np.lexsort((first, _adic_order(G, degrees)))]
 
 
 class Resolution:
@@ -377,11 +374,7 @@ def k_summand_test(Z: SyzygyModule) -> SummandVerdict:
 
 def _witness_coordinate_order(R: QuotientAlgebra, m: int) -> np.ndarray:
     """Coordinate scan order: by component, highest basis monomial first."""
-    idx = []
-    for c in range(m):
-        for b in range(R.dim - 1, -1, -1):
-            idx.append(c * R.dim + b)
-    return np.array(idx, dtype=np.int64)
+    return (np.arange(m)[:, None] * R.dim + np.arange(R.dim - 1, -1, -1)).ravel()
 
 
 # ---------------------------------------------------------------------------

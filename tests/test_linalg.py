@@ -253,3 +253,111 @@ def test_matmul_refuses_inexact_inner_dimension():
     assert linalg.matmul(A[:, :1], A[:, :1].T, p).tolist() == [[1]]
     with pytest.raises(PreconditionError):
         linalg.matmul(A, A.T, p)
+
+
+# -- structural pivots against the Python-int reference ----------------------------
+
+PRIMES = [2, 3, P, 94906249]
+
+
+def _block(draw, p, rows, cols, dense):
+    """A rows x cols array of residues, all nonzero if `dense`."""
+    pick = st.just(1) if dense else st.sampled_from([0, 1])
+    entries = [draw(pick) and draw(st.integers(1, p - 1)) for _ in range(rows * cols)]
+    return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def structured_matrices(draw):
+    """(A, p): block-diagonal up to a row and column permutation, monomial,
+    lone rows and columns beside one general block, or zero; with zero rows
+    and columns, empty shapes, and entries shifted by multiples of p."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["blocks", "monomial", "one_per_row_and_column", "lone_and_block", "zero"]))
+    if kind in ("blocks", "lone_and_block"):
+        if kind == "blocks":
+            shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5))
+        else:
+            lone = st.one_of(
+                st.tuples(st.just(1), st.integers(1, 3)),
+                st.tuples(st.integers(1, 3), st.just(1)),
+                st.tuples(st.integers(0, 1), st.integers(0, 1)),
+            )
+            shapes = draw(st.lists(lone, max_size=6))
+            shapes.insert(draw(st.integers(0, len(shapes))), (draw(st.integers(2, 4)), draw(st.integers(2, 4))))
+        m, n = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+        A = linalg.zeros(m, n)
+        i = j = 0
+        for r, c in shapes:
+            dense = kind == "lone_and_block" or draw(st.booleans())
+            A[i : i + r, j : j + c] = _block(draw, p, r, c, dense)
+            i, j = i + r, j + c
+    else:
+        m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        A = linalg.zeros(m, n)
+        if kind == "monomial" and m:
+            # at most one nonzero per column
+            for c, r in enumerate(draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))):
+                if r >= 0:
+                    A[r, c] = draw(st.integers(1, p - 1))
+        elif kind == "one_per_row_and_column":
+            k = draw(st.integers(0, min(m, n)))
+            rs = draw(st.permutations(range(m)))[:k]
+            cs = draw(st.permutations(range(n)))[:k]
+            for r, c in zip(rs, cs):
+                A[r, c] = draw(st.integers(1, p - 1))
+    A = A[draw(st.permutations(range(A.shape[0])))][:, draw(st.permutations(range(A.shape[1])))]
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=A.size, max_size=A.size))
+    A = A + p * np.array(shifts, dtype=np.int64).reshape(A.shape)
+    if draw(st.booleans()):
+        A = np.ascontiguousarray(A.T).T  # same matrix, column-major
+    return A, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(structured_matrices())
+@example((linalg.zeros(0, 0), P))
+@example((linalg.zeros(0, 5), 2))
+@example((linalg.zeros(4, 0), 3))
+@example((linalg.zeros(3, 3), P))
+@example((np.array([[5]], dtype=np.int64), 3))
+@example((np.array([[0, 2, 0], [1, 0, 0], [0, 3, 0]], dtype=np.int64), 5))
+@example((np.array([[-1, 94906249 + 4], [0, 0]], dtype=np.int64), 94906249))
+def test_rref_matches_python_reference(case):
+    A, p = case
+    before = A.copy()
+    R, pivots = linalg.rref(A, p)
+    ref, ref_pivots = _rref_python(A.tolist(), p)
+    assert np.array_equal(A, before)
+    assert R.dtype == np.int64 and R.shape == A.shape
+    assert pivots == ref_pivots and all(type(c) is int for c in pivots)
+    assert R.tolist() == ref
+
+
+def _rank_greedy(W, C, p):
+    """Reference for complete_columns: add C's columns one at a time, keeping
+    those that raise the rank."""
+    chosen, cur = [], W
+    for j in range(C.shape[1]):
+        ext = np.concatenate([cur, C[:, j : j + 1]], axis=1)
+        if linalg.rank(ext, p) > linalg.rank(cur, p):
+            chosen.append(j)
+            cur = ext
+    return chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices(), st.data())
+def test_span_tests_match_rank_definitions(case, data):
+    A, p = case
+    A %= p
+    w = data.draw(st.integers(0, A.shape[1]))
+    W, C = A[:, :w], A[:, w:]
+    assert linalg.complete_columns(W, C, p) == _rank_greedy(W, C, p)
+    rank_w = linalg.rank(W, p)
+    both = linalg.rank(np.concatenate([W, C], axis=1), p)
+    assert linalg.subspace_le(C, W, p) == (both == rank_w)
+    assert linalg.subspace_eq(C, W, p) == (both == rank_w == linalg.rank(C, p))
+    for j in range(C.shape[1]):
+        v = C[:, j]
+        assert linalg.in_column_space(W, v, p) == (linalg.rank(np.concatenate([W, v[:, None]], axis=1), p) == rank_w)

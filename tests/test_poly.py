@@ -119,6 +119,23 @@ def test_difference_of_squares():
     assert poly("x + y") * poly("x - y") == poly("x^2 - y^2")
 
 
+def test_power_matches_repeated_product():
+    f = poly("x + y")
+    product = CTX.one()
+    for _ in range(13):
+        product = product * f
+    assert f**13 == product
+    assert f**0 == CTX.one() and f**1 == f
+    with pytest.raises(ValueError):
+        f ** -1
+
+
+def test_parse_huge_power_is_one_monomial():
+    # square-and-multiply: about 20 squarings, not a million products
+    assert poly("x^1000000") == CTX.monomial((1000000, 0))
+    assert poly("x^1000000").terms == (((1000000, 0), 1),)
+
+
 def test_homogeneous_degrees():
     assert poly("x^2 + x*y").homogeneous_degree() == 2
     assert poly("x^2 + x").homogeneous_degree() is None

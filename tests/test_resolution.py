@@ -13,7 +13,9 @@ from burchlab.resolution import (
     _adic_order,
     _apply_var,
     _free_map_matrix,
+    _sort_generators,
     _tensor_map,
+    _witness_coordinate_order,
     free_module,
     k_summand_test,
     koszul_h1,
@@ -343,6 +345,38 @@ def test_adic_order_matches_loop_reference(oracle_rings):
         for m in (1, 3):
             for g in _random_vectors(R, m, 20, rng):
                 assert _adic_order(g, degrees) == _adic_order_loop(R, g, m)
+
+
+def _witness_coordinate_order_loop(R, m):
+    return np.array([c * R.dim + b for c in range(m) for b in range(R.dim - 1, -1, -1)], dtype=np.int64)
+
+
+def _sort_generators_sorted(R, gens, m):
+    """The ordering as a Python sort key per generator."""
+    perm = _witness_coordinate_order_loop(R, m)
+
+    def key(g):
+        return (_adic_order_loop(R, g, m), int(np.nonzero(g[perm])[0][0]))
+
+    return sorted(gens, key=key)
+
+
+def test_sort_generators_matches_sorted_key(oracle_rings):
+    rng = np.random.default_rng(4)
+    for R in oracle_rings:
+        for m in (1, 2, 3):
+            assert np.array_equal(_witness_coordinate_order(R, m), _witness_coordinate_order_loop(R, m))
+        # generators of a real resolution, shuffled, and random nonzero vectors
+        # with repeated supports, so that both key parts tie
+        res = residue_field(R).resolution(3)
+        cases = [(res.betti[2], [res._gens[2][j] for j in rng.permutation(res.betti[3])])]
+        for m in (1, 3):
+            vecs = [v for v in _random_vectors(R, m, 12, rng) if v.any()]
+            cases.append((m, vecs + [3 * v % P for v in vecs[:4]]))
+        for m, gens in cases:
+            got = _sort_generators(R, gens, m)
+            want = _sort_generators_sorted(R, gens, m)
+            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 def test_free_map_matrix_matches_loop_reference(oracle_rings):
