@@ -14,12 +14,13 @@ deterministic: the first nonzero entry in row order, columns scanned left to
 right.
 
 The matrices of the rings and modules here are mostly monomial: most blocks
-of their row/column nonzero graph are a single row or a single column.
+of their row/column nonzero graph are a single row (a lone row) or a single
+column (a lone column).
 `rref` takes those pivots straight from the nonzero pattern, with a few
 whole-array operations: a lone row is scaled by the inverse of its first
 entry, a lone column is a unit row.  The per-pivot loop `_eliminate` runs
 only on the submatrix of the remaining blocks, which for a dense matrix is
-all of it.  The RREF is unique, so the result is the same either way.
+all of it.
 """
 from __future__ import annotations
 
@@ -116,12 +117,10 @@ def matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and the pivot-column indices.
 
-    Blocks of the row/column nonzero graph that are a single row or a single
-    column are reduced in place: a lone row is scaled by the inverse of its
-    first entry, a lone column becomes a unit row.  `_eliminate` runs only on
-    the submatrix of the remaining blocks.  The RREF of a block-diagonal
-    matrix (up to permutation) is the union of its blocks' RREF rows ordered
-    by pivot column, so the result equals a full elimination's.
+    Lone rows and lone columns are reduced from the nonzero pattern, and
+    `_eliminate` runs on the rest (see the module docstring).  The RREF of a
+    block-diagonal matrix, up to permutation, is its blocks' RREF rows
+    ordered by pivot column, so the result equals a full elimination's.
     """
     m, n = A.shape
     A = np.asarray(A, dtype=np.int64)
