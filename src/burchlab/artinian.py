@@ -6,6 +6,13 @@ Hilbert function, socle, type, embedding dimension) is then plain linear
 algebra over F_p.  The Hilbert function is the m-adic one, computed from
 image chains of the multiplication matrices, so it is correct for
 non-homogeneous ideals too.
+
+Every module-like object (R, the free modules R^m, their submodules and the
+modules of `resolution`) is seen through one interface: a function
+act(v, Y) computing x_v·Y on a batch of column vectors.  The algebra's
+walks and spans take such an act: `basis_multiples` (all basis-monomial
+multiples), `m_span` (m·W), `socle_span` (the socle of span W) and
+`minimal_generators` (a complement of m·W among W's columns).
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ class QuotientAlgebra:
         self._filtration = self._m_adic_chain()
         self.hilbert = self._hilbert_from_chain()
         self.edim = self.hilbert[1] if len(self.hilbert) > 1 else 0
-        self.socle = self._socle_basis()
+        self.socle = self.socle_span(linalg.identity(self.dim), self.act)
 
     # -- construction ---------------------------------------------------------
 
@@ -72,15 +79,27 @@ class QuotientAlgebra:
             parents.append((self.index[exps[:v] + (exps[v] - 1,) + exps[v + 1 :]], v))
         return parents
 
-    def _act(self, v: int, Y: np.ndarray) -> np.ndarray:
-        return linalg.matmul(self.mult[v], Y, self.p)
+    def act(self, v: int, Y: np.ndarray, m: int = 1) -> np.ndarray:
+        """x_v times each column of Y, a batch of R^m coordinate vectors laid
+        out component-major (index c·dim + b); m = 1 is R itself."""
+        d = self.dim
+        s = Y.shape[1]
+        if s == 0 or m == 0:
+            return Y.copy()
+        Y3 = Y.reshape(m, d, s).transpose(1, 0, 2).reshape(d, m * s)
+        out = linalg.matmul(self.mult[v], Y3, self.p)
+        return out.reshape(d, m, s).transpose(1, 0, 2).reshape(m * d, s)
+
+    def free_act(self, m: int):
+        """act(v, Y) = x_v·Y on columns of R^m, for the walks and spans."""
+        return lambda v, Y: self.act(v, Y, m)
 
     def _m_adic_chain(self) -> list[np.ndarray]:
         """Bases of m^0 = R, m^1, m^2, ... down to 0 (as column spans)."""
         chain = [linalg.identity(self.dim)]
         current = chain[0]
         while current.shape[1]:
-            nxt = self.m_span(current, self._act)
+            nxt = self.m_span(current, self.act)
             chain.append(nxt)
             if nxt.shape[1] == current.shape[1]:
                 raise AssertionError("m-adic filtration does not terminate")
@@ -90,10 +109,6 @@ class QuotientAlgebra:
     def _hilbert_from_chain(self) -> tuple[int, ...]:
         dims = [c.shape[1] for c in self._filtration]
         return tuple(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
-
-    def _socle_basis(self) -> np.ndarray:
-        stacked = np.concatenate(self.mult, axis=0)
-        return linalg.kernel_basis(stacked, self.p)
 
     # -- queries ---------------------------------------------------------------
 
@@ -150,10 +165,21 @@ class QuotientAlgebra:
         images = [act(v, W) for v in range(self.ctx.nvars)]
         return linalg.column_space_basis(linalg.hstack(images, W.shape[0]), self.p)
 
+    def socle_span(self, W: np.ndarray, act) -> np.ndarray:
+        """Basis of the socle of span(W), the w with x_v·w = 0 for every v:
+        W times the kernel of the x_v·W stacked on axis 0."""
+        stacked = np.concatenate([act(v, W) for v in range(self.ctx.nvars)], axis=0)
+        return linalg.matmul(W, linalg.kernel_basis(stacked, self.p), self.p)
+
+    def minimal_generators(self, W: np.ndarray, act) -> list[int]:
+        """Indices of columns of W that minimally generate the submodule
+        span(W) over R: a complement of m·span(W), chosen left to right."""
+        return linalg.complete_columns(self.m_span(W, act), W, self.p)
+
     @cached_property
     def monomial_operators(self) -> np.ndarray:
         """Multiplication matrices of the basis monomials, shape (dim, dim, dim)."""
-        return self.basis_multiples(linalg.identity(self.dim), self._act)
+        return self.basis_multiples(linalg.identity(self.dim), self.act)
 
     def operator(self, a: "AlgebraElement") -> np.ndarray:
         """The multiplication-by-a matrix on the standard basis."""
@@ -165,12 +191,6 @@ class QuotientAlgebra:
         """The standard-monomial representative in S of a coordinate vector."""
         coeffs = {self.basis[i]: int(c) for i, c in enumerate(np.asarray(v).ravel()) if c}
         return Polynomial.from_dict(self.ctx, coeffs)
-
-    def minimal_generators(self, subspace: np.ndarray) -> list[np.ndarray]:
-        """Minimal generators (over R) of an ideal given as a subspace of R."""
-        mW = self.m_span(subspace, self._act)
-        chosen = linalg.complete_columns(mW, subspace, self.p)
-        return [subspace[:, j] for j in chosen]
 
     def socle_polynomials(self) -> list[Polynomial]:
         return [self.lift(self.socle[:, j]) for j in range(self.socle.shape[1])]
@@ -200,10 +220,6 @@ class AlgebraElement:
     def in_max_ideal(self) -> bool:
         one = self.algebra.index[self.algebra.ctx.zero_exps()]
         return self.vec[one] == 0
-
-    def in_max_ideal_square(self) -> bool:
-        m2 = self.algebra.max_power_basis(2)
-        return linalg.in_column_space(m2, self.vec, self.algebra.p)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.algebra, (self.vec + other.vec) % self.algebra.p)
@@ -245,8 +261,8 @@ class AnnihilatorResult:
 
 def annihilator(R: QuotientAlgebra, a: AlgebraElement) -> AnnihilatorResult:
     kernel = linalg.kernel_basis(R.operator(a), R.p)
-    gens = R.minimal_generators(kernel)
-    return AnnihilatorResult(kernel, [R.lift(g) for g in gens])
+    gens = R.minimal_generators(kernel, R.act)
+    return AnnihilatorResult(kernel, [R.lift(kernel[:, j]) for j in gens])
 
 
 @dataclass(frozen=True)
@@ -315,9 +331,9 @@ def fibre_product(RS: QuotientAlgebra, RT: QuotientAlgebra) -> FibreProductPrese
     union of the variables.  A field factor gives the trivial product, which
     is returned as the other factor's presentation unchanged."""
     if RS.p != RT.p:
-        raise ValueError("fibre product factors over different prime fields")
+        raise PreconditionError("fibre product factors over different prime fields")
     if set(RS.ctx.variables) & set(RT.ctx.variables):
-        raise ValueError("fibre product factors share variable names")
+        raise PreconditionError("fibre product factors share variable names")
     if RS.is_field or RT.is_field:
         keep = RT if RS.is_field else RS
         return FibreProductPresentation(keep.ideal, True, RS.ctx.variables, RT.ctx.variables)

@@ -10,6 +10,7 @@ instead of minimizing a Schreyer-style presentation afterwards.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -214,9 +215,6 @@ class Ideal:
             return True
         return normal_form(f, list(self.groebner())).is_zero
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, list(self.groebner()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -233,12 +231,6 @@ class Ideal:
     def product(self, other: "Ideal") -> "Ideal":
         gens = [f * g for f in self.gens for g in other.gens]
         return Ideal.make(self.ctx, gens)
-
-    def intersection(self, other: "Ideal") -> "Ideal":
-        return ideal_intersection(self, other)
-
-    def colon(self, other: "Ideal") -> "Ideal":
-        return ideal_colon(self, other)
 
     def is_m_primary(self) -> bool:
         gb = self.groebner()
@@ -315,7 +307,10 @@ def _fresh_variable(ctx: RingContext) -> str:
         k += 1
 
 
+@functools.cache
 def _extend_context(ctx: RingContext) -> RingContext:
+    """ctx with a fresh elimination variable in front; one per context, so
+    the prime is checked once rather than once per elimination."""
     return RingContext(ctx.p, (_fresh_variable(ctx),) + ctx.variables, Block(1))
 
 
@@ -463,13 +458,6 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
             for m in monomials_of_degree(ctx, t - degs[i]):
                 coords.append((i, m))
         return coords, {c: k for k, c in enumerate(coords)}
-
-    def column_vector(col: list[Polynomial], t: int, lookup: dict) -> np.ndarray:
-        v = np.zeros(len(lookup), dtype=np.int64)
-        for i, h in enumerate(col):
-            for e, c in h.terms:
-                v[lookup[(i, e)]] = c
-        return v
 
     prev_span: np.ndarray | None = None
     prev_coords: list = []

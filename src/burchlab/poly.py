@@ -27,9 +27,6 @@ class MonomialOrder:
     def key(self, exps: Exponents):
         raise NotImplementedError
 
-    def greater(self, a: Exponents, b: Exponents) -> bool:
-        return self.key(a) > self.key(b)
-
 
 @dataclass(frozen=True)
 class Grevlex(MonomialOrder):
@@ -88,10 +85,6 @@ def mono_div(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 def mono_degree(a: Exponents) -> int:
@@ -231,9 +224,6 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         return self.homogeneous_degree() is not None
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     def resort(self, ctx: RingContext) -> "Polynomial":
         """Same polynomial under a context with a different order."""

@@ -5,6 +5,11 @@ one commuting action matrix per variable, a resolution step picks minimal
 generators (a complement of mM chosen deterministically) and takes the kernel
 of the induced map from a free module.  Syzygies keep their embedding into
 the free cover, which is what the socle-split test needs.
+
+A module, R^m and a syzygy inside R^m are all handed to the algebra's walks
+and spans through one act(v, Y) = x_v·Y: `AlgebraModule.act` for a module,
+`QuotientAlgebra.act` with m components (`free_act(m)`) for R^m and every
+subspace of it.  Free-module coordinates are component-major: index c·dim R + b.
 """
 from __future__ import annotations
 
@@ -46,13 +51,14 @@ class AlgebraModule:
             if not np.array_equal(self.poly_operator(g) % p, np.zeros((self.dim, self.dim), dtype=np.int64)):
                 raise AssertionError(f"relation {g} does not annihilate the module")
 
-    def _act(self, v: int, Y: np.ndarray) -> np.ndarray:
+    def act(self, v: int, Y: np.ndarray) -> np.ndarray:
+        """x_v times each column of Y."""
         return linalg.matmul(self.actions[v], Y, self.p)
 
     @cached_property
     def monomial_operators(self) -> np.ndarray:
         """Actions of the algebra's basis monomials, shape (dim R, dim, dim)."""
-        return self.algebra.basis_multiples(linalg.identity(self.dim), self._act)
+        return self.algebra.basis_multiples(linalg.identity(self.dim), self.act)
 
     def poly_operator(self, f: Polynomial) -> np.ndarray:
         """Evaluate a polynomial at the action matrices (no normal form)."""
@@ -64,14 +70,6 @@ class AlgebraModule:
                     term = linalg.matmul(self.actions[i], term, self.p)
             out = (out + coeff * term) % self.p
         return out
-
-    def m_submodule(self) -> np.ndarray:
-        """Basis of mM as a subspace of the module."""
-        # x_v applied to the identity is the action matrix itself
-        return self.algebra.m_span(linalg.identity(self.dim), lambda v, _: self.actions[v])
-
-    def min_gen_count(self) -> int:
-        return self.dim - self.m_submodule().shape[1]
 
     def is_free(self) -> bool:
         res = self.resolution(1)
@@ -136,35 +134,13 @@ def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
     return AlgebraModule(R, actions, label=label, check=False)
 
 
-# ---------------------------------------------------------------------------
-# free-module coordinate helpers (component-major layout: index = c*dim + b)
-
-
-def _apply_var(R: QuotientAlgebra, Z: np.ndarray, m: int, v: int) -> np.ndarray:
-    """Multiply a batch of R^m coordinate vectors (columns of Z) by x_v."""
-    d = R.dim
-    s = Z.shape[1]
-    if s == 0 or m == 0:
-        return Z.copy()
-    Z3 = Z.reshape(m, d, s).transpose(1, 0, 2).reshape(d, m * s)
-    out = linalg.matmul(R.mult[v], Z3, R.p)
-    return out.reshape(d, m, s).transpose(1, 0, 2).reshape(m * d, s)
-
-
-def _free_act(R: QuotientAlgebra, m: int):
-    """act(v, Z) = x_v·Z on columns of R^m, for the algebra's walks and spans."""
-    return lambda v, Z: _apply_var(R, Z, m, v)
-
-
-def _free_map_matrix(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> np.ndarray:
-    """Matrix of R^{len(gens)} -> R^m sending e_j to gens[j], as a linear map
-    on coordinates (column j·dim + b is (basis monomial b)·gens[j])."""
-    d = R.dim
-    if not gens:
-        return linalg.zeros(m * d, 0)
-    # multiples[b] holds (basis monomial b)·g for all generators at once
-    multiples = R.basis_multiples(np.stack(gens, axis=1), _free_act(R, m))
-    return multiples.transpose(1, 2, 0).reshape(m * d, len(gens) * d)
+def _free_map_matrix(R: QuotientAlgebra, G: np.ndarray, act) -> np.ndarray:
+    """Matrix of R^{G.shape[1]} -> V sending e_j to the column G[:, j] of a
+    module V with action act, as a linear map on coordinates: column j·dim R + b
+    is (basis monomial b)·G[:, j]."""
+    # multiples[b] holds (basis monomial b)·G for all generators at once
+    multiples = R.basis_multiples(G, act)
+    return multiples.transpose(1, 2, 0).reshape(G.shape[0], G.shape[1] * R.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +160,6 @@ class SyzygyModule:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def min_gen_count(self) -> int:
-        R = self.algebra
-        mZ = _m_multiples_of_span(R, self.basis, self.ambient_rank)
-        return self.dim - mZ.shape[1]
-
-
-def _m_multiples_of_span(R: QuotientAlgebra, Z: np.ndarray, m: int) -> np.ndarray:
-    return R.m_span(Z, _free_act(R, m))
 
 
 def _adic_order(G: np.ndarray, degrees: np.ndarray):
@@ -233,27 +200,28 @@ class Resolution:
         self.matrices: list[np.ndarray] = []
         self._omegas: list[np.ndarray] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
         self._gens: list[list[np.ndarray]] = []
-        self._start()
+        # M's generators are unit vectors, kept in the order they are chosen
+        # in: ∂_1 and every later differential depend on that order
+        self._cover(linalg.identity(module.dim), module.act)
 
     @property
     def module(self) -> AlgebraModule | None:
         """The resolved module, or None once it has been freed."""
         return self._module()
 
-    def _start(self) -> None:
-        M = self.module
+    def _cover(self, W: np.ndarray, act, m: int | None = None) -> list[np.ndarray]:
+        """One step: choose minimal generators of span(W), whose vectors x_v
+        multiplies by act(v, ·); record their number as the next Betti number
+        and the kernel of the free cover R^β -> span(W) as the next syzygy.
+        With m, W lies in R^m and the generators are sorted."""
         R = self.R
-        mM = M.m_submodule()
-        chosen = linalg.complete_columns(mM, linalg.identity(M.dim), R.p)
-        self.betti.append(len(chosen))
-        if not chosen:
-            self._omegas.append(linalg.zeros(0, 0))
-            return
-        # the generators are unit vectors, so column j·dim R + b of φ, the
-        # image of (monomial b)·e_j, is column chosen[j] of monomial b's action
-        ops = M.monomial_operators[:, :, chosen]
-        phi = ops.transpose(1, 2, 0).reshape(M.dim, len(chosen) * R.dim)
-        self._omegas.append(linalg.kernel_basis(phi, R.p))
+        gens = [W[:, j] for j in R.minimal_generators(W, act)]
+        if m is not None and gens:
+            gens = _sort_generators(R, gens, m)
+        self.betti.append(len(gens))
+        G = np.stack(gens, axis=1) if gens else W[:, :0]
+        self._omegas.append(linalg.kernel_basis(_free_map_matrix(R, G, act), R.p))
+        return gens
 
     def ensure_length(self, length: int) -> None:
         while len(self.matrices) < length:
@@ -263,27 +231,14 @@ class Resolution:
         R = self.R
         i = len(self.matrices)  # computing ∂_{i+1}
         m = self.betti[i]
-        Z = self._omegas[i]
-        if m == 0 or Z.shape[1] == 0:
-            self.betti.append(0)
-            self.matrices.append(np.zeros((m, 0, R.dim), dtype=np.int64))
-            self._omegas.append(linalg.zeros(0, 0))
-            self._gens.append([])
-            return
-        mZ = _m_multiples_of_span(R, Z, m)
-        chosen = linalg.complete_columns(mZ, Z, R.p)
-        gens = _sort_generators(R, [Z[:, j] for j in chosen], m)
-        mu = len(gens)
-        self.betti.append(mu)
-        mat = np.zeros((m, mu, R.dim), dtype=np.int64)
+        gens = self._cover(self._omegas[i], R.free_act(m), m)
+        mat = np.zeros((m, len(gens), R.dim), dtype=np.int64)
         for j, g in enumerate(gens):
             mat[:, j, :] = g.reshape(m, R.dim)
         if mat.size and mat[:, :, 0].any():
             raise AssertionError("non-minimal resolution step: constant entry")
         self.matrices.append(mat)
         self._gens.append(gens)
-        phi = _free_map_matrix(R, gens, m)
-        self._omegas.append(linalg.kernel_basis(phi, R.p))
 
     def matrix(self, i: int) -> np.ndarray:
         """∂_i for i >= 1."""
@@ -300,20 +255,7 @@ class Resolution:
 
     def entry_ideal(self, i: int) -> Ideal:
         """I_1(∂_i) lifted to S via standard-monomial representatives."""
-        mat = self.matrix(i)
-        R = self.R
-        entries = []
-        seen = set()
-        for r in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                f = R.lift(mat[r, j])
-                if f.is_zero:
-                    continue
-                f = f.monic()
-                if f not in seen:
-                    seen.add(f)
-                    entries.append(f)
-        return Ideal.make(R.ctx, entries)
+        return _entry_ideal(self.R, self.matrix(i))
 
     def check_complex(self) -> None:
         """∂_i ∂_{i+1} = 0, with compositions evaluated on coordinates."""
@@ -321,7 +263,8 @@ class Resolution:
         for i in range(1, len(self.matrices)):
             if not self._gens[i]:
                 continue
-            phi = _free_map_matrix(R, self._gens[i - 1], self.betti[i - 1])
+            G = np.stack(self._gens[i - 1], axis=1)
+            phi = _free_map_matrix(R, G, R.free_act(self.betti[i - 1]))
             if linalg.matmul(phi, np.stack(self._gens[i], axis=1), R.p).any():
                 raise AssertionError("∂∂ != 0")
 
@@ -348,10 +291,8 @@ def k_summand_test(Z: SyzygyModule) -> SummandVerdict:
     m = Z.ambient_rank
     if Z.dim == 0:
         return SummandVerdict(False, None, None, 0)
-    blocks = [_apply_var(R, Z.basis, m, v) for v in range(R.ctx.nvars)]
-    stacked = np.concatenate(blocks, axis=0)
-    coeffs = linalg.kernel_basis(stacked, p)
-    soc = linalg.matmul(Z.basis, coeffs, p)
+    act = R.free_act(m)
+    soc = R.socle_span(Z.basis, act)
     socle_dim = soc.shape[1]
     if socle_dim == 0:
         return SummandVerdict(False, None, None, 0)
@@ -362,7 +303,7 @@ def k_summand_test(Z: SyzygyModule) -> SummandVerdict:
     ech, _ = linalg.rref(reord.T, p)
     inv = np.argsort(perm)
     socle_vectors = [ech[r][inv] for r in range(ech.shape[0]) if ech[r].any()]
-    mZ = _m_multiples_of_span(R, Z.basis, m)
+    mZ = R.m_span(Z.basis, act)
     outside = [v for v in socle_vectors if not linalg.in_column_space(mZ, v, p)]
     if not outside:
         return SummandVerdict(False, None, None, socle_dim)
@@ -381,23 +322,16 @@ def _witness_coordinate_order(R: QuotientAlgebra, m: int) -> np.ndarray:
 # Koszul homology, Tor, mapping cones
 
 
-def _minimal_m_generators(R: QuotientAlgebra) -> list[AlgebraElement]:
-    """Variable images forming a minimal generating set of the maximal ideal."""
-    m2 = R.max_power_basis(2)
-    var_vecs = np.stack([R.variable_element(i).vec for i in range(R.ctx.nvars)], axis=1)
-    chosen = linalg.complete_columns(m2, var_vecs, R.p)
-    return [R.variable_element(i) for i in chosen]
-
-
 def koszul_h1(R: QuotientAlgebra) -> int:
-    """dim H_1 of the Koszul complex on a minimal generating set of m."""
+    """dim H_1 of the Koszul complex on a minimal generating set of m, chosen
+    among the variables: those whose images extend m^2 to m."""
     if R.is_field:
         return 0
-    gens = _minimal_m_generators(R)
-    e = len(gens)
+    var_vecs = np.stack([R.variable_element(i).vec for i in range(R.ctx.nvars)], axis=1)
+    ops = [R.mult[v] for v in linalg.complete_columns(R.max_power_basis(2), var_vecs, R.p)]
+    e = len(ops)
     d = R.dim
     p = R.p
-    ops = [R.operator(g) for g in gens]
     d1 = linalg.hstack(ops, d)
     pairs = list(itertools.combinations(range(e), 2))
     d2 = np.zeros((e * d, len(pairs) * d), dtype=np.int64)
@@ -476,18 +410,15 @@ def mapping_cone_module(M: AlgebraModule, x: AlgebraElement) -> MappingConeResul
         P[j, b2 + j, :] = x.vec
     P[b1:, b2:, :] = (-res.matrix(1)) % p
     module = module_from_presentation(R, P, label=f"cone({M.label or 'M'}; {x.to_polynomial()})")
-    omega1_dim = res.syzygy(1).dim
-    dims_ok = module.dim == M.dim + omega1_dim
-    entries = []
-    seen = set()
-    for r in range(P.shape[0]):
-        for j in range(P.shape[1]):
-            f = R.lift(P[r, j])
-            if not f.is_zero and f not in seen:
-                seen.add(f)
-                entries.append(f)
-    I1 = Ideal.make(R.ctx, entries)
-    return MappingConeResult(module, P, I1, dims_ok)
+    dims_ok = module.dim == M.dim + res.syzygy(1).dim
+    return MappingConeResult(module, P, _entry_ideal(R, P), dims_ok)
+
+
+def _entry_ideal(R: QuotientAlgebra, P: np.ndarray) -> Ideal:
+    """I_1 of a matrix whose entry (r, j) is the element vector P[r, j]: the
+    distinct monic lifts of its nonzero entries, in row-major order."""
+    entries = (R.lift(e).monic() for e in P.reshape(-1, R.dim) if e.any())
+    return Ideal.make(R.ctx, dict.fromkeys(entries))
 
 
 def module_from_presentation(R: QuotientAlgebra, P: np.ndarray, label: str = "") -> AlgebraModule:
@@ -496,28 +427,19 @@ def module_from_presentation(R: QuotientAlgebra, P: np.ndarray, label: str = "")
     rows, cols, d = P.shape
     if d != R.dim:
         raise ValueError("presentation entries must be algebra element vectors")
-    # span of all basis-monomial multiples of the columns
-    W = _free_map_matrix(R, [P[:, j, :].reshape(rows * d) for j in range(cols)], rows)
+    # span of all basis-monomial multiples of the columns, in reduced echelon
+    # form: E's rows are zero at every pivot but their own
+    act = R.free_act(rows)
+    W = _free_map_matrix(R, P.transpose(0, 2, 1).reshape(rows * d, cols), act)
     ech, pivots = linalg.rref(W.T, R.p)
-    ech_rows = [ech[r] for r in range(ech.shape[0]) if ech[r].any()]
-    pivot_coords = list(pivots)
-    free_coords = [c for c in range(rows * d) if c not in set(pivot_coords)]
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v = v.copy() % R.p
-        for row, c in zip(ech_rows, pivot_coords):
-            if v[c]:
-                v = (v - int(v[c]) * row) % R.p
-        return v[free_coords]
-
-    qdim = len(free_coords)
+    pivots = list(pivots)
+    free = np.setdiff1d(np.arange(rows * d), pivots)
+    E = ech[: len(pivots)][:, free]
+    # the quotient's basis is the free unit vectors; x_v·e_c reduces to its
+    # free coordinates minus E^T times its pivot coordinates
+    units = linalg.identity(rows * d)[:, free]
     actions = []
-    for var in range(R.ctx.nvars):
-        A = np.zeros((qdim, qdim), dtype=np.int64)
-        for t, c in enumerate(free_coords):
-            e = np.zeros(rows * d, dtype=np.int64)
-            e[c] = 1
-            image = _apply_var(R, e.reshape(-1, 1), rows, var).ravel()
-            A[:, t] = project(image)
-        actions.append(A)
+    for v in range(R.ctx.nvars):
+        V = act(v, units)
+        actions.append(V[free] - linalg.matmul(E.T, V[pivots], R.p))
     return AlgebraModule(R, actions, label=label, check=False)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,15 @@ def test_fibre_command(tmp_path, capsys):
     assert "fibre product Burch: True" in out
 
 
+def test_fibre_variable_clash_exit_3(tmp_path, capsys):
+    # two sessions in the same variables cannot be glued on disjoint variables
+    for name in ("l", "r"):
+        (tmp_path / f"{name}.session").write_text("ring 32003 x y\nideal A = x^2, y^2\n")
+    code, out, err = run_cli(capsys, "fibre", str(tmp_path / "l.session"), "A", str(tmp_path / "r.session"), "A")
+    assert code == EXIT_PRECONDITION
+    assert out == "" and "share variable names" in err
+
+
 def test_sweep_ok(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--max-socle-degree", "2")
     assert code == EXIT_OK
@@ -272,3 +283,27 @@ def test_json_resolve_report(session_file, capsys):
     data = json.loads(out)
     assert data["verdicts"]["betti"] == [1, 2, 4]
     assert data["verdicts"]["k_summand_by_index"]["2"] is True
+
+
+DEMO = str(Path(__file__).resolve().parents[1] / "scripts" / "sessions" / "demo.session")
+
+# SHA-256 of each --json report on the demo session, with args.file removed
+# and re-serialized as the CLI does; pinned so that a refactor of the
+# algebra, module and resolution layers cannot change a report silently
+JSON_REPORT_SHA256 = {
+    ("check", DEMO, "I", "--route", "all"): "77b32b476b38fe5cc57439553e1b94e63392250771bf6aa71c08b5a7c5f30b14",
+    ("invariants", DEMO, "I"): "83298d7b6b246e9829409df71e64ac5d82a80ac97d8ee1bae7867d0d7edceeac",
+    ("resolve", DEMO, "k", "--length", "6"): "729ce0874e8c2b5b01cafbe632ca7c3306c324976391c8e2a21dc158f0c2d660",
+    ("syzygy-summand", DEMO, "k", "--index", "3"): "0fdcc8c0fd23cc8c274ba7027311274f17031df4e40fc189cb6a83d14c293925",
+    ("tor", DEMO, "M", "k"): "e87465a23c310789f36fbbe29f644417e96c814f47ffe4c2646f019ac3c04b53",
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_REPORT_SHA256), ids=lambda argv: argv[0])
+def test_json_report_matches_pinned_digest(argv, capsys):
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    del data["args"]["file"]
+    blob = json.dumps(data, sort_keys=True, indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest() == JSON_REPORT_SHA256[argv]

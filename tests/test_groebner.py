@@ -268,3 +268,22 @@ def test_colon_brute_force_agreement(mid, a, b):
     got = ideal_colon(I, max_ideal(CTX))
     expect_gens = brute_colon_monomial(set(mini), [(1, 0), (0, 1)], bound=11)
     assert got == Ideal.make(CTX, [CTX.monomial(g) for g in expect_gens])
+
+
+def test_elimination_context_built_once_per_base_context(monkeypatch):
+    """Every intersection and colon over one ring reuses one extended
+    context, so the prime is checked once, not once per elimination."""
+    from burchlab import linalg
+    from burchlab.groebner import _extend_context
+
+    calls = []
+    real = linalg.is_prime
+    monkeypatch.setattr(linalg, "is_prime", lambda n: calls.append(n) or real(n))
+    ctx = RingContext(P, ("u", "w"))  # variable names no other test uses
+    I = ideal(ctx, "u^3", "u*w", "w^4")
+    m = max_ideal(ctx)
+    colon = ideal_colon(I, m)
+    ideal_colon(colon, m)
+    ideal_intersection(I, ideal(ctx, "u"))
+    assert calls == [P, P]  # the base context and its one extension
+    assert _extend_context(ctx) is _extend_context(RingContext(P, ("u", "w")))

@@ -11,7 +11,7 @@ from burchlab.poly import RingContext, parse_polynomial
 from burchlab.resolution import (
     AlgebraModule,
     _adic_order,
-    _apply_var,
+    _entry_ideal,
     _free_map_matrix,
     _sort_generators,
     _tensor_map,
@@ -21,6 +21,7 @@ from burchlab.resolution import (
     koszul_h1,
     mapping_cone_module,
     module_from_cyclic,
+    module_from_presentation,
     residue_field,
     tor,
 )
@@ -151,14 +152,12 @@ def test_summand_verdicts(r12):
 
 
 def test_summand_witness_is_socle_outside_mz(r12):
-    from burchlab.resolution import _apply_var, _m_multiples_of_span
-
     res = residue_field(r12).resolution(3)
     Z = res.syzygy(3)
     v = k_summand_test(Z).witness
     for var in range(2):
-        assert not _apply_var(r12, v.reshape(-1, 1), Z.ambient_rank, var).any()
-    mZ = _m_multiples_of_span(r12, Z.basis, Z.ambient_rank)
+        assert not r12.act(var, v.reshape(-1, 1), Z.ambient_rank).any()
+    mZ = r12.m_span(Z.basis, r12.free_act(Z.ambient_rank))
     assert not linalg.in_column_space(mZ, v, P)
 
 
@@ -302,7 +301,7 @@ def _free_map_matrix_loop(R, gens, m):
             exps = R.basis[b]
             i = next(k for k, e in enumerate(exps) if e)
             parent = R.index[tuple(e - 1 if k == i else e for k, e in enumerate(exps))]
-            out[:, b] = _apply_var(R, out[:, parent].reshape(-1, 1), m, i).ravel()
+            out[:, b] = R.act(i, out[:, parent].reshape(-1, 1), m).ravel()
         blocks.append(out)
     return linalg.hstack(blocks, m * d)
 
@@ -379,17 +378,22 @@ def test_sort_generators_matches_sorted_key(oracle_rings):
             assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
+def _free_map(R, gens, m):
+    G = np.stack(gens, axis=1) if gens else np.zeros((m * R.dim, 0), dtype=np.int64)
+    return _free_map_matrix(R, G, R.free_act(m))
+
+
 def test_free_map_matrix_matches_loop_reference(oracle_rings):
     rng = np.random.default_rng(2)
     for R in oracle_rings:
         for m, mu in ((1, 1), (2, 3), (3, 0)):
             gens = _random_vectors(R, m, mu, rng)[1:] if mu else []
-            got = _free_map_matrix(R, gens, m)
+            got = _free_map(R, gens, m)
             assert np.array_equal(got, _free_map_matrix_loop(R, gens, m))
         # columns of a real resolution, zero vector included
         res = residue_field(R).resolution(3)
         gens = res._gens[2] + [np.zeros_like(res._gens[2][0])]
-        assert np.array_equal(_free_map_matrix(R, gens, res.betti[2]), _free_map_matrix_loop(R, gens, res.betti[2]))
+        assert np.array_equal(_free_map(R, gens, res.betti[2]), _free_map_matrix_loop(R, gens, res.betti[2]))
 
 
 def test_tensor_map_matches_loop_reference(oracle_rings):
@@ -431,6 +435,126 @@ def test_check_complex_detects_a_broken_differential(r12):
     g[np.flatnonzero(g)[0]] += 1
     with pytest.raises(AssertionError):
         res.check_complex()
+
+
+# -- the shared module interface against the code it replaced -----------------------
+
+
+def test_act_matches_free_module_actions(oracle_rings):
+    """R.act on columns of R^m against the block-diagonal actions of
+    free_module(R, m), with m = 0 and batches of s = 0 columns included."""
+    rng = np.random.default_rng(5)
+    for R in oracle_rings:
+        for m in (0, 1, 3):
+            F = free_module(R, m)
+            for s in (0, 1, 4):
+                Y = rng.integers(0, P, size=(m * R.dim, s)).astype(np.int64)
+                for v in range(R.ctx.nvars):
+                    got = R.act(v, Y, m)
+                    assert got.shape == Y.shape
+                    assert np.array_equal(got, linalg.matmul(F.actions[v], Y, P))
+                    assert np.array_equal(R.free_act(m)(v, Y), got)
+
+
+def test_variable_operator_is_multiplication_matrix(oracle_rings):
+    # koszul_h1 reads R.mult[v] where it used to build R.operator(x_v)
+    for R in oracle_rings + [quotient(CTX, "x^3", "y - x^2"), quotient(CTX, "x^3", "y")]:
+        for v in range(R.ctx.nvars):
+            assert np.array_equal(R.mult[v], R.operator(R.variable_element(v)))
+
+
+def test_socle_span_matches_replaced_socle_code(oracle_rings):
+    """The algebra's socle and the socles of syzygies against the kernels of
+    the stacked action matrices they were computed from before."""
+    for R in oracle_rings:
+        assert np.array_equal(R.socle, linalg.kernel_basis(np.concatenate(R.mult, axis=0), P))
+        res = residue_field(R).resolution(3)
+        for i in (1, 2, 3):
+            Z = res.syzygy(i)
+            F = free_module(R, Z.ambient_rank)
+            stacked = np.concatenate([linalg.matmul(A, Z.basis, P) for A in F.actions], axis=0)
+            want = linalg.matmul(Z.basis, linalg.kernel_basis(stacked, P), P)
+            assert np.array_equal(R.socle_span(Z.basis, R.free_act(Z.ambient_rank)), want)
+
+
+def _module_from_presentation_loop(R, pres):
+    """The cokernel's actions by projecting each x_v·e_c, one coordinate and
+    one echelon row at a time."""
+    rows, cols, d = pres.shape
+    W = _free_map_matrix_loop(R, [pres[:, j, :].reshape(rows * d) for j in range(cols)], rows)
+    ech, pivots = linalg.rref(W.T, P)
+    ech_rows = [ech[r] for r in range(ech.shape[0]) if ech[r].any()]
+    free_coords = [c for c in range(rows * d) if c not in set(pivots)]
+
+    def project(v):
+        v = v.copy() % P
+        for row, c in zip(ech_rows, pivots):
+            if v[c]:
+                v = (v - int(v[c]) * row) % P
+        return v[free_coords]
+
+    F = free_module(R, rows)
+    actions = []
+    for A in F.actions:
+        B = np.zeros((len(free_coords), len(free_coords)), dtype=np.int64)
+        for t, c in enumerate(free_coords):
+            B[:, t] = project(A[:, c])
+        actions.append(B)
+    return actions
+
+
+def _presentations(R, rng):
+    """Mapping-cone presentations and random ones with entries in m, with
+    an empty presentation among them."""
+    k = residue_field(R)
+    x = R.variable_element(0)
+    out = [mapping_cone_module(k, x).presentation, np.zeros((2, 0, R.dim), dtype=np.int64)]
+    for rows, cols in ((1, 1), (2, 3), (3, 2)):
+        pres = rng.integers(0, P, size=(rows, cols, R.dim)).astype(np.int64)
+        pres[rng.random(pres.shape) < 0.6] = 0
+        pres[:, :, 0] = 0
+        out.append(pres)
+    return out
+
+
+def test_module_from_presentation_matches_projection_loop(oracle_rings):
+    rng = np.random.default_rng(6)
+    for R in oracle_rings:
+        for pres in _presentations(R, rng):
+            got = module_from_presentation(R, pres).actions
+            want = _module_from_presentation_loop(R, pres)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _entry_ideal_loop(R, mat):
+    """The distinct monic lifts of the entries, scanned row by row."""
+    entries, seen = [], set()
+    for r in range(mat.shape[0]):
+        for j in range(mat.shape[1]):
+            f = R.lift(mat[r, j])
+            if f.is_zero:
+                continue
+            f = f.monic()
+            if f not in seen:
+                seen.add(f)
+                entries.append(f)
+    return tuple(entries)
+
+
+def test_entry_ideal_generators_match_loop(oracle_rings):
+    rng = np.random.default_rng(7)
+    for R in oracle_rings:
+        res = module_from_cyclic(R, R.ideal.sum(Ideal.make(R.ctx, [R.ctx.variable(0)]))).resolution(4)
+        for i in range(1, 5):
+            assert res.entry_ideal(i).gens == _entry_ideal_loop(R, res.matrix(i))
+        for pres in _presentations(R, rng):
+            assert _entry_ideal(R, pres).gens == _entry_ideal_loop(R, pres)
+        # the mapping cone's generators are now monic; the ideal is the same
+        k = residue_field(R)
+        cone = mapping_cone_module(k, R.variable_element(0))
+        raw = [R.lift(e) for e in cone.presentation.reshape(-1, R.dim) if e.any()]
+        assert cone.entry_ideal == Ideal.make(R.ctx, raw)
 
 
 # -- lifetime ------------------------------------------------------------------------
