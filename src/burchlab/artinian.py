@@ -9,7 +9,8 @@ non-homogeneous ideals too.
 
 Every module-like object (R, the free modules R^m, their submodules and the
 modules of `resolution`) is seen through one interface: a function
-act(v, Y) computing x_v·Y on a batch of column vectors.  The algebra's
+act(v, Y) computing x_v·Y on a batch of column vectors, by a row gather
+from the action matrix's `linalg.gather_table` form.  The algebra's
 walks and spans take such an act: `basis_multiples` (all basis-monomial
 multiples), `m_span` (m·W), `socle_span` (the socle of span W) and
 `minimal_generators` (a complement of m·W among W's columns).
@@ -41,6 +42,7 @@ class QuotientAlgebra:
         self._gb = list(ideal.groebner())
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
         check_commuting(self.mult, self.p, "multiplication matrices")
+        self._gathers = [linalg.gather_table(M) for M in self.mult]
         self._parents = self._basis_parents()
         self._filtration = self._m_adic_chain()
         self.hilbert = self._hilbert_from_chain()
@@ -82,13 +84,8 @@ class QuotientAlgebra:
     def act(self, v: int, Y: np.ndarray, m: int = 1) -> np.ndarray:
         """x_v times each column of Y, a batch of R^m coordinate vectors laid
         out component-major (index c·dim + b); m = 1 is R itself."""
-        d = self.dim
-        s = Y.shape[1]
-        if s == 0 or m == 0:
-            return Y.copy()
-        Y3 = Y.reshape(m, d, s).transpose(1, 0, 2).reshape(d, m * s)
-        out = linalg.matmul(self.mult[v], Y3, self.p)
-        return out.reshape(d, m, s).transpose(1, 0, 2).reshape(m * d, s)
+        out = linalg.apply_gather(self._gathers[v], Y.reshape(m, self.dim, Y.shape[1]), self.p, axis=1)
+        return out.reshape(Y.shape)
 
     def free_act(self, m: int):
         """act(v, Y) = x_v·Y on columns of R^m, for the walks and spans."""
@@ -326,14 +323,20 @@ class FibreProductPresentation:
     right_vars: tuple[str, ...]
 
 
-def fibre_product(RS: QuotientAlgebra, RT: QuotientAlgebra) -> FibreProductPresentation:
-    """The ideal I_S + I_T + (x_i y_j) presenting S x_k T on the disjoint
-    union of the variables.  A field factor gives the trivial product, which
-    is returned as the other factor's presentation unchanged."""
+def check_fibre_factors(RS: QuotientAlgebra, RT: QuotientAlgebra) -> None:
+    """Raise PreconditionError unless RS and RT can form a fibre product:
+    the same prime field and disjoint variable names."""
     if RS.p != RT.p:
         raise PreconditionError("fibre product factors over different prime fields")
     if set(RS.ctx.variables) & set(RT.ctx.variables):
         raise PreconditionError("fibre product factors share variable names")
+
+
+def fibre_product(RS: QuotientAlgebra, RT: QuotientAlgebra) -> FibreProductPresentation:
+    """The ideal I_S + I_T + (x_i y_j) presenting S x_k T on the disjoint
+    union of the variables.  A field factor gives the trivial product, which
+    is returned as the other factor's presentation unchanged."""
+    check_fibre_factors(RS, RT)
     if RS.is_field or RT.is_field:
         keep = RT if RS.is_field else RS
         return FibreProductPresentation(keep.ideal, True, RS.ctx.variables, RT.ctx.variables)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .artinian import QuotientAlgebra
+from .artinian import QuotientAlgebra, check_fibre_factors, fibre_product
 from .groebner import (
     Ideal,
     PreconditionError,
@@ -489,8 +489,7 @@ def fibre_burch_test(RS: QuotientAlgebra, RT: QuotientAlgebra, direct: bool = Tr
     """The fibre product of artinian rings is Burch iff one factor is Burch
     of depth zero (the socle-outside-m^2 branch is subsumed but evaluated).
     Optionally cross-checked against the constructed presentation."""
-    from .artinian import fibre_product
-
+    check_fibre_factors(RS, RT)
     if RS.is_field or RT.is_field:
         raise PreconditionError("trivial fibre product: test the other factor directly")
     bS = burch_ring_depth_zero(RS).burch

@@ -1,8 +1,8 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  Elimination
-and products run on float64 copies so the updates hit vectorized BLAS paths.
-float64 holds integers exactly below 2**53, which bounds the prime:
+and dense products run on float64 copies so the updates hit vectorized BLAS
+paths.  float64 holds integers exactly below 2**53, which bounds the prime:
 
 - `rref` reduces mod p after every pivot, so its largest intermediate value
   is a product of two residues: it is exact while p**2 < 2**53;
@@ -12,6 +12,20 @@ float64 holds integers exactly below 2**53, which bounds the prime:
 `RingContext` refuses primes with p**2 >= 2**53 up front.  Pivoting is
 deterministic: the first nonzero entry in row order, columns scanned left to
 right.
+
+An action matrix (multiplication by a variable on a ring or module) is
+applied in its row-gather form: `gather_table` stores, for each row, its k
+nonzero columns and values, k the most nonzeros in any row, and
+`apply_gather` sums k gathered rows scaled by those values.  It runs in
+int64 and reduces each product mod p before the k terms are added, so every
+intermediate value is below max(p**2, k*p): it is exact for every prime
+`RingContext` accepts, with no bound on the size of the matrix.  On the
+standard-monomial basis of a monomial ring k <= 1.  `matmul` remains where
+a dense matrix is the result: the multiplication operator of an element,
+a polynomial evaluated at the action matrices, the tensor maps of
+`resolution`, the products with a kernel basis in `socle_span` and
+`module_from_presentation`, and the checks that action matrices commute
+and that a complex composes to zero.
 
 The matrices of the rings and modules here are mostly monomial: most blocks
 of their row/column nonzero graph are a single row (a lone row) or a single
@@ -108,6 +122,52 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
         )
     C = (A.astype(np.float64) @ B.astype(np.float64)) % p
     return C.astype(np.int64)
+
+
+def gather_table(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-gather form (idx, val) of a canonical matrix A: two (rows, k)
+    tables, k the largest number of nonzeros in a row.  Row i of A holds
+    val[i, j] in column idx[i, j], its nonzeros left to right; padded slots
+    hold val 0 and idx 0."""
+    A = np.asarray(A, dtype=np.int64)
+    rows, cols = np.nonzero(A)
+    count = np.bincount(rows, minlength=A.shape[0])
+    k = int(count.max()) if count.size else 0
+    idx = np.zeros((A.shape[0], k), dtype=np.intp)
+    val = np.zeros((A.shape[0], k), dtype=np.int64)
+    # nonzero() lists entries row by row: slot = rank within its row
+    slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    idx[rows, slot] = cols
+    val[rows, slot] = A[rows, cols]
+    return idx, val
+
+
+def apply_gather(table: tuple[np.ndarray, np.ndarray], Y: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
+    """A·Y mod p along `axis` of a canonical array Y, for A in the gather
+    form `table`: the sum over j of Y[idx[:, j]]·val[:, j] on that axis,
+    each product reduced mod p before the k terms are added."""
+    idx, val = table
+    Y = np.asarray(Y, dtype=np.int64)
+    rows, k = idx.shape
+    if k == 0:  # A is zero
+        out_shape = list(Y.shape)
+        out_shape[axis] = rows
+        return np.zeros(out_shape, dtype=np.int64)
+    shape = [1] * Y.ndim
+    shape[axis] = rows
+
+    def term(j: int) -> np.ndarray:
+        t = np.take(Y, idx[:, j], axis=axis)  # a copy: safe to update in place
+        t *= val[:, j].reshape(shape)
+        t %= p
+        return t
+
+    out = term(0)
+    for j in range(1, k):
+        out += term(j)
+    if k > 1:
+        out %= p
+    return out
 
 
 def matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:

@@ -10,6 +10,8 @@ A module, R^m and a syzygy inside R^m are all handed to the algebra's walks
 and spans through one act(v, Y) = x_v·Y: `AlgebraModule.act` for a module,
 `QuotientAlgebra.act` with m components (`free_act(m)`) for R^m and every
 subspace of it.  Free-module coordinates are component-major: index c·dim R + b.
+Both apply an action matrix in its row-gather form (`linalg.gather_table`),
+built once per variable, so no resolution step takes a dense product.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ class AlgebraModule:
         for A in self.actions:
             if A.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
+        self._gathers = [linalg.gather_table(A) for A in self.actions]
         self.label = label
         self._resolution: "Resolution | None" = None
         if check:
@@ -53,7 +56,9 @@ class AlgebraModule:
 
     def act(self, v: int, Y: np.ndarray) -> np.ndarray:
         """x_v times each column of Y."""
-        return linalg.matmul(self.actions[v], Y, self.p)
+        if Y.shape[0] != self.dim:
+            raise ValueError(f"vectors of length {Y.shape[0]} in a module of dimension {self.dim}")
+        return linalg.apply_gather(self._gathers[v], Y, self.p)
 
     @cached_property
     def monomial_operators(self) -> np.ndarray:

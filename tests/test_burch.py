@@ -367,3 +367,20 @@ def test_fibre_burch_rejects_field_factor():
     RS = QuotientAlgebra(ideal(RingContext(P, ("x",)), "x^2"))
     with pytest.raises(PreconditionError):
         fibre_burch_test(RS, QuotientAlgebra(max_ideal(RingContext(P, ("y",)))))
+
+
+def test_fibre_burch_checks_factors_before_any_verdict(monkeypatch):
+    """Factors sharing variables or over different primes are refused with
+    direct=False too, before either factor's verdict is computed."""
+    import burchlab.burch as burch
+
+    def no_verdict(R):
+        raise AssertionError("a factor's verdict was computed")
+
+    left = QuotientAlgebra(ideal(CTX, "x^2", "y^2"))
+    shared = QuotientAlgebra(ideal(CTX, "x^2", "x*y", "y^3"))
+    other_prime = QuotientAlgebra(ideal(RingContext(101, ("u", "v")), "u^2", "v^2"))
+    monkeypatch.setattr(burch, "burch_ring_depth_zero", no_verdict)
+    for right in (shared, other_prime):
+        with pytest.raises(PreconditionError):
+            fibre_burch_test(left, right, direct=False)

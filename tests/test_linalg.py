@@ -361,3 +361,75 @@ def test_span_tests_match_rank_definitions(case, data):
     for j in range(C.shape[1]):
         v = C[:, j]
         assert linalg.in_column_space(W, v, p) == (linalg.rank(np.concatenate([W, v[:, None]], axis=1), p) == rank_w)
+
+
+# -- the gather form of an action against the dense product ------------------------
+
+
+@st.composite
+def gather_cases(draw):
+    """(A, Y, axis, p): A dense, monomial (at most one nonzero per row and
+    column), zero, without rows, or sparse with unequal nonzero counts per
+    row; nonzero values unit or not.  Y is canonical, 2-d and acted on
+    along axis 0 or 3-d along axis 1, with 0 columns among the shapes."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["dense", "monomial", "zero", "no_rows", "sparse"]))
+    m = 0 if kind == "no_rows" else draw(st.integers(1, 6))
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(1), st.integers(1, p - 1))
+    A = linalg.zeros(m, n)
+    if kind == "dense":
+        A[:] = _block(draw, p, m, n, dense=True)
+    elif kind == "monomial":
+        k = draw(st.integers(0, min(m, n)))
+        for r, c in zip(draw(st.permutations(range(m)))[:k], draw(st.permutations(range(n)))[:k]):
+            A[r, c] = draw(entry)
+    elif kind == "sparse" and n:
+        for r in range(m):
+            for c in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+                A[r, c] = draw(entry)
+    axis = draw(st.sampled_from([0, 1]))
+    s = draw(st.integers(0, 4))
+    shape = (n, s) if axis == 0 else (draw(st.integers(0, 3)), n, s)
+    size = math.prod(shape)
+    Y = np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)), dtype=np.int64)
+    return A, Y.reshape(shape), axis, p
+
+
+def _product_along(A, Y, axis, p):
+    """A·Y along `axis` of Y: linalg.matmul on Y with that axis first and the
+    others flattened, or Python ints where matmul refuses the prime."""
+    Yt = np.moveaxis(Y, axis, 0)
+    flat = Yt.reshape(Yt.shape[0], math.prod(Yt.shape[1:]))
+    if A.shape[1] * (p - 1) ** 2 < linalg.EXACT_LIMIT:
+        prod = linalg.matmul(A, flat, p)
+    else:
+        cols = flat.T.tolist()
+        prod = np.array(
+            [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A.tolist()], dtype=np.int64
+        ).reshape(A.shape[0], flat.shape[1])
+    return np.moveaxis(prod.reshape((A.shape[0],) + Yt.shape[1:]), 0, axis)
+
+
+BIG_P = PRIMES[-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(gather_cases())
+@example((linalg.zeros(0, 3), np.ones((3, 2), dtype=np.int64), 0, P))
+@example((linalg.zeros(3, 0), linalg.zeros(0, 2), 0, 2))
+@example((linalg.zeros(2, 2), np.ones((2, 2, 0), dtype=np.int64), 1, 3))
+@example((np.array([[BIG_P - 1, 2, 0], [0, 0, 0], [5, 0, BIG_P - 1]]), np.full((2, 3, 2), BIG_P - 1), 1, BIG_P))
+def test_apply_gather_matches_dense_product(case):
+    A, Y, axis, p = case
+    A_before, Y_before = A.copy(), Y.copy()
+    table = linalg.gather_table(A)
+    tables_before = [t.copy() for t in table]
+    got = linalg.apply_gather(table, Y, p, axis)
+    assert np.array_equal(A, A_before) and np.array_equal(Y, Y_before)
+    assert all(np.array_equal(t, b) for t, b in zip(table, tables_before))
+    assert table[0].shape == (A.shape[0], int(np.count_nonzero(A, axis=1).max(initial=0)))
+    want = _product_along(A, Y, axis, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.size == 0 or (got.min() >= 0 and got.max() < p)
+    assert np.array_equal(got, want)

@@ -456,6 +456,49 @@ def test_act_matches_free_module_actions(oracle_rings):
                     assert np.array_equal(R.free_act(m)(v, Y), got)
 
 
+def test_act_matches_dense_product_with_several_entries_per_row():
+    """R.act and M.act against the dense product with R.mult[v] and
+    M.actions[v], on rings and modules whose action matrices have rows with
+    several nonzeros, some of them not 1."""
+    rng = np.random.default_rng(7)
+    ctx3 = RingContext(P, ("x", "y", "z"))
+    dense = ["x^2 + 3*y*z - 2*z^2 + 5*x*y", "y^2 - 7*x*z + 2*x*y + 4*z^2", "z^3 + 11*x*y*z - x^2*z", "x*y*z - 3*y^3 + 9*x^3"]
+
+    def several_per_row(A):
+        return linalg.gather_table(A)[0].shape[1] > 1 and (A > 1).any()
+
+    dense_ring = quotient(ctx3, *dense)
+    assert any(several_per_row(A) for A in dense_ring.mult)
+    for R in (quotient(CTX, "x^3", "y - x^2"), dense_ring):
+        for m in (0, 1, 3):
+            F = free_module(R, m)
+            for s in (0, 1, 4):
+                Y = rng.integers(0, P, size=(m * R.dim, s)).astype(np.int64)
+                for v in range(R.ctx.nvars):
+                    assert np.array_equal(R.act(v, Y, m), linalg.matmul(F.actions[v], Y, P))
+        modules = [module_from_presentation(R, pres) for pres in _presentations(R, rng)]
+        assert any(several_per_row(A) for M in modules for A in M.actions)
+        for M in modules:
+            for s in (0, 1, 4):
+                Y = rng.integers(0, P, size=(M.dim, s)).astype(np.int64)
+                for v, A in enumerate(M.actions):
+                    assert np.array_equal(M.act(v, Y), linalg.matmul(A, Y, P))
+
+
+def test_resolution_steps_take_no_dense_product(monkeypatch):
+    """Resolving k and a cyclic module over a monomial ring gathers: no step
+    multiplies by a dense action matrix."""
+    R = quotient(CTX, "x^2", "x*y", "y^3")
+    M = module_from_cyclic(R, ideal(CTX, "x", "y^2"))
+
+    def refuse(*args):
+        raise AssertionError("dense product in a resolution step")
+
+    monkeypatch.setattr(linalg, "matmul", refuse)
+    assert residue_field(R).resolution(6).betti == [1, 2, 4, 8, 16, 32, 64]
+    assert M.resolution(6).betti[0] == 1
+
+
 def test_variable_operator_is_multiplication_matrix(oracle_rings):
     # koszul_h1 reads R.mult[v] where it used to build R.operator(x_v)
     for R in oracle_rings + [quotient(CTX, "x^3", "y - x^2"), quotient(CTX, "x^3", "y")]:
