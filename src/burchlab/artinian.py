@@ -39,21 +39,17 @@ class QuotientAlgebra:
         self.basis: tuple[Exponents, ...] = ideal.standard_monomials()
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._gb = list(ideal.groebner())
+        self._reducers = ideal.reducers()
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
         check_commuting(self.mult, self.p, "multiplication matrices")
         self._gathers = [linalg.gather_table(M) for M in self.mult]
         self._parents = self._basis_parents()
-        self._filtration = self._m_adic_chain()
-        self.hilbert = self._hilbert_from_chain()
-        self.edim = self.hilbert[1] if len(self.hilbert) > 1 else 0
-        self.socle = self.socle_span(linalg.identity(self.dim), self.act)
 
     # -- construction ---------------------------------------------------------
 
     def _nf_vector(self, f: Polynomial) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
-        r = normal_form(f, self._gb)
+        r = normal_form(f, self._reducers)
         for e, c in r.terms:
             v[self.index[e]] = c
         return v
@@ -91,7 +87,10 @@ class QuotientAlgebra:
         """act(v, Y) = x_v·Y on columns of R^m, for the walks and spans."""
         return lambda v, Y: self.act(v, Y, m)
 
-    def _m_adic_chain(self) -> list[np.ndarray]:
+    # -- invariants, computed on first use -----------------------------------
+
+    @cached_property
+    def _filtration(self) -> list[np.ndarray]:
         """Bases of m^0 = R, m^1, m^2, ... down to 0 (as column spans)."""
         chain = [linalg.identity(self.dim)]
         current = chain[0]
@@ -103,9 +102,20 @@ class QuotientAlgebra:
             current = nxt
         return chain
 
-    def _hilbert_from_chain(self) -> tuple[int, ...]:
+    @cached_property
+    def hilbert(self) -> tuple[int, ...]:
+        """The m-adic Hilbert function dim m^j/m^(j+1), j = 0, 1, ..."""
         dims = [c.shape[1] for c in self._filtration]
         return tuple(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
+
+    @cached_property
+    def edim(self) -> int:
+        return self.hilbert[1] if len(self.hilbert) > 1 else 0
+
+    @cached_property
+    def socle(self) -> np.ndarray:
+        """Basis of the socle (0 : m) as columns."""
+        return self.socle_span(linalg.identity(self.dim), self.act)
 
     # -- queries ---------------------------------------------------------------
 

@@ -77,11 +77,11 @@ def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
     depth0 = J != I
     report = BurchReport(burch, depth0 or burch, "definition")
     if burch:
-        gb_mI = list(mI.groebner())
+        reducers_mI = mI.reducers()
         for g in J.gens:
             for i in range(I.ctx.nvars):
                 prod = I.ctx.variable(i) * g
-                if not normal_form(prod, gb_mI).is_zero:
+                if not normal_form(prod, reducers_mI).is_zero:
                     report.witness_socle = g
                     report.witness_variable = I.ctx.variables[i]
                     report.witness_product = prod
@@ -218,12 +218,12 @@ def choi_invariant(I: Ideal) -> int:
     ctx = I.ctx
     m = max_ideal(ctx)
     J = ideal_colon(I, m)
-    gb_mI = list(m.product(I).groebner())
+    reducers_mI = m.product(I).reducers()
     residues = []
     monomials: dict = {}
     for g in J.gens:
         for i in range(ctx.nvars):
-            r = normal_form(ctx.variable(i) * g, gb_mI)
+            r = normal_form(ctx.variable(i) * g, reducers_mI)
             if not r.is_zero:
                 residues.append(r)
                 for e, _ in r.terms:

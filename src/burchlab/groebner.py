@@ -2,11 +2,16 @@
 
 The reduced Groebner basis is the canonical form of an ideal under a fixed
 order, so equality, membership and colon computations all route through it.
-Intersections use a single auxiliary elimination variable; colons by a
-non-principal ideal intersect the principal colons.  First syzygies of a
-homogeneous generating list are computed degree by degree with exact linear
-algebra, which yields a minimal generating set directly (graded Nakayama)
-instead of minimizing a Schreyer-style presentation afterwards.
+`buchberger` prunes S-pairs with the Gebauer–Möller criteria as each new
+element is made, and keeps the live pairs in a dict beside a heap ordered by
+lcm.  Division runs against a `Reducers` table (lead, inverse lead
+coefficient, tail per element), which `buchberger` extends as the basis
+grows and an `Ideal` builds once for its reduced basis.  Intersections use
+a single auxiliary elimination variable; colons by a non-principal ideal
+intersect the principal colons, and each ideal memoizes its colons.  First
+syzygies of a homogeneous generating list are computed degree by degree with
+exact linear algebra, which yields a minimal generating set directly (graded
+Nakayama) instead of minimizing a Schreyer-style presentation afterwards.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from . import linalg
 from .linalg import PreconditionError
 from .poly import (
     Block,
+    Exponents,
     MonomialOrder,
     Polynomial,
     RingContext,
@@ -37,23 +43,42 @@ from .poly import (
 # division / Buchberger
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
-    """Full remainder of f under multivariate division by `basis` (in order)."""
+class Reducers:
+    """The reducer table of a basis: (lead exponents, inverse lead
+    coefficient, tail terms) of each nonzero element, in basis order.
+
+    `normal_form` accepts it in place of the basis, so a caller that reduces
+    many polynomials by one basis builds the table once; `add` extends it
+    as a basis grows."""
+
+    def __init__(self, basis=()):
+        self.rows: list[tuple] = []
+        for g in basis:
+            self.add(g)
+
+    def add(self, g: Polynomial) -> None:
+        if not g.is_zero:
+            self.rows.append((g.lead_exps, g.ctx.field.inv(g.lead_coeff), g.terms[1:]))
+
+
+def normal_form(f: Polynomial, basis: list[Polynomial] | Reducers) -> Polynomial:
+    """Full remainder of f under multivariate division by `basis` (in order),
+    given as polynomials or as their `Reducers` table."""
+    rows = (basis if isinstance(basis, Reducers) else Reducers(basis)).rows
     ctx = f.ctx
     p = ctx.p
-    work = dict(f.terms)
-    remainder: dict = {}
     key = ctx.order.key
-    lead = [(g.lead_exps, g) for g in basis if not g.is_zero]
+    work = dict(f.terms)
+    remainder = []  # terms leave `work` in descending order
     while work:
         exps = max(work, key=key)
         coeff = work.pop(exps)
-        for le, g in lead:
+        for le, inv, tail in rows:
             if mono_divides(le, exps):
                 q_exps = mono_div(exps, le)
-                q_coeff = (coeff * pow(g.lead_coeff, p - 2, p)) % p
+                q_coeff = coeff * inv % p
                 # subtract (q_coeff * x^q_exps) * g; the leading term cancels
-                for ge, gc in g.terms[1:]:
+                for ge, gc in tail:
                     e = mono_mul(ge, q_exps)
                     v = (work.get(e, 0) - q_coeff * gc) % p
                     if v:
@@ -62,8 +87,8 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
                         work.pop(e, None)
                 break
         else:
-            remainder[exps] = coeff
-    return Polynomial.from_dict(ctx, remainder)
+            remainder.append((exps, coeff))
+    return Polynomial(ctx, tuple(remainder))
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -77,50 +102,55 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
-    """A Groebner basis of (gens) under ctx.order (not yet reduced)."""
-    basis = [g.monic() for g in gens if not g.is_zero]
-    if not basis:
-        return []
+    """A Groebner basis of (gens) under ctx.order (not yet reduced).
+
+    Pairs are pruned when they are made, by the criteria of Gebauer and
+    Möller (1988): when h joins the basis, an old pair (i, j) goes if lead(h)
+    divides its lcm L and L differs from both lcm(i, h) and lcm(j, h); of the
+    new pairs (i, h), one is kept per minimal lcm, and none whose leads are
+    coprime.  Pairs are reduced in ascending order of their lcm."""
     key = ctx.order.key
-    pairs: list = []
-    processed: set[tuple[int, int]] = set()
+    basis: list[Polynomial] = []
+    leads: list[Exponents] = []
+    reducers = Reducers()
+    active: list[int] = []  # elements whose lead no later lead divides
+    pairs: dict[tuple[int, int], Exponents] = {}  # live pairs -> lcm of the leads
+    heap: list = []  # (key(lcm), i, j) of every pair made; dead ones are skipped
 
-    def push(i: int, j: int):
-        lcm = mono_lcm(basis[i].lead_exps, basis[j].lead_exps)
-        heapq.heappush(pairs, (key(lcm), i, j))
+    def insert(h: Polynomial) -> None:
+        lh = h.lead_exps
+        for (i, j), lcm in list(pairs.items()):
+            if mono_divides(lh, lcm) and lcm != mono_lcm(leads[i], lh) and lcm != mono_lcm(leads[j], lh):
+                del pairs[i, j]
+        made = [(mono_lcm(leads[i], lh), i) for i in active]
+        # a coprime pair is kept here only to prune others; it is never queued
+        kept: list = []  # (lcm, i, coprime) in the order made
+        for n, (lcm, i) in enumerate(made):
+            coprime = lcm == mono_mul(leads[i], lh)
+            others = itertools.chain((m for m, _ in made[n + 1 :]), (m for m, _, _ in kept))
+            if coprime or not any(mono_divides(m, lcm) for m in others):
+                kept.append((lcm, i, coprime))
+        new = len(basis)
+        for lcm, i, coprime in kept:
+            if not coprime:
+                pairs[i, new] = lcm
+                heapq.heappush(heap, (key(lcm), i, new))
+        active[:] = [i for i in active if not mono_divides(lh, leads[i])]
+        active.append(new)
+        basis.append(h)
+        leads.append(lh)
+        reducers.add(h)
 
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        push(i, j)
-
+    for g in gens:
+        if not g.is_zero:
+            insert(g.monic())
     while pairs:
-        lcm_key, i, j = heapq.heappop(pairs)
-        processed.add((i, j))
-        fi, fj = basis[i], basis[j]
-        lcm = mono_lcm(fi.lead_exps, fj.lead_exps)
-        # coprime leading terms: S-polynomial reduces to zero
-        if lcm == mono_mul(fi.lead_exps, fj.lead_exps):
+        _, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
-        # chain criterion: some fk divides the lcm and both side pairs are done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(basis[k].lead_exps, lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in processed and b in processed:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = normal_form(_spoly(fi, fj), basis)
-        if r.is_zero:
-            continue
-        r = r.monic()
-        basis.append(r)
-        new = len(basis) - 1
-        for k in range(new):
-            push(k, new)
+        r = normal_form(_spoly(basis[i], basis[j]), reducers)
+        if not r.is_zero:
+            insert(r.monic())
     return basis
 
 
@@ -141,11 +171,16 @@ def reduce_basis(basis: list[Polynomial], ctx: RingContext) -> tuple[Polynomial,
                 break
         if not redundant:
             keep.append(g)
-    # tail-reduce every survivor against the others
+    # tail-reduce every survivor against one table of all survivors: no other
+    # lead divides lead(g), and lead(g) divides no term below itself, so
+    # g's own row never applies to its tail
+    table = Reducers(keep)
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
+    for g in keep:
+        tail = Polynomial(ctx, g.terms[1:])
+        if tail.terms:
+            tail = normal_form(tail, table)
+        reduced.append(Polynomial(ctx, g.terms[:1] + tail.terms).monic())
     reduced.sort(key=lambda g: ctx.order.key(g.lead_exps))
     return tuple(reduced)
 
@@ -210,10 +245,16 @@ class Ideal:
             self._cache[order] = gb
         return self._cache[order]
 
+    def reducers(self) -> Reducers:
+        """The `Reducers` table of the reduced basis, built once per ideal."""
+        if "reducers" not in self._cache:
+            self._cache["reducers"] = Reducers(self.groebner())
+        return self._cache["reducers"]
+
     def contains(self, f: Polynomial) -> bool:
         if f.is_zero:
             return True
-        return normal_form(f, list(self.groebner())).is_zero
+        return normal_form(f, self.reducers()).is_zero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ideal):
@@ -372,16 +413,22 @@ def ideal_colon_element(I: Ideal, g: Polynomial) -> Ideal:
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) = {f : fJ ⊆ I}, via intersection of the principal colons."""
+    """(I : J) = {f : fJ ⊆ I}, via intersection of the principal colons.
+
+    The result is memoized in I's cache, keyed by J's generators, so the
+    routes of one command that each need (I : m) share one computation."""
     if I.ctx != J.ctx:
         raise ValueError("ideals from different ring contexts")
     gens = [g for g in J.gens if not g.is_zero]
     if not gens:
         raise PreconditionError("colon by the zero ideal")
-    result = ideal_colon_element(I, gens[0])
-    for g in gens[1:]:
-        result = ideal_intersection(result, ideal_colon_element(I, g))
-    return result
+    memo = ("colon", J.gens)
+    if memo not in I._cache:
+        result = ideal_colon_element(I, gens[0])
+        for g in gens[1:]:
+            result = ideal_intersection(result, ideal_colon_element(I, g))
+        I._cache[memo] = result
+    return I._cache[memo]
 
 
 # ---------------------------------------------------------------------------

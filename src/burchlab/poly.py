@@ -7,6 +7,7 @@ zero polynomial.  Values are immutable and hashable.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ class Grevlex(MonomialOrder):
     """Degree order breaking ties by smallest trailing exponent (degrevlex)."""
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(operator.neg, reversed(exps))))
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,9 @@ class Block(MonomialOrder):
         head, tail = exps[: self.split], exps[self.split :]
         return (
             sum(head),
-            tuple(-e for e in reversed(head)),
+            tuple(map(operator.neg, reversed(head))),
             sum(tail),
-            tuple(-e for e in reversed(tail)),
+            tuple(map(operator.neg, reversed(tail))),
         )
 
 
@@ -64,27 +65,28 @@ LEX = Lex()
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples)
+# monomial helpers (exponent tuples); map over a builtin runs about twice as
+# fast as the equivalent generator expression, and these are the hottest calls
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
     """a / b, assuming b | a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
+    out = tuple(map(operator.sub, a, b))
+    if min(out) < 0:
         raise ValueError(f"{b} does not divide {a}")
     return out
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Exponents) -> int:

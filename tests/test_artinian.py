@@ -95,6 +95,19 @@ def test_hilbert_function_m_adic_for_nonhomogeneous():
     assert R.edim == 1
 
 
+def test_invariants_computed_on_first_use():
+    """Building the algebra leaves the m-adic chain, Hilbert function, edim
+    and socle for their first reader, so a caller that needs only the
+    multiplication matrices never pays for them."""
+    R = quotient(CTX, "x^4", "x^2*y^2", "y^4")
+    lazy = {"_filtration", "hilbert", "edim", "socle"}
+    assert not lazy & vars(R).keys()
+    assert R.edim == 2
+    assert {"_filtration", "hilbert", "edim"} <= vars(R).keys()
+    assert "socle" not in vars(R)
+    assert R.socle_dim == 2 and "socle" in vars(R)
+
+
 def test_edim_and_length_consistency():
     R = quotient(CTX, "x^3", "x*y", "y^2")
     assert sum(R.hilbert) == R.length

@@ -1,19 +1,37 @@
+import heapq
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burchlab import groebner
 from burchlab.groebner import (
     Ideal,
     PreconditionError,
+    Reducers,
+    buchberger,
     entry_ideal,
     ideal_colon,
     ideal_intersection,
     max_ideal,
+    normal_form,
+    reduce_basis,
+    reduced_groebner,
     syzygy_matrix,
 )
-from burchlab.poly import RingContext, parse_polynomial
+from burchlab.poly import (
+    GREVLEX,
+    LEX,
+    Block,
+    Polynomial,
+    RingContext,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    parse_polynomial,
+)
 
 P = 32003
 CTX = RingContext(P, ("x", "y"))
@@ -146,6 +164,21 @@ def test_colon_two_var_paper_values():
 def test_colon_principal_direction():
     I = ideal(CTX, "x^3")
     assert ideal_colon(I, max_ideal(CTX)) == I  # y·f ∈ (x^3) forces f ∈ (x^3)
+
+
+def test_colon_memoized_per_ideal(monkeypatch):
+    """A second colon of the same ideal by the same generators is the first
+    result; an equal ideal built anew computes its own."""
+    calls = []
+    real = groebner.ideal_colon_element
+    monkeypatch.setattr(groebner, "ideal_colon_element", lambda I, g: calls.append(g) or real(I, g))
+    gens = ("x^4", "x^2*y^2", "y^4")
+    I = ideal(CTX, *gens)
+    J = ideal_colon(I, max_ideal(CTX))
+    assert ideal_colon(I, max_ideal(CTX)) is J
+    assert len(calls) == 2  # one principal colon per generator of m
+    assert ideal_colon(ideal(CTX, *gens), max_ideal(CTX)) == J
+    assert len(calls) == 4
 
 
 def test_colon_by_zero_raises():
@@ -287,3 +320,185 @@ def test_elimination_context_built_once_per_base_context(monkeypatch):
     ideal_intersection(I, ideal(ctx, "u"))
     assert calls == [P, P]  # the base context and its one extension
     assert _extend_context(ctx) is _extend_context(RingContext(P, ("u", "w")))
+
+
+# -- the engine against the chain-criterion reference --------------------------
+
+
+def _normal_form_reference(f, basis):
+    """Division by `basis` in order, picking the largest term with max() and
+    inverting each lead coefficient per reduction step."""
+    ctx = f.ctx
+    p = ctx.p
+    work = dict(f.terms)
+    remainder = {}
+    lead = [(g.lead_exps, g) for g in basis if not g.is_zero]
+    while work:
+        exps = max(work, key=ctx.order.key)
+        coeff = work.pop(exps)
+        for le, g in lead:
+            if mono_divides(le, exps):
+                q_exps = mono_div(exps, le)
+                q_coeff = (coeff * pow(g.lead_coeff, p - 2, p)) % p
+                for ge, gc in g.terms[1:]:
+                    e = mono_mul(ge, q_exps)
+                    v = (work.get(e, 0) - q_coeff * gc) % p
+                    if v:
+                        work[e] = v
+                    else:
+                        work.pop(e, None)
+                break
+        else:
+            remainder[exps] = coeff
+    return Polynomial.from_dict(ctx, remainder)
+
+
+def _buchberger_reference(gens, ctx):
+    """Every pair queued; a pair is skipped only when its leads are coprime
+    or some third lead divides its lcm with both side pairs processed."""
+    basis = [g.monic() for g in gens if not g.is_zero]
+    if not basis:
+        return []
+    key = ctx.order.key
+    pairs = []
+    processed = set()
+
+    def push(i, j):
+        heapq.heappush(pairs, (key(mono_lcm(basis[i].lead_exps, basis[j].lead_exps)), i, j))
+
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        push(i, j)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        processed.add((i, j))
+        fi, fj = basis[i], basis[j]
+        lcm = mono_lcm(fi.lead_exps, fj.lead_exps)
+        if lcm == mono_mul(fi.lead_exps, fj.lead_exps):
+            continue
+        if any(
+            k not in (i, j)
+            and mono_divides(basis[k].lead_exps, lcm)
+            and (min(i, k), max(i, k)) in processed
+            and (min(j, k), max(j, k)) in processed
+            for k in range(len(basis))
+        ):
+            continue
+        r = _normal_form_reference(groebner._spoly(fi, fj), basis)
+        if not r.is_zero:
+            basis.append(r.monic())
+            for k in range(len(basis) - 1):
+                push(k, len(basis) - 1)
+    return basis
+
+
+def _reduced_reference(gens, ctx):
+    basis = _buchberger_reference(gens, ctx)
+    keep = [
+        g for i, g in enumerate(basis)
+        if not any(
+            j != i and mono_divides(h.lead_exps, g.lead_exps) and (h.lead_exps != g.lead_exps or j < i)
+            for j, h in enumerate(basis)
+        )
+    ]
+    reduced = [
+        _normal_form_reference(g, keep[:i] + keep[i + 1 :]).monic() for i, g in enumerate(keep)
+    ]
+    reduced.sort(key=lambda g: ctx.order.key(g.lead_exps))
+    if any(g.total_degree() == 0 for g in reduced):
+        return (ctx.one(),)
+    return tuple(reduced)
+
+
+ORDERS = (GREVLEX, LEX, Block(1))
+VARS = ("x", "y", "z", "w")
+SMALL_P = 7  # a small field makes cancellations and equal leads frequent
+
+
+@st.composite
+def generator_lists(draw):
+    """Non-homogeneous generators of degree 1-3 in 2-4 variables, sometimes
+    with a zero generator, a repeated one or a unit."""
+    n = draw(st.integers(2, 4))
+    ctx = RingContext(SMALL_P, VARS[:n], draw(st.sampled_from(ORDERS)))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 1 <= sum(e) <= 3)
+    polys = st.dictionaries(exps, st.integers(1, SMALL_P - 1), min_size=1, max_size=4).map(
+        lambda d: Polynomial.from_dict(ctx, d)
+    )
+    gens = draw(st.lists(polys, min_size=2, max_size=4))
+    extra = draw(st.sampled_from(("none", "zero", "repeat", "unit")))
+    if extra == "zero":
+        gens.append(ctx.zero())
+    elif extra == "repeat":
+        gens.append(gens[0].scale(draw(st.integers(1, SMALL_P - 1))))
+    elif extra == "unit":
+        gens.append(ctx.one().scale(draw(st.integers(1, SMALL_P - 1))))
+    return ctx, gens, draw(polys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists())
+def test_engine_matches_chain_criterion_reference(case):
+    ctx, gens, f = case
+    gb = reduced_groebner(gens, ctx)
+    assert gb == _reduced_reference(gens, ctx)
+    # division by the raw list (leads not monic) and by the reduced basis
+    assert normal_form(f, gens) == _normal_form_reference(f, gens)
+    assert normal_form(f, Reducers(gb)) == _normal_form_reference(f, list(gb))
+
+
+def _spoly_count(monkeypatch, build):
+    calls = []
+    real = groebner._spoly
+    monkeypatch.setattr(groebner, "_spoly", lambda f, g: calls.append(1) or real(f, g))
+    build()
+    monkeypatch.setattr(groebner, "_spoly", real)
+    return len(calls)
+
+
+SPOLY_PINS = [
+    # (variables, order, generators, S-polynomials the engine reduces); the
+    # chain-criterion reference reduces 25, 10 and 18
+    (
+        ("t", "x", "y", "z"),
+        Block(1),
+        (
+            "t*x^2", "t*y^2", "t*z^3", "t*(3*x^2 + 5*x*y + 7*y^2 + 11*x*z + 13*y*z + 17*z^2)",
+            "t*(2*x^3 + 3*y^3 + 5*z^3 + 7*x*y*z + x^2*y)", "z - t*z",
+        ),
+        25,
+    ),
+    (("x", "y", "z"), GREVLEX, ("x^3", "y^3", "z^3", "x^2*y + 2*y^2*z + 3*z^2*x + 5*x*y*z", "x^2 + y^2 + z^2 + x*y"), 10),
+    (("x", "y", "z"), LEX, ("x^3 - y^2", "x*y - x + z", "y^3 - x^2*y", "z^2 - y"), 14),
+]
+
+
+@pytest.mark.parametrize("variables, order, gens, pinned", SPOLY_PINS)
+def test_spoly_count_pinned_below_reference(monkeypatch, variables, order, gens, pinned):
+    """The pair criteria reduce no more S-polynomials than the chain
+    criterion did, and the count on these inputs is pinned."""
+    ctx = RingContext(P, variables, order)
+    fs = [parse_polynomial(g, ctx) for g in gens]
+    engine = _spoly_count(monkeypatch, lambda: reduce_basis(buchberger(fs, ctx), ctx))
+    reference = _spoly_count(monkeypatch, lambda: _buchberger_reference(fs, ctx))
+    assert engine == pinned
+    assert engine <= reference
+
+
+def test_reduced_bases_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    cases = [
+        ("x^2 + y*z - 1", "x*y - z^2", "y^3 - x"),
+        ("x^3 - y^2*z", "x*y*z - 1", "z^2 - x*y"),
+        ("x^2", "y^3", "z^2", "3*x^2 + 5*x*y + 7*y^2 + 11*x*z + 13*y*z + 17*z^2"),
+        ("x*y - z", "y*z - x", "z*x - y"),
+    ]
+    symbols = sympy.symbols("x y z")
+    for gens in cases:
+        ours = Ideal.make(CTX3, [poly(g, CTX3) for g in gens]).groebner()
+        exprs = [sympy.sympify(g.replace("^", "**")) for g in gens]
+        theirs = sympy.groebner(exprs, *symbols, modulus=P, order="grevlex")
+        got = set()
+        for g in theirs.polys:
+            terms = {exps: int(c) % P for exps, c in g.terms()}
+            got.add(Polynomial.from_dict(CTX3, terms).monic())
+        assert got == set(ours), gens
