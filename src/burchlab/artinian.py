@@ -14,6 +14,10 @@ from the action matrix's `linalg.gather_table` form.  The algebra's
 walks and spans take such an act: `basis_multiples` (all basis-monomial
 multiples), `m_span` (m·W), `socle_span` (the socle of span W) and
 `minimal_generators` (a complement of m·W among W's columns).
+
+The socle also gives the colon by m without elimination: for m-primary I,
+(I : m) = I + lift(Soc S/I) (`socle_colon`), which presents R/Soc R and is
+the colon-shift route's (mI : m).
 """
 from __future__ import annotations
 
@@ -202,10 +206,15 @@ class QuotientAlgebra:
     def socle_polynomials(self) -> list[Polynomial]:
         return [self.lift(self.socle[:, j]) for j in range(self.socle.shape[1])]
 
+    @cached_property
+    def socle_colon(self) -> Ideal:
+        """(I : m) = I + lift(Soc S/I), the colon by m read off the socle
+        with no elimination, generated by I's reduced basis and the lifts."""
+        return Ideal.make(self.ctx, self.ideal.groebner() + tuple(self.socle_polynomials()))
+
     def quotient_by_socle(self) -> "QuotientAlgebra":
-        """R/Soc R, presented by the source ideal plus socle lifts."""
-        lifts = self.socle_polynomials()
-        return QuotientAlgebra(Ideal.make(self.ctx, self.ideal.gens + tuple(lifts)))
+        """R/Soc R = S/(I : m)."""
+        return QuotientAlgebra(self.socle_colon)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal.gens)

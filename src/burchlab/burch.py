@@ -25,6 +25,7 @@ from .groebner import (
     ideal_colon,
     ideal_colon_element,
     max_ideal,
+    max_ideal_product,
     normal_form,
 )
 from .poly import Polynomial, RingContext
@@ -70,7 +71,7 @@ def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
     """The defining test mI != m(I:m), with a witness and invariant table."""
     _require_proper_nonzero(I)
     m = max_ideal(I.ctx)
-    mI = m.product(I)
+    mI = max_ideal_product(I)
     J = ideal_colon(I, m)
     mJ = m.product(J)
     burch = mJ != mI
@@ -89,19 +90,18 @@ def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
             if report.witness_product is not None:
                 break
     if with_invariants:
-        report.invariants = _invariant_table(I, mI)
+        report.invariants = _invariant_table(I)
     return report
 
 
-def _invariant_table(I: Ideal, mI: Ideal | None = None) -> dict:
-    m = max_ideal(I.ctx)
-    mI = mI if mI is not None else m.product(I)
+def _invariant_table(I: Ideal) -> dict:
+    mI = max_ideal_product(I)
     table: dict = {"choi_invariant": choi_invariant(I)}
     if I.is_m_primary():
         R = QuotientAlgebra(I)
         len_I = R.length
         len_mI = mI.length()
-        len_mmI = m.product(mI).length()
+        len_mmI = max_ideal_product(mI).length()
         table.update(
             length=len_I,
             edim=R.edim,
@@ -136,17 +136,20 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
     (colon shift) (I:m) != (mI:m)
     (socle action) Soc(S/I)·m is nonzero in m/Im
     (type count)  depth S/I = 0 and r(S/mI) != r(S/I) + mu(I)
+    (I:m) comes from elimination, shared by `definition` and the colon
+    shift.  For m-primary I the colon shift reads (mI:m) off the socle of
+    A = S/mI (`QuotientAlgebra.socle_colon`), otherwise from elimination.
     The length-based routes are skipped (None) when I is not m-primary."""
     _require_proper_nonzero(I)
     ctx = I.ctx
     m = max_ideal(ctx)
-    mI = m.product(I)
+    mI = max_ideal_product(I)
     J = ideal_colon(I, m)
     verdicts: dict = {}
     verdicts["definition"] = m.product(J) != mI
-    verdicts["colon_shift"] = J != ideal_colon(mI, m)
     if I.is_m_primary():
         A = QuotientAlgebra(mI)
+        verdicts["colon_shift"] = J != A.socle_colon
         socle_hit = False
         for g in J.gens:
             for i in range(ctx.nvars):
@@ -160,6 +163,7 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
         mu = mI.length() - R.length
         verdicts["type_count"] = (J != I) and (A.type() != R.type() + mu)
     else:
+        verdicts["colon_shift"] = J != ideal_colon(mI, m)
         verdicts["socle_action"] = None
         verdicts["type_count"] = None
     stated = [v for v in verdicts.values() if v is not None]
@@ -169,8 +173,7 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
 def weakly_m_full_test(I: Ideal) -> bool:
     """(mI : m) = I."""
     _require_proper_nonzero(I)
-    m = max_ideal(I.ctx)
-    return ideal_colon(m.product(I), m) == I
+    return ideal_colon(max_ideal_product(I), max_ideal(I.ctx)) == I
 
 
 @dataclass
@@ -186,8 +189,7 @@ def m_full_test(I: Ideal, trials: int = 20, seed: int = 0) -> MFullResult:
     k-linear forms."""
     _require_proper_nonzero(I)
     ctx = I.ctx
-    m = max_ideal(ctx)
-    mI = m.product(I)
+    mI = max_ideal_product(I)
     candidates = [ctx.variable(i) for i in range(ctx.nvars)]
     rng = random.Random(seed)
     for _ in range(trials):
@@ -218,7 +220,7 @@ def choi_invariant(I: Ideal) -> int:
     ctx = I.ctx
     m = max_ideal(ctx)
     J = ideal_colon(I, m)
-    reducers_mI = m.product(I).reducers()
+    reducers_mI = max_ideal_product(I).reducers()
     residues = []
     monomials: dict = {}
     for g in J.gens:
@@ -369,11 +371,10 @@ def mu_growth_test(I: Ideal) -> MuGrowthVerdict:
         raise PreconditionError("generator-count criterion needs 2 variables")
     if not I.is_m_primary():
         raise PreconditionError("generator-count criterion needs an m-primary ideal")
-    m = max_ideal(I.ctx)
-    mI = m.product(I)
+    mI = max_ideal_product(I)
     len_I = I.length()
     len_mI = mI.length()
-    len_mmI = m.product(mI).length()
+    len_mmI = max_ideal_product(mI).length()
     mu_I = len_mI - len_I
     mu_mI = len_mmI - len_mI
     return MuGrowthVerdict(mu_mI < 2 * mu_I, mu_I, mu_mI)

@@ -17,6 +17,7 @@ Exit codes: 0 ok, 1 corpus failure, 2 input error, 3 precondition failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -192,13 +193,22 @@ class Report:
         if timing is not None:
             self.data["timing_s"] = round(timing, 3)
         if as_json:
-            import jsonschema
-
-            jsonschema.validate(self.data, REPORT_SCHEMA)
+            _report_validator().validate(self.data)
             print(json.dumps(self.data, sort_keys=True, indent=2))
         else:
             for text in self.lines:
                 print(text)
+
+
+@functools.cache
+def _report_validator():
+    """A validator for REPORT_SCHEMA, with the schema itself checked once
+    per process rather than on every report."""
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(REPORT_SCHEMA)
+    cls.check_schema(REPORT_SCHEMA)
+    return cls(REPORT_SCHEMA)
 
 
 def _poly_str(f: Polynomial | None):

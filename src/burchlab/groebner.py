@@ -6,9 +6,11 @@ order, so equality, membership and colon computations all route through it.
 element is made, and keeps the live pairs in a dict beside a heap ordered by
 lcm.  Division runs against a `Reducers` table (lead, inverse lead
 coefficient, tail per element), which `buchberger` extends as the basis
-grows and an `Ideal` builds once for its reduced basis.  Intersections use
+grows and an `Ideal` builds once for its reduced basis; an S-polynomial
+goes to the division loop as an unsorted term dict.  Intersections use
 a single auxiliary elimination variable; colons by a non-principal ideal
-intersect the principal colons, and each ideal memoizes its colons.  First
+intersect the principal colons, and each ideal memoizes its colons and its
+product with m.  First
 syzygies of a homogeneous generating list are computed degree by degree with
 exact linear algebra, which yields a minimal generating set directly (graded
 Nakayama) instead of minimizing a Schreyer-style presentation afterwards.
@@ -65,10 +67,14 @@ def normal_form(f: Polynomial, basis: list[Polynomial] | Reducers) -> Polynomial
     """Full remainder of f under multivariate division by `basis` (in order),
     given as polynomials or as their `Reducers` table."""
     rows = (basis if isinstance(basis, Reducers) else Reducers(basis)).rows
-    ctx = f.ctx
+    return _reduce(f.ctx, dict(f.terms), rows)
+
+
+def _reduce(ctx: RingContext, work: dict, rows: list[tuple]) -> Polynomial:
+    """The remainder of the polynomial whose terms are the (unsorted) dict
+    `work` under division by the `Reducers` rows; `work` is consumed."""
     p = ctx.p
     key = ctx.order.key
-    work = dict(f.terms)
     remainder = []  # terms leave `work` in descending order
     while work:
         exps = max(work, key=key)
@@ -91,14 +97,22 @@ def normal_form(f: Polynomial, basis: list[Polynomial] | Reducers) -> Polynomial
     return Polynomial(ctx, tuple(remainder))
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    ctx = f.ctx
+def _spoly(f: Polynomial, g: Polynomial) -> dict:
+    """The S-polynomial of monic f and g as an unsorted term dict: the
+    leading terms cancel, so only the two tails are shifted and merged."""
+    p = f.ctx.p
     lcm = mono_lcm(f.lead_exps, g.lead_exps)
-    inv_f = ctx.field.inv(f.lead_coeff)
-    inv_g = ctx.field.inv(g.lead_coeff)
-    a = f.mul_term(mono_div(lcm, f.lead_exps), inv_f)
-    b = g.mul_term(mono_div(lcm, g.lead_exps), inv_g)
-    return a - b
+    a = mono_div(lcm, f.lead_exps)
+    b = mono_div(lcm, g.lead_exps)
+    work = {mono_mul(e, a): c for e, c in f.terms[1:]}
+    for e, c in g.terms[1:]:
+        e = mono_mul(e, b)
+        v = (work.get(e, 0) - c) % p
+        if v:
+            work[e] = v
+        else:
+            work.pop(e, None)
+    return work
 
 
 def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
@@ -148,7 +162,7 @@ def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
         _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        r = normal_form(_spoly(basis[i], basis[j]), reducers)
+        r = _reduce(ctx, _spoly(basis[i], basis[j]), reducers.rows)
         if not r.is_zero:
             insert(r.monic())
     return basis
@@ -326,7 +340,7 @@ class Ideal:
         if not self.gens:
             return 0
         dmax = max(g.total_degree() for g in self.gens)
-        mI = max_ideal(self.ctx).product(self)
+        mI = max_ideal_product(self)
         return sum(self.dim_in_degree(d) - mI.dim_in_degree(d) for d in range(dmax + 1))
 
     def __repr__(self):
@@ -336,6 +350,15 @@ class Ideal:
 
 def max_ideal(ctx: RingContext) -> Ideal:
     return Ideal.make(ctx, [ctx.variable(i) for i in range(ctx.nvars)])
+
+
+def max_ideal_product(I: Ideal) -> Ideal:
+    """m·I, memoized in I's cache so that the routes of one command share
+    one product and its reduced basis.  The memo lives on I, not on a shared
+    m, which would then keep every product of a sweep alive."""
+    if "m_product" not in I._cache:
+        I._cache["m_product"] = max_ideal(I.ctx).product(I)
+    return I._cache["m_product"]
 
 
 def _fresh_variable(ctx: RingContext) -> str:

@@ -9,11 +9,19 @@ from burchlab.artinian import (
     fibre_product,
     find_exact_pairs,
 )
-from burchlab.groebner import Ideal, PreconditionError, max_ideal
+from burchlab.groebner import Ideal, PreconditionError, ideal_colon, max_ideal, max_ideal_product
+from burchlab.monomial import enumerate_m_primary
 from burchlab.poly import RingContext, parse_polynomial
 
 P = 32003
 CTX = RingContext(P, ("x", "y"))
+CTX3 = RingContext(P, ("x", "y", "z"))
+# m-primary ideals of k[x,y,z] with dense forms, as `burch check` meets them
+DENSE3 = (
+    ("x^2", "y^3", "z^2", "3*x^2 + 5*x*y + 7*y^2 + 11*x*z + 13*y*z + 17*z^2"),
+    ("x^3", "y^2", "z^3", "2*x^2 + 9*x*y + 4*y*z + 8*z^2", "6*x^2*z + 10*x*y*z + 12*y^2*z + 14*z^3"),
+    ("x^3", "y^3", "z^2", "x^2*y + 2*y^2*z + 3*z^2*x + 5*x*y*z"),
+)
 
 
 def ideal(ctx, *gens):
@@ -218,3 +226,40 @@ def test_quotient_by_socle():
     R = quotient(CTX, "x^4", "x^2*y^2", "y^4")
     Rp = R.quotient_by_socle()
     assert Rp.dim == R.dim - R.socle_dim
+
+
+def _assert_socle_colon_is_elimination_colon(I: Ideal) -> None:
+    K = max_ideal_product(I)
+    assert QuotientAlgebra(K).socle_colon == ideal_colon(K, max_ideal(I.ctx))
+
+
+def test_socle_colon_matches_elimination_on_sweep_ideals():
+    """(mI : m) read off the socle of S/mI equals the elimination colon on
+    every m-primary monomial ideal of k[x,y] to socle degree 4."""
+    ideals = list(enumerate_m_primary(CTX, 4))
+    assert len(ideals) == 131
+    for mi in ideals:
+        _assert_socle_colon_is_elimination_colon(mi.to_ideal())
+
+
+@pytest.mark.parametrize("ctx, gens", [(CTX3, g) for g in DENSE3] + [(CTX, ("x^3", "y - x^2"))])
+def test_socle_colon_matches_elimination_on_dense_input(ctx, gens):
+    """The same on dense k[x,y,z] ideals and a non-homogeneous one, for I
+    itself as well as for mI."""
+    I = ideal(ctx, *gens)
+    assert QuotientAlgebra(I).socle_colon == ideal_colon(I, max_ideal(ctx))
+    _assert_socle_colon_is_elimination_colon(I)
+
+
+@pytest.mark.parametrize(
+    "ctx, gens", [(CTX, ("x^4", "x^2*y^2", "y^4")), (CTX, ("x^3", "y - x^2")), (CTX3, DENSE3[0])]
+)
+def test_quotient_by_socle_matches_source_generators_plus_lifts(ctx, gens):
+    """R/Soc R, now S/socle_colon, has the basis and multiplication
+    matrices of the old presentation: I's generators plus the socle lifts."""
+    R = quotient(ctx, *gens)
+    old = QuotientAlgebra(Ideal.make(ctx, R.ideal.gens + tuple(R.socle_polynomials())))
+    new = R.quotient_by_socle()
+    assert new.basis == old.basis
+    assert len(new.mult) == len(old.mult)
+    assert all(np.array_equal(a, b) for a, b in zip(new.mult, old.mult))

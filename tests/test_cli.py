@@ -307,3 +307,34 @@ def test_json_report_matches_pinned_digest(argv, capsys):
     del data["args"]["file"]
     blob = json.dumps(data, sort_keys=True, indent=2).encode()
     assert hashlib.sha256(blob).hexdigest() == JSON_REPORT_SHA256[argv]
+
+
+# -- report schema -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("key, value", [("timing_s", "x"), ("schema", "2")])
+def test_emit_rejects_report_that_breaks_schema(capsys, key, value):
+    jsonschema = pytest.importorskip("jsonschema")
+    report = cli.Report("check", {})
+    report.data[key] = value
+    with pytest.raises(jsonschema.ValidationError):
+        report.emit(True, None)
+    assert capsys.readouterr().out == ""
+
+
+def test_report_schema_checked_once_per_process(monkeypatch):
+    """The schema is checked when the validator is built, not per report;
+    an invalid schema still fails."""
+    jsonschema = pytest.importorskip("jsonschema")
+    cls = jsonschema.validators.validator_for(cli.REPORT_SCHEMA)
+    real = cls.check_schema
+    calls = []
+    monkeypatch.setattr(cls, "check_schema", lambda schema: calls.append(1) or real(schema))
+    cli._report_validator.cache_clear()
+    for _ in range(3):
+        cli.Report("check", {}).emit(True, 0.5)
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "REPORT_SCHEMA", {"type": 5})
+    cli._report_validator.cache_clear()
+    with pytest.raises(jsonschema.SchemaError):
+        cli.Report("check", {}).emit(True, None)

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from burchlab.groebner import (
     ideal_colon,
     ideal_intersection,
     max_ideal,
+    max_ideal_product,
     normal_form,
     reduce_basis,
     reduced_groebner,
@@ -179,6 +181,17 @@ def test_colon_memoized_per_ideal(monkeypatch):
     assert len(calls) == 2  # one principal colon per generator of m
     assert ideal_colon(ideal(CTX, *gens), max_ideal(CTX)) == J
     assert len(calls) == 4
+
+
+def test_max_ideal_product_memoized_per_ideal():
+    """m·I is built once per ideal; an equal ideal built anew gets its own,
+    so no product is held by a shared object."""
+    I = ideal(CTX, "x^3", "x*y", "y^2")
+    mI = max_ideal_product(I)
+    assert max_ideal_product(I) is mI
+    assert mI == max_ideal(CTX).product(I)
+    assert max_ideal_product(ideal(CTX, "x^3", "x*y", "y^2")) is not mI
+    assert "m_product" not in max_ideal(CTX)._cache
 
 
 def test_colon_by_zero_raises():
@@ -353,6 +366,16 @@ def _normal_form_reference(f, basis):
     return Polynomial.from_dict(ctx, remainder)
 
 
+def _spoly_reference(f, g):
+    """The S-polynomial as a sorted Polynomial, through `mul_term` and
+    subtraction: the form the engine used before it built a term dict."""
+    ctx = f.ctx
+    lcm = mono_lcm(f.lead_exps, g.lead_exps)
+    a = f.mul_term(mono_div(lcm, f.lead_exps), ctx.field.inv(f.lead_coeff))
+    b = g.mul_term(mono_div(lcm, g.lead_exps), ctx.field.inv(g.lead_coeff))
+    return a - b
+
+
 def _buchberger_reference(gens, ctx):
     """Every pair queued; a pair is skipped only when its leads are coprime
     or some third lead divides its lcm with both side pairs processed."""
@@ -383,7 +406,7 @@ def _buchberger_reference(gens, ctx):
             for k in range(len(basis))
         ):
             continue
-        r = _normal_form_reference(groebner._spoly(fi, fj), basis)
+        r = _normal_form_reference(_spoly_reference(fi, fj), basis)
         if not r.is_zero:
             basis.append(r.monic())
             for k in range(len(basis) - 1):
@@ -446,12 +469,25 @@ def test_engine_matches_chain_criterion_reference(case):
     assert normal_form(f, Reducers(gb)) == _normal_form_reference(f, list(gb))
 
 
-def _spoly_count(monkeypatch, build):
+@settings(max_examples=100, deadline=None)
+@given(generator_lists())
+def test_spoly_term_dict_matches_reference(case):
+    """The term dict of the S-polynomial of two monic polynomials holds the
+    terms of the sorted reference S-polynomial, and no zero coefficient."""
+    ctx, gens, f = case
+    monic = [g.monic() for g in gens + [f] if not g.is_zero]
+    for a, b in itertools.combinations(monic, 2):
+        work = groebner._spoly(a, b)
+        assert all(work.values())
+        assert Polynomial.from_dict(ctx, work) == _spoly_reference(a, b)
+
+
+def _spoly_count(monkeypatch, module, name, build):
     calls = []
-    real = groebner._spoly
-    monkeypatch.setattr(groebner, "_spoly", lambda f, g: calls.append(1) or real(f, g))
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda f, g: calls.append(1) or real(f, g))
     build()
-    monkeypatch.setattr(groebner, "_spoly", real)
+    monkeypatch.setattr(module, name, real)
     return len(calls)
 
 
@@ -478,8 +514,10 @@ def test_spoly_count_pinned_below_reference(monkeypatch, variables, order, gens,
     criterion did, and the count on these inputs is pinned."""
     ctx = RingContext(P, variables, order)
     fs = [parse_polynomial(g, ctx) for g in gens]
-    engine = _spoly_count(monkeypatch, lambda: reduce_basis(buchberger(fs, ctx), ctx))
-    reference = _spoly_count(monkeypatch, lambda: _buchberger_reference(fs, ctx))
+    engine = _spoly_count(monkeypatch, groebner, "_spoly", lambda: reduce_basis(buchberger(fs, ctx), ctx))
+    reference = _spoly_count(
+        monkeypatch, sys.modules[__name__], "_spoly_reference", lambda: _buchberger_reference(fs, ctx)
+    )
     assert engine == pinned
     assert engine <= reference
 
