@@ -12,7 +12,8 @@ modules of `resolution`) is seen through one interface: a function
 act(v, Y) computing x_v·Y on a batch of column vectors, by a row gather
 from the action matrix's `linalg.gather_table` form.  The algebra's
 walks and spans take such an act: `basis_multiples` (all basis-monomial
-multiples), `m_span` (m·W), `socle_span` (the socle of span W) and
+multiples; one walk of an element a gives its multiplication matrix
+`operator(a)`), `m_span` (m·W), `socle_span` (the socle of span W) and
 `minimal_generators` (a complement of m·W among W's columns).
 
 The socle also gives the colon by m without elimination: for m-primary I,
@@ -187,16 +188,10 @@ class QuotientAlgebra:
         span(W) over R: a complement of m·span(W), chosen left to right."""
         return linalg.complete_columns(self.m_span(W, act), W, self.p)
 
-    @cached_property
-    def monomial_operators(self) -> np.ndarray:
-        """Multiplication matrices of the basis monomials, shape (dim, dim, dim)."""
-        return self.basis_multiples(linalg.identity(self.dim), self.act)
-
     def operator(self, a: "AlgebraElement") -> np.ndarray:
-        """The multiplication-by-a matrix on the standard basis."""
-        d = self.dim
-        ops = self.monomial_operators.reshape(d, d * d)
-        return linalg.matmul(a.vec.reshape(1, d), ops, self.p).reshape(d, d)
+        """The multiplication-by-a matrix on the standard basis: column b is
+        (basis monomial b)·a, from one walk of a."""
+        return self.basis_multiples(a.vec.reshape(-1, 1), self.act)[:, :, 0].T
 
     def lift(self, v: np.ndarray) -> Polynomial:
         """The standard-monomial representative in S of a coordinate vector."""
@@ -287,9 +282,9 @@ class ExactPair:
     b: Polynomial
 
 
-def find_exact_pairs(R: QuotientAlgebra, extra_candidates=()) -> list[ExactPair]:
+def find_exact_pairs(R: QuotientAlgebra) -> list[ExactPair]:
     """Pairs (a, b) with (0:a) = (b) and (0:b) = (a), found over a bounded
-    candidate set: variables, pairwise sums of variables and user extras.
+    candidate set: the variables and their pairwise sums.
     The second member is derived from the annihilator, so pairs like
     (x, x^3) over k[x]/(x^4) are found even though x^3 is not a candidate."""
     p = R.p
@@ -307,8 +302,6 @@ def find_exact_pairs(R: QuotientAlgebra, extra_candidates=()) -> list[ExactPair]
     for i in range(R.ctx.nvars):
         for j in range(i + 1, R.ctx.nvars):
             add(R.variable_element(i) + R.variable_element(j))
-    for f in extra_candidates:
-        add(R.element(f))
 
     pairs = []
     found = set()

@@ -94,22 +94,27 @@ def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
     return report
 
 
-def _invariant_table(I: Ideal) -> dict:
+def _mu_pair(I: Ideal, len_I: int) -> tuple[int, int]:
+    """(mu(I), mu(mI)) of an m-primary I from the lengths of S/I, S/mI and
+    S/m^2 I, given the first."""
     mI = max_ideal_product(I)
+    len_mI = mI.length()
+    return len_mI - len_I, max_ideal_product(mI).length() - len_mI
+
+
+def _invariant_table(I: Ideal) -> dict:
     table: dict = {"choi_invariant": choi_invariant(I)}
     if I.is_m_primary():
         R = QuotientAlgebra(I)
-        len_I = R.length
-        len_mI = mI.length()
-        len_mmI = max_ideal_product(mI).length()
+        mu_I, mu_mI = _mu_pair(I, R.length)
         table.update(
-            length=len_I,
+            length=R.length,
             edim=R.edim,
             type=R.type(),
             socle_dim=R.socle_dim,
             hilbert=R.hilbert,
-            mu_I=len_mI - len_I,
-            mu_mI=len_mmI - len_mI,
+            mu_I=mu_I,
+            mu_mI=mu_mI,
             c_invariant=burch_invariant(R),
         )
     else:
@@ -261,7 +266,7 @@ class RingVerdict:
     omega2_splits: bool | None = None
 
 
-def burch_ring_depth_zero(R: QuotientAlgebra, crosscheck: bool = True) -> RingVerdict:
+def burch_ring_depth_zero(R: QuotientAlgebra) -> RingVerdict:
     """c_R > 0, cross-checked against the criterion that k is a direct
     summand of its second syzygy (skipped for fields, where the syzygy
     criterion degenerates but the verdict is Burch by convention)."""
@@ -269,14 +274,12 @@ def burch_ring_depth_zero(R: QuotientAlgebra, crosscheck: bool = True) -> RingVe
     if R.is_field:
         return RingVerdict(True, c, trivial_field=True)
     verdict = c > 0
-    splits = None
-    if crosscheck:
-        res = residue_field(R).resolution(2)
-        splits = k_summand_test(res.syzygy(2)).splits
-        if splits != verdict:
-            raise InternalConsistencyError(
-                f"c_R = {c} disagrees with the second-syzygy criterion ({splits})"
-            )
+    res = residue_field(R).resolution(2)
+    splits = k_summand_test(res.syzygy(2)).splits
+    if splits != verdict:
+        raise InternalConsistencyError(
+            f"c_R = {c} disagrees with the second-syzygy criterion ({splits})"
+        )
     return RingVerdict(verdict, c, omega2_splits=splits)
 
 
@@ -371,12 +374,7 @@ def mu_growth_test(I: Ideal) -> MuGrowthVerdict:
         raise PreconditionError("generator-count criterion needs 2 variables")
     if not I.is_m_primary():
         raise PreconditionError("generator-count criterion needs an m-primary ideal")
-    mI = max_ideal_product(I)
-    len_I = I.length()
-    len_mI = mI.length()
-    len_mmI = max_ideal_product(mI).length()
-    mu_I = len_mI - len_I
-    mu_mI = len_mmI - len_mI
+    mu_I, mu_mI = _mu_pair(I, I.length())
     return MuGrowthVerdict(mu_mI < 2 * mu_I, mu_I, mu_mI)
 
 

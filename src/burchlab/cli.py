@@ -464,85 +464,81 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it.  Subcommand `name` runs `cmd_<name>` (hyphens as underscores),
+    looked up when `main` runs."""
     parser = argparse.ArgumentParser(
         prog="burch", description="Burch ideal and Burch ring decision procedures"
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     parser.add_argument("--modulus", type=int, default=None, help="override the session modulus")
-    parser.add_argument("--max-length", type=int, default=6, help="default resolution length")
     parser.add_argument("--timing", action="store_true", help="include wall-clock timing")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("check", cmd_check, help="Burch ideal test")
+    p = sub.add_parser("check", help="Burch ideal test")
     p.add_argument("file")
     p.add_argument("ideal")
     p.add_argument("--route", choices=["definition", "all"], default="definition")
 
-    p = add("invariants", cmd_invariants, help="invariant table of an ideal")
+    p = sub.add_parser("invariants", help="invariant table of an ideal")
     p.add_argument("file")
     p.add_argument("ideal")
 
-    p = add("resolve", cmd_resolve, help="Betti table, entry ideals, summand verdicts")
+    p = sub.add_parser("resolve", help="Betti table, entry ideals, summand verdicts")
     p.add_argument("file")
     p.add_argument("module")
-    p.add_argument("--length", type=int, default=None)
+    p.add_argument("--length", type=int, default=6)
     p.add_argument("--ring", default=None, help="ideal presenting the quotient ring")
 
-    p = add("syzygy-summand", cmd_syzygy_summand, help="does k split off omega^i M")
+    p = sub.add_parser("syzygy-summand", help="does k split off omega^i M")
     p.add_argument("file")
     p.add_argument("module")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--ring", default=None)
 
-    p = add("tor", cmd_tor, help="Tor dimension table for two modules")
+    p = sub.add_parser("tor", help="Tor dimension table for two modules")
     p.add_argument("file")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--max-index", type=int, default=6)
     p.add_argument("--ring", default=None)
 
-    p = add("mfull", cmd_mfull, help="search for an m-full witness")
+    p = sub.add_parser("mfull", help="search for an m-full witness")
     p.add_argument("file")
     p.add_argument("ideal")
     p.add_argument("--trials", type=int, default=20)
 
-    p = add("cut", cmd_cut, help="cut down by ring elements with regularity certificates")
+    p = sub.add_parser("cut", help="cut down by ring elements with regularity certificates")
     p.add_argument("file")
     p.add_argument("ideal")
     p.add_argument("--by", action="append", required=True, help="element (repeatable)")
     p.add_argument("--allow-nonlinear", action="store_true")
 
-    p = add("fibre", cmd_fibre, help="Burch test for a fibre product of two artinian rings")
+    p = sub.add_parser("fibre", help="Burch test for a fibre product of two artinian rings")
     p.add_argument("left_file")
     p.add_argument("left_ideal")
     p.add_argument("right_file")
     p.add_argument("right_ideal")
 
-    p = add("sweep", cmd_sweep, help="oracle sweep over two-variable monomial ideals")
+    p = sub.add_parser("sweep", help="oracle sweep over two-variable monomial ideals")
     p.add_argument("--max-socle-degree", type=int, default=3)
     p.add_argument("--checks", default=None, help="comma-separated subset of checks")
 
-    p = add("corpus", cmd_corpus, help="run the worked-example regression corpus")
+    p = sub.add_parser("corpus", help="run the worked-example regression corpus")
     p.add_argument("--only", default=None, help="run a single entry")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     args._elapsed = lambda: time.monotonic() - start
-    if getattr(args, "length", "sentinel") is None:
-        args.length = args.max_length
+    command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (SessionError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -29,7 +29,6 @@ from .linalg import PreconditionError
 from .poly import (
     Block,
     Exponents,
-    MonomialOrder,
     Polynomial,
     RingContext,
     mono_degree,
@@ -212,7 +211,7 @@ def reduced_groebner(gens, ctx: RingContext) -> tuple[Polynomial, ...]:
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of F_p[x_1..x_n], cached reduced Groebner bases per order.
+    """An ideal of F_p[x_1..x_n] with its reduced Groebner basis cached.
 
     Library operations may produce the unit ideal (e.g. a colon of an ideal
     by itself); user-entered generators are constrained to the maximal ideal
@@ -247,17 +246,11 @@ class Ideal:
     def in_max_ideal(self) -> bool:
         return all(g.constant_term == 0 for g in self.gens)
 
-    def groebner(self, order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
-        order = order or self.ctx.order
-        if order not in self._cache:
-            if order == self.ctx.order:
-                gb = reduced_groebner(self.gens, self.ctx)
-            else:
-                ctx2 = self.ctx.with_order(order)
-                gb2 = reduced_groebner([g.resort(ctx2) for g in self.gens], ctx2)
-                gb = tuple(g.resort(self.ctx) for g in gb2)
-            self._cache[order] = gb
-        return self._cache[order]
+    def groebner(self) -> tuple[Polynomial, ...]:
+        """The reduced Groebner basis under ctx.order, computed once."""
+        if "groebner" not in self._cache:
+            self._cache["groebner"] = reduced_groebner(self.gens, self.ctx)
+        return self._cache["groebner"]
 
     def reducers(self) -> Reducers:
         """The `Reducers` table of the reduced basis, built once per ideal."""
@@ -465,7 +458,6 @@ class SyzygyMatrix:
     ctx: RingContext
     gens: tuple[Polynomial, ...]
     columns: tuple  # tuple of tuples of Polynomial, each of length len(gens)
-    minimized: bool = True
 
     @property
     def shape(self) -> tuple[int, int]:

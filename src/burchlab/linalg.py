@@ -21,9 +21,10 @@ int64 and reduces each product mod p before the k terms are added, so every
 intermediate value is below max(p**2, k*p): it is exact for every prime
 `RingContext` accepts, with no bound on the size of the matrix.  On the
 standard-monomial basis of a monomial ring k <= 1.  `matmul` remains where
-a dense matrix is the result: the multiplication operator of an element,
-a polynomial evaluated at the action matrices, the tensor maps of
-`resolution`, the products with a kernel basis in `socle_span` and
+a dense matrix is the result or an operand: a polynomial evaluated at the
+action matrices, the product of two algebra elements (the walk-built
+`operator(a)` times a vector), the tensor maps of `resolution`, the
+products with a kernel basis in `socle_span` and
 `module_from_presentation`, and the checks that action matrices commute
 and that a complex composes to zero.
 
@@ -74,9 +75,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -293,22 +291,6 @@ def in_column_space(A: np.ndarray, v: np.ndarray, p: int) -> bool:
     if not v.any():
         return True
     return not complete_columns(A, v.reshape(-1, 1), p)
-
-
-def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of Ax = b (free variables set to 0), or None."""
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % p
-    if b.shape[0] != A.shape[0]:
-        raise ValueError("dimension mismatch in solve")
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    n = A.shape[1]
-    if n in pivots:
-        return None
-    x = zeros(n, 1).ravel()
-    for r, c in enumerate(pivots):
-        x[c] = R[r, n]
-    return x
 
 
 def hstack(blocks: list[np.ndarray], rows: int) -> np.ndarray:

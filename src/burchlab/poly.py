@@ -152,9 +152,6 @@ class RingContext:
     def monomial(self, exps: Exponents, coeff: int = 1) -> "Polynomial":
         return Polynomial.from_dict(self, {tuple(exps): coeff})
 
-    def with_order(self, order: MonomialOrder) -> "RingContext":
-        return RingContext(self.p, self.variables, order)
-
 
 def check_same_context(a: "Polynomial", b: "Polynomial") -> None:
     if a.ctx != b.ctx:
@@ -226,10 +223,6 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         return self.homogeneous_degree() is not None
-
-    def resort(self, ctx: RingContext) -> "Polynomial":
-        """Same polynomial under a context with a different order."""
-        return Polynomial.from_dict(ctx, dict(self.terms))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -315,7 +308,7 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             # coefficient p-1 prints as a subtraction so binomials read naturally
-            neg = c == p - 1 and factors
+            neg = c == p - 1 and bool(factors)
             coeff = 1 if neg else c
             if coeff != 1 or not factors:
                 factors.insert(0, str(coeff))

@@ -204,7 +204,6 @@ class Resolution:
         self.betti: list[int] = []
         self.matrices: list[np.ndarray] = []
         self._omegas: list[np.ndarray] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
-        self._gens: list[list[np.ndarray]] = []
         # M's generators are unit vectors, kept in the order they are chosen
         # in: ∂_1 and every later differential depend on that order
         self._cover(linalg.identity(module.dim), module.act)
@@ -243,7 +242,6 @@ class Resolution:
         if mat.size and mat[:, :, 0].any():
             raise AssertionError("non-minimal resolution step: constant entry")
         self.matrices.append(mat)
-        self._gens.append(gens)
 
     def matrix(self, i: int) -> np.ndarray:
         """∂_i for i >= 1."""
@@ -263,14 +261,18 @@ class Resolution:
         return _entry_ideal(self.R, self.matrix(i))
 
     def check_complex(self) -> None:
-        """∂_i ∂_{i+1} = 0, with compositions evaluated on coordinates."""
+        """∂_i ∂_{i+1} = 0, with compositions evaluated on coordinates: column
+        j of ∂_{i+1} is the vector matrices[i][:, j, :] of R^{betti[i]}."""
         R = self.R
+        gens = [
+            mat.transpose(0, 2, 1).reshape(self.betti[i] * R.dim, self.betti[i + 1])
+            for i, mat in enumerate(self.matrices)
+        ]
         for i in range(1, len(self.matrices)):
-            if not self._gens[i]:
+            if not self.betti[i + 1]:
                 continue
-            G = np.stack(self._gens[i - 1], axis=1)
-            phi = _free_map_matrix(R, G, R.free_act(self.betti[i - 1]))
-            if linalg.matmul(phi, np.stack(self._gens[i], axis=1), R.p).any():
+            phi = _free_map_matrix(R, gens[i - 1], R.free_act(self.betti[i - 1]))
+            if linalg.matmul(phi, gens[i], R.p).any():
                 raise AssertionError("∂∂ != 0")
 
 
@@ -358,20 +360,10 @@ def _tensor_map(res_matrix: np.ndarray, N: AlgebraModule) -> np.ndarray:
 
 
 def tor(M: AlgebraModule, N: AlgebraModule, i: int) -> int:
-    """dim_k Tor_i(M, N), computed from a minimal resolution of M."""
+    """dim_k Tor_i(M, N), the last entry of `tor_profile(M, N, i)`."""
     if i < 0:
         raise PreconditionError("Tor index must be >= 0")
-    res = M.resolution(i + 1)
-    p = M.p
-    dN = N.dim
-    if i == 0:
-        d1 = _tensor_map(res.matrix(1), N)
-        return res.betti[0] * dN - linalg.rank(d1, p)
-    if res.betti[i] == 0:
-        return 0
-    di = _tensor_map(res.matrix(i), N)
-    dnext = _tensor_map(res.matrix(i + 1), N)
-    return (res.betti[i] * dN - linalg.rank(di, p)) - linalg.rank(dnext, p)
+    return tor_profile(M, N, i)[i]
 
 
 def tor_profile(M: AlgebraModule, N: AlgebraModule, max_index: int) -> list[int]:

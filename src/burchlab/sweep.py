@@ -132,13 +132,8 @@ def analyze_ideal(mi: MonomialIdeal, checks=ALL_CHECKS) -> IdealRecord:
     )
 
 
-def run_sweep(
-    max_socle_degree: int,
-    p: int = 32003,
-    checks=ALL_CHECKS,
-    variables: tuple[str, str] = ("x", "y"),
-) -> SweepResult:
-    ctx = RingContext(p, variables)
+def run_sweep(max_socle_degree: int, p: int = 32003, checks=ALL_CHECKS) -> SweepResult:
+    ctx = RingContext(p, ("x", "y"))
     result = SweepResult(max_socle_degree)
     for mi in enumerate_m_primary(ctx, max_socle_degree):
         rec = analyze_ideal(mi, checks)
@@ -146,15 +141,3 @@ def run_sweep(
         if not rec.agree:
             result.counterexamples.append(rec)
     return result
-
-
-def burch_samples(max_socle_degree: int, p: int = 32003, limit: int | None = None):
-    """The Burch ideals of the sweep, in enumeration order."""
-    ctx = RingContext(p, ("x", "y"))
-    out = []
-    for mi in enumerate_m_primary(ctx, max_socle_degree):
-        if staircase_burch_test(mi):
-            out.append(mi)
-            if limit is not None and len(out) >= limit:
-                break
-    return out

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -118,6 +119,34 @@ def test_resolve_free_module(session_file, capsys):
     code, out, _ = run_cli(capsys, "resolve", session_file, "I", "--length", "2", "--ring", "I")
     assert code == EXIT_OK
     assert "betti: [1, 0, 0]" in out
+
+
+def test_resolve_length_defaults_to_six(capsys):
+    code, out, _ = run_cli(capsys, "--json", "resolve", DEMO, "k", "--ring", "I")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["invariants"]["entry_ideals"]) == 6
+    assert run_cli(capsys, "--json", "resolve", DEMO, "k", "--ring", "I", "--length", "6")[1] == out
+
+
+def test_max_length_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-length", "3", "resolve", DEMO, "k"])
+    assert exc.value.code == EXIT_INPUT
+
+
+def test_main_builds_one_parser(monkeypatch, session_file, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "check", session_file, "I")[0] == EXIT_OK
+    assert run_cli(capsys, "invariants", session_file, "I")[0] == EXIT_OK
+    assert built.count("burch") == 1
 
 
 def test_resolve_non_artinian_exit_3(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burchlab.poly import (
@@ -164,6 +164,7 @@ def test_ring_axioms(f, g, h):
 
 @settings(max_examples=40, deadline=None)
 @given(small_polys)
+@example(Polynomial.from_dict(CTX, {(0, 0): P - 1}))  # the constant -1 printed as "-32002"
 def test_parse_print_round_trip_random(f):
     assert parse_polynomial(str(f), CTX) == f
 

@@ -24,6 +24,7 @@ from burchlab.resolution import (
     module_from_presentation,
     residue_field,
     tor,
+    tor_profile,
 )
 
 P = 32003
@@ -222,6 +223,20 @@ def test_tor_symmetric():
         assert tor(M, N, i) == tor(N, M, i)
 
 
+def test_tor_is_the_profile_entry(oracle_rings):
+    L = 4
+    for R in oracle_rings:
+        ctx = R.ctx
+        cyclic = module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.variable(0)])))
+        for M in (residue_field(R), cyclic):
+            for N in (residue_field(R), cyclic):
+                profile = tor_profile(M, N, L)
+                assert [tor(M, N, i) for i in range(L + 1)] == profile
+    k = residue_field(oracle_rings[0])
+    with pytest.raises(PreconditionError):
+        tor(k, k, -1)
+
+
 # -- mapping cones ------------------------------------------------------------------
 
 
@@ -350,6 +365,12 @@ def _witness_coordinate_order_loop(R, m):
     return np.array([c * R.dim + b for c in range(m) for b in range(R.dim - 1, -1, -1)], dtype=np.int64)
 
 
+def _generators(res, i):
+    """The columns of ∂_i, as vectors of R^{betti[i-1]}."""
+    mat = res.matrix(i)
+    return [mat[:, j, :].ravel() for j in range(mat.shape[1])]
+
+
 def _sort_generators_sorted(R, gens, m):
     """The ordering as a Python sort key per generator."""
     perm = _witness_coordinate_order_loop(R, m)
@@ -368,7 +389,8 @@ def test_sort_generators_matches_sorted_key(oracle_rings):
         # generators of a real resolution, shuffled, and random nonzero vectors
         # with repeated supports, so that both key parts tie
         res = residue_field(R).resolution(3)
-        cases = [(res.betti[2], [res._gens[2][j] for j in rng.permutation(res.betti[3])])]
+        gens = _generators(res, 3)
+        cases = [(res.betti[2], [gens[j] for j in rng.permutation(res.betti[3])])]
         for m in (1, 3):
             vecs = [v for v in _random_vectors(R, m, 12, rng) if v.any()]
             cases.append((m, vecs + [3 * v % P for v in vecs[:4]]))
@@ -392,7 +414,8 @@ def test_free_map_matrix_matches_loop_reference(oracle_rings):
             assert np.array_equal(got, _free_map_matrix_loop(R, gens, m))
         # columns of a real resolution, zero vector included
         res = residue_field(R).resolution(3)
-        gens = res._gens[2] + [np.zeros_like(res._gens[2][0])]
+        gens = _generators(res, 3)
+        gens.append(np.zeros_like(gens[0]))
         assert np.array_equal(_free_map(R, gens, res.betti[2]), _free_map_matrix_loop(R, gens, res.betti[2]))
 
 
@@ -413,13 +436,18 @@ def test_tensor_map_matches_loop_reference(oracle_rings):
 
 def test_monomial_operators_match_polynomial_evaluation(oracle_rings):
     """The shared basis-monomial walk against evaluation at the action
-    matrices: R.operator(a) for random a, and the cached operators of k, R^2
-    and a cyclic module."""
+    matrices: R.operator(a) for random a, also against the product with the
+    stack of basis-monomial operators it replaced, and the cached operators
+    of k, R^2 and a cyclic module."""
     rng = np.random.default_rng(3)
     for R in oracle_rings:
+        d = R.dim
         regular = AlgebraModule(R, R.mult, check=False)
+        cube = R.basis_multiples(linalg.identity(d), R.act).reshape(d, d * d)
         for a in _random_vectors(R, 1, 6, rng):
-            assert np.array_equal(R.operator(R.element_from_vector(a)), regular.poly_operator(R.lift(a)))
+            got = R.operator(R.element_from_vector(a))
+            assert np.array_equal(got, regular.poly_operator(R.lift(a)))
+            assert np.array_equal(got, linalg.matmul(a.reshape(1, d), cube, P).reshape(d, d))
         ctx = R.ctx
         cyclic = module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.variable(0)])))
         for M in (residue_field(R), free_module(R, 2), cyclic):
@@ -431,8 +459,9 @@ def test_monomial_operators_match_polynomial_evaluation(oracle_rings):
 def test_check_complex_detects_a_broken_differential(r12):
     res = residue_field(r12).resolution(3)
     res.check_complex()
-    g = res._gens[2][0]
-    g[np.flatnonzero(g)[0]] += 1
+    d3 = res.matrix(3)
+    r, b = np.argwhere(d3[:, 0, :])[0]
+    d3[r, 0, b] = (d3[r, 0, b] + 1) % P
     with pytest.raises(AssertionError):
         res.check_complex()
 

@@ -5,7 +5,7 @@ from burchlab.burch import burch_ideal_test, m_full_test, weakly_m_full_test
 from burchlab.groebner import ideal_colon, max_ideal
 from burchlab.monomial import enumerate_m_primary, mono_colon_m
 from burchlab.poly import RingContext
-from burchlab.sweep import burch_samples, run_sweep
+from burchlab.sweep import run_sweep
 
 P = 32003
 CTX = RingContext(P, ("x", "y"))
@@ -55,9 +55,3 @@ def test_weak_fullness_implies_burch_on_sweep():
             assert burch_ideal_test(I, with_invariants=False).burch
         if m_full_test(I, trials=2).m_full:
             assert weakly
-
-
-def test_burch_samples_deterministic():
-    a = [mi.gens for mi in burch_samples(3, limit=5)]
-    b = [mi.gens for mi in burch_samples(3, limit=5)]
-    assert a == b and len(a) == 5
