@@ -10,11 +10,12 @@ non-homogeneous ideals too.
 Every module-like object (R, the free modules R^m, their submodules and the
 modules of `resolution`) is seen through one interface: a function
 act(v, Y) computing x_v·Y on a batch of column vectors, by a row gather
-from the action matrix's `linalg.gather_table` form.  The algebra's
-walks and spans take such an act: `basis_multiples` (all basis-monomial
-multiples; one walk of an element a gives its multiplication matrix
-`operator(a)`), `m_span` (m·W), `socle_span` (the socle of span W) and
-`minimal_generators` (a complement of m·W among W's columns).
+from the action matrix's `linalg.gather_table` form, or on `linalg.Triples`
+by a scatter (`QuotientAlgebra.act`).  The algebra's walks and spans take
+such an act: `basis_multiples` (all basis-monomial multiples; one walk of
+an element a gives its multiplication matrix `operator(a)`), `m_span`
+(m·W), `socle_span` (the socle of span W) and `minimal_generators` (a
+complement of m·W among W's columns, with m·W, from one elimination).
 
 The socle also gives the colon by m without elimination: for m-primary I,
 (I : m) = I + lift(Soc S/I) (`socle_colon`), which presents R/Soc R and is
@@ -82,11 +83,18 @@ class QuotientAlgebra:
             parents.append((self.index[exps[:v] + (exps[v] - 1,) + exps[v + 1 :]], v))
         return parents
 
-    def act(self, v: int, Y: np.ndarray, m: int = 1) -> np.ndarray:
+    def act(self, v: int, Y, m: int = 1):
         """x_v times each column of Y, a batch of R^m coordinate vectors laid
-        out component-major (index c·dim + b); m = 1 is R itself."""
+        out component-major (index c·dim + b); m = 1 is R itself.  Y may be
+        `linalg.Triples`, whose rows already say their component."""
+        if isinstance(Y, linalg.Triples):
+            return linalg.apply_scatter(self._scatters[v], Y, self.p)
         out = linalg.apply_gather(self._gathers[v], Y.reshape(m, self.dim, Y.shape[1]), self.p, axis=1)
         return out.reshape(Y.shape)
+
+    @cached_property
+    def _scatters(self) -> list:
+        return [linalg.scatter_table(g) for g in self._gathers]
 
     def free_act(self, m: int):
         """act(v, Y) = x_v·Y on columns of R^m, for the walks and spans."""
@@ -161,19 +169,18 @@ class QuotientAlgebra:
         v[self.index[self.ctx.zero_exps()]] = 1
         return AlgebraElement(self, v)
 
-    def basis_multiples(self, X: np.ndarray, act) -> np.ndarray:
-        """(basis monomial b)·X for every b, stacked on axis 0, where
-        act(v, Y) computes x_v·Y: one act call per basis monomial other
-        than 1, on the multiple of its parent."""
-        out = np.empty((self.dim,) + X.shape, dtype=np.int64)
-        out[0] = X
-        for b, (parent, v) in enumerate(self._parents, start=1):
-            out[b] = act(v, out[parent])
-        return out
+    def basis_multiples(self, X, act):
+        """(basis monomial b)·X for every b, stacked on axis 0 (a list for
+        `linalg.Triples`), where act(v, Y) computes x_v·Y: one act call per
+        basis monomial other than 1, on the multiple of its parent."""
+        out = [X]
+        for parent, v in self._parents:
+            out.append(act(v, out[parent]))
+        return out if isinstance(X, linalg.Triples) else np.stack(out)
 
-    def m_span(self, W: np.ndarray, act) -> np.ndarray:
+    def m_span(self, W, act):
         """Basis of m·span(W) chosen among the columns of the x_v·W, where
-        act(v, Y) computes x_v·Y."""
+        act(v, Y) computes x_v·Y; dense or `linalg.Triples` as W is."""
         images = [act(v, W) for v in range(self.ctx.nvars)]
         return linalg.column_space_basis(linalg.hstack(images, W.shape[0]), self.p)
 
@@ -183,10 +190,17 @@ class QuotientAlgebra:
         stacked = np.concatenate([act(v, W) for v in range(self.ctx.nvars)], axis=0)
         return linalg.matmul(W, linalg.kernel_basis(stacked, self.p), self.p)
 
-    def minimal_generators(self, W: np.ndarray, act) -> list[int]:
+    def minimal_generators(self, W, act) -> tuple[list[int], "np.ndarray | linalg.Triples"]:
         """Indices of columns of W that minimally generate the submodule
-        span(W) over R: a complement of m·span(W), chosen left to right."""
-        return linalg.complete_columns(self.m_span(W, act), W, self.p)
+        span(W) over R, a complement of m·span(W) chosen left to right, and
+        the basis of m·span(W) that `m_span` gives: both from one rref of
+        [x_1·W | ... | x_n·W | W], whose pivots inside the x_v·W are those
+        of the x_v·W alone."""
+        images = linalg.hstack([act(v, W) for v in range(self.ctx.nvars)], W.shape[0])
+        _, pivots = linalg.rref(linalg.hstack([images, W], W.shape[0]), self.p)
+        w = images.shape[1]
+        span = linalg.take_columns(images, [c for c in pivots if c < w])
+        return [c - w for c in pivots if c >= w], span
 
     def operator(self, a: "AlgebraElement") -> np.ndarray:
         """The multiplication-by-a matrix on the standard basis: column b is
@@ -271,8 +285,13 @@ class AnnihilatorResult:
 
 
 def annihilator(R: QuotientAlgebra, a: AlgebraElement) -> AnnihilatorResult:
-    kernel = linalg.kernel_basis(R.operator(a), R.p)
-    gens = R.minimal_generators(kernel, R.act)
+    return _annihilator(R, R.operator(a))
+
+
+def _annihilator(R: QuotientAlgebra, op: np.ndarray) -> AnnihilatorResult:
+    """(0 : a) for the multiplication matrix op = R.operator(a)."""
+    kernel = linalg.kernel_basis(op, R.p)
+    gens, _ = R.minimal_generators(kernel, R.act)
     return AnnihilatorResult(kernel, [R.lift(kernel[:, j]) for j in gens])
 
 
@@ -303,22 +322,29 @@ def find_exact_pairs(R: QuotientAlgebra) -> list[ExactPair]:
         for j in range(i + 1, R.ctx.nvars):
             add(R.variable_element(i) + R.variable_element(j))
 
+    operators: dict[bytes, np.ndarray] = {}
+
+    def operator(el: AlgebraElement) -> np.ndarray:
+        """R.operator(el), built once per element."""
+        key = el.vec.tobytes()
+        if key not in operators:
+            operators[key] = R.operator(el)
+        return operators[key]
+
     pairs = []
     found = set()
     for a in candidates:
-        ann_a = annihilator(R, a)
+        ann_a = _annihilator(R, operator(a))
         if not ann_a.is_principal:
             continue
         b = R.element(ann_a.generators[0])
         if b.is_zero:
             continue
         # verify both equalities exactly
-        image_b = R.operator(b)
-        if not linalg.subspace_eq(ann_a.subspace, image_b, p):
+        if not linalg.subspace_eq(ann_a.subspace, operator(b), p):
             continue
-        ann_b = annihilator(R, b)
-        image_a = R.operator(a)
-        if not linalg.subspace_eq(ann_b.subspace, image_a, p):
+        ann_b = _annihilator(R, operator(b))
+        if not linalg.subspace_eq(ann_b.subspace, operator(a), p):
             continue
         key = frozenset([str(a.to_polynomial()), str(b.to_polynomial())])
         if key not in found:

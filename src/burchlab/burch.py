@@ -73,7 +73,7 @@ def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
     m = max_ideal(I.ctx)
     mI = max_ideal_product(I)
     J = ideal_colon(I, m)
-    mJ = m.product(J)
+    mJ = max_ideal_product(J)
     burch = mJ != mI
     depth0 = J != I
     report = BurchReport(burch, depth0 or burch, "definition")
@@ -151,7 +151,7 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
     mI = max_ideal_product(I)
     J = ideal_colon(I, m)
     verdicts: dict = {}
-    verdicts["definition"] = m.product(J) != mI
+    verdicts["definition"] = max_ideal_product(J) != mI
     if I.is_m_primary():
         A = QuotientAlgebra(mI)
         verdicts["colon_shift"] = J != A.socle_colon

@@ -36,8 +36,21 @@ whole-array operations: a lone row is scaled by the inverse of its first
 entry, a lone column is a unit row.  The per-pivot loop `_eliminate` runs
 only on the submatrix of the remaining blocks, which for a dense matrix is
 all of it.
+
+Such a matrix can also be held as `Triples`, the lists (rows, cols, vals)
+of its nonzero entries.  `rref` reads its pattern from them directly (from
+a dense array it takes the same pattern with one `nonzero`), and `rref`,
+`kernel_basis`, `column_space_basis`, `complete_columns` and `hstack` answer
+Triples with Triples, so a chain of them never builds or scans the dense
+array.  An action matrix acts on Triples in its scatter form
+(`scatter_table`, from the gather form): each source row's targets and
+values, with entries that meet at one target summed mod p only where a row
+of the matrix has several nonzeros.  The resolution steps of `resolution`
+run on Triples; their matrices are almost all zeros.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -108,6 +121,45 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+class Triples:
+    """A matrix of `shape` held as its nonzero entries: vals[k] at (rows[k],
+    cols[k]).  Values lie in [1, p), no position appears twice, and the
+    entries are in no particular order.  `rref`, `kernel_basis`,
+    `column_space_basis`, `complete_columns` and `hstack` take these in place
+    of dense arrays and answer in kind; `apply_scatter` applies an action
+    matrix to them."""
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "Triples":
+        empty = np.zeros(0, dtype=np.int64)
+        return cls(empty, empty, empty, (rows, cols))
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> "Triples":
+        """The entries of a canonical dense matrix."""
+        rows, cols = A.nonzero()
+        return cls(rows, cols, A[rows, cols], A.shape)
+
+    def toarray(self) -> np.ndarray:
+        A = zeros(*self.shape)
+        A[self.rows, self.cols] = self.vals
+        return A
+
+    def take_columns(self, index) -> "Triples":
+        """The columns `index` (distinct) in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        at = np.full(self.shape[1], -1, dtype=np.int64)
+        at[index] = np.arange(index.size)
+        cols = at[self.cols]
+        keep = (cols >= 0).nonzero()[0]
+        return Triples(self.rows[keep], cols[keep], self.vals[keep], (self.shape[0], index.size))
+
+
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
@@ -168,12 +220,69 @@ def apply_gather(table: tuple[np.ndarray, np.ndarray], Y: np.ndarray, p: int, ax
     return out
 
 
+def scatter_table(gather: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Scatter form (idx, val, merge) of the square matrix A with gather form
+    `gather`, for `apply_scatter`: two (k, n) tables, k the most nonzeros in
+    a column of A, where slot j of source column b holds the target row
+    idx[j, b] and the value val[j, b] (0 in a padded slot); and whether a row
+    of A has several nonzeros, that is whether two sources can reach one
+    target."""
+    g_idx, g_val = gather
+    n, width = g_val.shape
+    targets, slots = g_val.nonzero()  # A's entries row by row
+    sources = g_idx[targets, slots]
+    order = sources.argsort(kind="stable")  # by source, targets ascending
+    sources, targets, coefs = sources[order], targets[order], g_val[targets, slots][order]
+    count = np.bincount(sources, minlength=n)
+    k = int(count.max()) if n else 0
+    idx = np.zeros((k, n), dtype=np.int64)
+    val = np.zeros((k, n), dtype=np.int64)
+    slot = np.arange(sources.size) - (count.cumsum() - count)[sources]
+    idx[slot, sources] = targets
+    val[slot, sources] = coefs
+    return idx, val, width > 1
+
+
+def apply_scatter(table: tuple[np.ndarray, np.ndarray, bool], Y: Triples, p: int) -> Triples:
+    """A·Y mod p on the rows of Y, taken in blocks of A's size n, for A in the
+    scatter form `table`: entry c at row q·n + b goes to row q·n + t, scaled
+    by A[t, b], for every target t of source b.  Entries that meet at one
+    position are summed mod p, and the zero sums dropped, only when `table`
+    says that two sources can reach one target."""
+    idx, val, merge = table
+    k, n = idx.shape
+    if k == 0:  # A is zero
+        return Triples.zeros(*Y.shape)
+    src = Y.rows % n
+    base = Y.rows - src
+    parts = []
+    for j in range(k):
+        c = val[j][src]
+        hit = c.nonzero()[0]  # padded slots hold 0
+        parts.append((base[hit] + idx[j][src[hit]], Y.cols[hit], Y.vals[hit] * c[hit] % p))
+    rows, cols, vals = parts[0] if k == 1 else (np.concatenate(x) for x in zip(*parts))
+    if merge and rows.size:
+        key = rows * Y.shape[1] + cols
+        order = key.argsort(kind="stable")
+        key = key[order]
+        head = np.empty(key.size, dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        first = head.nonzero()[0]
+        sums = np.add.reduceat(vals[order], first) % p
+        keep = sums.nonzero()[0]
+        first = order[first[keep]]
+        rows, cols, vals = rows[first], cols[first], sums[keep]
+    return Triples(rows, cols, vals, Y.shape)
+
+
 def matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return matmul(A, v.reshape(-1, 1), p).ravel()
 
 
-def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot-column indices.
+def rref(A, p: int):
+    """Reduced row echelon form and the pivot-column indices, of a dense
+    array or of `Triples`; R comes back in the same form.
 
     Lone rows and lone columns are reduced from the nonzero pattern, and
     `_eliminate` runs on the rest (see the module docstring).  The RREF of a
@@ -181,13 +290,19 @@ def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     ordered by pivot column, so the result equals a full elimination's.
     """
     m, n = A.shape
-    A = np.asarray(A, dtype=np.int64)
-    if A.size and (A.min() < 0 or A.max() >= p):
-        A = A % p
-    R = zeros(m, n)
-    rows, cols = np.nonzero(A)
+    sparse = isinstance(A, Triples)
+    if sparse:
+        # the entries row by row, left to right, as np.nonzero lists them
+        order = (A.rows * n + A.cols).argsort()
+        rows, cols, vals = A.rows[order], A.cols[order], A.vals[order]
+    else:
+        A = np.asarray(A, dtype=np.int64)
+        if A.size and (A.min() < 0 or A.max() >= p):
+            A = A % p
+        rows, cols = A.nonzero()
+        vals = A[rows, cols]
     if rows.size == 0:
-        return R, ()
+        return (Triples.zeros(m, n) if sparse else zeros(m, n)), ()
     row_count = np.bincount(rows, minlength=m)
     col_count = np.bincount(cols, minlength=n)
     lone_row = row_count > 0
@@ -197,36 +312,52 @@ def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     in_row = lone_row[rows]
     rest = ~(in_row | lone_col[cols])
 
-    # nonzero() lists entries row by row, left to right: a lone row's first
-    # entry is its pivot
-    r_rows, r_cols = rows[in_row], cols[in_row]
+    # a lone row's first entry is its pivot
+    r_rows, r_cols, r_vals = rows[in_row], cols[in_row], vals[in_row]
     head = np.ones(r_rows.size, dtype=bool)
     head[1:] = r_rows[1:] != r_rows[:-1]
-    vals = A[r_rows, r_cols]
-    scale = vals[head]
+    scale = r_vals[head]
     odd = scale != 1
     if odd.any():
         firsts, index = np.unique(scale[odd], return_inverse=True)
         scale[odd] = np.array([pow(a, p - 2, p) for a in firsts.tolist()], dtype=np.int64)[index]
-    run = np.cumsum(head) - 1  # entry -> its lone row, in row order
+    run = head.cumsum() - 1  # entry -> its lone row, in row order
     r_pivots = r_cols[head]
-    c_pivots = np.flatnonzero(lone_col)
+    c_pivots = lone_col.nonzero()[0]
     sub_cols = s_pivots = np.zeros(0, dtype=np.int64)  # empty without a rest block
+    sub = zeros(0, 0)
     if rest.any():
-        sub_rows = np.flatnonzero(np.bincount(rows[rest], minlength=m))
-        sub_cols = np.flatnonzero(np.bincount(cols[rest], minlength=n))
-        sub, sub_pivots = _eliminate(A[np.ix_(sub_rows, sub_cols)], p)
+        # the rest block holds exactly the rest entries: a lone row or column
+        # shares no row and no column with it
+        in_sub_row = np.bincount(rows[rest], minlength=m) > 0
+        in_sub_col = np.bincount(cols[rest], minlength=n) > 0
+        sub_cols = in_sub_col.nonzero()[0]
+        block = zeros(int(in_sub_row.sum()), sub_cols.size)
+        block[(in_sub_row.cumsum() - 1)[rows[rest]], (in_sub_col.cumsum() - 1)[cols[rest]]] = vals[rest]
+        sub, sub_pivots = _eliminate(block, p)
         s_pivots = sub_cols[list(sub_pivots)]
+        sub = sub[: s_pivots.size]
 
     pivots = np.concatenate([r_pivots, c_pivots, s_pivots])
-    order = np.argsort(pivots)
+    order = pivots.argsort()
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     nr, nc = r_pivots.size, c_pivots.size
-    R[slot[run], r_cols] = vals * scale[run] % p
-    R[slot[nr : nr + nc], c_pivots] = 1
-    if s_pivots.size:
-        R[np.ix_(slot[nr + nc :], sub_cols)] = sub[: s_pivots.size]
+    r_vals = r_vals * scale[run] % p
+    if sparse:
+        s_rows, s_cols = sub.nonzero()
+        R = Triples(
+            np.concatenate([slot[run], slot[nr : nr + nc], slot[nr + nc :][s_rows]]),
+            np.concatenate([r_cols, c_pivots, sub_cols[s_cols]]),
+            np.concatenate([r_vals, np.ones(nc, dtype=np.int64), sub[s_rows, s_cols]]),
+            (m, n),
+        )
+    else:
+        R = zeros(m, n)
+        R[slot[run], r_cols] = r_vals
+        R[slot[nr : nr + nc], c_pivots] = 1
+        if s_pivots.size:
+            R[np.ix_(slot[nr + nc :], sub_cols)] = sub
     return R, tuple(pivots[order].tolist())
 
 
@@ -263,25 +394,43 @@ def rank(A: np.ndarray, p: int) -> int:
     return len(rref(A, p)[1])
 
 
-def kernel_basis(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of {v : Av = 0}; count = cols - rank(A)."""
+def kernel_basis(A, p: int):
+    """Columns form a basis of {v : Av = 0}; count = cols - rank(A).  Given
+    `Triples`, the basis comes back as `Triples`."""
     n = A.shape[1]
     R, pivots = rref(A, p)
     is_free = np.ones(n, dtype=bool)
     is_free[list(pivots)] = False
-    free = np.flatnonzero(is_free)
-    K = zeros(n, free.size)
-    K[free, np.arange(free.size)] = 1
+    free = is_free.nonzero()[0]
     # x_free = e_k forces x_c = -R[r, j] at the pivot c of row r; in RREF
     # R[r, j] is already 0 for every free j left of c
+    if isinstance(R, Triples):
+        at = np.full(n, -1, dtype=np.int64)
+        at[free] = np.arange(free.size)
+        k = at[R.cols]
+        hit = (k >= 0).nonzero()[0]  # R's entries in free columns: all but the pivots
+        return Triples(
+            np.concatenate([free, np.asarray(pivots, dtype=np.int64)[R.rows[hit]]]),
+            np.concatenate([np.arange(free.size), k[hit]]),
+            np.concatenate([np.ones(free.size, dtype=np.int64), p - R.vals[hit]]),
+            (n, free.size),
+        )
+    K = zeros(n, free.size)
+    K[free, np.arange(free.size)] = 1
     K[list(pivots), :] = (-R[: len(pivots)][:, free]) % p
     return K
 
 
-def column_space_basis(A: np.ndarray, p: int) -> np.ndarray:
-    """A subset of A's columns forming a basis of its column space."""
+def column_space_basis(A, p: int):
+    """A subset of A's columns forming a basis of its column space, in A's
+    form (dense or `Triples`)."""
     _, pivots = rref(A, p)
-    return A[:, list(pivots)]
+    return take_columns(A, pivots)
+
+
+def take_columns(A, index):
+    """The columns `index` of A, dense or `Triples`, in that order."""
+    return A.take_columns(index) if isinstance(A, Triples) else A[:, list(index)]
 
 
 def in_column_space(A: np.ndarray, v: np.ndarray, p: int) -> bool:
@@ -293,20 +442,30 @@ def in_column_space(A: np.ndarray, v: np.ndarray, p: int) -> bool:
     return not complete_columns(A, v.reshape(-1, 1), p)
 
 
-def hstack(blocks: list[np.ndarray], rows: int) -> np.ndarray:
+def hstack(blocks: list, rows: int):
+    """The blocks side by side, all dense or all `Triples`."""
+    if blocks and isinstance(blocks[0], Triples):
+        offsets = list(itertools.accumulate((B.shape[1] for B in blocks), initial=0))
+        return Triples(
+            np.concatenate([B.rows for B in blocks]),
+            np.concatenate([B.cols + at for B, at in zip(blocks, offsets)]),
+            np.concatenate([B.vals for B in blocks]),
+            (rows, offsets[-1]),
+        )
     blocks = [B for B in blocks if B.shape[1] > 0]
     if not blocks:
         return zeros(rows, 0)
     return np.concatenate(blocks, axis=1)
 
 
-def complete_columns(W: np.ndarray, C: np.ndarray, p: int) -> list[int]:
+def complete_columns(W, C, p: int) -> list[int]:
     """Greedy indices j such that the columns C[:, j] extend span(W) to
     span(W) + span(C), scanning C left to right: the pivots of [W | C] past
-    W, since those inside W are exactly the pivots of W alone."""
+    W, since those inside W are exactly the pivots of W alone.  W and C are
+    both dense or both `Triples`."""
     if W.shape[0] != C.shape[0]:
         raise ValueError("ambient dimension mismatch")
-    _, pivots = rref(np.concatenate([W, C], axis=1), p)
+    _, pivots = rref(hstack([W, C], W.shape[0]), p)
     w = W.shape[1]
     return [c - w for c in pivots if c >= w]
 

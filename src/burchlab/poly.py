@@ -307,8 +307,9 @@ class Polynomial:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            # coefficient p-1 prints as a subtraction so binomials read naturally
-            neg = c == p - 1 and bool(factors)
+            # coefficient p-1 prints as a subtraction so binomials read
+            # naturally; at p = 2 that coefficient is 1 and prints plain
+            neg = c == p - 1 and p > 2 and bool(factors)
             coeff = 1 if neg else c
             if coeff != 1 or not factors:
                 factors.insert(0, str(coeff))

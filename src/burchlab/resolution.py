@@ -12,6 +12,15 @@ and spans through one act(v, Y) = x_v·Y: `AlgebraModule.act` for a module,
 subspace of it.  Free-module coordinates are component-major: index c·dim R + b.
 Both apply an action matrix in its row-gather form (`linalg.gather_table`),
 built once per variable, so no resolution step takes a dense product.
+
+A resolution step runs on `linalg.Triples`, the nonzero entries of its
+matrices: the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i,
+the chosen generators, the free map R^β -> Omega^i and its kernel Omega^{i+1}.
+`QuotientAlgebra.act` applies x_v to Triples of R^m in scatter form, and
+`linalg` eliminates them without a dense array.  Only the first cover, onto M
+through its dense actions, is dense.  The differentials ∂_i stay dense arrays,
+and `Resolution.syzygy` makes the dense basis of Omega^i (with m·Omega^i, which
+`k_summand_test` reads) when asked.
 """
 from __future__ import annotations
 
@@ -139,13 +148,21 @@ def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
     return AlgebraModule(R, actions, label=label, check=False)
 
 
-def _free_map_matrix(R: QuotientAlgebra, G: np.ndarray, act) -> np.ndarray:
+def _free_map_matrix(R: QuotientAlgebra, G, act):
     """Matrix of R^{G.shape[1]} -> V sending e_j to the column G[:, j] of a
     module V with action act, as a linear map on coordinates: column j·dim R + b
-    is (basis monomial b)·G[:, j]."""
+    is (basis monomial b)·G[:, j].  Dense or `linalg.Triples` as G is."""
     # multiples[b] holds (basis monomial b)·G for all generators at once
     multiples = R.basis_multiples(G, act)
-    return multiples.transpose(1, 2, 0).reshape(G.shape[0], G.shape[1] * R.dim)
+    shape = (G.shape[0], G.shape[1] * R.dim)
+    if isinstance(G, linalg.Triples):
+        return linalg.Triples(
+            np.concatenate([X.rows for X in multiples]),
+            np.concatenate([X.cols * R.dim + b for b, X in enumerate(multiples)]),
+            np.concatenate([X.vals for X in multiples]),
+            shape,
+        )
+    return multiples.transpose(1, 2, 0).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +178,33 @@ class SyzygyModule:
     basis: np.ndarray  # (ambient_rank * dim) x s
     index: int
     of: AlgebraModule | None  # None once the resolved module has been freed
+    m_span: np.ndarray  # basis of m·Omega^i, from the step that covered it
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
 
-def _adic_order(G: np.ndarray, degrees: np.ndarray):
-    """Smallest degree of a basis monomial supported by any entry of G, a
-    vector of R^m, or of each column of G, a matrix of such vectors;
-    degrees[b] is the degree of basis monomial b, and the value for a zero
-    vector is dim R."""
-    support = G.reshape(-1, degrees.size, *G.shape[1:]).any(axis=0)
-    return np.where(support.T, degrees, degrees.size).min(axis=-1)
+def _adic_order(G: linalg.Triples, degrees: np.ndarray) -> np.ndarray:
+    """Smallest degree of a basis monomial supported by each column of G, a
+    matrix of vectors of R^m; degrees[b] is the degree of basis monomial b,
+    and the value for a zero column is dim R."""
+    out = np.full(G.shape[1], degrees.size, dtype=np.int64)
+    np.minimum.at(out, G.cols, degrees[G.rows % degrees.size])
+    return out
 
 
-def _sort_generators(R: QuotientAlgebra, gens: list[np.ndarray], m: int) -> list[np.ndarray]:
-    """Deterministic column order: lowest m-adic order first, ties broken by
-    the first nonzero coordinate scanning components in order and monomials
-    from highest to lowest (so x-entries precede y-entries)."""
-    G = np.stack(gens, axis=1)
+def _sort_generators(R: QuotientAlgebra, G: linalg.Triples, m: int) -> linalg.Triples:
+    """The columns of G, vectors of R^m, in a deterministic order: lowest
+    m-adic order first, ties broken by the first nonzero coordinate scanning
+    components in order and monomials from highest to lowest (so x-entries
+    precede y-entries)."""
     degrees = np.array([sum(e) for e in R.basis], dtype=np.int64)
-    first = (G[_witness_coordinate_order(R, m)] != 0).argmax(axis=0)
+    # _witness_coordinate_order is its own inverse: it gives each row's place
+    first = np.full(G.shape[1], m * R.dim, dtype=np.int64)
+    np.minimum.at(first, G.cols, _witness_coordinate_order(R, m)[G.rows])
     # np.lexsort sorts by its last key first, and is stable
-    return [gens[j] for j in np.lexsort((first, _adic_order(G, degrees)))]
+    return G.take_columns(np.lexsort((first, _adic_order(G, degrees))))
 
 
 class Resolution:
@@ -203,29 +223,35 @@ class Resolution:
         self.R = module.algebra
         self.betti: list[int] = []
         self.matrices: list[np.ndarray] = []
-        self._omegas: list[np.ndarray] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
+        self._omegas: list[linalg.Triples] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
+        self._m_spans: list = []  # m·W of every cover: m·M (dense), m·Omega^1, m·Omega^2, ...
         # M's generators are unit vectors, kept in the order they are chosen
-        # in: ∂_1 and every later differential depend on that order
+        # in: ∂_1 and every later differential depend on that order.  M's
+        # actions are dense, and so is this first cover R^β -> M
         self._cover(linalg.identity(module.dim), module.act)
+        self._omegas[0] = linalg.Triples.from_dense(self._omegas[0])
 
     @property
     def module(self) -> AlgebraModule | None:
         """The resolved module, or None once it has been freed."""
         return self._module()
 
-    def _cover(self, W: np.ndarray, act, m: int | None = None) -> list[np.ndarray]:
+    def _cover(self, W, act, m: int | None = None):
         """One step: choose minimal generators of span(W), whose vectors x_v
         multiplies by act(v, ·); record their number as the next Betti number
-        and the kernel of the free cover R^β -> span(W) as the next syzygy.
-        With m, W lies in R^m and the generators are sorted."""
+        and the kernel of the free cover R^β -> span(W), as `linalg.Triples`,
+        as the next syzygy.  W is M's dense identity in the first cover; with
+        m, W is the `linalg.Triples` basis of a syzygy in R^m and the
+        generators are sorted.  Returns the generators in W's form."""
         R = self.R
-        gens = [W[:, j] for j in R.minimal_generators(W, act)]
-        if m is not None and gens:
-            gens = _sort_generators(R, gens, m)
-        self.betti.append(len(gens))
-        G = np.stack(gens, axis=1) if gens else W[:, :0]
+        chosen, span = R.minimal_generators(W, act)
+        G = linalg.take_columns(W, chosen)
+        if m is not None:
+            G = _sort_generators(R, G, m)
+        self.betti.append(G.shape[1])
+        self._m_spans.append(span)
         self._omegas.append(linalg.kernel_basis(_free_map_matrix(R, G, act), R.p))
-        return gens
+        return G
 
     def ensure_length(self, length: int) -> None:
         while len(self.matrices) < length:
@@ -235,10 +261,9 @@ class Resolution:
         R = self.R
         i = len(self.matrices)  # computing ∂_{i+1}
         m = self.betti[i]
-        gens = self._cover(self._omegas[i], R.free_act(m), m)
-        mat = np.zeros((m, len(gens), R.dim), dtype=np.int64)
-        for j, g in enumerate(gens):
-            mat[:, j, :] = g.reshape(m, R.dim)
+        G = self._cover(self._omegas[i], R.free_act(m), m)
+        mat = np.zeros((m, G.shape[1], R.dim), dtype=np.int64)
+        mat[G.rows // R.dim, G.cols, G.rows % R.dim] = G.vals
         if mat.size and mat[:, :, 0].any():
             raise AssertionError("non-minimal resolution step: constant entry")
         self.matrices.append(mat)
@@ -254,7 +279,9 @@ class Resolution:
         if i < 1:
             raise PreconditionError("syzygy index must be >= 1")
         self.ensure_length(i)
-        return SyzygyModule(self.R, self.betti[i - 1], self._omegas[i - 1], i, self.module)
+        # the step that made ∂_i covered Omega^i and kept m·Omega^i
+        basis, span = self._omegas[i - 1].toarray(), self._m_spans[i].toarray()
+        return SyzygyModule(self.R, self.betti[i - 1], basis, i, self.module, span)
 
     def entry_ideal(self, i: int) -> Ideal:
         """I_1(∂_i) lifted to S via standard-monomial representatives."""
@@ -310,7 +337,7 @@ def k_summand_test(Z: SyzygyModule) -> SummandVerdict:
     ech, _ = linalg.rref(reord.T, p)
     inv = np.argsort(perm)
     socle_vectors = [ech[r][inv] for r in range(ech.shape[0]) if ech[r].any()]
-    mZ = R.m_span(Z.basis, act)
+    mZ = Z.m_span
     outside = [v for v in socle_vectors if not linalg.in_column_space(mZ, v, p)]
     if not outside:
         return SummandVerdict(False, None, None, socle_dim)

@@ -1,6 +1,8 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
-import random
 
 from burchlab import linalg
 from burchlab.artinian import (
@@ -172,6 +174,28 @@ def test_exact_pairs_hypersurface():
 
 def test_exact_pairs_absent():
     assert find_exact_pairs(quotient(CTX, "x^2", "x*y", "y^2")) == []
+
+
+def test_exact_pairs_build_each_operator_once(monkeypatch):
+    """Over the corpus, find_exact_pairs builds the multiplication matrix of
+    each (algebra, element) pair once, and finds the same pairs."""
+    from burchlab.corpus import run_corpus
+
+    builds = Counter()
+    real = QuotientAlgebra.operator
+
+    def counting(R, a):
+        builds[id(R), a.vec.tobytes()] += 1
+        return real(R, a)
+
+    monkeypatch.setattr(QuotientAlgebra, "operator", counting)
+    ok, _ = run_corpus(P)
+    assert ok and builds and set(builds.values()) == {1}
+    builds.clear()
+    cx = RingContext(P, ("x",))
+    R = quotient(cx, "x^4")
+    assert [(str(p.a), str(p.b)) for p in find_exact_pairs(R)] == [("x", "x^3")]
+    assert set(builds.values()) == {1}
 
 
 def test_fibre_product_presentation():

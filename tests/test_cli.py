@@ -88,6 +88,28 @@ def test_check_all_routes(session_file, capsys):
     assert out.count("route") >= 4
 
 
+@pytest.mark.parametrize("name", ["I", "B"])
+def test_check_all_routes_builds_one_basis_of_m_times_colon(session_file, capsys, monkeypatch, name):
+    """`check --route all` asks for m·(I:m) in the definition route of both
+    the test and the cross-check; its Groebner basis is computed once."""
+    from burchlab import groebner
+
+    I = parse_session(session_file).ideal(name)
+    m = groebner.max_ideal(I.ctx)
+    mJ = m.product(groebner.ideal_colon(I, m)).gens
+    inputs = []
+    real = groebner.reduced_groebner
+
+    def recording(gens, ctx):
+        inputs.append(tuple(gens))
+        return real(gens, ctx)
+
+    monkeypatch.setattr(groebner, "reduced_groebner", recording)
+    code, out, _ = run_cli(capsys, "check", session_file, name, "--route", "all")
+    assert code == EXIT_OK and "route definition" in out
+    assert inputs.count(mJ) == 1
+
+
 def test_check_unknown_ideal_exit_2(session_file, capsys):
     code, _, err = run_cli(capsys, "check", session_file, "NOPE")
     assert code == EXIT_INPUT and "NOPE" in err

@@ -24,3 +24,11 @@ def test_corpus_verdicts_characteristic_independent():
 def test_corpus_single_entry():
     ok, results = run_corpus(only="e44")
     assert ok and set(results) == {"e44"}
+
+
+def test_corpus_passes_at_p_2_and_3():
+    """The verdicts do not depend on the characteristic, and at p = 2 the
+    printed witnesses carry no sign (the coefficient p - 1 is 1 there)."""
+    for p in (2, 3):
+        ok, results = run_corpus(p)
+        assert ok, {name: [r.label for r in rows if not r.ok] for name, rows in results.items()}

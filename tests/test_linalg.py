@@ -413,3 +413,90 @@ def test_apply_gather_matches_dense_product(case):
     assert got.dtype == np.int64 and got.shape == want.shape
     assert got.size == 0 or (got.min() >= 0 and got.max() < p)
     assert np.array_equal(got, want)
+
+
+# -- Triples against the dense results ------------------------------------------------
+
+
+def _dense(T, p):
+    """T as a dense array, checking that it is `Triples` of nonzero residues
+    with no position twice."""
+    assert isinstance(T, linalg.Triples)
+    assert T.vals.size == 0 or (T.vals.min() >= 1 and T.vals.max() < p)
+    cells = list(zip(T.rows.tolist(), T.cols.tolist()))
+    assert len(set(cells)) == len(cells)
+    return T.toarray()
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_matrices(), st.integers(0, 2**32 - 1))
+@example((linalg.zeros(0, 0), P), 0)
+@example((linalg.zeros(0, 4), 2), 1)
+@example((linalg.zeros(3, 0), 3), 2)
+@example((linalg.zeros(2, 3), P), 3)
+def test_triples_match_dense_results(case, seed):
+    """rref, kernel_basis, column_space_basis and complete_columns on Triples,
+    entries in any order, equal the dense results: on block, monomial and
+    zero matrices, empty shapes, and a general block beside lone rows and
+    columns (the rest block that goes to _eliminate)."""
+    A, p = case
+    A = A % p
+    rng = np.random.default_rng(seed)
+    T = linalg.Triples.from_dense(A)
+    order = rng.permutation(T.rows.size)
+    T = linalg.Triples(T.rows[order], T.cols[order], T.vals[order], A.shape)
+
+    R, pivots = linalg.rref(A, p)
+    R_t, pivots_t = linalg.rref(T, p)
+    assert pivots_t == pivots and np.array_equal(_dense(R_t, p), R)
+    assert np.array_equal(_dense(linalg.kernel_basis(T, p), p), linalg.kernel_basis(A, p))
+    assert np.array_equal(_dense(linalg.column_space_basis(T, p), p), linalg.column_space_basis(A, p))
+    w = int(rng.integers(0, A.shape[1] + 1))
+    W, C = T.take_columns(range(w)), T.take_columns(range(w, A.shape[1]))
+    assert np.array_equal(_dense(linalg.hstack([W, C], A.shape[0]), p), A)
+    assert linalg.complete_columns(W, C, p) == linalg.complete_columns(A[:, :w], A[:, w:], p)
+
+
+@st.composite
+def scatter_cases(draw):
+    """(A, Y, p): A square, dense, monomial, zero or sparse with several
+    nonzeros in some rows (so that sources meet at a target, and their sum
+    may vanish); Y canonical with rows in q blocks of A's size."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["dense", "monomial", "zero", "sparse", "cancel"]))
+    n = draw(st.integers(0 if kind == "zero" else 1, 5))
+    entry = st.one_of(st.just(1), st.integers(1, p - 1))
+    A = linalg.zeros(n, n)
+    if kind == "dense":
+        A[:] = _block(draw, p, n, n, dense=True)
+    elif kind == "monomial":
+        for r, c in zip(draw(st.permutations(range(n))), draw(st.permutations(range(n)))):
+            A[r, c] = draw(st.sampled_from([0, 1])) and draw(entry)
+    elif kind == "sparse":
+        for r in range(n):
+            for c in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+                A[r, c] = draw(entry)
+    elif kind == "cancel":
+        A[0, :] = 1  # every source reaches row 0: entries 1 and p - 1 cancel there
+    q, s = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    size = q * n * s
+    Y = np.array(draw(st.lists(st.sampled_from([0, 1, p - 1, 2 % p]), min_size=size, max_size=size)), dtype=np.int64)
+    return A, Y.reshape(q * n, s), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(scatter_cases())
+@example((np.array([[1, 1], [0, 0]], dtype=np.int64), np.array([[1], [2]], dtype=np.int64), 3))
+@example((linalg.zeros(0, 0), linalg.zeros(0, 3), P))
+def test_apply_scatter_matches_apply_gather(case):
+    """The scatter form of A, derived from its gather form, acts on Triples
+    as apply_gather acts on the dense array, blocks of rows included."""
+    A, Y, p = case
+    n = A.shape[0]
+    gather = linalg.gather_table(A)
+    table = linalg.scatter_table(gather)
+    assert table[0].shape == (int(np.count_nonzero(A, axis=0).max(initial=0)), n)
+    assert table[2] == (gather[0].shape[1] > 1)
+    got = linalg.apply_scatter(table, linalg.Triples.from_dense(Y), p)
+    want = linalg.apply_gather(gather, Y.reshape(Y.shape[0] // n if n else 0, n, Y.shape[1]), p, axis=1)
+    assert got.shape == Y.shape and np.array_equal(_dense(got, p), want.reshape(Y.shape))

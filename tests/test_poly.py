@@ -106,6 +106,18 @@ def test_print_minus_one_coefficient():
     assert str(poly("x - y")) == "x - y"
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_print_round_trip_small_primes(p):
+    """At p = 2 the coefficient p - 1 is 1 and prints without a sign; at
+    p = 3 it still prints as a subtraction."""
+    ctx = RingContext(p, ("x", "y"))
+    for s in ("x^3 + y", "x^2 - y", "x*y - 1", "-x", "x^4 + x^2*y^2 + y^4", "0", "1"):
+        f = parse_polynomial(s, ctx)
+        assert parse_polynomial(str(f), ctx) == f
+    assert str(parse_polynomial("x^3 + y", ctx)) == "x^3 + y"
+    assert str(parse_polynomial("x^3 - y", ctx)) == ("x^3 + y" if p == 2 else "x^3 - y")
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 

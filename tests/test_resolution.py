@@ -1,10 +1,11 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from burchlab import linalg
+from burchlab import linalg, resolution
 from burchlab.artinian import QuotientAlgebra
 from burchlab.groebner import Ideal, PreconditionError, max_ideal
 from burchlab.poly import RingContext, parse_polynomial
@@ -353,12 +354,17 @@ def _random_vectors(R, m, count, rng):
 
 
 def test_adic_order_matches_loop_reference(oracle_rings):
+    """_adic_order on the columns of a sparse matrix, one column at a time and
+    all at once, zero columns included."""
     rng = np.random.default_rng(1)
     for R in oracle_rings:
         degrees = np.array([sum(e) for e in R.basis], dtype=np.int64)
         for m in (1, 3):
-            for g in _random_vectors(R, m, 20, rng):
-                assert _adic_order(g, degrees) == _adic_order_loop(R, g, m)
+            vecs = _random_vectors(R, m, 20, rng)
+            for g in vecs:
+                assert _adic_order(linalg.Triples.from_dense(g.reshape(-1, 1)), degrees)[0] == _adic_order_loop(R, g, m)
+            G = linalg.Triples.from_dense(np.stack(vecs, axis=1))
+            assert _adic_order(G, degrees).tolist() == [_adic_order_loop(R, g, m) for g in vecs]
 
 
 def _witness_coordinate_order_loop(R, m):
@@ -395,9 +401,9 @@ def test_sort_generators_matches_sorted_key(oracle_rings):
             vecs = [v for v in _random_vectors(R, m, 12, rng) if v.any()]
             cases.append((m, vecs + [3 * v % P for v in vecs[:4]]))
         for m, gens in cases:
-            got = _sort_generators(R, gens, m)
-            want = _sort_generators_sorted(R, gens, m)
-            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+            got = _sort_generators(R, linalg.Triples.from_dense(np.stack(gens, axis=1)), m)
+            want = np.stack(_sort_generators_sorted(R, gens, m), axis=1)
+            assert got.shape == want.shape and np.array_equal(got.toarray(), want)
 
 
 def _free_map(R, gens, m):
@@ -526,6 +532,87 @@ def test_resolution_steps_take_no_dense_product(monkeypatch):
     monkeypatch.setattr(linalg, "matmul", refuse)
     assert residue_field(R).resolution(6).betti == [1, 2, 4, 8, 16, 32, 64]
     assert M.resolution(6).betti[0] == 1
+
+
+DENSE_RING = ("x^2 + 3*y*z - 2*z^2 + 5*x*y", "y^2 - 7*x*z + 2*x*y + 4*z^2", "z^3 + 11*x*y*z - x^2*z", "x*y*z - 3*y^3 + 9*x^3")
+
+
+def test_act_on_triples_matches_gather_with_several_entries_per_row():
+    """R.act on linalg.Triples against R.act on the dense array, on the rings
+    of the test above: entries that meet at one target are summed, and
+    vanishing sums dropped."""
+    rng = np.random.default_rng(8)
+    ctx3 = RingContext(P, ("x", "y", "z"))
+    dense_ring = quotient(ctx3, *DENSE_RING)
+    assert any(merge for _, _, merge in dense_ring._scatters)
+    for R in (quotient(CTX, "x^3", "y - x^2"), dense_ring):
+        for m in (0, 1, 3):
+            for s in (0, 1, 4):
+                Y = rng.choice(np.array([0, 0, 1, 2, P - 1]), size=(m * R.dim, s)).astype(np.int64)
+                for v in range(R.ctx.nvars):
+                    got = R.act(v, linalg.Triples.from_dense(Y), m)
+                    assert isinstance(got, linalg.Triples) and got.shape == Y.shape
+                    assert np.all(got.vals > 0) and np.array_equal(got.toarray(), R.act(v, Y, m))
+
+
+def test_resolution_steps_stay_sparse(monkeypatch):
+    """After the first cover, which maps onto M through its dense actions,
+    every step keeps Omega as linalg.Triples, builds its free map as Triples
+    and hands rref only Triples; the differentials and Betti numbers are
+    those of the dense steps (pinned from them)."""
+    ctx3 = RingContext(P, ("x", "y", "z"))
+    cases = [
+        (residue_field(quotient(ctx3, *DENSE_RING)), [1, 3, 7, 15, 31]),
+        (module_from_cyclic(quotient(CTX, "x^2", "x*y", "y^3"), ideal(CTX, "x", "y^2")), [1, 2, 4, 8, 16]),
+    ]
+    for M, betti in cases:
+        res = M.resolution(0)
+        real_rref, real_free_map = linalg.rref, resolution._free_map_matrix
+        kinds, free_maps = [], []
+
+        def rref(A, p):
+            kinds.append(type(A))
+            return real_rref(A, p)
+
+        def free_map(R, G, act):
+            free_maps.append(real_free_map(R, G, act))
+            return free_maps[-1]
+
+        monkeypatch.setattr(linalg, "rref", rref)
+        monkeypatch.setattr(resolution, "_free_map_matrix", free_map)
+        res.ensure_length(4)
+        monkeypatch.undo()
+        assert res.betti == betti
+        assert kinds and set(kinds) == {linalg.Triples}
+        assert len(free_maps) == 4 and all(isinstance(F, linalg.Triples) for F in free_maps)
+        assert all(isinstance(W, linalg.Triples) for W in res._omegas)
+        res.check_complex()
+
+
+def test_k_summand_test_reuses_the_steps_m_span(r12, monkeypatch):
+    """k_summand_test takes m·Omega^i from the step that covered Omega^i: no
+    m_span call, and the verdict and witness of the recomputed span."""
+    res = residue_field(r12).resolution(4)
+    calls = []
+    real = QuotientAlgebra.m_span
+
+    def counting(R, W, act):
+        calls.append(W.shape)
+        return real(R, W, act)
+
+    monkeypatch.setattr(QuotientAlgebra, "m_span", counting)
+    verdicts = [k_summand_test(res.syzygy(i)) for i in (2, 3, 4)]
+    assert calls == []
+    monkeypatch.undo()
+    for i, got in zip((2, 3, 4), verdicts):
+        Z = res.syzygy(i)
+        span = r12.m_span(Z.basis, r12.free_act(Z.ambient_rank))
+        assert np.array_equal(Z.m_span, span)
+        want = k_summand_test(dataclasses.replace(Z, m_span=span))
+        assert (got.splits, got.socle_dim, got.witness_entries) == (want.splits, want.socle_dim, want.witness_entries)
+        assert (got.witness is None) == (want.witness is None)
+        assert got.witness is None or np.array_equal(got.witness, want.witness)
+    assert [v.splits for v in verdicts] == [False, True, False]
 
 
 def test_variable_operator_is_multiplication_matrix(oracle_rings):
