@@ -9,13 +9,16 @@ non-homogeneous ideals too.
 
 Every module-like object (R, the free modules R^m, their submodules and the
 modules of `resolution`) is seen through one interface: a function
-act(v, Y) computing x_v·Y on a batch of column vectors, by a row gather
-from the action matrix's `linalg.gather_table` form, or on `linalg.Triples`
-by a scatter (`QuotientAlgebra.act`).  The algebra's walks and spans take
-such an act: `basis_multiples` (all basis-monomial multiples; one walk of
-an element a gives its multiplication matrix `operator(a)`), `m_span`
-(m·W), `socle_span` (the socle of span W) and `minimal_generators` (a
-complement of m·W among W's columns, with m·W, from one elimination).
+act(v, Y) computing x_v·Y on a batch of column vectors held as
+`linalg.Triples`, by a scatter from the action matrix's
+`linalg.scatter_table` form.  `QuotientAlgebra.act` serves R and every R^m
+alike, since a row of Y says its component.  The algebra's walks and spans
+take such an act: `basis_multiples` (all basis-monomial multiples; one walk
+of an element a gives its dense multiplication matrix `operator(a)`),
+`m_span` (m·W), `socle_span` (the socle of span W) and
+`minimal_generators` (a complement of m·W among W's columns, with m·W,
+from one elimination).  The m-adic chain and the socle start from
+`linalg.Triples.identity`.
 
 The socle also gives the colon by m without elimination: for m-primary I,
 (I : m) = I + lift(Soc S/I) (`socle_colon`), which presents R/Soc R and is
@@ -48,7 +51,7 @@ class QuotientAlgebra:
         self._reducers = ideal.reducers()
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
         check_commuting(self.mult, self.p, "multiplication matrices")
-        self._gathers = [linalg.gather_table(M) for M in self.mult]
+        self._scatters = [linalg.scatter_table(M) for M in self.mult]
         self._parents = self._basis_parents()
 
     # -- construction ---------------------------------------------------------
@@ -83,29 +86,20 @@ class QuotientAlgebra:
             parents.append((self.index[exps[:v] + (exps[v] - 1,) + exps[v + 1 :]], v))
         return parents
 
-    def act(self, v: int, Y, m: int = 1):
-        """x_v times each column of Y, a batch of R^m coordinate vectors laid
-        out component-major (index c·dim + b); m = 1 is R itself.  Y may be
-        `linalg.Triples`, whose rows already say their component."""
-        if isinstance(Y, linalg.Triples):
-            return linalg.apply_scatter(self._scatters[v], Y, self.p)
-        out = linalg.apply_gather(self._gathers[v], Y.reshape(m, self.dim, Y.shape[1]), self.p, axis=1)
-        return out.reshape(Y.shape)
-
-    @cached_property
-    def _scatters(self) -> list:
-        return [linalg.scatter_table(g) for g in self._gathers]
-
-    def free_act(self, m: int):
-        """act(v, Y) = x_v·Y on columns of R^m, for the walks and spans."""
-        return lambda v, Y: self.act(v, Y, m)
+    def act(self, v: int, Y: linalg.Triples) -> linalg.Triples:
+        """x_v times each column of Y, a batch of coordinate vectors of R^m
+        for any m, laid out component-major (index c·dim + b): each row of Y
+        says its component."""
+        if Y.shape[0] % self.dim:
+            raise ValueError(f"vectors of length {Y.shape[0]} in a free module over an algebra of dimension {self.dim}")
+        return linalg.apply_scatter(self._scatters[v], Y, self.p)
 
     # -- invariants, computed on first use -----------------------------------
 
     @cached_property
-    def _filtration(self) -> list[np.ndarray]:
+    def _filtration(self) -> list[linalg.Triples]:
         """Bases of m^0 = R, m^1, m^2, ... down to 0 (as column spans)."""
-        chain = [linalg.identity(self.dim)]
+        chain = [linalg.Triples.identity(self.dim)]
         current = chain[0]
         while current.shape[1]:
             nxt = self.m_span(current, self.act)
@@ -128,7 +122,7 @@ class QuotientAlgebra:
     @cached_property
     def socle(self) -> np.ndarray:
         """Basis of the socle (0 : m) as columns."""
-        return self.socle_span(linalg.identity(self.dim), self.act)
+        return self.socle_span(linalg.Triples.identity(self.dim), self.act).toarray()
 
     # -- queries ---------------------------------------------------------------
 
@@ -150,9 +144,9 @@ class QuotientAlgebra:
     def is_gorenstein(self) -> bool:
         return self.socle_dim == 1
 
-    def max_power_basis(self, j: int) -> np.ndarray:
+    def max_power_basis(self, j: int) -> linalg.Triples:
         if j >= len(self._filtration):
-            return linalg.zeros(self.dim, 0)
+            return linalg.Triples.zeros(self.dim, 0)
         return self._filtration[j]
 
     def element(self, f: Polynomial) -> "AlgebraElement":
@@ -169,28 +163,29 @@ class QuotientAlgebra:
         v[self.index[self.ctx.zero_exps()]] = 1
         return AlgebraElement(self, v)
 
-    def basis_multiples(self, X, act):
-        """(basis monomial b)·X for every b, stacked on axis 0 (a list for
-        `linalg.Triples`), where act(v, Y) computes x_v·Y: one act call per
-        basis monomial other than 1, on the multiple of its parent."""
+    def basis_multiples(self, X: linalg.Triples, act) -> list[linalg.Triples]:
+        """(basis monomial b)·X for every b, in basis order, where act(v, Y)
+        computes x_v·Y: one act call per basis monomial other than 1, on the
+        multiple of its parent."""
         out = [X]
         for parent, v in self._parents:
             out.append(act(v, out[parent]))
-        return out if isinstance(X, linalg.Triples) else np.stack(out)
+        return out
 
-    def m_span(self, W, act):
+    def m_span(self, W: linalg.Triples, act) -> linalg.Triples:
         """Basis of m·span(W) chosen among the columns of the x_v·W, where
-        act(v, Y) computes x_v·Y; dense or `linalg.Triples` as W is."""
+        act(v, Y) computes x_v·Y."""
         images = [act(v, W) for v in range(self.ctx.nvars)]
         return linalg.column_space_basis(linalg.hstack(images, W.shape[0]), self.p)
 
-    def socle_span(self, W: np.ndarray, act) -> np.ndarray:
+    def socle_span(self, W: linalg.Triples, act) -> linalg.Triples:
         """Basis of the socle of span(W), the w with x_v·w = 0 for every v:
-        W times the kernel of the x_v·W stacked on axis 0."""
-        stacked = np.concatenate([act(v, W) for v in range(self.ctx.nvars)], axis=0)
-        return linalg.matmul(W, linalg.kernel_basis(stacked, self.p), self.p)
+        W times the kernel of the x_v·W stacked one above the other."""
+        images = [act(v, W).T for v in range(self.ctx.nvars)]
+        stacked = linalg.hstack(images, W.shape[1]).T
+        return linalg.sparse_matmul(W, linalg.kernel_basis(stacked, self.p), self.p)
 
-    def minimal_generators(self, W, act) -> tuple[list[int], "np.ndarray | linalg.Triples"]:
+    def minimal_generators(self, W: linalg.Triples, act) -> tuple[list[int], linalg.Triples]:
         """Indices of columns of W that minimally generate the submodule
         span(W) over R, a complement of m·span(W) chosen left to right, and
         the basis of m·span(W) that `m_span` gives: both from one rref of
@@ -203,9 +198,10 @@ class QuotientAlgebra:
         return [c - w for c in pivots if c >= w], span
 
     def operator(self, a: "AlgebraElement") -> np.ndarray:
-        """The multiplication-by-a matrix on the standard basis: column b is
-        (basis monomial b)·a, from one walk of a."""
-        return self.basis_multiples(a.vec.reshape(-1, 1), self.act)[:, :, 0].T
+        """The multiplication-by-a matrix on the standard basis, dense: column
+        b is (basis monomial b)·a, from one walk of a."""
+        walk = self.basis_multiples(linalg.Triples.from_dense(a.vec.reshape(-1, 1)), self.act)
+        return linalg.hstack(walk, self.dim).toarray()
 
     def lift(self, v: np.ndarray) -> Polynomial:
         """The standard-monomial representative in S of a coordinate vector."""
@@ -250,7 +246,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, (self.vec + other.vec) % self.algebra.p)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        prod = linalg.matvec(self.algebra.operator(self), other.vec, self.algebra.p)
+        prod = linalg.matmul(self.algebra.operator(self), other.vec.reshape(-1, 1), self.algebra.p).ravel()
         return AlgebraElement(self.algebra, prod)
 
     def to_polynomial(self) -> Polynomial:
@@ -290,9 +286,10 @@ def annihilator(R: QuotientAlgebra, a: AlgebraElement) -> AnnihilatorResult:
 
 def _annihilator(R: QuotientAlgebra, op: np.ndarray) -> AnnihilatorResult:
     """(0 : a) for the multiplication matrix op = R.operator(a)."""
-    kernel = linalg.kernel_basis(op, R.p)
+    kernel = linalg.kernel_basis(linalg.Triples.from_dense(op), R.p)
     gens, _ = R.minimal_generators(kernel, R.act)
-    return AnnihilatorResult(kernel, [R.lift(kernel[:, j]) for j in gens])
+    subspace = kernel.toarray()
+    return AnnihilatorResult(subspace, [R.lift(subspace[:, j]) for j in gens])
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,8 @@ def _require_proper_nonzero(I: Ideal) -> None:
         raise PreconditionError("the zero ideal is not testable")
     if not I.in_max_ideal():
         raise PreconditionError("generators must lie in the maximal ideal")
+    if I.finite_colength() and not I.is_m_primary():
+        raise PreconditionError("S/I has finite length but is not local: rad I is not m")
 
 
 def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:

@@ -280,37 +280,54 @@ class Ideal:
         gens = [f * g for f in self.gens for g in other.gens]
         return Ideal.make(self.ctx, gens)
 
+    def _staircase(self) -> tuple | None:
+        """The monomials outside the leading-term ideal, ascending in the
+        order, when there are finitely many (S/I has finite length) and I
+        is proper; None otherwise.  Computed once."""
+        if "staircase" not in self._cache:
+            self._cache["staircase"] = None
+            leads = [g.lead_exps for g in self.groebner()]
+            # the least pure power of each variable among the leads
+            bounds = [min((le[i] for le in leads if sum(le) == le[i]), default=0) for i in range(self.ctx.nvars)]
+            if leads and all(bounds):
+                out = [e for e in itertools.product(*map(range, bounds)) if not any(mono_divides(le, e) for le in leads)]
+                self._cache["staircase"] = tuple(sorted(out, key=self.ctx.order.key))
+        return self._cache["staircase"]
+
+    def finite_colength(self) -> bool:
+        """S/I has finite length and I is proper."""
+        return self._staircase() is not None
+
     def is_m_primary(self) -> bool:
-        gb = self.groebner()
-        if not gb:
-            return False
-        if self.contains_unit:
-            return False
-        covered = [False] * self.ctx.nvars
-        for g in gb:
-            le = g.lead_exps
-            nz = [i for i, e in enumerate(le) if e]
-            if len(nz) == 1:
-                covered[nz[0]] = True
-        return all(covered)
+        """rad I = m: S/I has finite length and every variable is nilpotent
+        in it (`_nilpotent`); in a quotient that is not local, some variable
+        is a unit at another maximal ideal.  Computed once."""
+        if "m_primary" not in self._cache:
+            basis = self._staircase()
+            self._cache["m_primary"] = basis is not None and all(
+                self._nilpotent(v, basis) for v in range(self.ctx.nvars)
+            )
+        return self._cache["m_primary"]
+
+    def _nilpotent(self, v: int, basis: tuple) -> bool:
+        """Whether x_v is nilpotent in S/I, of finite length L with standard
+        monomials `basis`.  A nilpotent element has x^L = 0, so x_v^n ∈ I for
+        any one n >= L decides it.  With x_v^b the least pure power of x_v
+        among the leads, n = b·2^j: x_v^b reduces to its normal form g, and
+        each squaring of g doubles the power."""
+        reducers = self.reducers()
+        power = 1 + max(e[v] for e in basis)
+        g = normal_form(self.ctx.monomial(tuple(power if j == v else 0 for j in range(self.ctx.nvars))), reducers)
+        while power < len(basis) and not g.is_zero:
+            g, power = normal_form(g * g, reducers), 2 * power
+        return g.is_zero
 
     def standard_monomials(self) -> tuple:
         """All monomials outside the leading-term ideal, ascending in the
         order; their count is the length of S/I.  Requires an m-primary ideal."""
         if not self.is_m_primary():
             raise PreconditionError("standard monomials need an m-primary ideal")
-        gb = self.groebner()
-        leads = [g.lead_exps for g in gb]
-        bounds = []
-        for i in range(self.ctx.nvars):
-            pure = [le[i] for le in leads if all(e == 0 for j, e in enumerate(le) if j != i)]
-            bounds.append(min(pure))
-        out = []
-        for exps in itertools.product(*[range(b) for b in bounds]):
-            if not any(mono_divides(le, exps) for le in leads):
-                out.append(exps)
-        out.sort(key=self.ctx.order.key)
-        return tuple(out)
+        return self._staircase()
 
     def length(self) -> int:
         return len(self.standard_monomials())

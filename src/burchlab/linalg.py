@@ -13,21 +13,6 @@ paths.  float64 holds integers exactly below 2**53, which bounds the prime:
 deterministic: the first nonzero entry in row order, columns scanned left to
 right.
 
-An action matrix (multiplication by a variable on a ring or module) is
-applied in its row-gather form: `gather_table` stores, for each row, its k
-nonzero columns and values, k the most nonzeros in any row, and
-`apply_gather` sums k gathered rows scaled by those values.  It runs in
-int64 and reduces each product mod p before the k terms are added, so every
-intermediate value is below max(p**2, k*p): it is exact for every prime
-`RingContext` accepts, with no bound on the size of the matrix.  On the
-standard-monomial basis of a monomial ring k <= 1.  `matmul` remains where
-a dense matrix is the result or an operand: a polynomial evaluated at the
-action matrices, the product of two algebra elements (the walk-built
-`operator(a)` times a vector), the tensor maps of `resolution`, the
-products with a kernel basis in `socle_span` and
-`module_from_presentation`, and the checks that action matrices commute
-and that a complex composes to zero.
-
 The matrices of the rings and modules here are mostly monomial: most blocks
 of their row/column nonzero graph are a single row (a lone row) or a single
 column (a lone column).
@@ -37,16 +22,24 @@ entry, a lone column is a unit row.  The per-pivot loop `_eliminate` runs
 only on the submatrix of the remaining blocks, which for a dense matrix is
 all of it.
 
-Such a matrix can also be held as `Triples`, the lists (rows, cols, vals)
-of its nonzero entries.  `rref` reads its pattern from them directly (from
-a dense array it takes the same pattern with one `nonzero`), and `rref`,
-`kernel_basis`, `column_space_basis`, `complete_columns` and `hstack` answer
-Triples with Triples, so a chain of them never builds or scans the dense
-array.  An action matrix acts on Triples in its scatter form
-(`scatter_table`, from the gather form): each source row's targets and
-values, with entries that meet at one target summed mod p only where a row
-of the matrix has several nonzeros.  The resolution steps of `resolution`
-run on Triples; their matrices are almost all zeros.
+A batch of vectors that an action is applied to is held as `Triples`, the
+lists (rows, cols, vals) of its nonzero entries.  `rref` reads its pattern
+from them directly (from a dense array it takes the same pattern with one
+`nonzero`), and `rref`, `kernel_basis`, `column_space_basis`,
+`complete_columns` and `hstack` answer Triples with Triples, so a chain of
+them never builds or scans the dense array.  An action matrix
+(multiplication by a variable on a ring or module) is applied in its
+scatter form (`scatter_table`): each source's targets and values, with
+entries that meet at one target summed mod p only where a row of the matrix
+has several nonzeros.  `sparse_matmul` multiplies two Triples, and
+`reduce_by_echelon` clears vectors against a reduced echelon basis, which
+tests membership in a span for many vectors at once (`columns_in_span`).
+All three run in int64 and reduce each product mod p before any sum, so
+they are exact for every prime `RingContext` accepts, at every size.
+`matmul` remains where a dense matrix is the result or an operand: a
+polynomial evaluated at the action matrices, the product of two algebra
+elements, the tensor maps of `resolution`, and the check that action
+matrices commute.
 """
 from __future__ import annotations
 
@@ -140,6 +133,11 @@ class Triples:
         return cls(empty, empty, empty, (rows, cols))
 
     @classmethod
+    def identity(cls, n: int) -> "Triples":
+        diagonal = np.arange(n)
+        return cls(diagonal, diagonal, np.ones(n, dtype=np.int64), (n, n))
+
+    @classmethod
     def from_dense(cls, A: np.ndarray) -> "Triples":
         """The entries of a canonical dense matrix."""
         rows, cols = A.nonzero()
@@ -159,6 +157,10 @@ class Triples:
         keep = (cols >= 0).nonzero()[0]
         return Triples(self.rows[keep], cols[keep], self.vals[keep], (self.shape[0], index.size))
 
+    @property
+    def T(self) -> "Triples":
+        return Triples(self.cols, self.rows, self.vals, self.shape[::-1])
+
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
@@ -174,73 +176,23 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return C.astype(np.int64)
 
 
-def gather_table(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-gather form (idx, val) of a canonical matrix A: two (rows, k)
-    tables, k the largest number of nonzeros in a row.  Row i of A holds
-    val[i, j] in column idx[i, j], its nonzeros left to right; padded slots
-    hold val 0 and idx 0."""
-    A = np.asarray(A, dtype=np.int64)
-    rows, cols = np.nonzero(A)
-    count = np.bincount(rows, minlength=A.shape[0])
-    k = int(count.max()) if count.size else 0
-    idx = np.zeros((A.shape[0], k), dtype=np.intp)
-    val = np.zeros((A.shape[0], k), dtype=np.int64)
-    # nonzero() lists entries row by row: slot = rank within its row
-    slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
-    idx[rows, slot] = cols
-    val[rows, slot] = A[rows, cols]
-    return idx, val
-
-
-def apply_gather(table: tuple[np.ndarray, np.ndarray], Y: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
-    """A·Y mod p along `axis` of a canonical array Y, for A in the gather
-    form `table`: the sum over j of Y[idx[:, j]]·val[:, j] on that axis,
-    each product reduced mod p before the k terms are added."""
-    idx, val = table
-    Y = np.asarray(Y, dtype=np.int64)
-    rows, k = idx.shape
-    if k == 0:  # A is zero
-        out_shape = list(Y.shape)
-        out_shape[axis] = rows
-        return np.zeros(out_shape, dtype=np.int64)
-    shape = [1] * Y.ndim
-    shape[axis] = rows
-
-    def term(j: int) -> np.ndarray:
-        t = np.take(Y, idx[:, j], axis=axis)  # a copy: safe to update in place
-        t *= val[:, j].reshape(shape)
-        t %= p
-        return t
-
-    out = term(0)
-    for j in range(1, k):
-        out += term(j)
-    if k > 1:
-        out %= p
-    return out
-
-
-def scatter_table(gather: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scatter form (idx, val, merge) of the square matrix A with gather form
-    `gather`, for `apply_scatter`: two (k, n) tables, k the most nonzeros in
-    a column of A, where slot j of source column b holds the target row
-    idx[j, b] and the value val[j, b] (0 in a padded slot); and whether a row
-    of A has several nonzeros, that is whether two sources can reach one
-    target."""
-    g_idx, g_val = gather
-    n, width = g_val.shape
-    targets, slots = g_val.nonzero()  # A's entries row by row
-    sources = g_idx[targets, slots]
-    order = sources.argsort(kind="stable")  # by source, targets ascending
-    sources, targets, coefs = sources[order], targets[order], g_val[targets, slots][order]
+def scatter_table(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Scatter form (idx, val, merge) of a canonical square matrix A, for
+    `apply_scatter`: two (k, n) tables, k the most nonzeros in a column of A,
+    where slot j of source column b holds the target row idx[j, b] and the
+    value val[j, b] (0 in a padded slot); and whether some row of A has two
+    or more nonzeros, that is whether two sources can reach one target."""
+    n = A.shape[1]
+    sources, targets = A.T.nonzero()  # by source, targets ascending
     count = np.bincount(sources, minlength=n)
     k = int(count.max()) if n else 0
     idx = np.zeros((k, n), dtype=np.int64)
     val = np.zeros((k, n), dtype=np.int64)
     slot = np.arange(sources.size) - (count.cumsum() - count)[sources]
     idx[slot, sources] = targets
-    val[slot, sources] = coefs
-    return idx, val, width > 1
+    val[slot, sources] = A[targets, sources]
+    merge = bool((np.bincount(targets, minlength=A.shape[0]) > 1).any())
+    return idx, val, merge
 
 
 def apply_scatter(table: tuple[np.ndarray, np.ndarray, bool], Y: Triples, p: int) -> Triples:
@@ -261,23 +213,58 @@ def apply_scatter(table: tuple[np.ndarray, np.ndarray, bool], Y: Triples, p: int
         hit = c.nonzero()[0]  # padded slots hold 0
         parts.append((base[hit] + idx[j][src[hit]], Y.cols[hit], Y.vals[hit] * c[hit] % p))
     rows, cols, vals = parts[0] if k == 1 else (np.concatenate(x) for x in zip(*parts))
-    if merge and rows.size:
-        key = rows * Y.shape[1] + cols
-        order = key.argsort(kind="stable")
-        key = key[order]
-        head = np.empty(key.size, dtype=bool)
-        head[0] = True
-        np.not_equal(key[1:], key[:-1], out=head[1:])
-        first = head.nonzero()[0]
-        sums = np.add.reduceat(vals[order], first) % p
-        keep = sums.nonzero()[0]
-        first = order[first[keep]]
-        rows, cols, vals = rows[first], cols[first], sums[keep]
+    if merge:
+        return _summed(rows, cols, vals, Y.shape, p)
     return Triples(rows, cols, vals, Y.shape)
 
 
-def matvec(A: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    return matmul(A, v.reshape(-1, 1), p).ravel()
+def _summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int], p: int) -> Triples:
+    """The Triples of entries given with repeats: values that meet at one
+    position are summed mod p, and the zero sums dropped."""
+    key = rows * shape[1] + cols
+    order = key.argsort(kind="stable")
+    key = key[order]
+    head = np.ones(key.size, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    first = head.nonzero()[0]
+    sums = np.add.reduceat(vals[order], first) % p
+    keep = sums.nonzero()[0]
+    first = order[first[keep]]
+    return Triples(rows[first], cols[first], sums[keep], shape)
+
+
+def _products(A: Triples, B: Triples, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term A[i, t]·B[t, j] of A·B, as (i, j, value mod p), unsummed."""
+    order = B.rows.argsort(kind="stable")
+    count = np.bincount(B.rows, minlength=B.shape[0])
+    reps = count[A.cols]  # the terms each entry of A takes part in
+    a = np.repeat(np.arange(A.rows.size), reps)
+    offset = (count.cumsum() - count)[A.cols] - (reps.cumsum() - reps)
+    b = order[np.repeat(offset, reps) + np.arange(a.size)]
+    return A.rows[a], B.cols[b], A.vals[a] * B.vals[b] % p
+
+
+def sparse_matmul(A: Triples, B: Triples, p: int) -> Triples:
+    """A·B mod p for Triples, each term reduced mod p before the sums, so it
+    is exact for every prime `RingContext` accepts, at any size."""
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+    return _summed(*_products(A, B, p), (A.shape[0], B.shape[1]), p)
+
+
+def reduce_by_echelon(E: Triples, pivots, V: Triples, p: int) -> Triples:
+    """V - Eᵀ·V[pivots]: each column of V minus the combination of the rows
+    of E, a reduced row echelon form with those pivots, that agrees with it
+    at the pivots.  A column is zero exactly when it lies in E's row space."""
+    at = np.full(V.shape[0], -1, dtype=np.int64)
+    at[list(pivots)] = np.arange(len(pivots))
+    r = at[V.rows]
+    hit = (r >= 0).nonzero()[0]
+    at_pivots = Triples(r[hit], V.cols[hit], V.vals[hit], (E.shape[0], V.shape[1]))
+    rows, cols, vals = _products(E.T, at_pivots, p)
+    return _summed(
+        np.concatenate([V.rows, rows]), np.concatenate([V.cols, cols]), np.concatenate([V.vals, p - vals]), V.shape, p
+    )
 
 
 def rref(A, p: int):
@@ -433,13 +420,23 @@ def take_columns(A, index):
     return A.take_columns(index) if isinstance(A, Triples) else A[:, list(index)]
 
 
-def in_column_space(A: np.ndarray, v: np.ndarray, p: int) -> bool:
-    v = np.asarray(v, dtype=np.int64).reshape(-1) % p
-    if v.shape[0] != A.shape[0]:
-        raise ValueError(f"vector length {v.shape[0]} != row count {A.shape[0]}")
-    if not v.any():
-        return True
-    return not complete_columns(A, v.reshape(-1, 1), p)
+def columns_in_span(A, V, p: int) -> np.ndarray:
+    """Which columns of V lie in the column space of A, as a boolean mask:
+    one rref of Aᵀ, then one residual (`reduce_by_echelon`) for all of V.
+    A and V are canonical, each dense or `Triples`."""
+    if A.shape[0] != V.shape[0]:
+        raise ValueError(f"vector length {V.shape[0]} != row count {A.shape[0]}")
+    A, V = (X if isinstance(X, Triples) else Triples.from_dense(X) for X in (A, V))
+    E, pivots = rref(A.T, p)
+    residual = reduce_by_echelon(E, pivots, V, p)
+    return np.bincount(residual.cols, minlength=V.shape[1]) == 0
+
+
+def in_column_space(A, v: np.ndarray, p: int) -> bool:
+    """Whether the vector v lies in the column space of A (dense or
+    `Triples`): the one-column case of `columns_in_span`."""
+    v = np.asarray(v, dtype=np.int64).reshape(-1, 1) % p
+    return bool(columns_in_span(A, v, p)[0])
 
 
 def hstack(blocks: list, rows: int):

@@ -7,20 +7,20 @@ of the induced map from a free module.  Syzygies keep their embedding into
 the free cover, which is what the socle-split test needs.
 
 A module, R^m and a syzygy inside R^m are all handed to the algebra's walks
-and spans through one act(v, Y) = x_v·Y: `AlgebraModule.act` for a module,
-`QuotientAlgebra.act` with m components (`free_act(m)`) for R^m and every
-subspace of it.  Free-module coordinates are component-major: index c·dim R + b.
-Both apply an action matrix in its row-gather form (`linalg.gather_table`),
-built once per variable, so no resolution step takes a dense product.
+and spans through one act(v, Y) = x_v·Y on `linalg.Triples`:
+`AlgebraModule.act` for a module, `QuotientAlgebra.act` for R^m and every
+subspace of it.  Free-module coordinates are component-major: index
+c·dim R + b.  Both apply an action matrix in its scatter form
+(`linalg.scatter_table`), built once per variable, so no resolution step
+takes a dense product.
 
-A resolution step runs on `linalg.Triples`, the nonzero entries of its
-matrices: the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i,
-the chosen generators, the free map R^β -> Omega^i and its kernel Omega^{i+1}.
-`QuotientAlgebra.act` applies x_v to Triples of R^m in scatter form, and
-`linalg` eliminates them without a dense array.  Only the first cover, onto M
-through its dense actions, is dense.  The differentials ∂_i stay dense arrays,
-and `Resolution.syzygy` makes the dense basis of Omega^i (with m·Omega^i, which
-`k_summand_test` reads) when asked.
+Every resolution step, the first cover onto M included, runs on Triples:
+the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i, the
+chosen generators, the free map R^β -> Omega^i and its kernel Omega^{i+1}.
+`Resolution.syzygy` hands Omega^i and m·Omega^i on as they are, and
+`k_summand_test` tests all socle vectors against m·Omega^i with one
+elimination (`linalg.columns_in_span`).  Only the differentials ∂_i, and
+the monomial operators that `_tensor_map` multiplies by, are dense.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ class AlgebraModule:
         for A in self.actions:
             if A.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
-        self._gathers = [linalg.gather_table(A) for A in self.actions]
+        self._scatters = [linalg.scatter_table(A) for A in self.actions]
         self.label = label
         self._resolution: "Resolution | None" = None
         if check:
@@ -63,16 +63,17 @@ class AlgebraModule:
             if not np.array_equal(self.poly_operator(g) % p, np.zeros((self.dim, self.dim), dtype=np.int64)):
                 raise AssertionError(f"relation {g} does not annihilate the module")
 
-    def act(self, v: int, Y: np.ndarray) -> np.ndarray:
+    def act(self, v: int, Y: linalg.Triples) -> linalg.Triples:
         """x_v times each column of Y."""
         if Y.shape[0] != self.dim:
             raise ValueError(f"vectors of length {Y.shape[0]} in a module of dimension {self.dim}")
-        return linalg.apply_gather(self._gathers[v], Y, self.p)
+        return linalg.apply_scatter(self._scatters[v], Y, self.p)
 
     @cached_property
     def monomial_operators(self) -> np.ndarray:
-        """Actions of the algebra's basis monomials, shape (dim R, dim, dim)."""
-        return self.algebra.basis_multiples(linalg.identity(self.dim), self.act)
+        """Actions of the basis monomials, dense (dim R, dim, dim), for `_tensor_map`."""
+        walk = self.algebra.basis_multiples(linalg.Triples.identity(self.dim), self.act)
+        return np.stack([X.toarray() for X in walk])
 
     def poly_operator(self, f: Polynomial) -> np.ndarray:
         """Evaluate a polynomial at the action matrices (no normal form)."""
@@ -148,21 +149,18 @@ def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
     return AlgebraModule(R, actions, label=label, check=False)
 
 
-def _free_map_matrix(R: QuotientAlgebra, G, act):
+def _free_map_matrix(R: QuotientAlgebra, G: linalg.Triples, act) -> linalg.Triples:
     """Matrix of R^{G.shape[1]} -> V sending e_j to the column G[:, j] of a
     module V with action act, as a linear map on coordinates: column j·dim R + b
-    is (basis monomial b)·G[:, j].  Dense or `linalg.Triples` as G is."""
+    is (basis monomial b)·G[:, j]."""
     # multiples[b] holds (basis monomial b)·G for all generators at once
     multiples = R.basis_multiples(G, act)
-    shape = (G.shape[0], G.shape[1] * R.dim)
-    if isinstance(G, linalg.Triples):
-        return linalg.Triples(
-            np.concatenate([X.rows for X in multiples]),
-            np.concatenate([X.cols * R.dim + b for b, X in enumerate(multiples)]),
-            np.concatenate([X.vals for X in multiples]),
-            shape,
-        )
-    return multiples.transpose(1, 2, 0).reshape(shape)
+    return linalg.Triples(
+        np.concatenate([X.rows for X in multiples]),
+        np.concatenate([X.cols * R.dim + b for b, X in enumerate(multiples)]),
+        np.concatenate([X.vals for X in multiples]),
+        (G.shape[0], G.shape[1] * R.dim),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +173,10 @@ class SyzygyModule:
 
     algebra: QuotientAlgebra
     ambient_rank: int
-    basis: np.ndarray  # (ambient_rank * dim) x s
+    basis: linalg.Triples  # (ambient_rank * dim) x s
     index: int
     of: AlgebraModule | None  # None once the resolved module has been freed
-    m_span: np.ndarray  # basis of m·Omega^i, from the step that covered it
+    m_span: linalg.Triples  # basis of m·Omega^i, from the step that covered it
 
     @property
     def dim(self) -> int:
@@ -224,25 +222,23 @@ class Resolution:
         self.betti: list[int] = []
         self.matrices: list[np.ndarray] = []
         self._omegas: list[linalg.Triples] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
-        self._m_spans: list = []  # m·W of every cover: m·M (dense), m·Omega^1, m·Omega^2, ...
+        self._m_spans: list[linalg.Triples] = []  # m·W of every cover: m·M, m·Omega^1, ...
         # M's generators are unit vectors, kept in the order they are chosen
-        # in: ∂_1 and every later differential depend on that order.  M's
-        # actions are dense, and so is this first cover R^β -> M
-        self._cover(linalg.identity(module.dim), module.act)
-        self._omegas[0] = linalg.Triples.from_dense(self._omegas[0])
+        # in: ∂_1 and every later differential depend on that order
+        self._cover(linalg.Triples.identity(module.dim), module.act)
 
     @property
     def module(self) -> AlgebraModule | None:
         """The resolved module, or None once it has been freed."""
         return self._module()
 
-    def _cover(self, W, act, m: int | None = None):
+    def _cover(self, W: linalg.Triples, act, m: int | None = None) -> linalg.Triples:
         """One step: choose minimal generators of span(W), whose vectors x_v
         multiplies by act(v, ·); record their number as the next Betti number
-        and the kernel of the free cover R^β -> span(W), as `linalg.Triples`,
-        as the next syzygy.  W is M's dense identity in the first cover; with
-        m, W is the `linalg.Triples` basis of a syzygy in R^m and the
-        generators are sorted.  Returns the generators in W's form."""
+        and the kernel of the free cover R^β -> span(W) as the next syzygy.
+        W is M's identity in the first cover; with m, W is the basis of a
+        syzygy in R^m and the generators are sorted.  Returns the
+        generators."""
         R = self.R
         chosen, span = R.minimal_generators(W, act)
         G = linalg.take_columns(W, chosen)
@@ -261,7 +257,7 @@ class Resolution:
         R = self.R
         i = len(self.matrices)  # computing ∂_{i+1}
         m = self.betti[i]
-        G = self._cover(self._omegas[i], R.free_act(m), m)
+        G = self._cover(self._omegas[i], R.act, m)
         mat = np.zeros((m, G.shape[1], R.dim), dtype=np.int64)
         mat[G.rows // R.dim, G.cols, G.rows % R.dim] = G.vals
         if mat.size and mat[:, :, 0].any():
@@ -280,8 +276,7 @@ class Resolution:
             raise PreconditionError("syzygy index must be >= 1")
         self.ensure_length(i)
         # the step that made ∂_i covered Omega^i and kept m·Omega^i
-        basis, span = self._omegas[i - 1].toarray(), self._m_spans[i].toarray()
-        return SyzygyModule(self.R, self.betti[i - 1], basis, i, self.module, span)
+        return SyzygyModule(self.R, self.betti[i - 1], self._omegas[i - 1], i, self.module, self._m_spans[i])
 
     def entry_ideal(self, i: int) -> Ideal:
         """I_1(∂_i) lifted to S via standard-monomial representatives."""
@@ -292,14 +287,12 @@ class Resolution:
         j of ∂_{i+1} is the vector matrices[i][:, j, :] of R^{betti[i]}."""
         R = self.R
         gens = [
-            mat.transpose(0, 2, 1).reshape(self.betti[i] * R.dim, self.betti[i + 1])
+            linalg.Triples.from_dense(mat.transpose(0, 2, 1).reshape(self.betti[i] * R.dim, self.betti[i + 1]))
             for i, mat in enumerate(self.matrices)
         ]
         for i in range(1, len(self.matrices)):
-            if not self.betti[i + 1]:
-                continue
-            phi = _free_map_matrix(R, gens[i - 1], R.free_act(self.betti[i - 1]))
-            if linalg.matmul(phi, gens[i], R.p).any():
+            phi = _free_map_matrix(R, gens[i - 1], R.act)
+            if linalg.sparse_matmul(phi, gens[i], R.p).vals.size:
                 raise AssertionError("∂∂ != 0")
 
 
@@ -323,26 +316,22 @@ def k_summand_test(Z: SyzygyModule) -> SummandVerdict:
     R = Z.algebra
     p = R.p
     m = Z.ambient_rank
-    if Z.dim == 0:
-        return SummandVerdict(False, None, None, 0)
-    act = R.free_act(m)
-    soc = R.socle_span(Z.basis, act)
+    soc = R.socle_span(Z.basis, R.act)
     socle_dim = soc.shape[1]
-    if socle_dim == 0:
-        return SummandVerdict(False, None, None, 0)
     # canonical echelon basis of the socle, scanning coordinates so that
-    # higher monomials inside each free component come first
+    # higher monomials inside each free component come first; the scan
+    # order is its own inverse, so it maps echelon columns back too
     perm = _witness_coordinate_order(R, m)
-    reord = soc[perm, :]
-    ech, _ = linalg.rref(reord.T, p)
-    inv = np.argsort(perm)
-    socle_vectors = [ech[r][inv] for r in range(ech.shape[0]) if ech[r].any()]
-    mZ = Z.m_span
-    outside = [v for v in socle_vectors if not linalg.in_column_space(mZ, v, p)]
-    if not outside:
+    ech, pivots = linalg.rref(linalg.Triples(soc.cols, perm[soc.rows], soc.vals, soc.shape[::-1]), p)
+    socle_vectors = linalg.Triples(perm[ech.cols], ech.rows, ech.vals, (soc.shape[0], len(pivots)))
+    outside = (~linalg.columns_in_span(Z.m_span, socle_vectors, p)).nonzero()[0]
+    if not outside.size:
         return SummandVerdict(False, None, None, socle_dim)
-    outside.sort(key=lambda v: (np.count_nonzero(v.reshape(m, R.dim).any(axis=1)),))
-    witness = outside[0]
+    # the first vector outside mZ among those with the fewest components
+    touched = np.zeros((len(pivots), m), dtype=bool)
+    touched[socle_vectors.cols, socle_vectors.rows // R.dim] = True
+    components = touched.sum(axis=1)
+    witness = socle_vectors.take_columns([outside[components[outside].argmin()]]).toarray().ravel()
     entries = tuple(R.lift(witness[c * R.dim : (c + 1) * R.dim]) for c in range(m))
     return SummandVerdict(True, witness, entries, socle_dim)
 
@@ -361,7 +350,7 @@ def koszul_h1(R: QuotientAlgebra) -> int:
     among the variables: those whose images extend m^2 to m."""
     if R.is_field:
         return 0
-    var_vecs = np.stack([R.variable_element(i).vec for i in range(R.ctx.nvars)], axis=1)
+    var_vecs = linalg.Triples.from_dense(np.stack([R.variable_element(i).vec for i in range(R.ctx.nvars)], axis=1))
     ops = [R.mult[v] for v in linalg.complete_columns(R.max_power_basis(2), var_vecs, R.p)]
     e = len(ops)
     d = R.dim
@@ -452,18 +441,12 @@ def module_from_presentation(R: QuotientAlgebra, P: np.ndarray, label: str = "")
     if d != R.dim:
         raise ValueError("presentation entries must be algebra element vectors")
     # span of all basis-monomial multiples of the columns, in reduced echelon
-    # form: E's rows are zero at every pivot but their own
-    act = R.free_act(rows)
-    W = _free_map_matrix(R, P.transpose(0, 2, 1).reshape(rows * d, cols), act)
-    ech, pivots = linalg.rref(W.T, R.p)
-    pivots = list(pivots)
+    # form: its rows are zero at every pivot but their own
+    G = linalg.Triples.from_dense(P.transpose(0, 2, 1).reshape(rows * d, cols))
+    ech, pivots = linalg.rref(_free_map_matrix(R, G, R.act).T, R.p)
     free = np.setdiff1d(np.arange(rows * d), pivots)
-    E = ech[: len(pivots)][:, free]
     # the quotient's basis is the free unit vectors; x_v·e_c reduces to its
-    # free coordinates minus E^T times its pivot coordinates
-    units = linalg.identity(rows * d)[:, free]
-    actions = []
-    for v in range(R.ctx.nvars):
-        V = act(v, units)
-        actions.append(V[free] - linalg.matmul(E.T, V[pivots], R.p))
+    # free coordinates once the echelon rows clear its pivot coordinates
+    units = linalg.Triples.identity(rows * d).take_columns(free)
+    actions = [linalg.reduce_by_echelon(ech, pivots, R.act(v, units), R.p).toarray()[free] for v in range(R.ctx.nvars)]
     return AlgebraModule(R, actions, label=label, check=False)

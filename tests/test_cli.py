@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from burchlab import cli
+from burchlab import cli, groebner
 from burchlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION, main, parse_session
 
 SESSION = """\
@@ -176,6 +176,44 @@ def test_resolve_non_artinian_exit_3(tmp_path, capsys):
     f.write_text("ring 32003 x y\nideal I = x^2\n")
     code, _, err = run_cli(capsys, "resolve", str(f), "k", "--ring", "I")
     assert code == EXIT_PRECONDITION
+
+
+NON_LOCAL = """\
+ring 32003 x y
+ideal J = x^2 - x, y
+ideal K = x^3 - x^2, y^2, x*y
+"""
+
+
+@pytest.fixture()
+def no_elimination(monkeypatch):
+    """Fail any elimination (every colon and intersection goes through
+    ideal_intersection)."""
+
+    def refuse(*args):
+        raise AssertionError("elimination started")
+
+    monkeypatch.setattr(groebner, "ideal_intersection", refuse)
+
+
+def test_check_non_local_exit_3(tmp_path, capsys, no_elimination):
+    """S/J = k[x]/(x^2 - x) has finite length but two maximal ideals: check
+    and invariants refuse it before any elimination."""
+    f = tmp_path / "nonlocal.session"
+    f.write_text(NON_LOCAL)
+    for argv in (("check", str(f), "J"), ("check", str(f), "J", "--route", "all"), ("invariants", str(f), "J")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PRECONDITION and "not local" in err
+
+
+def test_resolve_non_local_exit_3(tmp_path, capsys, no_elimination):
+    """S/K = k[x,y]/(x,y)^2 × k is not local: resolve refuses it instead of
+    printing Betti numbers, and check refuses K too."""
+    f = tmp_path / "nonlocal.session"
+    f.write_text(NON_LOCAL)
+    code, out, _ = run_cli(capsys, "resolve", str(f), "k", "--ring", "K", "--length", "3")
+    assert code == EXIT_PRECONDITION and "betti" not in out
+    assert run_cli(capsys, "check", str(f), "K")[0] == EXIT_PRECONDITION
 
 
 def test_syzygy_summand_witness(session_file, capsys):

@@ -222,6 +222,32 @@ def test_is_m_primary():
     assert not I.is_m_primary()  # quotient has dimension 1
 
 
+def test_is_m_primary_needs_a_local_quotient(monkeypatch):
+    """Finite colength is not enough: S/J = k[x]/(x^2 - x) and S/K =
+    k[x,y]/(x,y)^2 × k have finite length but are not local.  A quotient
+    with y = x^2 is local, and the unit ideal is not m-primary.  Both
+    verdicts and the standard monomials are computed once per ideal."""
+    J = ideal(CTX, "x^2 - x", "y")
+    K = ideal(CTX, "x^3 - x^2", "y^2", "x*y")
+    for I in (J, K):
+        assert I.finite_colength() and not I.is_m_primary()
+        with pytest.raises(PreconditionError):
+            I.standard_monomials()
+    local = ideal(CTX, "y - x^2", "x^4")
+    assert local.is_m_primary() and len(local.standard_monomials()) == 4
+    unit = Ideal.make(CTX, [CTX.one()])
+    assert not unit.finite_colength() and not unit.is_m_primary()
+    assert not ideal(CTX, "x^3").finite_colength()
+
+    def refuse(*args):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr(groebner, "normal_form", refuse)
+    for I in (J, K, local):
+        assert I.is_m_primary() == (I is local)
+    assert local.standard_monomials() is local.standard_monomials()
+
+
 def test_standard_monomials():
     m = max_ideal(CTX)
     assert m.standard_monomials() == ((0, 0),)

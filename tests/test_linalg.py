@@ -338,42 +338,11 @@ def test_span_tests_match_rank_definitions(case, data):
     both = linalg.rank(np.concatenate([W, C], axis=1), p)
     assert linalg.subspace_le(C, W, p) == (both == rank_w)
     assert linalg.subspace_eq(C, W, p) == (both == rank_w == linalg.rank(C, p))
+    mask = [linalg.rank(np.concatenate([W, C[:, j : j + 1]], axis=1), p) == rank_w for j in range(C.shape[1])]
+    assert linalg.columns_in_span(W, C, p).tolist() == mask
+    assert linalg.columns_in_span(linalg.Triples.from_dense(W), linalg.Triples.from_dense(C), p).tolist() == mask
     for j in range(C.shape[1]):
-        v = C[:, j]
-        assert linalg.in_column_space(W, v, p) == (linalg.rank(np.concatenate([W, v[:, None]], axis=1), p) == rank_w)
-
-
-# -- the gather form of an action against the dense product ------------------------
-
-
-@st.composite
-def gather_cases(draw):
-    """(A, Y, axis, p): A dense, monomial (at most one nonzero per row and
-    column), zero, without rows, or sparse with unequal nonzero counts per
-    row; nonzero values unit or not.  Y is canonical, 2-d and acted on
-    along axis 0 or 3-d along axis 1, with 0 columns among the shapes."""
-    p = draw(st.sampled_from(PRIMES))
-    kind = draw(st.sampled_from(["dense", "monomial", "zero", "no_rows", "sparse"]))
-    m = 0 if kind == "no_rows" else draw(st.integers(1, 6))
-    n = draw(st.integers(0, 6))
-    entry = st.one_of(st.just(1), st.integers(1, p - 1))
-    A = linalg.zeros(m, n)
-    if kind == "dense":
-        A[:] = _block(draw, p, m, n, dense=True)
-    elif kind == "monomial":
-        k = draw(st.integers(0, min(m, n)))
-        for r, c in zip(draw(st.permutations(range(m)))[:k], draw(st.permutations(range(n)))[:k]):
-            A[r, c] = draw(entry)
-    elif kind == "sparse" and n:
-        for r in range(m):
-            for c in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
-                A[r, c] = draw(entry)
-    axis = draw(st.sampled_from([0, 1]))
-    s = draw(st.integers(0, 4))
-    shape = (n, s) if axis == 0 else (draw(st.integers(0, 3)), n, s)
-    size = math.prod(shape)
-    Y = np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)), dtype=np.int64)
-    return A, Y.reshape(shape), axis, p
+        assert linalg.in_column_space(W, C[:, j], p) == mask[j]
 
 
 def _product_along(A, Y, axis, p):
@@ -392,27 +361,6 @@ def _product_along(A, Y, axis, p):
 
 
 BIG_P = PRIMES[-1]
-
-
-@settings(max_examples=400, deadline=None)
-@given(gather_cases())
-@example((linalg.zeros(0, 3), np.ones((3, 2), dtype=np.int64), 0, P))
-@example((linalg.zeros(3, 0), linalg.zeros(0, 2), 0, 2))
-@example((linalg.zeros(2, 2), np.ones((2, 2, 0), dtype=np.int64), 1, 3))
-@example((np.array([[BIG_P - 1, 2, 0], [0, 0, 0], [5, 0, BIG_P - 1]]), np.full((2, 3, 2), BIG_P - 1), 1, BIG_P))
-def test_apply_gather_matches_dense_product(case):
-    A, Y, axis, p = case
-    A_before, Y_before = A.copy(), Y.copy()
-    table = linalg.gather_table(A)
-    tables_before = [t.copy() for t in table]
-    got = linalg.apply_gather(table, Y, p, axis)
-    assert np.array_equal(A, A_before) and np.array_equal(Y, Y_before)
-    assert all(np.array_equal(t, b) for t, b in zip(table, tables_before))
-    assert table[0].shape == (A.shape[0], int(np.count_nonzero(A, axis=1).max(initial=0)))
-    want = _product_along(A, Y, axis, p)
-    assert got.dtype == np.int64 and got.shape == want.shape
-    assert got.size == 0 or (got.min() >= 0 and got.max() < p)
-    assert np.array_equal(got, want)
 
 
 # -- Triples against the dense results ------------------------------------------------
@@ -459,9 +407,11 @@ def test_triples_match_dense_results(case, seed):
 
 @st.composite
 def scatter_cases(draw):
-    """(A, Y, p): A square, dense, monomial, zero or sparse with several
-    nonzeros in some rows (so that sources meet at a target, and their sum
-    may vanish); Y canonical with rows in q blocks of A's size."""
+    """(A, Y, p): A square, dense, monomial (at most one nonzero per row and
+    column), zero, empty, or sparse with unequal nonzero counts per row (so
+    that sources meet at a target, and their sum may vanish); nonzero values
+    unit or not.  Y is canonical, with rows in q blocks of A's size and 0
+    columns or blocks among the shapes."""
     p = draw(st.sampled_from(PRIMES))
     kind = draw(st.sampled_from(["dense", "monomial", "zero", "sparse", "cancel"]))
     n = draw(st.integers(0 if kind == "zero" else 1, 5))
@@ -480,7 +430,8 @@ def scatter_cases(draw):
         A[0, :] = 1  # every source reaches row 0: entries 1 and p - 1 cancel there
     q, s = draw(st.integers(0, 3)), draw(st.integers(0, 4))
     size = q * n * s
-    Y = np.array(draw(st.lists(st.sampled_from([0, 1, p - 1, 2 % p]), min_size=size, max_size=size)), dtype=np.int64)
+    values = st.one_of(st.sampled_from([0, 1, p - 1, 2 % p]), st.integers(0, p - 1))
+    Y = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.int64)
     return A, Y.reshape(q * n, s), p
 
 
@@ -488,15 +439,37 @@ def scatter_cases(draw):
 @given(scatter_cases())
 @example((np.array([[1, 1], [0, 0]], dtype=np.int64), np.array([[1], [2]], dtype=np.int64), 3))
 @example((linalg.zeros(0, 0), linalg.zeros(0, 3), P))
-def test_apply_scatter_matches_apply_gather(case):
-    """The scatter form of A, derived from its gather form, acts on Triples
-    as apply_gather acts on the dense array, blocks of rows included."""
+@example((np.array([[BIG_P - 1, 2, 0], [0, 0, 0], [5, 0, BIG_P - 1]]), np.full((6, 2), BIG_P - 1), BIG_P))
+@example((linalg.zeros(2, 2), linalg.zeros(4, 0), 3))
+def test_apply_scatter_matches_dense_product(case):
+    """The scatter form of A acts on Triples of Y as the dense product A·Y
+    acts on each block of n rows, and leaves A and Y as they were."""
     A, Y, p = case
     n = A.shape[0]
-    gather = linalg.gather_table(A)
-    table = linalg.scatter_table(gather)
+    A_before, Y_before = A.copy(), Y.copy()
+    table = linalg.scatter_table(A)
     assert table[0].shape == (int(np.count_nonzero(A, axis=0).max(initial=0)), n)
-    assert table[2] == (gather[0].shape[1] > 1)
+    assert table[2] == bool((np.count_nonzero(A, axis=1) > 1).any())
     got = linalg.apply_scatter(table, linalg.Triples.from_dense(Y), p)
-    want = linalg.apply_gather(gather, Y.reshape(Y.shape[0] // n if n else 0, n, Y.shape[1]), p, axis=1)
+    assert np.array_equal(A, A_before) and np.array_equal(Y, Y_before)
+    want = _product_along(A, Y.reshape(Y.shape[0] // n if n else 0, n, Y.shape[1]), 1, p)
     assert got.shape == Y.shape and np.array_equal(_dense(got, p), want.reshape(Y.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_matrices(), structured_matrices(), st.integers(0, 2**32 - 1))
+@example((linalg.zeros(0, 3), P), (linalg.zeros(3, 2), P), 0)
+@example((np.array([[BIG_P - 1, BIG_P - 1]]), BIG_P), (np.array([[BIG_P - 1], [1]]), BIG_P), 1)
+def test_sparse_matmul_matches_dense_product(left, right, seed):
+    """sparse_matmul on Triples against the dense product: A is the first
+    matrix, B the second cut or padded to A's column count, at A's prime."""
+    A, p = left
+    A = A % p
+    rng = np.random.default_rng(seed)
+    B = right[0][: A.shape[1]] % p
+    B = np.concatenate([B, rng.integers(0, p, size=(A.shape[1] - B.shape[0], B.shape[1]))]).astype(np.int64)
+    got = linalg.sparse_matmul(linalg.Triples.from_dense(A), linalg.Triples.from_dense(B), p)
+    want = _product_along(A, B, 0, p)
+    assert got.shape == want.shape and np.array_equal(_dense(got, p), want)
+    with pytest.raises(ValueError):
+        linalg.sparse_matmul(linalg.Triples.zeros(2, 3), linalg.Triples.zeros(2, 3), p)

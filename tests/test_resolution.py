@@ -33,6 +33,11 @@ CTX = RingContext(P, ("x", "y"))
 CX = RingContext(P, ("x",))
 
 
+def _dense_act(act, v, Y):
+    """act(v, ·) on a dense array, through Triples."""
+    return act(v, linalg.Triples.from_dense(Y)).toarray()
+
+
 def ideal(ctx, *gens):
     return Ideal.make(ctx, [parse_polynomial(g, ctx) for g in gens])
 
@@ -158,9 +163,10 @@ def test_summand_witness_is_socle_outside_mz(r12):
     Z = res.syzygy(3)
     v = k_summand_test(Z).witness
     for var in range(2):
-        assert not r12.act(var, v.reshape(-1, 1), Z.ambient_rank).any()
-    mZ = r12.m_span(Z.basis, r12.free_act(Z.ambient_rank))
+        assert not _dense_act(r12.act, var, v.reshape(-1, 1)).any()
+    mZ = r12.m_span(Z.basis, r12.act)
     assert not linalg.in_column_space(mZ, v, P)
+    assert not linalg.in_column_space(mZ.toarray(), v, P)
 
 
 def test_summand_m2_zero_ring():
@@ -317,7 +323,7 @@ def _free_map_matrix_loop(R, gens, m):
             exps = R.basis[b]
             i = next(k for k, e in enumerate(exps) if e)
             parent = R.index[tuple(e - 1 if k == i else e for k, e in enumerate(exps))]
-            out[:, b] = R.act(i, out[:, parent].reshape(-1, 1), m).ravel()
+            out[:, b] = _dense_act(R.act, i, out[:, parent].reshape(-1, 1)).ravel()
         blocks.append(out)
     return linalg.hstack(blocks, m * d)
 
@@ -408,7 +414,7 @@ def test_sort_generators_matches_sorted_key(oracle_rings):
 
 def _free_map(R, gens, m):
     G = np.stack(gens, axis=1) if gens else np.zeros((m * R.dim, 0), dtype=np.int64)
-    return _free_map_matrix(R, G, R.free_act(m))
+    return _free_map_matrix(R, linalg.Triples.from_dense(G), R.act).toarray()
 
 
 def test_free_map_matrix_matches_loop_reference(oracle_rings):
@@ -449,7 +455,8 @@ def test_monomial_operators_match_polynomial_evaluation(oracle_rings):
     for R in oracle_rings:
         d = R.dim
         regular = AlgebraModule(R, R.mult, check=False)
-        cube = R.basis_multiples(linalg.identity(d), R.act).reshape(d, d * d)
+        walk = R.basis_multiples(linalg.Triples.identity(d), R.act)
+        cube = np.stack([X.toarray() for X in walk]).reshape(d, d * d)
         for a in _random_vectors(R, 1, 6, rng):
             got = R.operator(R.element_from_vector(a))
             assert np.array_equal(got, regular.poly_operator(R.lift(a)))
@@ -485,10 +492,9 @@ def test_act_matches_free_module_actions(oracle_rings):
             for s in (0, 1, 4):
                 Y = rng.integers(0, P, size=(m * R.dim, s)).astype(np.int64)
                 for v in range(R.ctx.nvars):
-                    got = R.act(v, Y, m)
+                    got = R.act(v, linalg.Triples.from_dense(Y))
                     assert got.shape == Y.shape
-                    assert np.array_equal(got, linalg.matmul(F.actions[v], Y, P))
-                    assert np.array_equal(R.free_act(m)(v, Y), got)
+                    assert np.array_equal(got.toarray(), linalg.matmul(F.actions[v], Y, P))
 
 
 def test_act_matches_dense_product_with_several_entries_per_row():
@@ -500,7 +506,7 @@ def test_act_matches_dense_product_with_several_entries_per_row():
     dense = ["x^2 + 3*y*z - 2*z^2 + 5*x*y", "y^2 - 7*x*z + 2*x*y + 4*z^2", "z^3 + 11*x*y*z - x^2*z", "x*y*z - 3*y^3 + 9*x^3"]
 
     def several_per_row(A):
-        return linalg.gather_table(A)[0].shape[1] > 1 and (A > 1).any()
+        return (np.count_nonzero(A, axis=1) > 1).any() and (A > 1).any()
 
     dense_ring = quotient(ctx3, *dense)
     assert any(several_per_row(A) for A in dense_ring.mult)
@@ -510,19 +516,19 @@ def test_act_matches_dense_product_with_several_entries_per_row():
             for s in (0, 1, 4):
                 Y = rng.integers(0, P, size=(m * R.dim, s)).astype(np.int64)
                 for v in range(R.ctx.nvars):
-                    assert np.array_equal(R.act(v, Y, m), linalg.matmul(F.actions[v], Y, P))
+                    assert np.array_equal(_dense_act(R.act, v, Y), linalg.matmul(F.actions[v], Y, P))
         modules = [module_from_presentation(R, pres) for pres in _presentations(R, rng)]
         assert any(several_per_row(A) for M in modules for A in M.actions)
         for M in modules:
             for s in (0, 1, 4):
                 Y = rng.integers(0, P, size=(M.dim, s)).astype(np.int64)
                 for v, A in enumerate(M.actions):
-                    assert np.array_equal(M.act(v, Y), linalg.matmul(A, Y, P))
+                    assert np.array_equal(_dense_act(M.act, v, Y), linalg.matmul(A, Y, P))
 
 
 def test_resolution_steps_take_no_dense_product(monkeypatch):
-    """Resolving k and a cyclic module over a monomial ring gathers: no step
-    multiplies by a dense action matrix."""
+    """Resolving k and a cyclic module over a monomial ring scatters: no
+    step multiplies by a dense action matrix."""
     R = quotient(CTX, "x^2", "x*y", "y^3")
     M = module_from_cyclic(R, ideal(CTX, "x", "y^2"))
 
@@ -538,9 +544,9 @@ DENSE_RING = ("x^2 + 3*y*z - 2*z^2 + 5*x*y", "y^2 - 7*x*z + 2*x*y + 4*z^2", "z^3
 
 
 def test_act_on_triples_matches_gather_with_several_entries_per_row():
-    """R.act on linalg.Triples against R.act on the dense array, on the rings
-    of the test above: entries that meet at one target are summed, and
-    vanishing sums dropped."""
+    """R.act on linalg.Triples against the dense product with the actions of
+    free_module(R, m), on the rings of the test above: entries that meet at
+    one target are summed, and vanishing sums dropped."""
     rng = np.random.default_rng(8)
     ctx3 = RingContext(P, ("x", "y", "z"))
     dense_ring = quotient(ctx3, *DENSE_RING)
@@ -549,24 +555,23 @@ def test_act_on_triples_matches_gather_with_several_entries_per_row():
         for m in (0, 1, 3):
             for s in (0, 1, 4):
                 Y = rng.choice(np.array([0, 0, 1, 2, P - 1]), size=(m * R.dim, s)).astype(np.int64)
-                for v in range(R.ctx.nvars):
-                    got = R.act(v, linalg.Triples.from_dense(Y), m)
+                for v, A in enumerate(free_module(R, m).actions):
+                    got = R.act(v, linalg.Triples.from_dense(Y))
                     assert isinstance(got, linalg.Triples) and got.shape == Y.shape
-                    assert np.all(got.vals > 0) and np.array_equal(got.toarray(), R.act(v, Y, m))
+                    assert np.all(got.vals > 0) and np.array_equal(got.toarray(), linalg.matmul(A, Y, P))
 
 
 def test_resolution_steps_stay_sparse(monkeypatch):
-    """After the first cover, which maps onto M through its dense actions,
-    every step keeps Omega as linalg.Triples, builds its free map as Triples
-    and hands rref only Triples; the differentials and Betti numbers are
-    those of the dense steps (pinned from them)."""
+    """Every step, the first cover onto M included, keeps Omega and m·Omega
+    as linalg.Triples, builds its free map as Triples and hands rref only
+    Triples; the differentials and Betti numbers are those of the dense
+    steps (pinned from them)."""
     ctx3 = RingContext(P, ("x", "y", "z"))
     cases = [
         (residue_field(quotient(ctx3, *DENSE_RING)), [1, 3, 7, 15, 31]),
         (module_from_cyclic(quotient(CTX, "x^2", "x*y", "y^3"), ideal(CTX, "x", "y^2")), [1, 2, 4, 8, 16]),
     ]
     for M, betti in cases:
-        res = M.resolution(0)
         real_rref, real_free_map = linalg.rref, resolution._free_map_matrix
         kinds, free_maps = [], []
 
@@ -580,12 +585,12 @@ def test_resolution_steps_stay_sparse(monkeypatch):
 
         monkeypatch.setattr(linalg, "rref", rref)
         monkeypatch.setattr(resolution, "_free_map_matrix", free_map)
-        res.ensure_length(4)
+        res = M.resolution(4)
         monkeypatch.undo()
         assert res.betti == betti
         assert kinds and set(kinds) == {linalg.Triples}
-        assert len(free_maps) == 4 and all(isinstance(F, linalg.Triples) for F in free_maps)
-        assert all(isinstance(W, linalg.Triples) for W in res._omegas)
+        assert len(free_maps) == 5 and all(isinstance(F, linalg.Triples) for F in free_maps)
+        assert all(isinstance(W, linalg.Triples) for W in res._omegas + res._m_spans)
         res.check_complex()
 
 
@@ -606,13 +611,51 @@ def test_k_summand_test_reuses_the_steps_m_span(r12, monkeypatch):
     monkeypatch.undo()
     for i, got in zip((2, 3, 4), verdicts):
         Z = res.syzygy(i)
-        span = r12.m_span(Z.basis, r12.free_act(Z.ambient_rank))
-        assert np.array_equal(Z.m_span, span)
+        span = r12.m_span(Z.basis, r12.act)
+        assert np.array_equal(Z.m_span.toarray(), span.toarray())
         want = k_summand_test(dataclasses.replace(Z, m_span=span))
         assert (got.splits, got.socle_dim, got.witness_entries) == (want.splits, want.socle_dim, want.witness_entries)
         assert (got.witness is None) == (want.witness is None)
         assert got.witness is None or np.array_equal(got.witness, want.witness)
     assert [v.splits for v in verdicts] == [False, True, False]
+
+
+def _k_summand_witness_loop(Z):
+    """The witness as k_summand_test chose it one socle vector at a time: the
+    dense echelon rows of the socle, each tested by the rank of [mZ | v], and
+    the first outside mZ among those with the fewest components."""
+    R, m = Z.algebra, Z.ambient_rank
+    soc = R.socle_span(Z.basis, R.act).toarray()
+    perm = _witness_coordinate_order_loop(R, m)
+    ech, _ = linalg.rref(soc[perm, :].T, P)
+    inv = np.argsort(perm)
+    vecs = [ech[r][inv] for r in range(ech.shape[0]) if ech[r].any()]
+    mZ = Z.m_span.toarray()
+    rank = linalg.rank(mZ, P)
+    outside = [v for v in vecs if linalg.rank(np.concatenate([mZ, v[:, None]], axis=1), P) > rank]
+    outside.sort(key=lambda v: np.count_nonzero(v.reshape(m, R.dim).any(axis=1)))
+    return outside[0] if outside else None
+
+
+def test_k_summand_witness_matches_per_vector_loop(oracle_rings):
+    """The batched span test of k_summand_test chooses the witness that the
+    per-vector loop chooses, on syzygies of k and of cyclic modules, over
+    monomial rings and a non-monomial one."""
+    ctx3 = RingContext(P, ("x", "y", "z"))
+    rings = oracle_rings + [quotient(CTX, "x^3", "y - x^2"), quotient(ctx3, *DENSE_RING)]
+    splits = []
+    for R in rings:
+        ctx = R.ctx
+        modules = [residue_field(R), module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.variable(0)])))]
+        for M in modules:
+            res = M.resolution(4)
+            for i in range(1, 5):
+                Z = res.syzygy(i)
+                got, want = k_summand_test(Z), _k_summand_witness_loop(Z) if Z.dim else None
+                splits.append(got.splits)
+                assert got.splits == (want is not None)
+                assert want is None or np.array_equal(got.witness, want)
+    assert True in splits and False in splits
 
 
 def test_variable_operator_is_multiplication_matrix(oracle_rings):
@@ -631,9 +674,10 @@ def test_socle_span_matches_replaced_socle_code(oracle_rings):
         for i in (1, 2, 3):
             Z = res.syzygy(i)
             F = free_module(R, Z.ambient_rank)
-            stacked = np.concatenate([linalg.matmul(A, Z.basis, P) for A in F.actions], axis=0)
-            want = linalg.matmul(Z.basis, linalg.kernel_basis(stacked, P), P)
-            assert np.array_equal(R.socle_span(Z.basis, R.free_act(Z.ambient_rank)), want)
+            basis = Z.basis.toarray()
+            stacked = np.concatenate([linalg.matmul(A, basis, P) for A in F.actions], axis=0)
+            want = linalg.matmul(basis, linalg.kernel_basis(stacked, P), P)
+            assert np.array_equal(R.socle_span(Z.basis, R.act).toarray(), want)
 
 
 def _module_from_presentation_loop(R, pres):
