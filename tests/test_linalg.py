@@ -363,6 +363,92 @@ def _product_along(A, Y, axis, p):
 BIG_P = PRIMES[-1]
 
 
+# -- the row-gather form of an action, a second oracle for the scatter form ---------
+
+
+def _gather_table(A):
+    """Row-gather form (idx, val) of a canonical matrix A: two (rows, k)
+    tables, k the most nonzeros in a row, where row i of A holds val[i, j] in
+    column idx[i, j], its nonzeros left to right; padded slots hold 0."""
+    k = int(np.count_nonzero(A, axis=1).max(initial=0))
+    idx = np.zeros((A.shape[0], k), dtype=np.intp)
+    val = np.zeros((A.shape[0], k), dtype=np.int64)
+    for i in range(A.shape[0]):
+        cols = np.nonzero(A[i])[0]
+        idx[i, : cols.size] = cols
+        val[i, : cols.size] = A[i, cols]
+    return idx, val
+
+
+def _apply_gather(table, Y, p, axis):
+    """A·Y mod p along `axis` of Y for A in the row-gather form `table`: the
+    sum over j of Y[idx[:, j]]·val[:, j] on that axis, each product reduced
+    mod p before it is added, in Python ints."""
+    idx, val = table
+    Yt = np.moveaxis(Y, axis, 0)
+    out = np.zeros((idx.shape[0],) + Yt.shape[1:], dtype=object)
+    for j in range(idx.shape[1]):
+        for i in range(idx.shape[0]):
+            out[i] = (out[i] + Yt[idx[i, j]].astype(object) * int(val[i, j]) % p) % p
+    return np.moveaxis(out.astype(np.int64), 0, axis)
+
+
+@st.composite
+def gather_cases(draw):
+    """(A, Y, axis, p): A dense, monomial (at most one nonzero per row and
+    column), zero, without rows, or sparse with unequal nonzero counts per
+    row; nonzero values unit or not.  Y is canonical, 2-d and acted on
+    along axis 0 or 3-d along axis 1, with 0 columns among the shapes."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(["dense", "monomial", "zero", "no_rows", "sparse"]))
+    m = 0 if kind == "no_rows" else draw(st.integers(1, 6))
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(1), st.integers(1, p - 1))
+    A = linalg.zeros(m, n)
+    if kind == "dense":
+        A[:] = _block(draw, p, m, n, dense=True)
+    elif kind == "monomial":
+        k = draw(st.integers(0, min(m, n)))
+        for r, c in zip(draw(st.permutations(range(m)))[:k], draw(st.permutations(range(n)))[:k]):
+            A[r, c] = draw(entry)
+    elif kind == "sparse" and n:
+        for r in range(m):
+            for c in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+                A[r, c] = draw(entry)
+    axis = draw(st.sampled_from([0, 1]))
+    s = draw(st.integers(0, 4))
+    shape = (n, s) if axis == 0 else (draw(st.integers(0, 3)), n, s)
+    size = math.prod(shape)
+    Y = np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)), dtype=np.int64)
+    return A, Y.reshape(shape), axis, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(gather_cases())
+@example((linalg.zeros(0, 3), np.ones((3, 2), dtype=np.int64), 0, P))
+@example((linalg.zeros(3, 0), linalg.zeros(0, 2), 0, 2))
+@example((linalg.zeros(2, 2), np.ones((2, 2, 0), dtype=np.int64), 1, 3))
+@example((np.array([[BIG_P - 1, 2, 0], [0, 0, 0], [5, 0, BIG_P - 1]]), np.full((2, 3, 2), BIG_P - 1), 1, BIG_P))
+def test_apply_gather_matches_dense_product(case):
+    """The row-gather form of A acting along an axis of Y equals the dense
+    product, and so does sparse_matmul of the Triples of A and of each block
+    of Y; neither changes A or Y."""
+    A, Y, axis, p = case
+    A_before, Y_before = A.copy(), Y.copy()
+    table = _gather_table(A)
+    assert table[0].shape == (A.shape[0], int(np.count_nonzero(A, axis=1).max(initial=0)))
+    got = _apply_gather(table, Y, p, axis)
+    want = _product_along(A, Y, axis, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.size == 0 or (got.min() >= 0 and got.max() < p)
+    assert np.array_equal(got, want)
+    blocks = [Y] if axis == 0 else list(Y)
+    products = [linalg.sparse_matmul(linalg.Triples.from_dense(A), linalg.Triples.from_dense(B), p) for B in blocks]
+    assert np.array_equal(A, A_before) and np.array_equal(Y, Y_before)
+    for T, B in zip(products, [want] if axis == 0 else list(want)):
+        assert T.shape == B.shape and np.array_equal(_dense(T, p), B)
+
+
 # -- Triples against the dense results ------------------------------------------------
 
 
@@ -453,6 +539,25 @@ def test_apply_scatter_matches_dense_product(case):
     got = linalg.apply_scatter(table, linalg.Triples.from_dense(Y), p)
     assert np.array_equal(A, A_before) and np.array_equal(Y, Y_before)
     want = _product_along(A, Y.reshape(Y.shape[0] // n if n else 0, n, Y.shape[1]), 1, p)
+    assert got.shape == Y.shape and np.array_equal(_dense(got, p), want.reshape(Y.shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scatter_cases())
+@example((np.array([[1, 1], [0, 0]], dtype=np.int64), np.array([[1], [2]], dtype=np.int64), 3))
+@example((linalg.zeros(0, 0), linalg.zeros(0, 3), P))
+def test_apply_scatter_matches_apply_gather(case):
+    """The scatter form of A acts on Triples as the row-gather form of A acts
+    on each block of n rows of the dense array; the scatter table merges
+    exactly when the gather table has two or more slots in a row."""
+    A, Y, p = case
+    n = A.shape[0]
+    gather = _gather_table(A)
+    table = linalg.scatter_table(A)
+    assert table[0].shape == (int(np.count_nonzero(A, axis=0).max(initial=0)), n)
+    assert table[2] == (gather[0].shape[1] > 1)
+    got = linalg.apply_scatter(table, linalg.Triples.from_dense(Y), p)
+    want = _apply_gather(gather, Y.reshape(Y.shape[0] // n if n else 0, n, Y.shape[1]), p, axis=1)
     assert got.shape == Y.shape and np.array_equal(_dense(got, p), want.reshape(Y.shape))
 
 
