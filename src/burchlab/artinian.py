@@ -50,8 +50,8 @@ class QuotientAlgebra:
         self.dim = len(self.basis)
         self._reducers = ideal.reducers()
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
-        check_commuting(self.mult, self.p, "multiplication matrices")
-        self._scatters = [linalg.scatter_table(M) for M in self.mult]
+        self._scatters = [linalg.scatter_table(linalg.Triples.from_dense(M)) for M in self.mult]
+        check_commuting(self.act, self.dim, self.ctx.nvars, "multiplication matrices")
         self._parents = self._basis_parents()
 
     # -- construction ---------------------------------------------------------
@@ -183,7 +183,7 @@ class QuotientAlgebra:
         W times the kernel of the x_v·W stacked one above the other."""
         images = [act(v, W).T for v in range(self.ctx.nvars)]
         stacked = linalg.hstack(images, W.shape[1]).T
-        return linalg.sparse_matmul(W, linalg.kernel_basis(stacked, self.p), self.p)
+        return linalg.matmul(W, linalg.kernel_basis(stacked, self.p), self.p)
 
     def minimal_generators(self, W: linalg.Triples, act) -> tuple[list[int], linalg.Triples]:
         """Indices of columns of W that minimally generate the submodule
@@ -194,14 +194,18 @@ class QuotientAlgebra:
         images = linalg.hstack([act(v, W) for v in range(self.ctx.nvars)], W.shape[0])
         _, pivots = linalg.rref(linalg.hstack([images, W], W.shape[0]), self.p)
         w = images.shape[1]
-        span = linalg.take_columns(images, [c for c in pivots if c < w])
+        span = images.take_columns([c for c in pivots if c < w])
         return [c - w for c in pivots if c >= w], span
 
     def operator(self, a: "AlgebraElement") -> np.ndarray:
-        """The multiplication-by-a matrix on the standard basis, dense: column
-        b is (basis monomial b)·a, from one walk of a."""
-        walk = self.basis_multiples(linalg.Triples.from_dense(a.vec.reshape(-1, 1)), self.act)
-        return linalg.hstack(walk, self.dim).toarray()
+        """The multiplication-by-a matrix on the standard basis, dense."""
+        return self._operator(a).toarray()
+
+    def _operator(self, a: "AlgebraElement") -> linalg.Triples:
+        """The multiplication-by-a matrix: column b is (basis monomial b)·a,
+        from one walk of a."""
+        walk = self.basis_multiples(a.column(), self.act)
+        return linalg.hstack(walk, self.dim)
 
     def lift(self, v: np.ndarray) -> Polynomial:
         """The standard-monomial representative in S of a coordinate vector."""
@@ -246,8 +250,12 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, (self.vec + other.vec) % self.algebra.p)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        prod = linalg.matmul(self.algebra.operator(self), other.vec.reshape(-1, 1), self.algebra.p).ravel()
-        return AlgebraElement(self.algebra, prod)
+        prod = linalg.matmul(self.algebra._operator(self), other.column(), self.algebra.p)
+        return AlgebraElement(self.algebra, prod.toarray().ravel())
+
+    def column(self) -> linalg.Triples:
+        """The coordinate vector as a one-column matrix."""
+        return linalg.Triples.from_dense(self.vec.reshape(-1, 1))
 
     def to_polynomial(self) -> Polynomial:
         return self.algebra.lift(self.vec)
@@ -256,13 +264,14 @@ class AlgebraElement:
         return f"AlgebraElement({self.to_polynomial()})"
 
 
-def check_commuting(matrices: list[np.ndarray], p: int, what: str) -> None:
-    """Raise AssertionError unless the matrices commute pairwise mod p."""
-    for i in range(len(matrices)):
-        for j in range(i + 1, len(matrices)):
-            a = linalg.matmul(matrices[i], matrices[j], p)
-            b = linalg.matmul(matrices[j], matrices[i], p)
-            if not np.array_equal(a, b):
+def check_commuting(act, dim: int, nvars: int, what: str) -> None:
+    """Raise AssertionError unless x_i·x_j = x_j·x_i for every pair of
+    variables, where act(v, Y) computes x_v·Y on vectors of length dim."""
+    one = linalg.Triples.identity(dim)
+    images = [act(v, one) for v in range(nvars)]
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            if not np.array_equal(act(i, images[j]).toarray(), act(j, images[i]).toarray()):
                 raise AssertionError(f"{what} do not commute")
 
 
@@ -281,12 +290,12 @@ class AnnihilatorResult:
 
 
 def annihilator(R: QuotientAlgebra, a: AlgebraElement) -> AnnihilatorResult:
-    return _annihilator(R, R.operator(a))
+    return _annihilator(R, R._operator(a))
 
 
-def _annihilator(R: QuotientAlgebra, op: np.ndarray) -> AnnihilatorResult:
-    """(0 : a) for the multiplication matrix op = R.operator(a)."""
-    kernel = linalg.kernel_basis(linalg.Triples.from_dense(op), R.p)
+def _annihilator(R: QuotientAlgebra, op: linalg.Triples) -> AnnihilatorResult:
+    """(0 : a) for the multiplication matrix op = R._operator(a)."""
+    kernel = linalg.kernel_basis(op, R.p)
     gens, _ = R.minimal_generators(kernel, R.act)
     subspace = kernel.toarray()
     return AnnihilatorResult(subspace, [R.lift(subspace[:, j]) for j in gens])
@@ -319,13 +328,13 @@ def find_exact_pairs(R: QuotientAlgebra) -> list[ExactPair]:
         for j in range(i + 1, R.ctx.nvars):
             add(R.variable_element(i) + R.variable_element(j))
 
-    operators: dict[bytes, np.ndarray] = {}
+    operators: dict[bytes, linalg.Triples] = {}
 
-    def operator(el: AlgebraElement) -> np.ndarray:
-        """R.operator(el), built once per element."""
+    def operator(el: AlgebraElement) -> linalg.Triples:
+        """R._operator(el), built once per element."""
         key = el.vec.tobytes()
         if key not in operators:
-            operators[key] = R.operator(el)
+            operators[key] = R._operator(el)
         return operators[key]
 
     pairs = []
@@ -338,10 +347,10 @@ def find_exact_pairs(R: QuotientAlgebra) -> list[ExactPair]:
         if b.is_zero:
             continue
         # verify both equalities exactly
-        if not linalg.subspace_eq(ann_a.subspace, operator(b), p):
+        if not linalg.subspace_eq(linalg.Triples.from_dense(ann_a.subspace), operator(b), p):
             continue
         ann_b = _annihilator(R, operator(b))
-        if not linalg.subspace_eq(ann_b.subspace, operator(a), p):
+        if not linalg.subspace_eq(linalg.Triples.from_dense(ann_b.subspace), operator(a), p):
             continue
         key = frozenset([str(a.to_polynomial()), str(b.to_polynomial())])
         if key not in found:

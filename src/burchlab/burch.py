@@ -15,8 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg
 from .artinian import QuotientAlgebra, check_fibre_factors, fibre_product
 from .groebner import (
@@ -228,21 +226,16 @@ def choi_invariant(I: Ideal) -> int:
     m = max_ideal(ctx)
     J = ideal_colon(I, m)
     reducers_mI = max_ideal_product(I).reducers()
-    residues = []
+    entries = []  # (monomial index, residue index, coefficient)
     monomials: dict = {}
+    residues = 0
     for g in J.gens:
         for i in range(ctx.nvars):
             r = normal_form(ctx.variable(i) * g, reducers_mI)
             if not r.is_zero:
-                residues.append(r)
-                for e, _ in r.terms:
-                    monomials.setdefault(e, len(monomials))
-    if not residues:
-        return 0
-    mat = np.zeros((len(monomials), len(residues)), dtype=np.int64)
-    for j, r in enumerate(residues):
-        for e, c in r.terms:
-            mat[monomials[e], j] = c
+                entries.extend((monomials.setdefault(e, len(monomials)), residues, c) for e, c in r.terms)
+                residues += 1
+    mat = linalg.Triples.from_entries(entries, (len(monomials), residues))
     return linalg.rank(mat, ctx.p)
 
 

@@ -538,7 +538,7 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
                 coords.append((i, m))
         return coords, {c: k for k, c in enumerate(coords)}
 
-    prev_span: np.ndarray | None = None
+    prev_span: linalg.Triples | None = None
     prev_coords: list = []
     for t in range(min(degs), bound + 1):
         coords, lookup = col_index_map(t)
@@ -546,26 +546,21 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
             continue
         row_monos, row_lookup = _degree_basis(ctx, t)
         # multiplication matrix: coordinate (i, m) maps to m * gens[i]
-        M = np.zeros((len(row_monos), len(coords)), dtype=np.int64)
-        for k, (i, m) in enumerate(coords):
-            for e, c in gens[i].terms:
-                M[row_lookup[mono_mul(e, m)], k] = c
+        entries = [(row_lookup[mono_mul(e, m)], k, c) for k, (i, m) in enumerate(coords) for e, c in gens[i].terms]
+        M = linalg.Triples.from_entries(entries, (len(row_monos), len(coords)))
         K = linalg.kernel_basis(M, p)
         # span of x_j * (syzygies of degree t-1), in degree-t coordinates
-        carried = np.zeros((len(coords), 0), dtype=np.int64)
+        carried = linalg.Triples.zeros(len(coords), 0)
         if prev_span is not None and prev_span.shape[1]:
-            cols = []
+            shifted = []
             for j in range(ctx.nvars):
                 xj = ctx.var_exps(j)
-                shifted = np.zeros((len(coords), prev_span.shape[1]), dtype=np.int64)
-                for k, (i, m) in enumerate(prev_coords):
-                    shifted[lookup[(i, mono_mul(m, xj))]] = prev_span[k]
-                cols.append(shifted)
-            carried = np.concatenate(cols, axis=1) % p
-            carried = linalg.column_space_basis(carried, p)
-        new_idx = linalg.complete_columns(carried, K, p)
-        for j in new_idx:
-            vec = K[:, j]
+                to = np.array([lookup[(i, mono_mul(m, xj))] for i, m in prev_coords], dtype=np.int64)
+                shape = (len(coords), prev_span.shape[1])
+                shifted.append(linalg.Triples(to[prev_span.rows], prev_span.cols, prev_span.vals, shape))
+            carried = linalg.column_space_basis(linalg.hstack(shifted, len(coords)), p)
+        new = K.take_columns(linalg.complete_columns(carried, K, p))
+        for vec in new.toarray().T:
             col = [ctx.zero()] * mu
             parts: dict[int, dict] = {}
             for k, (i, m) in enumerate(coords):
@@ -574,8 +569,7 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
             for i, d in parts.items():
                 col[i] = Polynomial.from_dict(ctx, d)
             chosen.append((t, col))
-        span_cols = [carried] + [K[:, [j]] for j in new_idx]
-        prev_span = linalg.hstack(span_cols, len(coords))
+        prev_span = linalg.hstack([carried, new], len(coords))
         prev_coords = coords
 
     matrix = SyzygyMatrix(ctx, gens, tuple(tuple(col) for _, col in chosen))

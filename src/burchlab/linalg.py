@@ -1,17 +1,11 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced to [0, p).  Elimination
-and dense products run on float64 copies so the updates hit vectorized BLAS
-paths.  float64 holds integers exactly below 2**53, which bounds the prime:
-
-- `rref` reduces mod p after every pivot, so its largest intermediate value
-  is a product of two residues: it is exact while p**2 < 2**53;
-- `matmul` sums `inner` such products before reducing, so it is exact while
-  inner * (p-1)**2 < 2**53, and raises `PreconditionError` otherwise.
-
-`RingContext` refuses primes with p**2 >= 2**53 up front.  Pivoting is
-deterministic: the first nonzero entry in row order, columns scanned left to
-right.
+Every matrix is held as `Triples`, the lists (rows, cols, vals) of its
+nonzero entries, with values reduced to [1, p).  `rref`, `kernel_basis`,
+`column_space_basis`, `complete_columns`, `hstack` and `matmul` take Triples
+and answer with Triples, so a chain of them never builds or scans a dense
+array.  Pivoting is deterministic: the first nonzero entry in row order,
+columns scanned left to right.
 
 The matrices of the rings and modules here are mostly monomial: most blocks
 of their row/column nonzero graph are a single row (a lone row) or a single
@@ -20,26 +14,19 @@ column (a lone column).
 whole-array operations: a lone row is scaled by the inverse of its first
 entry, a lone column is a unit row.  The per-pivot loop `_eliminate` runs
 only on the submatrix of the remaining blocks, which for a dense matrix is
-all of it.
+all of it.  It works on a float64 copy of that block so the row updates hit
+vectorized BLAS paths, and reduces mod p after every pivot, so its largest
+intermediate value is a product of two residues: it is exact while
+p**2 < 2**53, which `RingContext` checks up front.
 
-A batch of vectors that an action is applied to is held as `Triples`, the
-lists (rows, cols, vals) of its nonzero entries.  `rref` reads its pattern
-from them directly (from a dense array it takes the same pattern with one
-`nonzero`), and `rref`, `kernel_basis`, `column_space_basis`,
-`complete_columns` and `hstack` answer Triples with Triples, so a chain of
-them never builds or scans the dense array.  An action matrix
-(multiplication by a variable on a ring or module) is applied in its
-scatter form (`scatter_table`): each source's targets and values, with
-entries that meet at one target summed mod p only where a row of the matrix
-has several nonzeros.  `sparse_matmul` multiplies two Triples, and
+An action matrix (multiplication by a variable on a ring or module) is
+applied in its scatter form (`scatter_table`): each source's targets and
+values, with entries that meet at one target summed mod p only where a row
+of the matrix has several nonzeros.  `matmul` multiplies two Triples, and
 `reduce_by_echelon` clears vectors against a reduced echelon basis, which
 tests membership in a span for many vectors at once (`columns_in_span`).
 All three run in int64 and reduce each product mod p before any sum, so
 they are exact for every prime `RingContext` accepts, at every size.
-`matmul` remains where a dense matrix is the result or an operand: a
-polynomial evaluated at the action matrices, the product of two algebra
-elements, the tensor maps of `resolution`, and the check that action
-matrices commute.
 """
 from __future__ import annotations
 
@@ -49,9 +36,8 @@ import numpy as np
 
 DEFAULT_PRIME = 32003
 
-# float64 holds integers exactly up to 2**53; matmul accumulates at most
-# inner_dim * (p-1)**2, so this caps its inner dimension, and rref's single
-# products cap the prime itself.
+# float64 holds integers exactly up to 2**53; _eliminate's largest value is
+# a product of two residues, so this caps the prime.
 EXACT_LIMIT = 2**53
 
 
@@ -98,29 +84,14 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def as_matrix(entries, p: int) -> np.ndarray:
-    """Coerce a nested sequence (or array) to a canonical int64 matrix mod p."""
-    A = np.asarray(entries, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2d matrix, got shape {A.shape}")
-    return A % p
-
-
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
 
 
 class Triples:
     """A matrix of `shape` held as its nonzero entries: vals[k] at (rows[k],
     cols[k]).  Values lie in [1, p), no position appears twice, and the
-    entries are in no particular order.  `rref`, `kernel_basis`,
-    `column_space_basis`, `complete_columns` and `hstack` take these in place
-    of dense arrays and answer in kind; `apply_scatter` applies an action
-    matrix to them."""
+    entries are in no particular order."""
 
     __slots__ = ("rows", "cols", "vals", "shape")
 
@@ -136,6 +107,12 @@ class Triples:
     def identity(cls, n: int) -> "Triples":
         diagonal = np.arange(n)
         return cls(diagonal, diagonal, np.ones(n, dtype=np.int64), (n, n))
+
+    @classmethod
+    def from_entries(cls, entries: list[tuple[int, int, int]], shape: tuple[int, int]) -> "Triples":
+        """The matrix with the given (row, col, value) entries."""
+        rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        return cls(rows, cols, vals, shape)
 
     @classmethod
     def from_dense(cls, A: np.ndarray) -> "Triples":
@@ -162,35 +139,22 @@ class Triples:
         return Triples(self.cols, self.rows, self.vals, self.shape[::-1])
 
 
-def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    if A.shape[1] == 0:
-        return zeros(A.shape[0], B.shape[1])
-    if A.shape[1] * (p - 1) ** 2 >= EXACT_LIMIT:
-        raise PreconditionError(
-            f"inner dimension {A.shape[1]} too large for exact float64 matmul mod {p} "
-            "(needs inner * (p-1)^2 < 2^53)"
-        )
-    C = (A.astype(np.float64) @ B.astype(np.float64)) % p
-    return C.astype(np.int64)
-
-
-def scatter_table(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scatter form (idx, val, merge) of a canonical square matrix A, for
+def scatter_table(A: Triples) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Scatter form (idx, val, merge) of a square matrix A, for
     `apply_scatter`: two (k, n) tables, k the most nonzeros in a column of A,
     where slot j of source column b holds the target row idx[j, b] and the
     value val[j, b] (0 in a padded slot); and whether some row of A has two
     or more nonzeros, that is whether two sources can reach one target."""
     n = A.shape[1]
-    sources, targets = A.T.nonzero()  # by source, targets ascending
+    order = np.lexsort((A.rows, A.cols))  # by source, targets ascending
+    sources, targets = A.cols[order], A.rows[order]
     count = np.bincount(sources, minlength=n)
     k = int(count.max()) if n else 0
     idx = np.zeros((k, n), dtype=np.int64)
     val = np.zeros((k, n), dtype=np.int64)
     slot = np.arange(sources.size) - (count.cumsum() - count)[sources]
     idx[slot, sources] = targets
-    val[slot, sources] = A[targets, sources]
+    val[slot, sources] = A.vals[order]
     merge = bool((np.bincount(targets, minlength=A.shape[0]) > 1).any())
     return idx, val, merge
 
@@ -244,9 +208,9 @@ def _products(A: Triples, B: Triples, p: int) -> tuple[np.ndarray, np.ndarray, n
     return A.rows[a], B.cols[b], A.vals[a] * B.vals[b] % p
 
 
-def sparse_matmul(A: Triples, B: Triples, p: int) -> Triples:
-    """A·B mod p for Triples, each term reduced mod p before the sums, so it
-    is exact for every prime `RingContext` accepts, at any size."""
+def matmul(A: Triples, B: Triples, p: int) -> Triples:
+    """A·B mod p, each term reduced mod p before the sums, so it is exact for
+    every prime `RingContext` accepts, at any size."""
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     return _summed(*_products(A, B, p), (A.shape[0], B.shape[1]), p)
@@ -267,9 +231,8 @@ def reduce_by_echelon(E: Triples, pivots, V: Triples, p: int) -> Triples:
     )
 
 
-def rref(A, p: int):
-    """Reduced row echelon form and the pivot-column indices, of a dense
-    array or of `Triples`; R comes back in the same form.
+def rref(A: Triples, p: int) -> tuple[Triples, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot-column indices.
 
     Lone rows and lone columns are reduced from the nonzero pattern, and
     `_eliminate` runs on the rest (see the module docstring).  The RREF of a
@@ -277,19 +240,11 @@ def rref(A, p: int):
     ordered by pivot column, so the result equals a full elimination's.
     """
     m, n = A.shape
-    sparse = isinstance(A, Triples)
-    if sparse:
-        # the entries row by row, left to right, as np.nonzero lists them
-        order = (A.rows * n + A.cols).argsort()
-        rows, cols, vals = A.rows[order], A.cols[order], A.vals[order]
-    else:
-        A = np.asarray(A, dtype=np.int64)
-        if A.size and (A.min() < 0 or A.max() >= p):
-            A = A % p
-        rows, cols = A.nonzero()
-        vals = A[rows, cols]
+    # the entries row by row, left to right
+    order = (A.rows * n + A.cols).argsort()
+    rows, cols, vals = A.rows[order], A.cols[order], A.vals[order]
     if rows.size == 0:
-        return (Triples.zeros(m, n) if sparse else zeros(m, n)), ()
+        return Triples.zeros(m, n), ()
     row_count = np.bincount(rows, minlength=m)
     col_count = np.bincount(cols, minlength=n)
     lone_row = row_count > 0
@@ -330,21 +285,13 @@ def rref(A, p: int):
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     nr, nc = r_pivots.size, c_pivots.size
-    r_vals = r_vals * scale[run] % p
-    if sparse:
-        s_rows, s_cols = sub.nonzero()
-        R = Triples(
-            np.concatenate([slot[run], slot[nr : nr + nc], slot[nr + nc :][s_rows]]),
-            np.concatenate([r_cols, c_pivots, sub_cols[s_cols]]),
-            np.concatenate([r_vals, np.ones(nc, dtype=np.int64), sub[s_rows, s_cols]]),
-            (m, n),
-        )
-    else:
-        R = zeros(m, n)
-        R[slot[run], r_cols] = r_vals
-        R[slot[nr : nr + nc], c_pivots] = 1
-        if s_pivots.size:
-            R[np.ix_(slot[nr + nc :], sub_cols)] = sub
+    s_rows, s_cols = sub.nonzero()
+    R = Triples(
+        np.concatenate([slot[run], slot[nr : nr + nc], slot[nr + nc :][s_rows]]),
+        np.concatenate([r_cols, c_pivots, sub_cols[s_cols]]),
+        np.concatenate([r_vals * scale[run] % p, np.ones(nc, dtype=np.int64), sub[s_rows, s_cols]]),
+        (m, n),
+    )
     return R, tuple(pivots[order].tolist())
 
 
@@ -377,13 +324,12 @@ def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return R.astype(np.int64), tuple(pivots)
 
 
-def rank(A: np.ndarray, p: int) -> int:
+def rank(A: Triples, p: int) -> int:
     return len(rref(A, p)[1])
 
 
-def kernel_basis(A, p: int):
-    """Columns form a basis of {v : Av = 0}; count = cols - rank(A).  Given
-    `Triples`, the basis comes back as `Triples`."""
+def kernel_basis(A: Triples, p: int) -> Triples:
+    """Columns form a basis of {v : Av = 0}; count = cols - rank(A)."""
     n = A.shape[1]
     R, pivots = rref(A, p)
     is_free = np.ones(n, dtype=bool)
@@ -391,75 +337,55 @@ def kernel_basis(A, p: int):
     free = is_free.nonzero()[0]
     # x_free = e_k forces x_c = -R[r, j] at the pivot c of row r; in RREF
     # R[r, j] is already 0 for every free j left of c
-    if isinstance(R, Triples):
-        at = np.full(n, -1, dtype=np.int64)
-        at[free] = np.arange(free.size)
-        k = at[R.cols]
-        hit = (k >= 0).nonzero()[0]  # R's entries in free columns: all but the pivots
-        return Triples(
-            np.concatenate([free, np.asarray(pivots, dtype=np.int64)[R.rows[hit]]]),
-            np.concatenate([np.arange(free.size), k[hit]]),
-            np.concatenate([np.ones(free.size, dtype=np.int64), p - R.vals[hit]]),
-            (n, free.size),
-        )
-    K = zeros(n, free.size)
-    K[free, np.arange(free.size)] = 1
-    K[list(pivots), :] = (-R[: len(pivots)][:, free]) % p
-    return K
+    at = np.full(n, -1, dtype=np.int64)
+    at[free] = np.arange(free.size)
+    k = at[R.cols]
+    hit = (k >= 0).nonzero()[0]  # R's entries in free columns: all but the pivots
+    return Triples(
+        np.concatenate([free, np.asarray(pivots, dtype=np.int64)[R.rows[hit]]]),
+        np.concatenate([np.arange(free.size), k[hit]]),
+        np.concatenate([np.ones(free.size, dtype=np.int64), p - R.vals[hit]]),
+        (n, free.size),
+    )
 
 
-def column_space_basis(A, p: int):
-    """A subset of A's columns forming a basis of its column space, in A's
-    form (dense or `Triples`)."""
+def column_space_basis(A: Triples, p: int) -> Triples:
+    """A subset of A's columns forming a basis of its column space."""
     _, pivots = rref(A, p)
-    return take_columns(A, pivots)
+    return A.take_columns(pivots)
 
 
-def take_columns(A, index):
-    """The columns `index` of A, dense or `Triples`, in that order."""
-    return A.take_columns(index) if isinstance(A, Triples) else A[:, list(index)]
-
-
-def columns_in_span(A, V, p: int) -> np.ndarray:
+def columns_in_span(A: Triples, V: Triples, p: int) -> np.ndarray:
     """Which columns of V lie in the column space of A, as a boolean mask:
-    one rref of Aᵀ, then one residual (`reduce_by_echelon`) for all of V.
-    A and V are canonical, each dense or `Triples`."""
+    one rref of Aᵀ, then one residual (`reduce_by_echelon`) for all of V."""
     if A.shape[0] != V.shape[0]:
         raise ValueError(f"vector length {V.shape[0]} != row count {A.shape[0]}")
-    A, V = (X if isinstance(X, Triples) else Triples.from_dense(X) for X in (A, V))
     E, pivots = rref(A.T, p)
     residual = reduce_by_echelon(E, pivots, V, p)
     return np.bincount(residual.cols, minlength=V.shape[1]) == 0
 
 
-def in_column_space(A, v: np.ndarray, p: int) -> bool:
-    """Whether the vector v lies in the column space of A (dense or
-    `Triples`): the one-column case of `columns_in_span`."""
-    v = np.asarray(v, dtype=np.int64).reshape(-1, 1) % p
+def in_column_space(A: Triples, v: Triples, p: int) -> bool:
+    """Whether the one column of v lies in the column space of A: the
+    one-column case of `columns_in_span`."""
     return bool(columns_in_span(A, v, p)[0])
 
 
-def hstack(blocks: list, rows: int):
-    """The blocks side by side, all dense or all `Triples`."""
-    if blocks and isinstance(blocks[0], Triples):
-        offsets = list(itertools.accumulate((B.shape[1] for B in blocks), initial=0))
-        return Triples(
-            np.concatenate([B.rows for B in blocks]),
-            np.concatenate([B.cols + at for B, at in zip(blocks, offsets)]),
-            np.concatenate([B.vals for B in blocks]),
-            (rows, offsets[-1]),
-        )
-    blocks = [B for B in blocks if B.shape[1] > 0]
-    if not blocks:
-        return zeros(rows, 0)
-    return np.concatenate(blocks, axis=1)
+def hstack(blocks: list[Triples], rows: int) -> Triples:
+    """The blocks side by side."""
+    offsets = list(itertools.accumulate((B.shape[1] for B in blocks), initial=0))
+    return Triples(
+        np.concatenate([B.rows for B in blocks]),
+        np.concatenate([B.cols + at for B, at in zip(blocks, offsets)]),
+        np.concatenate([B.vals for B in blocks]),
+        (rows, offsets[-1]),
+    )
 
 
-def complete_columns(W, C, p: int) -> list[int]:
+def complete_columns(W: Triples, C: Triples, p: int) -> list[int]:
     """Greedy indices j such that the columns C[:, j] extend span(W) to
     span(W) + span(C), scanning C left to right: the pivots of [W | C] past
-    W, since those inside W are exactly the pivots of W alone.  W and C are
-    both dense or both `Triples`."""
+    W, since those inside W are exactly the pivots of W alone."""
     if W.shape[0] != C.shape[0]:
         raise ValueError("ambient dimension mismatch")
     _, pivots = rref(hstack([W, C], W.shape[0]), p)
@@ -467,12 +393,12 @@ def complete_columns(W, C, p: int) -> list[int]:
     return [c - w for c in pivots if c >= w]
 
 
-def subspace_le(A: np.ndarray, B: np.ndarray, p: int) -> bool:
+def subspace_le(A: Triples, B: Triples, p: int) -> bool:
     """span(A) <= span(B), both given by column spans."""
     if A.shape[1] == 0:
         return True
     return not complete_columns(B, A, p)
 
 
-def subspace_eq(A: np.ndarray, B: np.ndarray, p: int) -> bool:
+def subspace_eq(A: Triples, B: Triples, p: int) -> bool:
     return subspace_le(A, B, p) and subspace_le(B, A, p)

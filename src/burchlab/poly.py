@@ -113,7 +113,9 @@ class RingContext:
     field: PrimeField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the float64 elimination in linalg is exact only while p^2 < 2^53;
+        # the bound is the elimination's: `linalg._eliminate` works in
+        # float64 and multiplies two residues, which is exact only while
+        # p^2 < 2^53 (every other product is exact in int64 for such p);
         # checked before primality, whose trial division grows with sqrt(p)
         if self.p * self.p >= EXACT_LIMIT:
             raise PreconditionError(

@@ -12,15 +12,16 @@ and spans through one act(v, Y) = x_v·Y on `linalg.Triples`:
 subspace of it.  Free-module coordinates are component-major: index
 c·dim R + b.  Both apply an action matrix in its scatter form
 (`linalg.scatter_table`), built once per variable, so no resolution step
-takes a dense product.
+takes a matrix product.
 
 Every resolution step, the first cover onto M included, runs on Triples:
 the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i, the
 chosen generators, the free map R^β -> Omega^i and its kernel Omega^{i+1}.
 `Resolution.syzygy` hands Omega^i and m·Omega^i on as they are, and
 `k_summand_test` tests all socle vectors against m·Omega^i with one
-elimination (`linalg.columns_in_span`).  Only the differentials ∂_i, and
-the monomial operators that `_tensor_map` multiplies by, are dense.
+elimination (`linalg.columns_in_span`).  The differentials ∂_i are kept
+dense for the caller; the tensor maps ∂_i ⊗ N of `tor_profile` are built as
+Triples, from one product of ∂_i's entries with N's monomial operators.
 """
 from __future__ import annotations
 
@@ -50,18 +51,14 @@ class AlgebraModule:
         for A in self.actions:
             if A.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
-        self._scatters = [linalg.scatter_table(A) for A in self.actions]
+        self._scatters = [linalg.scatter_table(linalg.Triples.from_dense(A)) for A in self.actions]
         self.label = label
         self._resolution: "Resolution | None" = None
         if check:
-            self._validate()
-
-    def _validate(self) -> None:
-        p = self.p
-        check_commuting(self.actions, p, "module actions")
-        for g in self.algebra.ideal.groebner():
-            if not np.array_equal(self.poly_operator(g) % p, np.zeros((self.dim, self.dim), dtype=np.int64)):
-                raise AssertionError(f"relation {g} does not annihilate the module")
+            check_commuting(self.act, self.dim, len(self.actions), "module actions")
+            for g in self.algebra.ideal.groebner():
+                if self.poly_operator(g).any():
+                    raise AssertionError(f"relation {g} does not annihilate the module")
 
     def act(self, v: int, Y: linalg.Triples) -> linalg.Triples:
         """x_v times each column of Y."""
@@ -70,20 +67,28 @@ class AlgebraModule:
         return linalg.apply_scatter(self._scatters[v], Y, self.p)
 
     @cached_property
-    def monomial_operators(self) -> np.ndarray:
-        """Actions of the basis monomials, dense (dim R, dim, dim), for `_tensor_map`."""
+    def monomial_operators(self) -> linalg.Triples:
+        """Actions of the basis monomials as one (dim R) x (dim·dim) table, for
+        `_tensor_map`: entry (s, t) of the action of basis monomial b is at
+        row b, column s·dim + t."""
         walk = self.algebra.basis_multiples(linalg.Triples.identity(self.dim), self.act)
-        return np.stack([X.toarray() for X in walk])
+        return linalg.Triples(
+            np.concatenate([np.full(X.vals.size, b) for b, X in enumerate(walk)]),
+            np.concatenate([X.rows * self.dim + X.cols for X in walk]),
+            np.concatenate([X.vals for X in walk]),
+            (len(walk), self.dim * self.dim),
+        )
 
     def poly_operator(self, f: Polynomial) -> np.ndarray:
-        """Evaluate a polynomial at the action matrices (no normal form)."""
+        """Evaluate a polynomial at the action matrices (no normal form), dense."""
+        actions = [linalg.Triples.from_dense(A) for A in self.actions]
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for exps, coeff in f.terms:
-            term = linalg.identity(self.dim)
+            term = linalg.Triples.identity(self.dim)
             for i, e in enumerate(exps):
                 for _ in range(e):
-                    term = linalg.matmul(self.actions[i], term, self.p)
-            out = (out + coeff * term) % self.p
+                    term = linalg.matmul(actions[i], term, self.p)
+            out = (out + coeff * term.toarray()) % self.p
         return out
 
     def is_free(self) -> bool:
@@ -241,7 +246,7 @@ class Resolution:
         generators."""
         R = self.R
         chosen, span = R.minimal_generators(W, act)
-        G = linalg.take_columns(W, chosen)
+        G = W.take_columns(chosen)
         if m is not None:
             G = _sort_generators(R, G, m)
         self.betti.append(G.shape[1])
@@ -292,7 +297,7 @@ class Resolution:
         ]
         for i in range(1, len(self.matrices)):
             phi = _free_map_matrix(R, gens[i - 1], R.act)
-            if linalg.sparse_matmul(phi, gens[i], R.p).vals.size:
+            if linalg.matmul(phi, gens[i], R.p).vals.size:
                 raise AssertionError("∂∂ != 0")
 
 
@@ -350,29 +355,39 @@ def koszul_h1(R: QuotientAlgebra) -> int:
     among the variables: those whose images extend m^2 to m."""
     if R.is_field:
         return 0
-    var_vecs = linalg.Triples.from_dense(np.stack([R.variable_element(i).vec for i in range(R.ctx.nvars)], axis=1))
-    ops = [R.mult[v] for v in linalg.complete_columns(R.max_power_basis(2), var_vecs, R.p)]
+    var_vecs = linalg.hstack([R.variable_element(i).column() for i in range(R.ctx.nvars)], R.dim)
+    ops = [linalg.Triples.from_dense(R.mult[v]) for v in linalg.complete_columns(R.max_power_basis(2), var_vecs, R.p)]
     e = len(ops)
     d = R.dim
     p = R.p
-    d1 = linalg.hstack(ops, d)
+    ker_d1 = e * d - linalg.rank(linalg.hstack(ops, d), p)
     pairs = list(itertools.combinations(range(e), 2))
-    d2 = np.zeros((e * d, len(pairs) * d), dtype=np.int64)
-    for col, (i, j) in enumerate(pairs):
-        d2[j * d : (j + 1) * d, col * d : (col + 1) * d] = ops[i]
-        d2[i * d : (i + 1) * d, col * d : (col + 1) * d] = (-ops[j]) % p
-    ker_d1 = e * d - linalg.rank(d1, p)
-    return ker_d1 - (linalg.rank(d2, p) if pairs else 0)
+    if not pairs:
+        return ker_d1
+    # column block (i, j) of d2 holds x_i at row block j and -x_j at row block i
+    blocks = [
+        linalg.Triples(
+            np.concatenate([ops[i].rows + j * d, ops[j].rows + i * d]),
+            np.concatenate([ops[i].cols, ops[j].cols]),
+            np.concatenate([ops[i].vals, p - ops[j].vals]),
+            (e * d, d),
+        )
+        for i, j in pairs
+    ]
+    return ker_d1 - linalg.rank(linalg.hstack(blocks, e * d), p)
 
 
-def _tensor_map(res_matrix: np.ndarray, N: AlgebraModule) -> np.ndarray:
+def _tensor_map(res_matrix: np.ndarray, N: AlgebraModule) -> linalg.Triples:
     """∂ ⊗ N as a matrix on coordinates of N^{betti} (component-major)."""
     m, mu, d = res_matrix.shape
     dN = N.dim
-    # block (r, j) is the sum over b of res_matrix[r, j, b] · (monomial b on N)
-    ops = N.monomial_operators.reshape(d, dN * dN)
-    blocks = linalg.matmul(res_matrix.reshape(m * mu, d), ops, N.p)
-    return blocks.reshape(m, mu, dN, dN).transpose(0, 2, 1, 3).reshape(m * dN, mu * dN)
+    # block (r, j) is the sum over b of res_matrix[r, j, b] · (monomial b on
+    # N); the product holds its entry (s, t) at row r·mu + j, column s·dN + t
+    entries = linalg.Triples.from_dense(res_matrix.reshape(m * mu, d))
+    blocks = linalg.matmul(entries, N.monomial_operators, N.p)
+    r, j = np.divmod(blocks.rows, mu)
+    s, t = np.divmod(blocks.cols, dN)
+    return linalg.Triples(r * dN + s, j * dN + t, blocks.vals, (m * dN, mu * dN))
 
 
 def tor(M: AlgebraModule, N: AlgebraModule, i: int) -> int:
@@ -429,8 +444,12 @@ def mapping_cone_module(M: AlgebraModule, x: AlgebraElement) -> MappingConeResul
 
 def _entry_ideal(R: QuotientAlgebra, P: np.ndarray) -> Ideal:
     """I_1 of a matrix whose entry (r, j) is the element vector P[r, j]: the
-    distinct monic lifts of its nonzero entries, in row-major order."""
-    entries = (R.lift(e).monic() for e in P.reshape(-1, R.dim) if e.any())
+    distinct monic lifts of its nonzero entries, in row-major order: each
+    distinct entry vector is lifted once, in order of first appearance."""
+    flat = P.reshape(-1, R.dim)
+    nonzero = flat[flat.any(axis=1)]
+    _, first = np.unique(nonzero, axis=0, return_index=True)
+    entries = (R.lift(e).monic() for e in nonzero[np.sort(first)])
     return Ideal.make(R.ctx, dict.fromkeys(entries))
 
 

@@ -325,13 +325,38 @@ def test_corpus_alternate_modulus(capsys):
     assert code == EXIT_OK and "PASS r8" in out
 
 
-@pytest.mark.parametrize("modulus", ["94906249", "2147483647"])
+@pytest.mark.parametrize("modulus", ["2147483647"])
 def test_modulus_beyond_exact_arithmetic_exit_3(modulus, capsys):
-    # 94906249 is the largest prime with p^2 < 2^53: the context accepts it
-    # and the first product refuses it; 2^31 - 1 is refused up front
+    # 2^31 - 1 is refused up front, before any work
     code, out, err = run_cli(capsys, "--modulus", modulus, "corpus")
     assert code == EXIT_PRECONDITION
     assert out == "" and len(err.splitlines()) == 1 and "2^53" in err
+
+
+def test_largest_accepted_modulus_runs_every_command(capsys):
+    """94906249 is the largest prime with p^2 < 2^53: every product is exact
+    there at every size, so no command stops once work has started."""
+    code, out, err = run_cli(capsys, "--modulus", "94906249", "corpus")
+    assert code == EXIT_OK and "all passed" in out and err == ""
+    for argv in (
+        ("check", DEMO, "I", "--route", "all"),
+        ("invariants", DEMO, "I"),
+        ("resolve", DEMO, "k", "--length", "6"),
+        ("tor", DEMO, "M", "k"),
+    ):
+        code, _, err = run_cli(capsys, "--modulus", "94906249", *argv)
+        assert code == EXIT_OK and err == "", argv
+
+
+def test_sweep_report_is_characteristic_independent(capsys):
+    """The verdict table of the monomial sweep does not depend on the prime:
+    the same --json report at p = 2, 32003 and 94906249."""
+    reports = set()
+    for modulus in ("2", "32003", "94906249"):
+        code, out, _ = run_cli(capsys, "--modulus", modulus, "--json", "sweep", "--max-socle-degree", "4")
+        assert code == EXIT_OK
+        reports.add(out)
+    assert len(reports) == 1
 
 
 def test_session_modulus_beyond_exact_arithmetic_exit_3(tmp_path, capsys):

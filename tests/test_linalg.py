@@ -12,6 +12,11 @@ from burchlab.poly import RingContext
 P = 32003
 
 
+def _triples(rows, p=P):
+    """The Triples of a nested list or array, reduced mod p."""
+    return linalg.Triples.from_dense(np.asarray(rows, dtype=np.int64).reshape(len(rows), -1) % p)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(32001)
@@ -29,54 +34,52 @@ def test_inverse_of_zero_raises():
 
 
 def test_rank_identity_and_zero():
-    assert linalg.rank(linalg.identity(2), P) == 2
-    assert linalg.rank(linalg.zeros(3, 4), P) == 0
+    assert linalg.rank(linalg.Triples.identity(2), P) == 2
+    assert linalg.rank(linalg.Triples.zeros(3, 4), P) == 0
 
 
 def test_rank_dependent_rows():
     # [[1,2],[2,4]]: second row is twice the first
-    A = linalg.as_matrix([[1, 2], [2, 4]], P)
-    assert linalg.rank(A, P) == 1
+    assert linalg.rank(_triples([[1, 2], [2, 4]]), P) == 1
 
 
 def test_kernel_identity_empty():
-    K = linalg.kernel_basis(linalg.identity(2), P)
+    K = linalg.kernel_basis(linalg.Triples.identity(2), P)
     assert K.shape == (2, 0)
 
 
 def test_kernel_zero_matrix_full():
-    K = linalg.kernel_basis(linalg.zeros(2, 2), P)
+    K = linalg.kernel_basis(linalg.Triples.zeros(2, 2), P)
     assert K.shape == (2, 2)
     assert linalg.rank(K, P) == 2
 
 
 def test_kernel_single_relation():
     # x + y = 0 has a one-dimensional solution space
-    K = linalg.kernel_basis(linalg.as_matrix([[1, 1]], P), P)
-    assert K.shape == (1, 1) or K.shape == (2, 1)
+    A = _triples([[1, 1]])
+    K = linalg.kernel_basis(A, P)
     assert K.shape == (2, 1)
-    A = linalg.as_matrix([[1, 1]], P)
-    assert not linalg.matmul(A, K, P).any()
+    assert linalg.matmul(A, K, P).vals.size == 0
 
 
 def test_column_membership():
-    A = linalg.identity(2)
-    assert linalg.in_column_space(A, np.array([5, 7]), P)
-    Z = linalg.zeros(2, 1)
-    assert not linalg.in_column_space(Z, np.array([1, 0]), P)
-    M = linalg.as_matrix([[1], [2]], P)
-    assert linalg.in_column_space(M, np.array([2, 4]), P)
-    assert not linalg.in_column_space(M, np.array([1, 0]), P)
+    A = linalg.Triples.identity(2)
+    assert linalg.in_column_space(A, _triples([5, 7]), P)
+    Z = linalg.Triples.zeros(2, 1)
+    assert not linalg.in_column_space(Z, _triples([1, 0]), P)
+    M = _triples([[1], [2]])
+    assert linalg.in_column_space(M, _triples([2, 4]), P)
+    assert not linalg.in_column_space(M, _triples([1, 0]), P)
 
 
 def test_membership_dimension_mismatch():
     with pytest.raises(ValueError):
-        linalg.in_column_space(linalg.identity(2), np.array([1, 2, 3]), P)
+        linalg.in_column_space(linalg.Triples.identity(2), _triples([1, 2, 3]), P)
 
 
 def test_complete_columns_greedy():
-    W = linalg.as_matrix([[1], [0], [0]], P)
-    C = linalg.identity(3)
+    W = _triples([[1], [0], [0]])
+    C = linalg.Triples.identity(3)
     assert linalg.complete_columns(W, C, P) == [1, 2]
 
 
@@ -95,50 +98,50 @@ matrices = st.integers(1, 5).flatmap(
 @given(matrices)
 def test_rank_transpose_agrees(rows):
     # the row-echelon and column-echelon routes must give the same rank
-    A = linalg.as_matrix(rows, P)
+    A = _triples(rows)
     assert linalg.rank(A, P) == linalg.rank(A.T, P)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_kernel_vectors_annihilate(rows):
-    A = linalg.as_matrix(rows, P)
+    A = _triples(rows)
     K = linalg.kernel_basis(A, P)
     assert K.shape[1] == A.shape[1] - linalg.rank(A, P)
-    if K.shape[1]:
-        assert not linalg.matmul(A, K, P).any()
+    assert linalg.matmul(A, K, P).vals.size == 0
     assert linalg.rank(K, P) == K.shape[1]
 
 
 def test_rref_deterministic_first_pivot():
-    A = linalg.as_matrix([[0, 2], [3, 0]], P)
+    A = _triples([[0, 2], [3, 0]])
     R1, piv1 = linalg.rref(A, P)
-    R2, piv2 = linalg.rref(A.copy(), P)
-    assert np.array_equal(R1, R2) and piv1 == piv2 == (0, 1)
+    R2, piv2 = linalg.rref(A, P)
+    assert np.array_equal(R1.toarray(), R2.toarray()) and piv1 == piv2 == (0, 1)
 
 
 def test_subspace_relations():
-    A = linalg.as_matrix([[1, 0], [0, 1], [0, 0]], P)
-    B = linalg.as_matrix([[1], [0], [0]], P)
+    A = _triples([[1, 0], [0, 1], [0, 0]])
+    B = _triples([[1], [0], [0]])
     assert linalg.subspace_le(B, A, P)
     assert not linalg.subspace_le(A, B, P)
-    assert linalg.subspace_eq(A, A[:, ::-1], P)
+    assert linalg.subspace_eq(A, A.take_columns([1, 0]), P)
 
 
 # -- vectorized kernel against the loop it replaced ------------------------------
 
 
 def _kernel_basis_loop(A, p):
-    """Reference: back-substitution one entry at a time."""
+    """Reference: back-substitution one entry at a time, from the Python-int
+    elimination `_rref_python` of the dense array A."""
     n = A.shape[1]
-    R, pivots = linalg.rref(A, p)
+    R, pivots = _rref_python(A.tolist(), p)
     free = [j for j in range(n) if j not in set(pivots)]
     K = linalg.zeros(n, len(free))
     for k, j in enumerate(free):
         K[j, k] = 1
         for r, c in enumerate(pivots):
             if c < j:
-                K[c, k] = (-int(R[r, j])) % p
+                K[c, k] = (-R[r][j]) % p
     return K
 
 
@@ -167,12 +170,12 @@ def kernel_cases(draw):
 @example((linalg.zeros(3, 0), P))
 def test_kernel_basis_matches_loop_reference(case):
     A, p = case
-    K = linalg.kernel_basis(A, p)
+    K = _dense(linalg.kernel_basis(linalg.Triples.from_dense(A), p), p)
     ref = _kernel_basis_loop(A, p)
     assert K.dtype == ref.dtype and K.shape == ref.shape and np.array_equal(K, ref)
 
 
-# -- the prime bound of the float64 path ------------------------------------------
+# -- the prime bound of the float64 elimination ----------------------------------------
 
 
 def _largest_exact_prime():
@@ -214,10 +217,10 @@ def test_rref_exact_at_largest_accepted_prime():
     full = rng.integers(0, p, size=(40, 40))
     deficient = np.concatenate([full[:25], (3 * full[:15] + full[10:25]) % p])
     for A in (full, deficient[:, :33]):
-        R, pivots = linalg.rref(A.astype(np.int64), p)
+        R, pivots = linalg.rref(_triples(A, p), p)
         ref, ref_pivots = _rref_python(A.tolist(), p)
         assert pivots == ref_pivots
-        assert R.tolist() == ref
+        assert _dense(R, p).tolist() == ref
 
 
 def test_context_refuses_inexact_prime():
@@ -227,12 +230,19 @@ def test_context_refuses_inexact_prime():
         RingContext(_largest_exact_prime() + 2**20, ("x",))  # composite, but too large first
 
 
-def test_matmul_refuses_inexact_inner_dimension():
+def test_matmul_exact_at_largest_accepted_prime():
+    """At the largest accepted prime, matmul is exact at inner dimensions
+    where a float64 sum of products (p-1)^2 would not be: 3, 12 and 3000,
+    with every entry p - 1 and with random entries."""
     p = _largest_exact_prime()
-    A = np.ones((1, 2), dtype=np.int64)
-    assert linalg.matmul(A[:, :1], A[:, :1].T, p).tolist() == [[1]]
-    with pytest.raises(PreconditionError):
-        linalg.matmul(A, A.T, p)
+    rng = np.random.default_rng(11)
+    for inner in (3, 12, 3000):
+        for A, B in (
+            (np.full((2, inner), p - 1), np.full((inner, 3), p - 1)),
+            (rng.integers(0, p, size=(2, inner)), rng.integers(0, p, size=(inner, 3))),
+        ):
+            got = linalg.matmul(_triples(A, p), _triples(B, p), p)
+            assert got.shape == (2, 3) and np.array_equal(_dense(got, p), _product_along(A, B, 0, p))
 
 
 # -- structural pivots against the Python-int reference ----------------------------
@@ -305,13 +315,18 @@ def structured_matrices(draw):
 @example((np.array([[-1, 94906249 + 4], [0, 0]], dtype=np.int64), 94906249))
 def test_rref_matches_python_reference(case):
     A, p = case
-    before = A.copy()
-    R, pivots = linalg.rref(A, p)
+    T = linalg.Triples.from_dense(A % p)
+    before = [X.copy() for X in (T.rows, T.cols, T.vals)]
+    R, pivots = linalg.rref(T, p)
     ref, ref_pivots = _rref_python(A.tolist(), p)
-    assert np.array_equal(A, before)
-    assert R.dtype == np.int64 and R.shape == A.shape
+    assert all(np.array_equal(X, Y) for X, Y in zip((T.rows, T.cols, T.vals), before))
+    assert R.shape == A.shape
     assert pivots == ref_pivots and all(type(c) is int for c in pivots)
-    assert R.tolist() == ref
+    assert _dense(R, p).tolist() == ref
+
+
+def _rank_python(A, p):
+    return len(_rref_python(A.tolist(), p)[1])
 
 
 def _rank_greedy(W, C, p):
@@ -320,7 +335,7 @@ def _rank_greedy(W, C, p):
     chosen, cur = [], W
     for j in range(C.shape[1]):
         ext = np.concatenate([cur, C[:, j : j + 1]], axis=1)
-        if linalg.rank(ext, p) > linalg.rank(cur, p):
+        if _rank_python(ext, p) > _rank_python(cur, p):
             chosen.append(j)
             cur = ext
     return chosen
@@ -333,30 +348,24 @@ def test_span_tests_match_rank_definitions(case, data):
     A %= p
     w = data.draw(st.integers(0, A.shape[1]))
     W, C = A[:, :w], A[:, w:]
-    assert linalg.complete_columns(W, C, p) == _rank_greedy(W, C, p)
-    rank_w = linalg.rank(W, p)
-    both = linalg.rank(np.concatenate([W, C], axis=1), p)
-    assert linalg.subspace_le(C, W, p) == (both == rank_w)
-    assert linalg.subspace_eq(C, W, p) == (both == rank_w == linalg.rank(C, p))
-    mask = [linalg.rank(np.concatenate([W, C[:, j : j + 1]], axis=1), p) == rank_w for j in range(C.shape[1])]
-    assert linalg.columns_in_span(W, C, p).tolist() == mask
-    assert linalg.columns_in_span(linalg.Triples.from_dense(W), linalg.Triples.from_dense(C), p).tolist() == mask
+    W_t, C_t = linalg.Triples.from_dense(W), linalg.Triples.from_dense(C)
+    assert linalg.complete_columns(W_t, C_t, p) == _rank_greedy(W, C, p)
+    rank_w = _rank_python(W, p)
+    both = _rank_python(np.concatenate([W, C], axis=1), p)
+    assert linalg.subspace_le(C_t, W_t, p) == (both == rank_w)
+    assert linalg.subspace_eq(C_t, W_t, p) == (both == rank_w == _rank_python(C, p))
+    mask = [_rank_python(np.concatenate([W, C[:, j : j + 1]], axis=1), p) == rank_w for j in range(C.shape[1])]
+    assert linalg.columns_in_span(W_t, C_t, p).tolist() == mask
     for j in range(C.shape[1]):
-        assert linalg.in_column_space(W, C[:, j], p) == mask[j]
+        assert linalg.in_column_space(W_t, C_t.take_columns([j]), p) == mask[j]
 
 
 def _product_along(A, Y, axis, p):
-    """A·Y along `axis` of Y: linalg.matmul on Y with that axis first and the
-    others flattened, or Python ints where matmul refuses the prime."""
+    """A·Y mod p along `axis` of Y, in Python ints: Y with that axis first
+    and the others flattened."""
     Yt = np.moveaxis(Y, axis, 0)
     flat = Yt.reshape(Yt.shape[0], math.prod(Yt.shape[1:]))
-    if A.shape[1] * (p - 1) ** 2 < linalg.EXACT_LIMIT:
-        prod = linalg.matmul(A, flat, p)
-    else:
-        cols = flat.T.tolist()
-        prod = np.array(
-            [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A.tolist()], dtype=np.int64
-        ).reshape(A.shape[0], flat.shape[1])
+    prod = (np.asarray(A).astype(object) @ flat.astype(object) % p).astype(np.int64)
     return np.moveaxis(prod.reshape((A.shape[0],) + Yt.shape[1:]), 0, axis)
 
 
@@ -431,8 +440,8 @@ def gather_cases(draw):
 @example((np.array([[BIG_P - 1, 2, 0], [0, 0, 0], [5, 0, BIG_P - 1]]), np.full((2, 3, 2), BIG_P - 1), 1, BIG_P))
 def test_apply_gather_matches_dense_product(case):
     """The row-gather form of A acting along an axis of Y equals the dense
-    product, and so does sparse_matmul of the Triples of A and of each block
-    of Y; neither changes A or Y."""
+    product, and so does matmul of the Triples of A and of each block of Y;
+    neither changes A or Y."""
     A, Y, axis, p = case
     A_before, Y_before = A.copy(), Y.copy()
     table = _gather_table(A)
@@ -443,13 +452,13 @@ def test_apply_gather_matches_dense_product(case):
     assert got.size == 0 or (got.min() >= 0 and got.max() < p)
     assert np.array_equal(got, want)
     blocks = [Y] if axis == 0 else list(Y)
-    products = [linalg.sparse_matmul(linalg.Triples.from_dense(A), linalg.Triples.from_dense(B), p) for B in blocks]
+    products = [linalg.matmul(linalg.Triples.from_dense(A), linalg.Triples.from_dense(B), p) for B in blocks]
     assert np.array_equal(A, A_before) and np.array_equal(Y, Y_before)
     for T, B in zip(products, [want] if axis == 0 else list(want)):
         assert T.shape == B.shape and np.array_equal(_dense(T, p), B)
 
 
-# -- Triples against the dense results ------------------------------------------------
+# -- Triples against the Python-int references ---------------------------------------
 
 
 def _dense(T, p):
@@ -470,9 +479,10 @@ def _dense(T, p):
 @example((linalg.zeros(2, 3), P), 3)
 def test_triples_match_dense_results(case, seed):
     """rref, kernel_basis, column_space_basis and complete_columns on Triples,
-    entries in any order, equal the dense results: on block, monomial and
-    zero matrices, empty shapes, and a general block beside lone rows and
-    columns (the rest block that goes to _eliminate)."""
+    entries in any order, equal the Python-int references on the dense
+    array: on block, monomial and zero matrices, empty shapes, and a general
+    block beside lone rows and columns (the rest block that goes to
+    _eliminate)."""
     A, p = case
     A = A % p
     rng = np.random.default_rng(seed)
@@ -480,15 +490,15 @@ def test_triples_match_dense_results(case, seed):
     order = rng.permutation(T.rows.size)
     T = linalg.Triples(T.rows[order], T.cols[order], T.vals[order], A.shape)
 
-    R, pivots = linalg.rref(A, p)
-    R_t, pivots_t = linalg.rref(T, p)
-    assert pivots_t == pivots and np.array_equal(_dense(R_t, p), R)
-    assert np.array_equal(_dense(linalg.kernel_basis(T, p), p), linalg.kernel_basis(A, p))
-    assert np.array_equal(_dense(linalg.column_space_basis(T, p), p), linalg.column_space_basis(A, p))
+    ref, ref_pivots = _rref_python(A.tolist(), p)
+    R, pivots = linalg.rref(T, p)
+    assert pivots == ref_pivots and _dense(R, p).tolist() == ref
+    assert np.array_equal(_dense(linalg.kernel_basis(T, p), p), _kernel_basis_loop(A, p))
+    assert np.array_equal(_dense(linalg.column_space_basis(T, p), p), A[:, list(ref_pivots)])
     w = int(rng.integers(0, A.shape[1] + 1))
     W, C = T.take_columns(range(w)), T.take_columns(range(w, A.shape[1]))
     assert np.array_equal(_dense(linalg.hstack([W, C], A.shape[0]), p), A)
-    assert linalg.complete_columns(W, C, p) == linalg.complete_columns(A[:, :w], A[:, w:], p)
+    assert linalg.complete_columns(W, C, p) == _rank_greedy(A[:, :w], A[:, w:], p)
 
 
 @st.composite
@@ -533,7 +543,7 @@ def test_apply_scatter_matches_dense_product(case):
     A, Y, p = case
     n = A.shape[0]
     A_before, Y_before = A.copy(), Y.copy()
-    table = linalg.scatter_table(A)
+    table = linalg.scatter_table(linalg.Triples.from_dense(A))
     assert table[0].shape == (int(np.count_nonzero(A, axis=0).max(initial=0)), n)
     assert table[2] == bool((np.count_nonzero(A, axis=1) > 1).any())
     got = linalg.apply_scatter(table, linalg.Triples.from_dense(Y), p)
@@ -553,7 +563,7 @@ def test_apply_scatter_matches_apply_gather(case):
     A, Y, p = case
     n = A.shape[0]
     gather = _gather_table(A)
-    table = linalg.scatter_table(A)
+    table = linalg.scatter_table(linalg.Triples.from_dense(A))
     assert table[0].shape == (int(np.count_nonzero(A, axis=0).max(initial=0)), n)
     assert table[2] == (gather[0].shape[1] > 1)
     got = linalg.apply_scatter(table, linalg.Triples.from_dense(Y), p)
@@ -565,16 +575,16 @@ def test_apply_scatter_matches_apply_gather(case):
 @given(structured_matrices(), structured_matrices(), st.integers(0, 2**32 - 1))
 @example((linalg.zeros(0, 3), P), (linalg.zeros(3, 2), P), 0)
 @example((np.array([[BIG_P - 1, BIG_P - 1]]), BIG_P), (np.array([[BIG_P - 1], [1]]), BIG_P), 1)
-def test_sparse_matmul_matches_dense_product(left, right, seed):
-    """sparse_matmul on Triples against the dense product: A is the first
+def test_matmul_matches_python_product(left, right, seed):
+    """matmul on Triples against the product in Python ints: A is the first
     matrix, B the second cut or padded to A's column count, at A's prime."""
     A, p = left
     A = A % p
     rng = np.random.default_rng(seed)
     B = right[0][: A.shape[1]] % p
     B = np.concatenate([B, rng.integers(0, p, size=(A.shape[1] - B.shape[0], B.shape[1]))]).astype(np.int64)
-    got = linalg.sparse_matmul(linalg.Triples.from_dense(A), linalg.Triples.from_dense(B), p)
+    got = linalg.matmul(linalg.Triples.from_dense(A), linalg.Triples.from_dense(B), p)
     want = _product_along(A, B, 0, p)
     assert got.shape == want.shape and np.array_equal(_dense(got, p), want)
     with pytest.raises(ValueError):
-        linalg.sparse_matmul(linalg.Triples.zeros(2, 3), linalg.Triples.zeros(2, 3), p)
+        linalg.matmul(linalg.Triples.zeros(2, 3), linalg.Triples.zeros(2, 3), p)
