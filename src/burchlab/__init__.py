@@ -22,8 +22,6 @@ from .burch import (
     gorenstein_burch_classifier,
     mu_growth_test,
     m_full_test,
-    cyclic_summand_condition,
-    weakly_m_full_test,
 )
 from .groebner import (
     Ideal,
@@ -51,7 +49,6 @@ from .resolution import (
     free_module,
     k_summand_test,
     koszul_h1,
-    mapping_cone_module,
     module_from_cyclic,
     residue_field,
     tor,

@@ -120,6 +120,12 @@ class QuotientAlgebra:
         return self.hilbert[1] if len(self.hilbert) > 1 else 0
 
     @cached_property
+    def koszul_h1(self) -> int:
+        """dim H_1 of the Koszul complex of m, by `resolution.koszul_h1`."""
+        from .resolution import koszul_h1  # resolution imports this module
+        return koszul_h1(self)
+
+    @cached_property
     def socle(self) -> np.ndarray:
         """Basis of the socle (0 : m) as columns."""
         return self.socle_span(linalg.Triples.identity(self.dim), self.act).toarray()

@@ -27,7 +27,7 @@ from .groebner import (
     normal_form,
 )
 from .poly import Polynomial, RingContext
-from .resolution import k_summand_test, koszul_h1, residue_field
+from .resolution import k_summand_test, residue_field
 
 
 class InternalConsistencyError(AssertionError):
@@ -247,10 +247,8 @@ def burch_invariant(R: QuotientAlgebra) -> int:
     if R.is_field:
         return R.ctx.nvars
     Rp = R.quotient_by_socle()
-    h1 = koszul_h1(R)
-    h1p = 0 if Rp.is_field else koszul_h1(Rp)
-    edim_p = Rp.edim
-    return R.socle_dim + h1 - R.edim - h1p + edim_p
+    h1p = 0 if Rp.is_field else Rp.koszul_h1
+    return R.socle_dim + R.koszul_h1 - R.edim - h1p + Rp.edim
 
 
 @dataclass

@@ -216,17 +216,15 @@ def _poly_str(f: Polynomial | None):
 
 
 def _json_invariants(inv: dict) -> dict:
-    out = {}
-    for key, value in inv.items():
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in inv.items()}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report and exit code, and `main` emits the
+# report
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[Report, int]:
     session = parse_session(args.file, args.modulus)
     I = session.ideal(args.ideal)
     report = Report("check", {"file": args.file, "ideal": args.ideal, "route": args.route})
@@ -253,11 +251,10 @@ def cmd_check(args) -> int:
         if not cross.agree:
             report.line("  ROUTE DISAGREEMENT")
             exit_code = EXIT_CONSISTENCY
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return exit_code
+    return report, exit_code
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> tuple[Report, int]:
     session = parse_session(args.file, args.modulus)
     I = session.ideal(args.ideal)
     rep = burch_ideal_test(I)
@@ -267,11 +264,10 @@ def cmd_invariants(args) -> int:
     for key, value in _json_invariants(rep.invariants).items():
         report.invariant(key, value)
         report.line(f"{key} = {value}")
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> tuple[Report, int]:
     session = parse_session(args.file, args.modulus)
     R = default_ring(session, args)
     M = session.module(args.module, R)
@@ -295,11 +291,10 @@ def cmd_resolve(args) -> int:
         report.line(f"k | omega^{i}: {verdict.splits}")
     report.verdict("k_summand_by_index", summands)
     report.invariant("entry_ideals", entry_ideals)
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_syzygy_summand(args) -> int:
+def cmd_syzygy_summand(args) -> tuple[Report, int]:
     session = parse_session(args.file, args.modulus)
     R = default_ring(session, args)
     M = session.module(args.module, R)
@@ -318,34 +313,27 @@ def cmd_syzygy_summand(args) -> int:
         )
     else:
         report.line(f"k | omega^{args.index}: False")
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_tor(args) -> int:
+def cmd_tor(args) -> tuple[Report, int]:
     session = parse_session(args.file, args.modulus)
     R = default_ring(session, args)
     M = session.module(args.first, R)
     N = session.module(args.second, R)
     report = Report(
         "tor",
-        {
-            "file": args.file,
-            "modules": [args.first, args.second],
-            "max_index": args.max_index,
-            "ring": args.ring,
-        },
+        {"file": args.file, "modules": [args.first, args.second], "max_index": args.max_index, "ring": args.ring},
     )
     profile = tor_profile(M, N, args.max_index)
     dims = {str(i): v for i, v in enumerate(profile)}
     report.verdict("tor_dims", dims)
     for i, v in dims.items():
         report.line(f"tor_{i} = {v}")
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_mfull(args) -> int:
+def cmd_mfull(args) -> tuple[Report, int]:
     session = parse_session(args.file, args.modulus)
     I = session.ideal(args.ideal)
     result = m_full_test(I, trials=args.trials, seed=args.seed)
@@ -360,23 +348,17 @@ def cmd_mfull(args) -> int:
         report.line(f"m-full: yes, witness {result.witness}")
     else:
         report.line(f"m-full: no witness found ({result.trials} random trials; probabilistic)")
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_cut(args) -> int:
+def cmd_cut(args) -> tuple[Report, int]:
     session = parse_session(args.file, args.modulus)
     I = session.ideal(args.ideal)
     elems = [parse_polynomial(text, session.ctx) for text in args.by]
     result = cut_down(I, elems, allow_nonlinear=args.allow_nonlinear)
     report = Report(
         "cut",
-        {
-            "file": args.file,
-            "ideal": args.ideal,
-            "by": args.by,
-            "allow_nonlinear": args.allow_nonlinear,
-        },
+        {"file": args.file, "ideal": args.ideal, "by": args.by, "allow_nonlinear": args.allow_nonlinear},
     )
     report.verdict("all_regular", result.all_regular)
     quotient = [str(g) for g in result.ideal.groebner()]
@@ -397,11 +379,10 @@ def cmd_cut(args) -> int:
     else:
         report.verdict("quotient_burch", None)
         report.line("quotient not artinian; no depth-zero verdict")
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_fibre(args) -> int:
+def cmd_fibre(args) -> tuple[Report, int]:
     left = parse_session(args.left_file, args.modulus)
     right = parse_session(args.right_file, args.modulus)
     RS = QuotientAlgebra(left.ideal(args.left_ideal))
@@ -409,10 +390,7 @@ def cmd_fibre(args) -> int:
     verdict = fibre_burch_test(RS, RT)
     report = Report(
         "fibre",
-        {
-            "left": [args.left_file, args.left_ideal],
-            "right": [args.right_file, args.right_ideal],
-        },
+        {"left": [args.left_file, args.left_ideal], "right": [args.right_file, args.right_ideal]},
     )
     report.verdict("burch", verdict.burch)
     report.verdict("left_burch", verdict.left_burch)
@@ -421,11 +399,10 @@ def cmd_fibre(args) -> int:
     report.line(
         f"fibre product Burch: {verdict.burch} (left {verdict.left_burch}, right {verdict.right_burch}, direct {verdict.direct})"
     )
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[Report, int]:
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
     for c in checks:
         if c not in ALL_CHECKS:
@@ -440,11 +417,10 @@ def cmd_sweep(args) -> int:
     for rec in result.counterexamples:
         report.line(f"  DISAGREEMENT at staircase {rec.staircase}: {rec.verdicts}")
         report.witness(str(rec.staircase), rec.verdicts)
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK if not result.counterexamples else EXIT_CONSISTENCY
+    return report, EXIT_OK if not result.counterexamples else EXIT_CONSISTENCY
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> tuple[Report, int]:
     p = args.modulus or 32003
     ok, results = run_corpus(p, only=args.only)
     report = Report("corpus", {"modulus": p, "only": args.only})
@@ -457,8 +433,7 @@ def cmd_corpus(args) -> int:
                 report.line(f"    {r.label}: {r.detail}")
                 report.witness(f"{name}::{r.label}", r.detail)
     report.line("all passed" if ok else "FAILURES")
-    report.emit(args.json, args._elapsed() if args.timing else None)
-    return EXIT_OK if ok else EXIT_CORPUS
+    return report, EXIT_OK if ok else EXIT_CORPUS
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
-    args._elapsed = lambda: time.monotonic() - start
     command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return command(args)
-    except (SessionError, ParseError) as exc:
+        report, exit_code = command(args)
+        report.emit(args.json, time.monotonic() - start if args.timing else None)
+        return exit_code
+    except (SessionError, ParseError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:
@@ -548,9 +524,6 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except KeyError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

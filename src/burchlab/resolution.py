@@ -19,9 +19,12 @@ the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i, the
 chosen generators, the free map R^β -> Omega^i and its kernel Omega^{i+1}.
 `Resolution.syzygy` hands Omega^i and m·Omega^i on as they are, and
 `k_summand_test` tests all socle vectors against m·Omega^i with one
-elimination (`linalg.columns_in_span`).  The differentials ∂_i are kept
-dense for the caller; the tensor maps ∂_i ⊗ N of `tor_profile` are built as
-Triples, from one product of ∂_i's entries with N's monomial operators.
+elimination (`linalg.columns_in_span`).  A matrix over R, such as ∂_i or a
+presentation, is the Triples of shape (rows·dim R, cols) whose column j is a
+vector of R^rows; the tensor maps ∂_i ⊗ N, entry ideals and ∂∂ = 0 are read
+off it by index arithmetic.  Only `_dense_entries` builds the dense (rows,
+cols, dim R) array, for `Resolution.matrix(i)` and
+`MappingConeResult.presentation`.
 """
 from __future__ import annotations
 
@@ -107,12 +110,7 @@ class AlgebraModule:
 
 
 def free_module(R: QuotientAlgebra, rank: int) -> AlgebraModule:
-    blocks = []
-    for M in R.mult:
-        B = np.zeros((rank * R.dim, rank * R.dim), dtype=np.int64)
-        for c in range(rank):
-            B[c * R.dim : (c + 1) * R.dim, c * R.dim : (c + 1) * R.dim] = M
-        blocks.append(B)
+    blocks = [np.kron(np.eye(rank, dtype=np.int64), M) for M in R.mult]  # rank copies of M on the diagonal
     return AlgebraModule(R, blocks, label=f"R^{rank}", check=False)
 
 
@@ -124,14 +122,11 @@ def module_from_cyclic(R: QuotientAlgebra, J: Ideal) -> AlgebraModule:
         if not J.contains(g):
             raise PreconditionError("cyclic module needs J ⊇ I")
     Q = QuotientAlgebra(J)
-    module = AlgebraModule(R, Q.mult, label=f"R/({', '.join(str(g) for g in J.gens)})", check=False)
-    return module
+    return AlgebraModule(R, Q.mult, label=f"R/({', '.join(str(g) for g in J.gens)})", check=False)
 
 
 def residue_field(R: QuotientAlgebra) -> AlgebraModule:
-    n = R.ctx.nvars
-    one = np.zeros((1, 1), dtype=np.int64)
-    return AlgebraModule(R, [one.copy() for _ in range(n)], label="k", check=False)
+    return AlgebraModule(R, [np.zeros((1, 1), dtype=np.int64)] * R.ctx.nvars, label="k", check=False)
 
 
 def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
@@ -142,14 +137,12 @@ def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
     if any(M.algebra is not R for M in modules):
         raise ValueError("direct sum needs modules over the same algebra")
     total = sum(M.dim for M in modules)
-    actions = []
-    for v in range(R.ctx.nvars):
-        A = np.zeros((total, total), dtype=np.int64)
-        at = 0
-        for M in modules:
-            A[at : at + M.dim, at : at + M.dim] = M.actions[v]
-            at += M.dim
-        actions.append(A)
+    actions = [np.zeros((total, total), dtype=np.int64) for _ in range(R.ctx.nvars)]
+    at = 0
+    for M in modules:
+        for A, B in zip(actions, M.actions):
+            A[at : at + M.dim, at : at + M.dim] = B
+        at += M.dim
     label = " + ".join(M.label or "M" for M in modules)
     return AlgebraModule(R, actions, label=label, check=False)
 
@@ -210,11 +203,21 @@ def _sort_generators(R: QuotientAlgebra, G: linalg.Triples, m: int) -> linalg.Tr
     return G.take_columns(np.lexsort((first, _adic_order(G, degrees))))
 
 
-class Resolution:
-    """Minimal free resolution data: betti[i] and matrices ∂_1..∂_N.
+def _dense_entries(G: linalg.Triples, d: int) -> np.ndarray:
+    """The (rows, cols, d) array of a matrix over R held as the Triples G of
+    shape (rows·d, cols): entry (r, j) is the element vector G[r·d : (r+1)·d, j]."""
+    out = np.zeros((G.shape[0] // d, G.shape[1], d), dtype=np.int64)
+    out[G.rows // d, G.cols, G.rows % d] = G.vals
+    return out
 
-    matrices[i] has shape (betti[i], betti[i+1], dim R): entry (r, j) is the
-    coordinate vector of an algebra element, and ∂_{i+1} = matrices[i].
+
+class Resolution:
+    """Minimal free resolution data: betti[i] and the differentials ∂_1..∂_N.
+
+    ∂_i = differential(i) is the Triples of shape (betti[i-1]·dim R,
+    betti[i]) whose column j is the image of the j-th basis vector, a vector
+    of R^{betti[i-1]}; matrix(i) is its dense (betti[i-1], betti[i], dim R)
+    view.
 
     The module caches its resolution, so the resolution refers back to it
     weakly: a module and its resolution are then freed by reference counting
@@ -225,7 +228,7 @@ class Resolution:
         self._module = weakref.ref(module)
         self.R = module.algebra
         self.betti: list[int] = []
-        self.matrices: list[np.ndarray] = []
+        self._differentials: list[linalg.Triples] = []  # ∂_{i+1} at i
         self._omegas: list[linalg.Triples] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
         self._m_spans: list[linalg.Triples] = []  # m·W of every cover: m·M, m·Omega^1, ...
         # M's generators are unit vectors, kept in the order they are chosen
@@ -255,25 +258,27 @@ class Resolution:
         return G
 
     def ensure_length(self, length: int) -> None:
-        while len(self.matrices) < length:
+        while len(self._differentials) < length:
             self._step()
 
     def _step(self) -> None:
         R = self.R
-        i = len(self.matrices)  # computing ∂_{i+1}
-        m = self.betti[i]
-        G = self._cover(self._omegas[i], R.act, m)
-        mat = np.zeros((m, G.shape[1], R.dim), dtype=np.int64)
-        mat[G.rows // R.dim, G.cols, G.rows % R.dim] = G.vals
-        if mat.size and mat[:, :, 0].any():
+        i = len(self._differentials)  # computing ∂_{i+1}
+        G = self._cover(self._omegas[i], R.act, self.betti[i])
+        # basis[0] is 1, so coordinate c·dim R is the constant term of an entry
+        if (G.rows % R.dim == 0).any():
             raise AssertionError("non-minimal resolution step: constant entry")
-        self.matrices.append(mat)
+        self._differentials.append(G)
+
+    def differential(self, i: int) -> linalg.Triples:
+        """∂_i for i >= 1."""
+        if i < 1 or i > len(self._differentials):
+            raise IndexError(f"∂_{i} not computed")
+        return self._differentials[i - 1]
 
     def matrix(self, i: int) -> np.ndarray:
-        """∂_i for i >= 1."""
-        if i < 1 or i > len(self.matrices):
-            raise IndexError(f"∂_{i} not computed")
-        return self.matrices[i - 1]
+        """∂_i for i >= 1, as its dense (betti[i-1], betti[i], dim R) array."""
+        return _dense_entries(self.differential(i), self.R.dim)
 
     def syzygy(self, i: int) -> SyzygyModule:
         """Omega^i M with its embedding, for i >= 1."""
@@ -285,19 +290,14 @@ class Resolution:
 
     def entry_ideal(self, i: int) -> Ideal:
         """I_1(∂_i) lifted to S via standard-monomial representatives."""
-        return _entry_ideal(self.R, self.matrix(i))
+        return _entry_ideal(self.R, self.differential(i))
 
     def check_complex(self) -> None:
-        """∂_i ∂_{i+1} = 0, with compositions evaluated on coordinates: column
-        j of ∂_{i+1} is the vector matrices[i][:, j, :] of R^{betti[i]}."""
+        """∂_i ∂_{i+1} = 0, with compositions evaluated on coordinates: ∂_i as
+        the free map on R^{betti[i]}, times the columns of ∂_{i+1}."""
         R = self.R
-        gens = [
-            linalg.Triples.from_dense(mat.transpose(0, 2, 1).reshape(self.betti[i] * R.dim, self.betti[i + 1]))
-            for i, mat in enumerate(self.matrices)
-        ]
-        for i in range(1, len(self.matrices)):
-            phi = _free_map_matrix(R, gens[i - 1], R.act)
-            if linalg.matmul(phi, gens[i], R.p).vals.size:
+        for G, H in zip(self._differentials, self._differentials[1:]):
+            if linalg.matmul(_free_map_matrix(R, G, R.act), H, R.p).vals.size:
                 raise AssertionError("∂∂ != 0")
 
 
@@ -377,13 +377,17 @@ def koszul_h1(R: QuotientAlgebra) -> int:
     return ker_d1 - linalg.rank(linalg.hstack(blocks, e * d), p)
 
 
-def _tensor_map(res_matrix: np.ndarray, N: AlgebraModule) -> linalg.Triples:
-    """∂ ⊗ N as a matrix on coordinates of N^{betti} (component-major)."""
-    m, mu, d = res_matrix.shape
+def _tensor_map(G: linalg.Triples, N: AlgebraModule) -> linalg.Triples:
+    """∂ ⊗ N as a matrix on coordinates of N^{betti} (component-major), for
+    ∂ held as G, of shape (m·dim R, mu)."""
+    d = N.algebra.dim
+    m, mu = G.shape[0] // d, G.shape[1]
     dN = N.dim
-    # block (r, j) is the sum over b of res_matrix[r, j, b] · (monomial b on
-    # N); the product holds its entry (s, t) at row r·mu + j, column s·dN + t
-    entries = linalg.Triples.from_dense(res_matrix.reshape(m * mu, d))
+    # row r·mu + j of the entry matrix is the element vector of entry (r, j);
+    # block (r, j) is the sum over b of its coordinate b · (monomial b on N),
+    # and the product holds its entry (s, t) at row r·mu + j, column s·dN + t
+    r, b = np.divmod(G.rows, d)
+    entries = linalg.Triples(r * mu + G.cols, b, G.vals, (m * mu, d))
     blocks = linalg.matmul(entries, N.monomial_operators, N.p)
     r, j = np.divmod(blocks.rows, mu)
     s, t = np.divmod(blocks.cols, dN)
@@ -405,7 +409,7 @@ def tor_profile(M: AlgebraModule, N: AlgebraModule, max_index: int) -> list[int]
     dN = N.dim
     ranks = {}
     for i in range(1, max_index + 2):
-        ranks[i] = linalg.rank(_tensor_map(res.matrix(i), N), p) if res.betti[i] else 0
+        ranks[i] = linalg.rank(_tensor_map(res.differential(i), N), p) if res.betti[i] else 0
     dims = [res.betti[0] * dN - ranks[1]]
     for i in range(1, max_index + 1):
         dims.append(res.betti[i] * dN - ranks[i] - ranks[i + 1])
@@ -415,9 +419,14 @@ def tor_profile(M: AlgebraModule, N: AlgebraModule, max_index: int) -> list[int]
 @dataclass
 class MappingConeResult:
     module: AlgebraModule
-    presentation: np.ndarray  # (b1+b0) x (b2+b1) x dim entries (element coords)
+    relations: linalg.Triples  # ((b1+b0)·dim) x (b2+b1): columns are vectors of R^{b1+b0}
     entry_ideal: Ideal  # I_1 of the presentation, lifted to S
     dims_check: bool  # dim M(x) = dim M + dim Omega M
+
+    @property
+    def presentation(self) -> np.ndarray:
+        """The relations as a (b1+b0) x (b2+b1) x dim array of element vectors."""
+        return _dense_entries(self.relations, self.module.algebra.dim)
 
 
 def mapping_cone_module(M: AlgebraModule, x: AlgebraElement) -> MappingConeResult:
@@ -430,42 +439,47 @@ def mapping_cone_module(M: AlgebraModule, x: AlgebraElement) -> MappingConeResul
     if M.is_free():
         raise PreconditionError("mapping cone construction needs a nonfree module")
     res = M.resolution(2)
-    b0, b1, b2 = res.betti[0], res.betti[1], res.betti[2]
+    b1, b2 = res.betti[1], res.betti[2]
     d = R.dim
-    P = np.zeros((b1 + b0, b2 + b1, d), dtype=np.int64)
-    P[:b1, :b2, :] = res.matrix(2)
-    for j in range(b1):
-        P[j, b2 + j, :] = x.vec
-    P[b1:, b2:, :] = (-res.matrix(1)) % p
+    d1, d2 = res.differential(1), res.differential(2)
+    # ∂_2 in the top left, x·e_j in column b2 + j, and -∂_1 below, b1 rows down
+    support = x.vec.nonzero()[0]
+    unit = np.repeat(np.arange(b1), support.size)
+    P = linalg.Triples(
+        np.concatenate([d2.rows, unit * d + np.tile(support, b1), d1.rows + b1 * d]),
+        np.concatenate([d2.cols, unit + b2, d1.cols + b2]),
+        np.concatenate([d2.vals, np.tile(x.vec[support], b1), p - d1.vals]),
+        (d1.shape[0] + b1 * d, b2 + b1),
+    )
     module = module_from_presentation(R, P, label=f"cone({M.label or 'M'}; {x.to_polynomial()})")
     dims_ok = module.dim == M.dim + res.syzygy(1).dim
     return MappingConeResult(module, P, _entry_ideal(R, P), dims_ok)
 
 
-def _entry_ideal(R: QuotientAlgebra, P: np.ndarray) -> Ideal:
-    """I_1 of a matrix whose entry (r, j) is the element vector P[r, j]: the
+def _entry_ideal(R: QuotientAlgebra, G: linalg.Triples) -> Ideal:
+    """I_1 of a matrix over R held as G, of shape (rows·dim R, cols): the
     distinct monic lifts of its nonzero entries, in row-major order: each
     distinct entry vector is lifted once, in order of first appearance."""
-    flat = P.reshape(-1, R.dim)
-    nonzero = flat[flat.any(axis=1)]
-    _, first = np.unique(nonzero, axis=0, return_index=True)
-    entries = (R.lift(e).monic() for e in nonzero[np.sort(first)])
+    r, b = np.divmod(G.rows, R.dim)
+    # the nonzero entries r·cols + j in row-major order, one vector each
+    keys, entry = np.unique(r * G.shape[1] + G.cols, return_inverse=True)
+    vectors = np.zeros((keys.size, R.dim), dtype=np.int64)
+    vectors[entry, b] = G.vals
+    _, first = np.unique(vectors, axis=0, return_index=True)
+    entries = (R.lift(e).monic() for e in vectors[np.sort(first)])
     return Ideal.make(R.ctx, dict.fromkeys(entries))
 
 
-def module_from_presentation(R: QuotientAlgebra, P: np.ndarray, label: str = "") -> AlgebraModule:
-    """Cokernel of the map R^cols -> R^rows with entry (r, j) given as an
-    element coordinate vector P[r, j]."""
-    rows, cols, d = P.shape
-    if d != R.dim:
-        raise ValueError("presentation entries must be algebra element vectors")
+def module_from_presentation(R: QuotientAlgebra, G: linalg.Triples, label: str = "") -> AlgebraModule:
+    """Cokernel of the map R^cols -> R^rows whose column j is the vector
+    G[:, j] of R^rows, for G of shape (rows·dim R, cols)."""
+    n = G.shape[0]  # R.act refuses a length that is not a multiple of dim R
     # span of all basis-monomial multiples of the columns, in reduced echelon
     # form: its rows are zero at every pivot but their own
-    G = linalg.Triples.from_dense(P.transpose(0, 2, 1).reshape(rows * d, cols))
     ech, pivots = linalg.rref(_free_map_matrix(R, G, R.act).T, R.p)
-    free = np.setdiff1d(np.arange(rows * d), pivots)
+    free = np.setdiff1d(np.arange(n), pivots)
     # the quotient's basis is the free unit vectors; x_v·e_c reduces to its
     # free coordinates once the echelon rows clear its pivot coordinates
-    units = linalg.Triples.identity(rows * d).take_columns(free)
+    units = linalg.Triples.identity(n).take_columns(free)
     actions = [linalg.reduce_by_echelon(ech, pivots, R.act(v, units), R.p).toarray()[free] for v in range(R.ctx.nvars)]
     return AlgebraModule(R, actions, label=label, check=False)

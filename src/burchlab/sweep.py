@@ -27,7 +27,7 @@ from .monomial import (
     staircase_burch_test,
 )
 from .poly import RingContext
-from .resolution import k_summand_test, koszul_h1, residue_field
+from .resolution import k_summand_test, residue_field
 
 ALL_CHECKS = (
     "definition",
@@ -124,7 +124,7 @@ def analyze_ideal(mi: MonomialIdeal, checks=ALL_CHECKS) -> IdealRecord:
         choi=choi_invariant(I),
         c_invariant=c,
         beta2=beta2,
-        h1_koszul=koszul_h1(R),
+        h1_koszul=R.koszul_h1,
         gorenstein=R.is_gorenstein(),
         cube_zero=cube,
         cube_verdict=cube_verdict,

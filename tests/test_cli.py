@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from burchlab import cli, groebner
+from burchlab import cli, groebner, resolution
 from burchlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION, main, parse_session
 
 SESSION = """\
@@ -320,6 +320,20 @@ def test_unexpected_exception_exit_5(monkeypatch, capsys):
     assert out == "" and err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
+def test_report_that_breaks_schema_exits_5(monkeypatch, capsys):
+    """main emits every report inside its error handling: a --json report
+    that fails the schema is an internal error, and nothing is printed."""
+    pytest.importorskip("jsonschema")
+    monkeypatch.setattr(cli, "REPORT_SCHEMA", {"type": "object", "required": ["absent"]})
+    cli._report_validator.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "--json", "corpus", "--only", "r8")
+    finally:
+        cli._report_validator.cache_clear()
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: ValidationError:")
+
+
 def test_corpus_alternate_modulus(capsys):
     code, out, _ = run_cli(capsys, "--modulus", "101", "corpus", "--only", "r8")
     assert code == EXIT_OK and "PASS r8" in out
@@ -421,6 +435,22 @@ def test_json_report_matches_pinned_digest(argv, capsys):
     del data["args"]["file"]
     blob = json.dumps(data, sort_keys=True, indent=2).encode()
     assert hashlib.sha256(blob).hexdigest() == JSON_REPORT_SHA256[argv]
+
+
+def test_resolve_to_length_ten_builds_no_dense_differential(monkeypatch, capsys):
+    """`resolve` reads every ∂_i in its Triples form: with the dense view
+    refused, the length-10 report is the one pinned from the dense code."""
+
+    def refuse(*args):
+        raise AssertionError("dense differential built")
+
+    monkeypatch.setattr(resolution, "_dense_entries", refuse)
+    code, out, _ = run_cli(capsys, "--json", "resolve", DEMO, "k", "--ring", "I", "--length", "10")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    del data["args"]["file"]
+    blob = json.dumps(data, sort_keys=True, indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest().startswith("48b9972e")
 
 
 # -- report schema -----------------------------------------------------------

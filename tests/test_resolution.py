@@ -446,7 +446,7 @@ def test_tensor_map_matches_loop_reference(oracle_rings):
             res = M.resolution(4)
             for N in modules:
                 for i in range(1, 5):
-                    got = _tensor_map(res.matrix(i), N)
+                    got = _tensor_map(res.differential(i), N)
                     assert np.array_equal(got.toarray(), _tensor_map_loop(res.matrix(i), N))
 
 
@@ -477,9 +477,13 @@ def test_monomial_operators_match_polynomial_evaluation(oracle_rings):
 def test_check_complex_detects_a_broken_differential(r12):
     res = residue_field(r12).resolution(3)
     res.check_complex()
-    d3 = res.matrix(3)
-    r, b = np.argwhere(d3[:, 0, :])[0]
-    d3[r, 0, b] = (d3[r, 0, b] + 1) % P
+    d3 = res.differential(3)
+    # the first nonzero coordinate of column 0, the lowest monomial of its
+    # first nonzero entry, gets another nonzero value
+    k = np.flatnonzero(d3.cols == 0)[d3.rows[d3.cols == 0].argmin()]
+    vals = d3.vals.copy()
+    vals[k] = vals[k] % (P - 1) + 1
+    res._differentials[2] = linalg.Triples(d3.rows, d3.cols, vals, d3.shape)
     with pytest.raises(AssertionError):
         res.check_complex()
 
@@ -522,7 +526,7 @@ def test_act_matches_dense_product_with_several_entries_per_row():
                 Y = rng.integers(0, P, size=(m * R.dim, s)).astype(np.int64)
                 for v in range(R.ctx.nvars):
                     assert np.array_equal(_dense_act(R.act, v, Y), _product(F.actions[v], Y))
-        modules = [module_from_presentation(R, pres) for pres in _presentations(R, rng)]
+        modules = [module_from_presentation(R, _relations(pres)) for pres in _presentations(R, rng)]
         assert any(several_per_row(A) for M in modules for A in M.actions)
         for M in modules:
             for s in (0, 1, 4):
@@ -596,6 +600,12 @@ def test_resolution_steps_stay_sparse(monkeypatch):
         assert kinds and set(kinds) == {linalg.Triples}
         assert len(free_maps) == 5 and all(isinstance(F, linalg.Triples) for F in free_maps)
         assert all(isinstance(W, linalg.Triples) for W in res._omegas + res._m_spans)
+        assert not hasattr(res, "matrices") and len(res._differentials) == 4
+        for i, G in enumerate(res._differentials, start=1):
+            assert isinstance(G, linalg.Triples) and G is res.differential(i)
+            # column j of G holds entry (r, j) at rows r·dim R .. (r+1)·dim R - 1
+            dense = G.toarray().reshape(-1, M.algebra.dim, G.shape[1]).transpose(0, 2, 1)
+            assert np.array_equal(dense, res.matrix(i))
         res.check_complex()
 
 
@@ -713,6 +723,13 @@ def _module_from_presentation_loop(R, pres):
     return actions
 
 
+def _relations(pres):
+    """A dense (rows, cols, dim R) presentation as the Triples of shape
+    (rows·dim R, cols) that module_from_presentation and _entry_ideal take."""
+    rows, cols, d = pres.shape
+    return linalg.Triples.from_dense(pres.transpose(0, 2, 1).reshape(rows * d, cols))
+
+
 def _presentations(R, rng):
     """Mapping-cone presentations and random ones with entries in m, with
     an empty presentation among them."""
@@ -731,7 +748,7 @@ def test_module_from_presentation_matches_projection_loop(oracle_rings):
     rng = np.random.default_rng(6)
     for R in oracle_rings:
         for pres in _presentations(R, rng):
-            got = module_from_presentation(R, pres).actions
+            got = module_from_presentation(R, _relations(pres)).actions
             want = _module_from_presentation_loop(R, pres)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -759,7 +776,7 @@ def test_entry_ideal_generators_match_loop(oracle_rings):
         for i in range(1, 5):
             assert res.entry_ideal(i).gens == _entry_ideal_loop(R, res.matrix(i))
         for pres in _presentations(R, rng):
-            assert _entry_ideal(R, pres).gens == _entry_ideal_loop(R, pres)
+            assert _entry_ideal(R, _relations(pres)).gens == _entry_ideal_loop(R, pres)
         # the mapping cone's generators are now monic; the ideal is the same
         k = residue_field(R)
         cone = mapping_cone_module(k, R.variable_element(0))
