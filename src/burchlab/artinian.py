@@ -1,9 +1,10 @@
 """Finite-dimensional quotient algebras R = S/I for m-primary ideals I.
 
 The algebra is presented on its standard monomial basis with one
-multiplication-by-variable matrix per variable; every invariant (length,
-Hilbert function, socle, type, embedding dimension) is then plain linear
-algebra over F_p.  The Hilbert function is the m-adic one, computed from
+multiplication-by-variable matrix per variable (`mult`), a `linalg.Triples`
+read off the normal forms of x_v·b; every invariant (length, Hilbert
+function, socle, type, embedding dimension) is then plain linear algebra
+over F_p.  The Hilbert function is the m-adic one, computed from
 image chains of the multiplication matrices, so it is correct for
 non-homogeneous ideals too.
 
@@ -19,6 +20,10 @@ of an element a gives its dense multiplication matrix `operator(a)`),
 `minimal_generators` (a complement of m·W among W's columns, with m·W,
 from one elimination).  The m-adic chain and the socle start from
 `linalg.Triples.identity`.
+
+The results that callers read as arrays, `socle` and `operator(a)`, are
+dense arrays built on request; annihilators (`AnnihilatorResult.subspace`)
+stay Triples.
 
 The socle also gives the colon by m without elimination: for m-primary I,
 (I : m) = I + lift(Soc S/I) (`socle_colon`), which presents R/Soc R and is
@@ -37,7 +42,8 @@ from .poly import Exponents, Polynomial, RingContext
 
 
 class QuotientAlgebra:
-    """S/I with cached basis, multiplication matrices and invariants."""
+    """S/I with cached basis, multiplication matrices (`mult`, one
+    `linalg.Triples` per variable) and invariants."""
 
     def __init__(self, ideal: Ideal):
         if not ideal.is_m_primary():
@@ -50,7 +56,7 @@ class QuotientAlgebra:
         self.dim = len(self.basis)
         self._reducers = ideal.reducers()
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
-        self._scatters = [linalg.scatter_table(linalg.Triples.from_dense(M)) for M in self.mult]
+        self._scatters = [linalg.scatter_table(M) for M in self.mult]
         check_commuting(self.act, self.dim, self.ctx.nvars, "multiplication matrices")
         self._parents = self._basis_parents()
 
@@ -63,18 +69,19 @@ class QuotientAlgebra:
             v[self.index[e]] = c
         return v
 
-    def _variable_matrix(self, i: int) -> np.ndarray:
-        cols = []
+    def _variable_matrix(self, i: int) -> linalg.Triples:
+        """Multiplication by x_i: column b holds x_i·(basis monomial b), a
+        basis monomial itself or the normal form of the product."""
         xi = self.ctx.var_exps(i)
-        for m in self.basis:
-            prod = tuple(a + b for a, b in zip(m, xi))
+        entries = []
+        for b, m in enumerate(self.basis):
+            prod = tuple(a + e for a, e in zip(m, xi))
             if prod in self.index:
-                col = np.zeros(self.dim, dtype=np.int64)
-                col[self.index[prod]] = 1
+                entries.append((self.index[prod], b, 1))
             else:
-                col = self._nf_vector(self.ctx.monomial(prod))
-            cols.append(col)
-        return np.stack(cols, axis=1)
+                r = normal_form(self.ctx.monomial(prod), self._reducers)
+                entries.extend((self.index[e], b, c) for e, c in r.terms)
+        return linalg.Triples.from_entries(entries, (self.dim, self.dim))
 
     def _basis_parents(self) -> list[tuple[int, int]]:
         """Entry b-1 is (index of basis[b] / x_v, v) for the first variable
@@ -283,7 +290,7 @@ def check_commuting(act, dim: int, nvars: int, what: str) -> None:
 
 @dataclass
 class AnnihilatorResult:
-    subspace: np.ndarray  # basis of (0 : a) as a subspace of R
+    subspace: linalg.Triples  # basis of (0 : a) as columns, vectors of R
     generators: list[Polynomial]  # minimal generating set over R
 
     @property
@@ -303,8 +310,8 @@ def _annihilator(R: QuotientAlgebra, op: linalg.Triples) -> AnnihilatorResult:
     """(0 : a) for the multiplication matrix op = R._operator(a)."""
     kernel = linalg.kernel_basis(op, R.p)
     gens, _ = R.minimal_generators(kernel, R.act)
-    subspace = kernel.toarray()
-    return AnnihilatorResult(subspace, [R.lift(subspace[:, j]) for j in gens])
+    chosen = kernel.take_columns(gens).toarray()
+    return AnnihilatorResult(kernel, [R.lift(v) for v in chosen.T])
 
 
 @dataclass(frozen=True)
@@ -353,10 +360,10 @@ def find_exact_pairs(R: QuotientAlgebra) -> list[ExactPair]:
         if b.is_zero:
             continue
         # verify both equalities exactly
-        if not linalg.subspace_eq(linalg.Triples.from_dense(ann_a.subspace), operator(b), p):
+        if not linalg.subspace_eq(ann_a.subspace, operator(b), p):
             continue
         ann_b = _annihilator(R, operator(b))
-        if not linalg.subspace_eq(linalg.Triples.from_dense(ann_b.subspace), operator(a), p):
+        if not linalg.subspace_eq(ann_b.subspace, operator(a), p):
             continue
         key = frozenset([str(a.to_polynomial()), str(b.to_polynomial())])
         if key not in found:

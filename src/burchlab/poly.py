@@ -329,6 +329,11 @@ class Polynomial:
 # parsing
 
 
+# The largest exponent the parser accepts.  Exponents later bound ranges over
+# the staircase and fill int64 arrays, which overflow on an unbounded int.
+MAX_EXPONENT = 10**7
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -407,6 +412,9 @@ class _Parser:
             tok = self.next()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be an integer, got {tok!r}", at)
+            # the length test first: int() refuses strings of thousands of digits
+            if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
+                raise ParseError(f"exponent above the limit {MAX_EXPONENT}", at)
             return base ** int(tok)
         return base
 

@@ -1,18 +1,22 @@
 """Modules over a quotient algebra and their minimal free resolutions.
 
 Everything is exact linear algebra over F_p: a module is a vector space with
-one commuting action matrix per variable, a resolution step picks minimal
-generators (a complement of mM chosen deterministically) and takes the kernel
-of the induced map from a free module.  Syzygies keep their embedding into
-the free cover, which is what the socle-split test needs.
+one commuting action matrix per variable, held as `linalg.Triples` like the
+algebra's `mult` (`free_module` and `direct_sum` place them block-diagonally
+by index arithmetic, `module_from_presentation` reads them off the reduced
+images), and a resolution step picks minimal generators (a complement of mM
+chosen deterministically) and takes the kernel of the induced map from a free
+module.  Syzygies keep their embedding into the free cover, which is what the
+socle-split test needs.
 
 A module, R^m and a syzygy inside R^m are all handed to the algebra's walks
 and spans through one act(v, Y) = x_v·Y on `linalg.Triples`:
 `AlgebraModule.act` for a module, `QuotientAlgebra.act` for R^m and every
 subspace of it.  Free-module coordinates are component-major: index
 c·dim R + b.  Both apply an action matrix in its scatter form
-(`linalg.scatter_table`), built once per variable, so no resolution step
-takes a matrix product.
+(`linalg.scatter_table`), built once per variable from its Triples, so no
+resolution step takes a matrix product.  Only the test oracle
+`AlgebraModule.poly_operator` evaluates the actions densely.
 
 Every resolution step, the first cover onto M included, runs on Triples:
 the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i, the
@@ -42,26 +46,38 @@ from .poly import Polynomial
 
 
 class AlgebraModule:
-    """A finitely generated module given by variable-action matrices."""
+    """A finitely generated module given by variable-action matrices: one
+    square `linalg.Triples` per variable, all of one size, with values in
+    [1, p) and no position twice.  Their type, count, shape and values are
+    always checked; `check` adds that they commute and that I acts as 0."""
 
-    def __init__(self, algebra: QuotientAlgebra, actions, label: str = "", check: bool = True):
+    def __init__(self, algebra: QuotientAlgebra, actions: list[linalg.Triples], label: str = "", check: bool = True):
         self.algebra = algebra
         self.p = algebra.p
-        self.actions = [np.asarray(A, dtype=np.int64) % algebra.p for A in actions]
-        if len(self.actions) != algebra.ctx.nvars:
-            raise ValueError("need one action matrix per variable")
+        self.actions = list(actions)
+        self._check_actions()
         self.dim = self.actions[0].shape[0] if self.actions else 0
-        for A in self.actions:
-            if A.shape != (self.dim, self.dim):
-                raise ValueError("action matrices must be square of equal size")
-        self._scatters = [linalg.scatter_table(linalg.Triples.from_dense(A)) for A in self.actions]
         self.label = label
         self._resolution: "Resolution | None" = None
+        self._scatters = [linalg.scatter_table(A) for A in self.actions]
         if check:
             check_commuting(self.act, self.dim, len(self.actions), "module actions")
             for g in self.algebra.ideal.groebner():
                 if self.poly_operator(g).any():
                     raise AssertionError(f"relation {g} does not annihilate the module")
+
+    def _check_actions(self) -> None:
+        """Raise ValueError unless the actions are one square Triples of one
+        size per variable, with values in [1, p)."""
+        if len(self.actions) != self.algebra.ctx.nvars:
+            raise ValueError("need one action matrix per variable")
+        for A in self.actions:  # actions[0] is checked to be Triples before its shape is read
+            if not isinstance(A, linalg.Triples):
+                raise ValueError(f"action matrices must be linalg.Triples, got {type(A).__name__}")
+            if A.shape != (self.actions[0].shape[0],) * 2:
+                raise ValueError("action matrices must be square of equal size")
+            if A.vals.size and not (A.vals.min() >= 1 and A.vals.max() < self.p):
+                raise ValueError(f"action matrix values must lie in [1, {self.p})")
 
     def act(self, v: int, Y: linalg.Triples) -> linalg.Triples:
         """x_v times each column of Y."""
@@ -84,13 +100,12 @@ class AlgebraModule:
 
     def poly_operator(self, f: Polynomial) -> np.ndarray:
         """Evaluate a polynomial at the action matrices (no normal form), dense."""
-        actions = [linalg.Triples.from_dense(A) for A in self.actions]
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for exps, coeff in f.terms:
             term = linalg.Triples.identity(self.dim)
             for i, e in enumerate(exps):
                 for _ in range(e):
-                    term = linalg.matmul(actions[i], term, self.p)
+                    term = linalg.matmul(self.actions[i], term, self.p)
             out = (out + coeff * term.toarray()) % self.p
         return out
 
@@ -110,8 +125,8 @@ class AlgebraModule:
 
 
 def free_module(R: QuotientAlgebra, rank: int) -> AlgebraModule:
-    blocks = [np.kron(np.eye(rank, dtype=np.int64), M) for M in R.mult]  # rank copies of M on the diagonal
-    return AlgebraModule(R, blocks, label=f"R^{rank}", check=False)
+    actions = [_block_diagonal([M] * rank) for M in R.mult]
+    return AlgebraModule(R, actions, label=f"R^{rank}", check=False)
 
 
 def module_from_cyclic(R: QuotientAlgebra, J: Ideal) -> AlgebraModule:
@@ -126,7 +141,7 @@ def module_from_cyclic(R: QuotientAlgebra, J: Ideal) -> AlgebraModule:
 
 
 def residue_field(R: QuotientAlgebra) -> AlgebraModule:
-    return AlgebraModule(R, [np.zeros((1, 1), dtype=np.int64)] * R.ctx.nvars, label="k", check=False)
+    return AlgebraModule(R, [linalg.Triples.zeros(1, 1)] * R.ctx.nvars, label="k", check=False)
 
 
 def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
@@ -136,15 +151,21 @@ def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
     R = modules[0].algebra
     if any(M.algebra is not R for M in modules):
         raise ValueError("direct sum needs modules over the same algebra")
-    total = sum(M.dim for M in modules)
-    actions = [np.zeros((total, total), dtype=np.int64) for _ in range(R.ctx.nvars)]
-    at = 0
-    for M in modules:
-        for A, B in zip(actions, M.actions):
-            A[at : at + M.dim, at : at + M.dim] = B
-        at += M.dim
+    actions = [_block_diagonal([M.actions[v] for M in modules]) for v in range(R.ctx.nvars)]
     label = " + ".join(M.label or "M" for M in modules)
     return AlgebraModule(R, actions, label=label, check=False)
+
+
+def _block_diagonal(blocks: list[linalg.Triples]) -> linalg.Triples:
+    """The square matrices `blocks` along the diagonal, in order."""
+    offsets = list(itertools.accumulate((B.shape[0] for B in blocks), initial=0))
+    empty = np.zeros(0, dtype=np.int64)  # np.concatenate refuses an empty list
+    return linalg.Triples(
+        np.concatenate([empty] + [B.rows + at for B, at in zip(blocks, offsets)]),
+        np.concatenate([empty] + [B.cols + at for B, at in zip(blocks, offsets)]),
+        np.concatenate([empty] + [B.vals for B in blocks]),
+        (offsets[-1], offsets[-1]),
+    )
 
 
 def _free_map_matrix(R: QuotientAlgebra, G: linalg.Triples, act) -> linalg.Triples:
@@ -356,7 +377,7 @@ def koszul_h1(R: QuotientAlgebra) -> int:
     if R.is_field:
         return 0
     var_vecs = linalg.hstack([R.variable_element(i).column() for i in range(R.ctx.nvars)], R.dim)
-    ops = [linalg.Triples.from_dense(R.mult[v]) for v in linalg.complete_columns(R.max_power_basis(2), var_vecs, R.p)]
+    ops = [R.mult[v] for v in linalg.complete_columns(R.max_power_basis(2), var_vecs, R.p)]
     e = len(ops)
     d = R.dim
     p = R.p
@@ -481,5 +502,6 @@ def module_from_presentation(R: QuotientAlgebra, G: linalg.Triples, label: str =
     # the quotient's basis is the free unit vectors; x_v·e_c reduces to its
     # free coordinates once the echelon rows clear its pivot coordinates
     units = linalg.Triples.identity(n).take_columns(free)
-    actions = [linalg.reduce_by_echelon(ech, pivots, R.act(v, units), R.p).toarray()[free] for v in range(R.ctx.nvars)]
+    reduced = (linalg.reduce_by_echelon(ech, pivots, R.act(v, units), R.p) for v in range(R.ctx.nvars))
+    actions = [X.T.take_columns(free).T for X in reduced]
     return AlgebraModule(R, actions, label=label, check=False)

@@ -56,7 +56,7 @@ def test_requires_m_primary():
 
 def test_multiplication_matrices_commute_for_binomial_ideal():
     R = quotient(CTX, "x^2 - y^3", "x*y^2")
-    x, y = (linalg.Triples.from_dense(M) for M in R.mult)
+    x, y = R.mult
     assert np.array_equal(linalg.matmul(x, y, P).toarray(), linalg.matmul(y, x, P).toarray())
 
 
@@ -74,7 +74,7 @@ def test_socle_killed_by_variables():
     R = quotient(CTX, "x^3", "x*y^2", "y^4")
     soc = linalg.Triples.from_dense(R.socle)
     for M in R.mult:
-        assert not linalg.matmul(linalg.Triples.from_dense(M), soc, P).vals.size
+        assert not linalg.matmul(M, soc, P).vals.size
 
 
 def _type_and_gorenstein(R):
@@ -138,9 +138,13 @@ def test_annihilator_examples():
     assert annihilator(R, zero).dim == R.dim
     cx = RingContext(P, ("x",))
     R4 = quotient(cx, "x^4")
-    ann = annihilator(R4, R4.element(parse_polynomial("x^2", cx)))
+    x2 = R4.element(parse_polynomial("x^2", cx))
+    ann = annihilator(R4, x2)
     assert ann.is_principal
     assert str(ann.generators[0]) == "x^2"
+    # (0 : x^2) = (x^2, x^3), held as Triples
+    assert isinstance(ann.subspace, linalg.Triples) and ann.dim == 2
+    assert linalg.subspace_eq(ann.subspace, linalg.Triples.from_dense(R4.operator(x2)), P)
 
 
 def test_annihilator_of_t_is_principal():
@@ -283,4 +287,4 @@ def test_quotient_by_socle_matches_source_generators_plus_lifts(ctx, gens):
     new = R.quotient_by_socle()
     assert new.basis == old.basis
     assert len(new.mult) == len(old.mult)
-    assert all(np.array_equal(a, b) for a, b in zip(new.mult, old.mult))
+    assert all(np.array_equal(a.toarray(), b.toarray()) for a, b in zip(new.mult, old.mult))

@@ -122,6 +122,14 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_check_huge_exponent_exit_2(tmp_path, capsys):
+    f = tmp_path / "huge.session"
+    f.write_text("ring 32003 x y\nideal I = x^100000000000000000000, y\n")
+    code, out, err = run_cli(capsys, "check", str(f), "I")
+    assert code == EXIT_INPUT
+    assert out == "" and "exponent above the limit" in err and "internal error" not in err
+
+
 def test_invariants_table(session_file, capsys):
     code, out, _ = run_cli(capsys, "invariants", session_file, "I")
     assert code == EXIT_OK

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from burchlab.poly import (
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     Block,
     ParseError,
     Polynomial,
@@ -146,6 +147,15 @@ def test_parse_huge_power_is_one_monomial():
     # square-and-multiply: about 20 squarings, not a million products
     assert poly("x^1000000") == CTX.monomial((1000000, 0))
     assert poly("x^1000000").terms == (((1000000, 0), 1),)
+
+
+def test_parse_refuses_exponent_above_limit():
+    assert poly(f"x^{MAX_EXPONENT}") == CTX.monomial((MAX_EXPONENT, 0))
+    assert poly(f"x^000{MAX_EXPONENT}") == CTX.monomial((MAX_EXPONENT, 0))
+    for exponent in (MAX_EXPONENT + 1, 10**20, "9" * 5000):
+        with pytest.raises(ParseError) as exc:
+            poly(f"x*y + x^{exponent}")
+        assert exc.value.position == 8  # the exponent
 
 
 def test_homogeneous_degrees():

@@ -17,6 +17,7 @@ from burchlab.resolution import (
     _sort_generators,
     _tensor_map,
     _witness_coordinate_order,
+    direct_sum,
     free_module,
     k_summand_test,
     koszul_h1,
@@ -80,18 +81,35 @@ def test_cyclic_requires_containment(r12):
 
 
 def test_module_validation_catches_bad_actions(r12):
-    good = np.zeros((2, 2), dtype=np.int64)
-    bad = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    T = linalg.Triples.from_dense
+    good = T(np.zeros((2, 2), dtype=np.int64))
+    bad = T(np.array([[0, 1], [0, 0]], dtype=np.int64))
     # x acts nilpotently of order 2 but x^4 != 0 composed with relations is 0;
     # here y-action fails to commute with x-action
     with pytest.raises(AssertionError):
-        AlgebraModule(r12, [np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, 0]])])
+        AlgebraModule(r12, [T(np.array([[0, 1], [1, 0]])), T(np.array([[1, 0], [0, 0]]))])
     # actions that violate the ideal relations (x^4 must act as 0)
     cx_r = quotient(CX, "x^2")
     with pytest.raises(AssertionError):
-        AlgebraModule(cx_r, [np.array([[0, 1], [1, 0]])])
+        AlgebraModule(cx_r, [T(np.array([[0, 1], [1, 0]]))])
     AlgebraModule(cx_r, [bad])  # legitimate: x^2 acts as 0
     AlgebraModule(r12, [good, good])
+    # the form of the actions: Triples, one per variable, square of one
+    # size, values in [1, p) -- nothing is reduced mod p on the way in
+    malformed = [
+        [np.zeros((2, 2), dtype=np.int64), good],  # a dense array
+        [[[0, 0], [0, 0]], good],
+        [good],  # one action for two variables
+        [good, good, good],
+        [good, T(np.zeros((3, 3), dtype=np.int64))],  # sizes differ
+        [T(np.zeros((2, 3), dtype=np.int64))] * 2,  # not square
+        [good, linalg.Triples(np.array([0]), np.array([1]), np.array([P + 1]), (2, 2))],  # P + 1 is 1 mod P
+        [good, linalg.Triples(np.array([0]), np.array([1]), np.array([0]), (2, 2))],  # a stored zero
+        [good, linalg.Triples(np.array([0]), np.array([1]), np.array([-1]), (2, 2))],
+    ]
+    for actions in malformed:
+        with pytest.raises(ValueError):
+            AlgebraModule(r12, actions)
 
 
 # -- resolutions ----------------------------------------------------------------
@@ -503,7 +521,70 @@ def test_act_matches_free_module_actions(oracle_rings):
                 for v in range(R.ctx.nvars):
                     got = R.act(v, linalg.Triples.from_dense(Y))
                     assert got.shape == Y.shape
-                    assert np.array_equal(got.toarray(), _product(F.actions[v], Y))
+                    assert np.array_equal(got.toarray(), _product(F.actions[v].toarray(), Y))
+
+
+def _assert_canonical(A, n):
+    """A is an n x n linalg.Triples with values in [1, P) and no position twice."""
+    assert isinstance(A, linalg.Triples) and A.shape == (n, n)
+    assert np.all((A.vals >= 1) & (A.vals < P))
+    assert np.unique(A.rows * n + A.cols).size == A.vals.size
+
+
+def test_free_module_matches_kron_of_multiplication_matrices(oracle_rings):
+    """free_module(R, m) against the dense block diagonal it was built as,
+    np.kron(eye(m), R.mult[v]), with m = 0 included."""
+    for R in oracle_rings + [quotient(CTX, "x^3", "y - x^2")]:
+        for m in (0, 1, 3):
+            F = free_module(R, m)
+            assert F.dim == m * R.dim and len(F.actions) == R.ctx.nvars
+            for A, M in zip(F.actions, R.mult):
+                _assert_canonical(A, F.dim)
+                assert np.array_equal(A.toarray(), np.kron(np.eye(m, dtype=np.int64), M.toarray()))
+
+
+def test_direct_sum_matches_dense_block_fill(oracle_rings):
+    """direct_sum against the dense fill of each summand's actions into its
+    diagonal block, with residue_field summands, whose actions are zero."""
+    rng = np.random.default_rng(9)
+    for R in oracle_rings + [quotient(CTX, "x^3", "y - x^2")]:
+        ctx = R.ctx
+        cyclic = module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.variable(0)])))
+        cone = module_from_presentation(R, _relations(_presentations(R, rng)[2]))
+        for summands in ((residue_field(R),), (cyclic, residue_field(R), free_module(R, 2)), (residue_field(R), cone)):
+            S = direct_sum(*summands)
+            total = sum(M.dim for M in summands)
+            assert S.dim == total
+            for v, A in enumerate(S.actions):
+                want = np.zeros((total, total), dtype=np.int64)
+                at = 0
+                for M in summands:
+                    want[at : at + M.dim, at : at + M.dim] = M.actions[v].toarray()
+                    at += M.dim
+                _assert_canonical(A, total)
+                assert np.array_equal(A.toarray(), want)
+
+
+def test_constructors_return_canonical_triples(oracle_rings):
+    """Every action that the ring and the module constructors build is a
+    canonical linalg.Triples: values in [1, P), no position twice."""
+    rng = np.random.default_rng(10)
+    ctx3 = RingContext(P, ("x", "y", "z"))
+    for R in oracle_rings + [quotient(CTX, "x^3", "y - x^2"), quotient(ctx3, *DENSE_RING)]:
+        ctx = R.ctx
+        modules = [
+            residue_field(R),
+            free_module(R, 0),
+            free_module(R, 2),
+            module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [ctx.variable(0)]))),
+            direct_sum(residue_field(R), free_module(R, 1)),
+        ] + [module_from_presentation(R, _relations(pres)) for pres in _presentations(R, rng)]
+        for A in R.mult:
+            _assert_canonical(A, R.dim)
+        for M in modules:
+            assert len(M.actions) == ctx.nvars
+            for A in M.actions:
+                _assert_canonical(A, M.dim)
 
 
 def test_act_matches_dense_product_with_several_entries_per_row():
@@ -518,21 +599,21 @@ def test_act_matches_dense_product_with_several_entries_per_row():
         return (np.count_nonzero(A, axis=1) > 1).any() and (A > 1).any()
 
     dense_ring = quotient(ctx3, *dense)
-    assert any(several_per_row(A) for A in dense_ring.mult)
+    assert any(several_per_row(A.toarray()) for A in dense_ring.mult)
     for R in (quotient(CTX, "x^3", "y - x^2"), dense_ring):
         for m in (0, 1, 3):
             F = free_module(R, m)
             for s in (0, 1, 4):
                 Y = rng.integers(0, P, size=(m * R.dim, s)).astype(np.int64)
                 for v in range(R.ctx.nvars):
-                    assert np.array_equal(_dense_act(R.act, v, Y), _product(F.actions[v], Y))
+                    assert np.array_equal(_dense_act(R.act, v, Y), _product(F.actions[v].toarray(), Y))
         modules = [module_from_presentation(R, _relations(pres)) for pres in _presentations(R, rng)]
-        assert any(several_per_row(A) for M in modules for A in M.actions)
+        assert any(several_per_row(A.toarray()) for M in modules for A in M.actions)
         for M in modules:
             for s in (0, 1, 4):
                 Y = rng.integers(0, P, size=(M.dim, s)).astype(np.int64)
                 for v, A in enumerate(M.actions):
-                    assert np.array_equal(_dense_act(M.act, v, Y), _product(A, Y))
+                    assert np.array_equal(_dense_act(M.act, v, Y), _product(A.toarray(), Y))
 
 
 def test_resolution_steps_take_no_dense_product(monkeypatch):
@@ -567,7 +648,7 @@ def test_act_on_triples_matches_gather_with_several_entries_per_row():
                 for v, A in enumerate(free_module(R, m).actions):
                     got = R.act(v, linalg.Triples.from_dense(Y))
                     assert isinstance(got, linalg.Triples) and got.shape == Y.shape
-                    assert np.all(got.vals > 0) and np.array_equal(got.toarray(), _product(A, Y))
+                    assert np.all(got.vals > 0) and np.array_equal(got.toarray(), _product(A.toarray(), Y))
 
 
 def test_resolution_steps_stay_sparse(monkeypatch):
@@ -674,24 +755,25 @@ def test_k_summand_witness_matches_per_vector_loop(oracle_rings):
 
 
 def test_variable_operator_is_multiplication_matrix(oracle_rings):
-    # koszul_h1 reads R.mult[v] where it used to build R.operator(x_v)
+    # R.mult[v], which koszul_h1 takes as the action of x_v, is the matrix
+    # that the basis-monomial walk of the element x_v gives
     for R in oracle_rings + [quotient(CTX, "x^3", "y - x^2"), quotient(CTX, "x^3", "y")]:
         for v in range(R.ctx.nvars):
-            assert np.array_equal(R.mult[v], R.operator(R.variable_element(v)))
+            assert np.array_equal(R.mult[v].toarray(), R.operator(R.variable_element(v)))
 
 
 def test_socle_span_matches_replaced_socle_code(oracle_rings):
     """The algebra's socle and the socles of syzygies against the kernels of
     the stacked action matrices they were computed from before."""
     for R in oracle_rings:
-        stacked = linalg.Triples.from_dense(np.concatenate(R.mult, axis=0))
+        stacked = linalg.Triples.from_dense(np.concatenate([A.toarray() for A in R.mult], axis=0))
         assert np.array_equal(R.socle, linalg.kernel_basis(stacked, P).toarray())
         res = residue_field(R).resolution(3)
         for i in (1, 2, 3):
             Z = res.syzygy(i)
             F = free_module(R, Z.ambient_rank)
             basis = Z.basis.toarray()
-            stacked = linalg.Triples.from_dense(np.concatenate([_product(A, basis) for A in F.actions], axis=0))
+            stacked = linalg.Triples.from_dense(np.concatenate([_product(A.toarray(), basis) for A in F.actions], axis=0))
             want = _product(basis, linalg.kernel_basis(stacked, P).toarray())
             assert np.array_equal(R.socle_span(Z.basis, R.act).toarray(), want)
 
@@ -716,6 +798,7 @@ def _module_from_presentation_loop(R, pres):
     F = free_module(R, rows)
     actions = []
     for A in F.actions:
+        A = A.toarray()
         B = np.zeros((len(free_coords), len(free_coords)), dtype=np.int64)
         for t, c in enumerate(free_coords):
             B[:, t] = project(A[:, c])
@@ -751,7 +834,7 @@ def test_module_from_presentation_matches_projection_loop(oracle_rings):
             got = module_from_presentation(R, _relations(pres)).actions
             want = _module_from_presentation_loop(R, pres)
             assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert all(np.array_equal(a.toarray(), b) for a, b in zip(got, want))
 
 
 def _entry_ideal_loop(R, mat):
