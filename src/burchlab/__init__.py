@@ -33,7 +33,7 @@ from .groebner import (
     max_ideal,
     syzygy_matrix,
 )
-from .linalg import DEFAULT_PRIME, PrimeField
+from .linalg import DEFAULT_PRIME
 from .monomial import (
     MonomialIdeal,
     enumerate_m_primary,

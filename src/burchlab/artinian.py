@@ -279,12 +279,20 @@ class AlgebraElement:
 
 def check_commuting(act, dim: int, nvars: int, what: str) -> None:
     """Raise AssertionError unless x_i·x_j = x_j·x_i for every pair of
-    variables, where act(v, Y) computes x_v·Y on vectors of length dim."""
+    variables, where act(v, Y) computes x_v·Y on vectors of length dim.  The
+    two products are canonical Triples, so they are equal exactly when their
+    entries, sorted by position, are."""
     one = linalg.Triples.identity(dim)
     images = [act(v, one) for v in range(nvars)]
+
+    def entries(T: linalg.Triples) -> np.ndarray:
+        key = T.rows * dim + T.cols
+        order = key.argsort()
+        return np.stack([key[order], T.vals[order]])
+
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            if not np.array_equal(act(i, images[j]).toarray(), act(j, images[i]).toarray()):
+            if not np.array_equal(entries(act(i, images[j])), entries(act(j, images[i]))):
                 raise AssertionError(f"{what} do not commute")
 
 

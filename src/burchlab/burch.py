@@ -444,7 +444,7 @@ def cut_down(I: Ideal, elems, allow_nonlinear: bool = False) -> CutResult:
             if not names:
                 raise PreconditionError("cannot eliminate the last variable")
             ctx_new = RingContext(old_ctx.p, names, old_ctx.order)
-            inv = old_ctx.field.inv(coeff)
+            inv = pow(coeff, -1, old_ctx.p)
             repl_terms = {}
             for e, c in x.terms:
                 if e[j]:

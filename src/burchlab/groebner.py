@@ -48,9 +48,8 @@ class Reducers:
     """The reducer table of a basis: (lead exponents, inverse lead
     coefficient, tail terms) of each nonzero element, in basis order.
 
-    `normal_form` accepts it in place of the basis, so a caller that reduces
-    many polynomials by one basis builds the table once; `add` extends it
-    as a basis grows."""
+    `normal_form` takes it, so a caller that reduces many polynomials by
+    one basis builds the table once; `add` extends it as a basis grows."""
 
     def __init__(self, basis=()):
         self.rows: list[tuple] = []
@@ -59,14 +58,13 @@ class Reducers:
 
     def add(self, g: Polynomial) -> None:
         if not g.is_zero:
-            self.rows.append((g.lead_exps, g.ctx.field.inv(g.lead_coeff), g.terms[1:]))
+            self.rows.append((g.lead_exps, pow(g.lead_coeff, -1, g.ctx.p), g.terms[1:]))
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial] | Reducers) -> Polynomial:
-    """Full remainder of f under multivariate division by `basis` (in order),
-    given as polynomials or as their `Reducers` table."""
-    rows = (basis if isinstance(basis, Reducers) else Reducers(basis)).rows
-    return _reduce(f.ctx, dict(f.terms), rows)
+def normal_form(f: Polynomial, reducers: Reducers) -> Polynomial:
+    """Full remainder of f under multivariate division by the basis (in
+    order) of the `Reducers` table."""
+    return _reduce(f.ctx, dict(f.terms), reducers.rows)
 
 
 def _reduce(ctx: RingContext, work: dict, rows: list[tuple]) -> Polynomial:
@@ -418,7 +416,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     work = dict(f.terms)
     quotient: dict = {}
     key = ctx.order.key
-    inv_lead = ctx.field.inv(g.lead_coeff)
+    inv_lead = pow(g.lead_coeff, -1, p)
     while work:
         exps = max(work, key=key)
         coeff = work.pop(exps)

@@ -14,10 +14,11 @@ column (a lone column).
 whole-array operations: a lone row is scaled by the inverse of its first
 entry, a lone column is a unit row.  The per-pivot loop `_eliminate` runs
 only on the submatrix of the remaining blocks, which for a dense matrix is
-all of it.  It works on a float64 copy of that block so the row updates hit
-vectorized BLAS paths, and reduces mod p after every pivot, so its largest
-intermediate value is a product of two residues: it is exact while
-p**2 < 2**53, which `RingContext` checks up front.
+all of it.  It eliminates that int64 block in place and reduces mod p after
+every pivot, so its largest intermediate value is a product of two residues,
+below p**2: exact for every prime `RingContext` accepts (p**2 < 2**53, the
+documented input range), well inside int64.  Every modular inverse is
+Python's pow(a, -1, p).
 
 An action matrix (multiplication by a variable on a ring or module) is
 applied in its scatter form (`scatter_table`): each source's targets and
@@ -36,8 +37,8 @@ import numpy as np
 
 DEFAULT_PRIME = 32003
 
-# float64 holds integers exactly up to 2**53; _eliminate's largest value is
-# a product of two residues, so this caps the prime.
+# the accepted primes: p**2 < EXACT_LIMIT, so a product of two residues,
+# _eliminate's largest value, stays far inside int64
 EXACT_LIMIT = 2**53
 
 
@@ -56,32 +57,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-class PrimeField:
-    """Scalar arithmetic in F_p on plain ints kept in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int = DEFAULT_PRIME):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -262,7 +237,7 @@ def rref(A: Triples, p: int) -> tuple[Triples, tuple[int, ...]]:
     odd = scale != 1
     if odd.any():
         firsts, index = np.unique(scale[odd], return_inverse=True)
-        scale[odd] = np.array([pow(a, p - 2, p) for a in firsts.tolist()], dtype=np.int64)[index]
+        scale[odd] = np.array([pow(a, -1, p) for a in firsts.tolist()], dtype=np.int64)[index]
     run = head.cumsum() - 1  # entry -> its lone row, in row order
     r_pivots = r_cols[head]
     c_pivots = lone_col.nonzero()[0]
@@ -295,11 +270,11 @@ def rref(A: Triples, p: int) -> tuple[Triples, tuple[int, ...]]:
     return R, tuple(pivots[order].tolist())
 
 
-def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan elimination of a canonical matrix, one pivot at a time:
-    the first nonzero entry in row order, columns scanned left to right."""
-    m, n = A.shape
-    R = A.astype(np.float64)
+def _eliminate(R: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination of a canonical int64 matrix, in place, one
+    pivot at a time: the first nonzero entry in row order, columns scanned
+    left to right.  Returns R itself, reduced, and the pivot columns."""
+    m, n = R.shape
     pivots = []
     r = 0
     for c in range(n):
@@ -312,16 +287,15 @@ def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         if i != r:
             R[[r, i]] = R[[i, r]]
         # rows r.. are zero left of c, so columns before c never change
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r, c:] = (R[r, c:] * inv) % p
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, p) % p
         col = R[:, c].copy()
-        col[r] = 0.0
+        col[r] = 0
         rows = np.nonzero(col)[0]
         if rows.size:
             R[rows, c:] = (R[rows, c:] - np.outer(col[rows], R[r, c:])) % p
         pivots.append(c)
         r += 1
-    return R.astype(np.int64), tuple(pivots)
+    return R, tuple(pivots)
 
 
 def rank(A: Triples, p: int) -> int:

@@ -76,9 +76,6 @@ class MonomialIdeal:
         gens = [mono_div(g, xi) if g[i] else g for g in self.gens]
         return MonomialIdeal.make(self.ctx, gens)
 
-    def mu(self) -> int:
-        return len(self.gens)
-
     def is_m_primary(self) -> bool:
         if self.is_zero or self.contains_unit:
             return False

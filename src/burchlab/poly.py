@@ -7,11 +7,13 @@ zero polynomial.  Values are immutable and hashable.
 """
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
 
-from .linalg import EXACT_LIMIT, PreconditionError, PrimeField
+from . import linalg
+from .linalg import EXACT_LIMIT, PreconditionError
 
 MAX_VARIABLES = 8
 
@@ -110,18 +112,15 @@ class RingContext:
     p: int
     variables: tuple[str, ...]
     order: MonomialOrder = GREVLEX
-    field: PrimeField = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the bound is the elimination's: `linalg._eliminate` works in
-        # float64 and multiplies two residues, which is exact only while
-        # p^2 < 2^53 (every other product is exact in int64 for such p);
-        # checked before primality, whose trial division grows with sqrt(p)
+        # the documented range of moduli: p^2 < 2^53, so every product of two
+        # residues in the int64 linear algebra is exact; checked before
+        # primality, whose trial division grows with sqrt(p)
         if self.p * self.p >= EXACT_LIMIT:
-            raise PreconditionError(
-                f"modulus {self.p} too large for exact float64 elimination (needs p^2 < 2^53)"
-            )
-        object.__setattr__(self, "field", PrimeField(self.p))
+            raise PreconditionError(f"modulus {self.p} outside the supported range (needs p^2 < 2^53)")
+        if not linalg.is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
         if not (1 <= len(self.variables) <= MAX_VARIABLES):
             raise ValueError(f"need 1..{MAX_VARIABLES} variables")
         if len(set(self.variables)) != len(self.variables):
@@ -279,7 +278,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return self.scale(self.ctx.field.inv(self.lead_coeff))
+        return self.scale(pow(self.lead_coeff, -1, self.ctx.p))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -332,6 +331,11 @@ class Polynomial:
 # The largest exponent the parser accepts.  Exponents later bound ranges over
 # the staircase and fill int64 arrays, which overflow on an unbounded int.
 MAX_EXPONENT = 10**7
+
+# The most terms a power or product may expand to.  Expanding costs about the
+# square of the result's size: (x+y)^1199, the largest binomial power
+# accepted, parses in 0.5-1 s (3 to 8 variables, one 2-CPU x86 host).
+MAX_TERMS = 1200
 
 
 class ParseError(ValueError):
@@ -400,8 +404,12 @@ class _Parser:
     def term(self) -> Polynomial:
         f = self.factor()
         while self.peek() == "*":
+            at = self.pos()
             self.next()
-            f = f * self.factor()
+            g = self.factor()
+            if len(f.terms) * len(g.terms) > MAX_TERMS:
+                raise ParseError(f"product expands above the limit of {MAX_TERMS} terms", at)
+            f = f * g
         return f
 
     def factor(self) -> Polynomial:
@@ -415,7 +423,13 @@ class _Parser:
             # the length test first: int() refuses strings of thousands of digits
             if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the limit {MAX_EXPONENT}", at)
-            return base ** int(tok)
+            n, t = int(tok), len(base.terms)
+            # a t-term base to the n has at most comb(n + t - 1, t - 1) terms,
+            # which for t > 1 and n > 0 is at least n + 1 and t: those cheap
+            # tests go first, so comb only ever sees small arguments
+            if t > 1 and n > 0 and (max(n + 1, t) > MAX_TERMS or math.comb(n + t - 1, t - 1) > MAX_TERMS):
+                raise ParseError(f"power expands above the limit of {MAX_TERMS} terms", at)
+            return base**n
         return base
 
     def base(self) -> Polynomial:

@@ -1,11 +1,15 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from burchlab import cli, groebner, resolution
+from burchlab import cli, groebner, linalg, resolution
 from burchlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION, main, parse_session
 
 SESSION = """\
@@ -128,6 +132,22 @@ def test_check_huge_exponent_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", str(f), "I")
     assert code == EXIT_INPUT
     assert out == "" and "exponent above the limit" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("gens", ["(x+y)^2000, x*y", "(x+y+z)^120, x", "(x+y)^200000, x*y"])
+def test_check_huge_expansion_exit_2(tmp_path, gens):
+    """A power whose expansion would be too large is refused before it is
+    expanded: the run ends, well inside its timeout, with exit 2."""
+    f = tmp_path / "expansion.session"
+    f.write_text(f"ring 32003 x y z\nideal I = {gens}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "burchlab.cli", "check", str(f), "I"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == EXIT_INPUT
+    assert done.stdout == "" and "expands above the limit" in done.stderr and "internal error" not in done.stderr
 
 
 def test_invariants_table(session_file, capsys):
@@ -459,6 +479,28 @@ def test_resolve_to_length_ten_builds_no_dense_differential(monkeypatch, capsys)
     del data["args"]["file"]
     blob = json.dumps(data, sort_keys=True, indent=2).encode()
     assert hashlib.sha256(blob).hexdigest().startswith("48b9972e")
+
+
+def test_resolve_to_length_twelve_eliminates_in_place(monkeypatch, capsys):
+    """Every rest block reaches `_eliminate` as int64 and is reduced in
+    place, and the length-12 report is the one pinned from the elimination
+    that worked on a float64 copy."""
+    real = linalg._eliminate
+    blocks = []
+
+    def in_place(block, p):
+        R, pivots = real(block, p)
+        blocks.append((block.dtype == np.int64, R is block))
+        return R, pivots
+
+    monkeypatch.setattr(linalg, "_eliminate", in_place)
+    code, out, _ = run_cli(capsys, "--json", "resolve", DEMO, "k", "--ring", "I", "--length", "12")
+    assert code == EXIT_OK
+    assert blocks and all(is_int64 and same for is_int64, same in blocks)
+    data = json.loads(out)
+    del data["args"]["file"]
+    blob = json.dumps(data, sort_keys=True, indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest() == "d7da4a4a6ea65e040967043cbaf88765539ee6ab66ad55a72fb6a5dd3d494525"
 
 
 # -- report schema -----------------------------------------------------------

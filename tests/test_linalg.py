@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burchlab import linalg
-from burchlab.linalg import PreconditionError, PrimeField
+from burchlab.linalg import PreconditionError
 from burchlab.poly import RingContext
 
 P = 32003
@@ -15,22 +15,6 @@ P = 32003
 def _triples(rows, p=P):
     """The Triples of a nested list or array, reduced mod p."""
     return linalg.Triples.from_dense(np.asarray(rows, dtype=np.int64).reshape(len(rows), -1) % p)
-
-
-def test_prime_field_rejects_composite():
-    with pytest.raises(ValueError):
-        PrimeField(32001)
-
-
-def test_field_axioms_small():
-    F = PrimeField(7)
-    for a in range(1, 7):
-        assert a * F.inv(a) % 7 == 1
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(0)
 
 
 def test_rank_identity_and_zero():
@@ -175,7 +159,7 @@ def test_kernel_basis_matches_loop_reference(case):
     assert K.dtype == ref.dtype and K.shape == ref.shape and np.array_equal(K, ref)
 
 
-# -- the prime bound of the float64 elimination ----------------------------------------
+# -- the prime bound of the exact int64 elimination ------------------------------------
 
 
 def _largest_exact_prime():

@@ -8,6 +8,7 @@ from burchlab.poly import (
     GREVLEX,
     LEX,
     MAX_EXPONENT,
+    MAX_TERMS,
     Block,
     ParseError,
     Polynomial,
@@ -158,6 +159,20 @@ def test_parse_refuses_exponent_above_limit():
         assert exc.value.position == 8  # the exponent
 
 
+def test_parse_refuses_expansion_above_limit():
+    """A power or product is refused, before it is expanded, when its term
+    count bound exceeds MAX_TERMS; the largest binomial power still parses."""
+    big = MAX_TERMS - 1  # (x+y)^big has MAX_TERMS terms
+    assert len(poly(f"(x+y)^{big}").terms) == MAX_TERMS
+    assert len(poly("(x+y+z)^47", CTX3).terms) == 1176  # comb(49, 2)
+    assert poly(f"x^{MAX_EXPONENT} * y^{MAX_EXPONENT}") == CTX.monomial((MAX_EXPONENT, MAX_EXPONENT))
+    assert poly("(x+y)^0") == CTX.one() and poly("(x-x)^5").is_zero
+    for text, at in ((f"(x+y)^{big + 1}", 6), ("(x+y+z)^48", 8), ("(x+y)^200000", 6), ("(x+y)^40 * (x+y)^40", 9)):
+        with pytest.raises(ParseError) as exc:
+            poly(text, CTX3)
+        assert exc.value.position == at and f"limit of {MAX_TERMS} terms" in str(exc.value)
+
+
 def test_homogeneous_degrees():
     assert poly("x^2 + x*y").homogeneous_degree() == 2
     assert poly("x^2 + x").homogeneous_degree() is None
@@ -249,6 +264,6 @@ def test_context_checks_primality_once(monkeypatch):
     real = linalg.is_prime
     monkeypatch.setattr(linalg, "is_prime", lambda n: calls.append(n) or real(n))
     ctx = RingContext(P, ("x", "y"))
-    fields = {id(ctx.field) for _ in range(100)}
-    assert calls == [P] and len(fields) == 1 and ctx.field.p == P
+    assert poly("2*x^2 + 3*y", ctx).monic().lead_coeff == 1  # an inverse needs no primality test
+    assert calls == [P]
     assert ctx == CTX and hash(ctx) == hash(CTX) and "field" not in repr(ctx)

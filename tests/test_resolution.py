@@ -94,6 +94,16 @@ def test_module_validation_catches_bad_actions(r12):
         AlgebraModule(cx_r, [T(np.array([[0, 1], [1, 0]]))])
     AlgebraModule(cx_r, [bad])  # legitimate: x^2 acts as 0
     AlgebraModule(r12, [good, good])
+    # commuting actions whose products x·y and y·x list their entries in
+    # different orders: R ⊗ k^2 over R = k[x,y]/(x^2, y^2), with x acting as
+    # x ⊗ [[1, 0], [1, 0]] and y as y ⊗ 1, in a permuted basis
+    r = quotient(CTX, "x^2", "y^2")
+    X, Y = (A.toarray() for A in r.mult)
+    perm = np.ix_(*[[3, 7, 0, 5, 6, 4, 2, 1]] * 2)
+    M = AlgebraModule(r, [T(np.kron([[1, 0], [1, 0]], X)[perm]), T(np.kron(np.eye(2, dtype=np.int64), Y)[perm])])
+    one = linalg.Triples.identity(M.dim)
+    xy, yx = M.act(0, M.act(1, one)), M.act(1, M.act(0, one))
+    assert np.array_equal(xy.toarray(), yx.toarray()) and not np.array_equal(xy.rows, yx.rows)
     # the form of the actions: Triples, one per variable, square of one
     # size, values in [1, p) -- nothing is reduced mod p on the way in
     malformed = [
