@@ -2,12 +2,25 @@
 
 The reduced Groebner basis is the canonical form of an ideal under a fixed
 order, so equality, membership and colon computations all route through it.
+
+The kernel (`buchberger`, `_spoly`, `_reduce`, `normal_form`, `Reducers`,
+`reduce_basis`, `exact_divide`) runs on packed monomials (Bachmann and
+Schönemann, "Monomial representations for Gröbner bases computations",
+ISSAC 1998): one Python int per monomial, whose integer order is the
+monomial order, so a product or quotient is one addition, divisibility one
+subtraction and a mask, and the lcm a few masks over the guard bits
+(`MonomialCodec`, one per ring context).  Every exponent field holds up to
+`MAX_PACKED_EXPONENT` = 2^27 - 1, thirteen times the parser's bound; a
+monomial beyond it, given or made by a product, is refused with
+`PreconditionError`.  Polynomials are packed once on the way in and unpacked
+once on the way out; `Polynomial.terms` keeps exponent tuples.
+
 `buchberger` prunes S-pairs with the Gebauer–Möller criteria as each new
 element is made, and keeps the live pairs in a dict beside a heap ordered by
 lcm.  Division runs against a `Reducers` table (lead, inverse lead
 coefficient, tail per element), which `buchberger` extends as the basis
-grows and an `Ideal` builds once for its reduced basis; an S-polynomial
-goes to the division loop as an unsorted term dict.  Intersections use
+grows and an `Ideal` builds once for its reduced basis; the working terms
+of a division are a dict beside a heap of their keys.  Intersections use
 a single auxiliary elimination variable; colons by a non-principal ideal
 intersect the principal colons, and each ideal memoizes its colons and its
 product with m.  First
@@ -20,7 +33,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +43,10 @@ from . import linalg
 from .linalg import PreconditionError
 from .poly import (
     Block,
-    Exponents,
+    Grevlex,
+    Lex,
     Polynomial,
     RingContext,
-    mono_degree,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -41,12 +55,138 @@ from .poly import (
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+FIELD_BITS = 32
+EXPONENT_BITS = 27
+MAX_PACKED_EXPONENT = (1 << EXPONENT_BITS) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+class MonomialCodec:
+    """The packing of the monomials of one ring context into single ints.
+
+    A packed monomial is its own order key: 32-bit fields, most significant
+    first, that compare as the order does.
+    - lex: e_1, ..., e_n;
+    - grevlex: the degree, then F - e_n, ..., F - e_1;
+    - Block(s): that grevlex layout for the first s variables, then for
+      the rest.
+    F = MAX_PACKED_EXPONENT.  Bit 27 of each exponent field is its guard,
+    and bits 28-31 stay clear: a degree, a sum of at most 8 exponents, or
+    the sum of two degrees in a product, fits in a field without a carry.
+    The key is affine in the exponents, key(ab) = key(a) + key(b) - one
+    with one = key(1), so
+    - the product of a and b is a + b - one; it sets a guard bit exactly
+      when an exponent passes F;
+    - the quotient a / b is a - b + one, and b divides a exactly when that
+      sets no guard bit;
+    - the lcm is the per-field max of the exponents, taken with the guard
+      bits, with its degree fields summed anew."""
+
+    def __init__(self, ctx: RingContext):
+        self.ctx = ctx
+        self.p = ctx.p
+        n, order = ctx.nvars, ctx.order
+        if isinstance(order, Lex):
+            layout = [("exp", i) for i in range(n)]
+        elif isinstance(order, (Grevlex, Block)):
+            split = min(order.split, n) if isinstance(order, Block) else 0
+            layout = []
+            for block in (range(split), range(split, n)):
+                if block:
+                    layout.append(("deg", block))
+                    layout.extend(("neg", i) for i in reversed(block))
+        else:
+            raise TypeError(f"no packing for the monomial order {order!r}")
+        self.one = self.guard = self.mask = 0
+        self.units = [0] * n  # key(x_i) - one
+        self.shifts = [0] * n
+        self.degrees = []  # (degree field shift, lowest field shift, top column, ones) per block
+        for k, (kind, what) in enumerate(reversed(layout)):
+            shift = k * FIELD_BITS
+            if kind == "deg":
+                count = len(what)
+                low = shift - count * FIELD_BITS
+                ones = sum(1 << (j * FIELD_BITS) for j in range(count))
+                self.degrees.append((shift, low, (count - 1) * FIELD_BITS, ones))
+                for i in what:
+                    self.units[i] += 1 << shift
+                continue
+            self.shifts[what] = shift
+            self.guard |= 1 << (shift + EXPONENT_BITS)
+            self.mask |= MAX_PACKED_EXPONENT << shift
+            if kind == "neg":
+                self.one |= MAX_PACKED_EXPONENT << shift
+                self.units[what] -= 1 << shift
+            else:
+                self.units[what] += 1 << shift
+
+    def encode(self, exps) -> int:
+        if max(exps) > MAX_PACKED_EXPONENT:
+            raise _overflow()
+        return self.one + sum(map(operator.mul, exps, self.units))
+
+    def decode(self, key: int) -> tuple:
+        x = key ^ self.one  # every exponent field now holds e_i itself
+        return tuple([(x >> s) & MAX_PACKED_EXPONENT for s in self.shifts])
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of packed a and b: with the negated fields flipped back,
+        x - y over guard-set fields leaves each guard set where x >= y; that
+        mask picks x there and y elsewhere, and each degree field is the
+        sum of its block's fields, the top column of a multiply by 1...1."""
+        one, guard = self.one, self.guard
+        x, y = (a ^ one) & self.mask, (b ^ one) & self.mask
+        g = ((x | guard) - y) & guard  # the guard bit of each field where x >= y
+        x = y ^ ((x ^ y) & (g - (g >> EXPONENT_BITS)))
+        out = x ^ one
+        for shift, low, top, ones in self.degrees:
+            out += ((((x >> low) * ones) >> top) & _FIELD_MASK) << shift
+        return out
+
+    def pack(self, f: Polynomial) -> "PackedPolynomial":
+        return PackedPolynomial(self, tuple([(self.encode(e), c) for e, c in f.terms]))
+
+    def unpack(self, terms) -> Polynomial:
+        """The Polynomial of (key, coefficient) terms with descending keys."""
+        return Polynomial(self.ctx, tuple([(self.decode(k), c) for k, c in terms]))
+
+
+@functools.cache
+def monomial_codec(ctx: RingContext) -> MonomialCodec:
+    """The one codec of ctx."""
+    return MonomialCodec(ctx)
+
+
+def _overflow() -> PreconditionError:
+    return PreconditionError(f"monomial exponent above {MAX_PACKED_EXPONENT}, the largest the Groebner kernel holds")
+
+
+class PackedPolynomial(NamedTuple):
+    """A polynomial in the kernel's form: (key, coefficient) terms with
+    strictly descending packed keys; `lead` and `monic` need it nonzero."""
+
+    codec: MonomialCodec
+    terms: tuple
+
+    @property
+    def lead(self) -> int:
+        return self.terms[0][0]
+
+    def monic(self) -> "PackedPolynomial":
+        p = self.codec.p
+        inv = pow(self.terms[0][1], -1, p)
+        return PackedPolynomial(self.codec, tuple([(k, c * inv % p) for k, c in self.terms]))
+
+
+# ---------------------------------------------------------------------------
 # division / Buchberger
 
 
 class Reducers:
-    """The reducer table of a basis: (lead exponents, inverse lead
-    coefficient, tail terms) of each nonzero element, in basis order.
+    """The reducer table of a basis: (lead key - one, inverse lead
+    coefficient, packed tail) of each nonzero element, in basis order.
 
     `normal_form` takes it, so a caller that reduces many polynomials by
     one basis builds the table once; `add` extends it as a basis grows."""
@@ -54,99 +194,120 @@ class Reducers:
     def __init__(self, basis=()):
         self.rows: list[tuple] = []
         for g in basis:
-            self.add(g)
+            if not g.is_zero:
+                self.add(monomial_codec(g.ctx).pack(g))
 
-    def add(self, g: Polynomial) -> None:
-        if not g.is_zero:
-            self.rows.append((g.lead_exps, pow(g.lead_coeff, -1, g.ctx.p), g.terms[1:]))
+    def add(self, g: PackedPolynomial) -> None:
+        codec = g.codec
+        self.rows.append((g.lead - codec.one, pow(g.terms[0][1], -1, codec.p), g.terms[1:]))
 
 
 def normal_form(f: Polynomial, reducers: Reducers) -> Polynomial:
     """Full remainder of f under multivariate division by the basis (in
     order) of the `Reducers` table."""
-    return _reduce(f.ctx, dict(f.terms), reducers.rows)
+    codec = monomial_codec(f.ctx)
+    return codec.unpack(_reduce(codec, dict(codec.pack(f).terms), reducers.rows))
 
 
-def _reduce(ctx: RingContext, work: dict, rows: list[tuple]) -> Polynomial:
-    """The remainder of the polynomial whose terms are the (unsorted) dict
-    `work` under division by the `Reducers` rows; `work` is consumed."""
-    p = ctx.p
-    key = ctx.order.key
-    remainder = []  # terms leave `work` in descending order
-    while work:
-        exps = max(work, key=key)
-        coeff = work.pop(exps)
-        for le, inv, tail in rows:
-            if mono_divides(le, exps):
-                q_exps = mono_div(exps, le)
-                q_coeff = coeff * inv % p
-                # subtract (q_coeff * x^q_exps) * g; the leading term cancels
-                for ge, gc in tail:
-                    e = mono_mul(ge, q_exps)
-                    v = (work.get(e, 0) - q_coeff * gc) % p
-                    if v:
-                        work[e] = v
-                    else:
-                        work.pop(e, None)
+def _subtract(work: dict, heap: list, shift: int, coeff: int, tail, p: int) -> None:
+    """work -= coeff · tail shifted by `shift` (a monomial quotient minus
+    one); each key new to `work` goes on the max-heap `heap`, negated."""
+    for e, c in tail:
+        e += shift
+        v = work.get(e)
+        if v is None:
+            work[e] = -coeff * c % p
+            heapq.heappush(heap, -e)
+        else:
+            v = (v - coeff * c) % p
+            if v:
+                work[e] = v
+            else:
+                del work[e]
+
+
+def _reduce(codec: MonomialCodec, work: dict, rows: list[tuple]) -> list:
+    """The remainder, as descending (key, coefficient) terms, of the
+    polynomial whose packed terms are the (unsorted) dict `work` under
+    division by the `Reducers` rows; `work` is consumed.  A key is checked
+    for a set guard bit when it leaves the heap, before it is used: an
+    overflowed key equals no valid key, and two equal ones are one
+    monomial, so what cancels before that check cancels exactly."""
+    p, one, guard = codec.p, codec.one, codec.guard
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    remainder = []
+    while heap:
+        k = -heapq.heappop(heap)
+        coeff = work.pop(k, 0)
+        if not coeff:
+            continue  # it cancelled after it was pushed
+        if k & guard:
+            raise _overflow()
+        for dl, inv, tail in rows:
+            q = k - dl  # the quotient k / lead, valid when no guard bit is set
+            if not q & guard:
+                # subtract (coeff/lead coeff)·(k / lead)·g; its leading term cancels k
+                _subtract(work, heap, q - one, coeff * inv % p, tail, p)
                 break
         else:
-            remainder.append((exps, coeff))
-    return Polynomial(ctx, tuple(remainder))
+            remainder.append((k, coeff))
+    return remainder
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> dict:
-    """The S-polynomial of monic f and g as an unsorted term dict: the
-    leading terms cancel, so only the two tails are shifted and merged."""
-    p = f.ctx.p
-    lcm = mono_lcm(f.lead_exps, g.lead_exps)
-    a = mono_div(lcm, f.lead_exps)
-    b = mono_div(lcm, g.lead_exps)
-    work = {mono_mul(e, a): c for e, c in f.terms[1:]}
-    for e, c in g.terms[1:]:
-        e = mono_mul(e, b)
-        v = (work.get(e, 0) - c) % p
-        if v:
-            work[e] = v
-        else:
-            work.pop(e, None)
+def _spoly(f: PackedPolynomial, g: PackedPolynomial) -> dict:
+    """The S-polynomial of monic f and g as an unsorted dict of packed
+    terms: the leading terms cancel, so only the two tails are shifted and
+    merged."""
+    codec = f.codec
+    lcm = codec.lcm(f.lead, g.lead)
+    a = lcm - f.lead
+    work = {e + a: c for e, c in f.terms[1:]}
+    _subtract(work, [], lcm - g.lead, 1, g.terms[1:], codec.p)
     return work
 
 
-def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
-    """A Groebner basis of (gens) under ctx.order (not yet reduced).
+def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[PackedPolynomial]:
+    """A Groebner basis of (gens) under ctx.order (not yet reduced), monic
+    and packed.
 
     Pairs are pruned when they are made, by the criteria of Gebauer and
     Möller (1988): when h joins the basis, an old pair (i, j) goes if lead(h)
     divides its lcm L and L differs from both lcm(i, h) and lcm(j, h); of the
     new pairs (i, h), one is kept per minimal lcm, and none whose leads are
     coprime.  Pairs are reduced in ascending order of their lcm."""
-    key = ctx.order.key
-    basis: list[Polynomial] = []
-    leads: list[Exponents] = []
+    codec = monomial_codec(ctx)
+    one, guard, lcm_of = codec.one, codec.guard, codec.lcm
+    basis: list[PackedPolynomial] = []
+    leads: list[int] = []
     reducers = Reducers()
     active: list[int] = []  # elements whose lead no later lead divides
-    pairs: dict[tuple[int, int], Exponents] = {}  # live pairs -> lcm of the leads
-    heap: list = []  # (key(lcm), i, j) of every pair made; dead ones are skipped
+    pairs: dict[tuple[int, int], int] = {}  # live pairs -> lcm of the leads
+    heap: list = []  # (lcm, i, j) of every pair made; dead ones are skipped
 
-    def insert(h: Polynomial) -> None:
-        lh = h.lead_exps
+    def insert(h: PackedPolynomial) -> None:
+        lh = h.lead
+        dl = lh - one  # lh divides m exactly when m - dl sets no guard bit
         for (i, j), lcm in list(pairs.items()):
-            if mono_divides(lh, lcm) and lcm != mono_lcm(leads[i], lh) and lcm != mono_lcm(leads[j], lh):
+            if not (lcm - dl) & guard and lcm != lcm_of(leads[i], lh) and lcm != lcm_of(leads[j], lh):
                 del pairs[i, j]
-        made = [(mono_lcm(leads[i], lh), i) for i in active]
-        # a coprime pair is kept here only to prune others; it is never queued
-        kept: list = []  # (lcm, i, coprime) in the order made
-        for n, (lcm, i) in enumerate(made):
-            coprime = lcm == mono_mul(leads[i], lh)
-            others = itertools.chain((m for m, _ in made[n + 1 :]), (m for m, _, _ in kept))
-            if coprime or not any(mono_divides(m, lcm) for m in others):
-                kept.append((lcm, i, coprime))
+        made = [lcm_of(leads[i], lh) for i in active]
+        kept: list[int] = []  # lcms of the kept new pairs, in the order made
+        queued: list[tuple[int, int]] = []
+        for n, (lcm, i) in enumerate(zip(made, active)):
+            if lcm == leads[i] + dl:
+                # coprime leads, lcm = lead(i)·lh: kept only to prune others, never queued
+                kept.append(lcm)
+                continue
+            up = lcm + one  # m divides lcm exactly when up - m sets no guard bit
+            if not [m for m in made[n + 1 :] + kept if not (up - m) & guard]:
+                kept.append(lcm)
+                queued.append((lcm, i))
         new = len(basis)
-        for lcm, i, coprime in kept:
-            if not coprime:
-                pairs[i, new] = lcm
-                heapq.heappush(heap, (key(lcm), i, new))
-        active[:] = [i for i in active if not mono_divides(lh, leads[i])]
+        for lcm, i in queued:
+            pairs[i, new] = lcm
+            heapq.heappush(heap, (lcm, i, new))
+        active[:] = [i for i in active if (leads[i] - dl) & guard]
         active.append(new)
         basis.append(h)
         leads.append(lh)
@@ -154,46 +315,38 @@ def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
 
     for g in gens:
         if not g.is_zero:
-            insert(g.monic())
+            insert(codec.pack(g).monic())
     while pairs:
         _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        r = _reduce(ctx, _spoly(basis[i], basis[j]), reducers.rows)
-        if not r.is_zero:
-            insert(r.monic())
+        r = _reduce(codec, _spoly(basis[i], basis[j]), reducers.rows)
+        if r:
+            insert(PackedPolynomial(codec, tuple(r)).monic())
     return basis
 
 
-def reduce_basis(basis: list[Polynomial], ctx: RingContext) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
-    # drop elements whose lead is divisible by another lead
-    basis = [g for g in basis if not g.is_zero]
-    keep: list[Polynomial] = []
+def reduce_basis(basis: list[PackedPolynomial], ctx: RingContext) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of the monic packed basis that
+    `buchberger` returns: auto-reduced, sorted by leading term, unpacked."""
+    codec = monomial_codec(ctx)
+    one, guard = codec.one, codec.guard
+    # drop elements whose lead another lead divides; of equal leads the first stays
+    leads = [g.lead for g in basis]
+    keep = []
     for i, g in enumerate(basis):
-        le = g.lead_exps
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            he = h.lead_exps
-            if mono_divides(he, le) and (he != le or j < i):
-                redundant = True
-                break
-        if not redundant:
+        up = leads[i] + one  # h divides lead(g) exactly when up - h sets no guard bit
+        if all(leads[j] == leads[i] and j >= i for j in [j for j, h in enumerate(leads) if not (up - h) & guard]):
             keep.append(g)
     # tail-reduce every survivor against one table of all survivors: no other
     # lead divides lead(g), and lead(g) divides no term below itself, so
     # g's own row never applies to its tail
-    table = Reducers(keep)
-    reduced = []
+    table = Reducers()
     for g in keep:
-        tail = Polynomial(ctx, g.terms[1:])
-        if tail.terms:
-            tail = normal_form(tail, table)
-        reduced.append(Polynomial(ctx, g.terms[:1] + tail.terms).monic())
-    reduced.sort(key=lambda g: ctx.order.key(g.lead_exps))
-    return tuple(reduced)
+        table.add(g)
+    reduced = [g.terms[:1] + tuple(_reduce(codec, dict(g.terms[1:]), table.rows)) for g in keep]
+    reduced.sort(key=lambda terms: terms[0][0])
+    return tuple(codec.unpack(terms) for terms in reduced)
 
 
 def reduced_groebner(gens, ctx: RingContext) -> tuple[Polynomial, ...]:
@@ -411,28 +564,29 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """f / g when g divides f (guaranteed by membership f ∈ (g))."""
-    ctx = f.ctx
-    p = ctx.p
-    work = dict(f.terms)
-    quotient: dict = {}
-    key = ctx.order.key
-    inv_lead = pow(g.lead_coeff, -1, p)
-    while work:
-        exps = max(work, key=key)
-        coeff = work.pop(exps)
-        if not mono_divides(g.lead_exps, exps):
+    codec = monomial_codec(f.ctx)
+    p, one, guard = codec.p, codec.one, codec.guard
+    work = dict(codec.pack(f).terms)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    g = codec.pack(g)
+    lead, tail = g.lead, g.terms[1:]
+    inv_lead = pow(g.terms[0][1], -1, p)
+    quotient = []  # descending, as the dividend's leading terms are
+    while heap:
+        k = -heapq.heappop(heap)
+        coeff = work.pop(k, 0)
+        if not coeff:
+            continue
+        if k & guard:
+            raise _overflow()
+        q = k - lead + one
+        if q & guard:
             raise ValueError("exact division failed: input not a multiple")
-        q_exps = mono_div(exps, g.lead_exps)
-        q_coeff = (coeff * inv_lead) % p
-        quotient[q_exps] = q_coeff
-        for ge, gc in g.terms[1:]:
-            e = mono_mul(ge, q_exps)
-            v = (work.get(e, 0) - q_coeff * gc) % p
-            if v:
-                work[e] = v
-            else:
-                work.pop(e, None)
-    return Polynomial.from_dict(ctx, quotient)
+        q_coeff = coeff * inv_lead % p
+        quotient.append((q, q_coeff))
+        _subtract(work, heap, k - lead, q_coeff, tail, p)
+    return codec.unpack(quotient)
 
 
 def ideal_colon_element(I: Ideal, g: Polynomial) -> Ideal:
@@ -523,7 +677,7 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
     gb = I.groebner()
     bound = max(degs)
     for a, b in itertools.combinations(gb, 2):
-        bound = max(bound, mono_degree(mono_lcm(a.lead_exps, b.lead_exps)))
+        bound = max(bound, sum(mono_lcm(a.lead_exps, b.lead_exps)))
 
     mu = len(gens)
     chosen: list[tuple[int, list[Polynomial]]] = []  # (degree, column)

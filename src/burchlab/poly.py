@@ -91,10 +91,6 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def mono_degree(a: Exponents) -> int:
-    return sum(a)
-
-
 # ---------------------------------------------------------------------------
 # ring context
 
@@ -213,13 +209,13 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(mono_degree(e) for e, _ in self.terms)
+        return max(sum(e) for e, _ in self.terms)
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed (0 is degree 0)."""
         if not self.terms:
             return 0
-        degs = {mono_degree(e) for e, _ in self.terms}
+        degs = {sum(e) for e, _ in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def is_homogeneous(self) -> bool:
@@ -328,8 +324,10 @@ class Polynomial:
 # parsing
 
 
-# The largest exponent the parser accepts.  Exponents later bound ranges over
-# the staircase and fill int64 arrays, which overflow on an unbounded int.
+# The largest exponent the parser accepts, written or made by a power or a
+# product.  Exponents later bound ranges over the staircase and fill int64
+# arrays, which overflow on an unbounded int, and the Groebner kernel packs
+# them into fields of groebner.MAX_PACKED_EXPONENT = 2^27 - 1.
 MAX_EXPONENT = 10**7
 
 # The most terms a power or product may expand to.  Expanding costs about the
@@ -409,6 +407,11 @@ class _Parser:
             g = self.factor()
             if len(f.terms) * len(g.terms) > MAX_TERMS:
                 raise ParseError(f"product expands above the limit of {MAX_TERMS} terms", at)
+            # the largest exponent of the product is the largest pairwise sum
+            if f.terms and g.terms:
+                top = max(map(operator.add, _largest_exponents(f), _largest_exponents(g)))
+                if top > MAX_EXPONENT:
+                    raise ParseError(f"product makes an exponent above the limit {MAX_EXPONENT}", at)
             f = f * g
         return f
 
@@ -429,6 +432,8 @@ class _Parser:
             # tests go first, so comb only ever sees small arguments
             if t > 1 and n > 0 and (max(n + 1, t) > MAX_TERMS or math.comb(n + t - 1, t - 1) > MAX_TERMS):
                 raise ParseError(f"power expands above the limit of {MAX_TERMS} terms", at)
+            if t and n * max(_largest_exponents(base)) > MAX_EXPONENT:
+                raise ParseError(f"power makes an exponent above the limit {MAX_EXPONENT}", at)
             return base**n
         return base
 
@@ -448,6 +453,11 @@ class _Parser:
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             raise ParseError(f"unknown variable {tok!r}", at)
         raise ParseError(f"unexpected token {tok!r}", at)
+
+
+def _largest_exponents(f: Polynomial) -> list[int]:
+    """The largest exponent of each variable among the terms of nonzero f."""
+    return [max(column) for column in zip(*(e for e, _ in f.terms))]
 
 
 def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:

@@ -134,6 +134,18 @@ def test_check_huge_exponent_exit_2(tmp_path, capsys):
     assert out == "" and "exponent above the limit" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("gens", ["(x^10000000)^10000000, y", "x^10000000*x^10000000, y"])
+def test_check_result_exponent_above_limit_exit_2(tmp_path, capsys, gens):
+    """A power or product whose result would hold an exponent above the
+    parser's limit is refused before it is expanded: exit 2, where it used
+    to end in an internal MemoryError (exit 5)."""
+    f = tmp_path / "huge.session"
+    f.write_text(f"ring 32003 x y\nideal I = {gens}\n")
+    code, out, err = run_cli(capsys, "check", str(f), "I")
+    assert code == EXIT_INPUT
+    assert out == "" and "exponent above the limit" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("gens", ["(x+y)^2000, x*y", "(x+y+z)^120, x", "(x+y)^200000, x*y"])
 def test_check_huge_expansion_exit_2(tmp_path, gens):
     """A power whose expansion would be too large is refused before it is

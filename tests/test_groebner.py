@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from burchlab import groebner
 from burchlab.groebner import (
+    MAX_PACKED_EXPONENT,
     Ideal,
     PreconditionError,
     Reducers,
@@ -17,6 +18,7 @@ from burchlab.groebner import (
     ideal_intersection,
     max_ideal,
     max_ideal_product,
+    monomial_codec,
     normal_form,
     reduce_basis,
     reduced_groebner,
@@ -25,6 +27,7 @@ from burchlab.groebner import (
 from burchlab.poly import (
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     Block,
     Polynomial,
     RingContext,
@@ -498,14 +501,119 @@ def test_engine_matches_chain_criterion_reference(case):
 @settings(max_examples=100, deadline=None)
 @given(generator_lists())
 def test_spoly_term_dict_matches_reference(case):
-    """The term dict of the S-polynomial of two monic polynomials holds the
-    terms of the sorted reference S-polynomial, and no zero coefficient."""
+    """The packed term dict of the S-polynomial of two monic polynomials
+    unpacks to the terms of the sorted reference S-polynomial, and holds no
+    zero coefficient."""
     ctx, gens, f = case
+    codec = monomial_codec(ctx)
     monic = [g.monic() for g in gens + [f] if not g.is_zero]
     for a, b in itertools.combinations(monic, 2):
-        work = groebner._spoly(a, b)
+        work = groebner._spoly(codec.pack(a), codec.pack(b))
         assert all(work.values())
-        assert Polynomial.from_dict(ctx, work) == _spoly_reference(a, b)
+        unpacked = {codec.decode(k): c for k, c in work.items()}
+        assert Polynomial.from_dict(ctx, unpacked) == _spoly_reference(a, b)
+
+
+# -- packed monomials against exponent tuples ----------------------------------
+
+NAMES = ("t", "a", "b", "c", "d", "e", "f", "g")
+
+
+@st.composite
+def packed_pairs(draw):
+    """Two exponent tuples, small or up to the largest packed exponent, in
+    1-8 variables under grevlex, lex or Block(s) for every split s."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from((GREVLEX, LEX) + tuple(Block(s) for s in range(n + 2))))
+    exps = st.tuples(*[st.integers(0, 3) | st.integers(0, MAX_PACKED_EXPONENT)] * n)
+    return RingContext(SMALL_P, NAMES[:n], order), draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+def test_packed_monomials_match_exponent_tuples(case):
+    """Integer order is the monomial order; decode inverts encode; the
+    guard-bit divisibility test, the quotient, the lcm and the product agree
+    with the tuple helpers, and a product past the field sets a guard bit."""
+    ctx, a, b = case
+    codec = monomial_codec(ctx)
+    one, guard = codec.one, codec.guard
+    ka, kb = codec.encode(a), codec.encode(b)
+    assert codec.decode(ka) == a and codec.decode(kb) == b
+    key = ctx.order.key
+    assert (ka < kb, ka == kb) == (key(a) < key(b), a == b)
+    assert (not (ka - kb + one) & guard) == mono_divides(b, a)
+    if mono_divides(b, a):
+        assert ka - kb + one == codec.encode(mono_div(a, b))
+    assert codec.lcm(ka, kb) == codec.encode(mono_lcm(a, b))
+    product = ka + kb - one
+    if max(mono_mul(a, b)) <= MAX_PACKED_EXPONENT:
+        assert product == codec.encode(mono_mul(a, b))
+    else:
+        assert product & guard
+
+
+@st.composite
+def wide_generator_lists(draw):
+    """Sparse generators of degree 1-2 in 5-8 variables under grevlex, lex,
+    Block(1) and Block(s) with s > 1.  The generators and f share a monomial factor
+    with exponents up to MAX_EXPONENT: it shifts every S-polynomial and
+    division step by one monomial and changes no step."""
+    n = draw(st.integers(5, 8))
+    order = draw(st.sampled_from((GREVLEX, LEX, Block(1), Block(draw(st.integers(2, n - 1))))))
+    ctx = RingContext(SMALL_P, NAMES[:n], order)
+    factor = ctx.monomial(draw(st.tuples(*[st.just(0) | st.integers(0, MAX_EXPONENT)] * n)))
+
+    def monomial(variables):
+        return tuple(variables.count(i) for i in range(n))
+
+    exps = st.lists(st.integers(0, n - 1), min_size=1, max_size=2).map(monomial)
+    polys = st.dictionaries(exps, st.integers(1, SMALL_P - 1), min_size=1, max_size=3).map(
+        lambda d: Polynomial.from_dict(ctx, d) * factor
+    )
+    return ctx, draw(st.lists(polys, min_size=2, max_size=3)), draw(polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_generator_lists())
+def test_engine_matches_reference_in_many_variables(case):
+    ctx, gens, f = case
+    gb = reduced_groebner(gens, ctx)
+    assert gb == _reduced_reference(gens, ctx)
+    assert normal_form(f, Reducers(gens)) == _normal_form_reference(f, gens)
+    assert normal_form(f, Reducers(gb)) == _normal_form_reference(f, list(gb))
+
+
+def test_engine_matches_reference_in_an_eight_variable_elimination():
+    """Block(1) over t and seven variables, the elimination context of a
+    seven-variable ring, with exponents at MAX_EXPONENT: t·I + (1 - t)·J as
+    `ideal_intersection` builds it."""
+    ctx = RingContext(P, NAMES, Block(1))
+    E = MAX_EXPONENT
+    I = [f"a^{E}*b", "b^2 - c*d", f"e*f - g^{E}"]
+    J = [f"a^{E}", "c*d - e", f"f^2 + b*g^{E}"]
+    gens = [poly(f"t*({g})", ctx) for g in I] + [poly(f"{g} - t*({g})", ctx) for g in J]
+    gb = reduced_groebner(gens, ctx)
+    assert gb == _reduced_reference(gens, ctx)
+    assert max(max(e) for g in gb for e, _ in g.terms) == 2 * E
+    f = poly(f"a^{E}*b^3*c + t*g^{E}*e*f + c*d*e", ctx)
+    assert normal_form(f, Reducers(gb)) == _normal_form_reference(f, list(gb))
+
+
+def test_kernel_refuses_exponent_overflow():
+    """A monomial past the packed field, given or made by a product in a
+    reduction or an S-polynomial, is refused, never wrapped."""
+    ctx = RingContext(P, ("y", "x"), LEX)
+    F = MAX_PACKED_EXPONENT
+    g = poly("y - x^2", ctx)
+    f = ctx.monomial((1, F))  # y·x^F reduces to x^(F+2)
+    with pytest.raises(PreconditionError):
+        Ideal.make(ctx, [g]).contains(f)
+    with pytest.raises(PreconditionError):
+        reduced_groebner([g, f], ctx)
+    with pytest.raises(PreconditionError):
+        normal_form(ctx.monomial((0, F + 1)), Reducers([g]))
+    assert normal_form(ctx.monomial((0, F)), Reducers([g])) == ctx.monomial((0, F))
 
 
 def _spoly_count(monkeypatch, module, name, build):

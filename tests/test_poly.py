@@ -159,6 +159,26 @@ def test_parse_refuses_exponent_above_limit():
         assert exc.value.position == 8  # the exponent
 
 
+def test_parse_refuses_result_exponent_above_limit():
+    """A power is refused when its largest exponent times the power, and a
+    product when its largest pairwise exponent sum, passes MAX_EXPONENT;
+    both are checked before expanding, at the exponent or the '*'."""
+    half = MAX_EXPONENT // 2
+    assert poly(f"x^{half}*x^{MAX_EXPONENT - half}") == CTX.monomial((MAX_EXPONENT, 0))
+    assert poly(f"(x^{half}*y)^2") == CTX.monomial((2 * half, 2))
+    assert poly(f"(x-x)^{MAX_EXPONENT}").is_zero
+    cases = (
+        (f"(x^{MAX_EXPONENT})^{MAX_EXPONENT}", 13),
+        (f"(x*y^2)^{half + 1}", 8),
+        (f"x^{MAX_EXPONENT}*x", 10),
+        (f"y + x^{half}*(x^{half} + y)*x^2", 29),
+    )
+    for text, at in cases:
+        with pytest.raises(ParseError) as exc:
+            poly(text)
+        assert exc.value.position == at and f"exponent above the limit {MAX_EXPONENT}" in str(exc.value)
+
+
 def test_parse_refuses_expansion_above_limit():
     """A power or product is refused, before it is expanded, when its term
     count bound exceeds MAX_TERMS; the largest binomial power still parses."""
