@@ -51,9 +51,10 @@ class QuotientAlgebra:
         self.ideal = ideal
         self.ctx = ideal.ctx
         self.p = ideal.ctx.p
+        self.keys: tuple[int, ...] = ideal.standard_keys()
         self.basis: tuple[Exponents, ...] = ideal.standard_monomials()
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        self.dim = len(self.basis)
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.dim = len(self.keys)
         self._reducers = ideal.reducers()
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
         self._scatters = [linalg.scatter_table(M) for M in self.mult]
@@ -65,33 +66,32 @@ class QuotientAlgebra:
     def _nf_vector(self, f: Polynomial) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
         r = normal_form(f, self._reducers)
-        for e, c in r.terms:
-            v[self.index[e]] = c
+        for k, c in r.terms:
+            v[self.index[k]] = c
         return v
 
     def _variable_matrix(self, i: int) -> linalg.Triples:
         """Multiplication by x_i: column b holds x_i·(basis monomial b), a
         basis monomial itself or the normal form of the product."""
-        xi = self.ctx.var_exps(i)
+        unit = self.ctx.codec.units[i]
         entries = []
-        for b, m in enumerate(self.basis):
-            prod = tuple(a + e for a, e in zip(m, xi))
+        for b, m in enumerate(self.keys):
+            prod = m + unit
             if prod in self.index:
                 entries.append((self.index[prod], b, 1))
             else:
-                r = normal_form(self.ctx.monomial(prod), self._reducers)
-                entries.extend((self.index[e], b, c) for e, c in r.terms)
+                r = normal_form(Polynomial(self.ctx, ((prod, 1),)), self._reducers)
+                entries.extend((self.index[k], b, c) for k, c in r.terms)
         return linalg.Triples.from_entries(entries, (self.dim, self.dim))
 
     def _basis_parents(self) -> list[tuple[int, int]]:
         """Entry b-1 is (index of basis[b] / x_v, v) for the first variable
         x_v dividing basis[b].  basis[0] is 1 and the ascending basis lists
-        every standard monomial after its parent."""
-        parents = []
-        for exps in self.basis[1:]:
-            v = next(k for k, e in enumerate(exps) if e)
-            parents.append((self.index[exps[:v] + (exps[v] - 1,) + exps[v + 1 :]], v))
-        return parents
+        every standard monomial after its parent.  A divisor of a standard
+        monomial is standard, and a key minus the unit of a variable that
+        does not divide it sets a guard bit, so it is in no index."""
+        units, index = self.ctx.codec.units, self.index
+        return [next((index[k - u], v) for v, u in enumerate(units) if k - u in index) for k in self.keys[1:]]
 
     def act(self, v: int, Y: linalg.Triples) -> linalg.Triples:
         """x_v times each column of Y, a batch of coordinate vectors of R^m
@@ -173,7 +173,7 @@ class QuotientAlgebra:
 
     def one(self) -> "AlgebraElement":
         v = np.zeros(self.dim, dtype=np.int64)
-        v[self.index[self.ctx.zero_exps()]] = 1
+        v[self.index[self.ctx.codec.one]] = 1
         return AlgebraElement(self, v)
 
     def basis_multiples(self, X: linalg.Triples, act) -> list[linalg.Triples]:
@@ -222,8 +222,8 @@ class QuotientAlgebra:
 
     def lift(self, v: np.ndarray) -> Polynomial:
         """The standard-monomial representative in S of a coordinate vector."""
-        coeffs = {self.basis[i]: int(c) for i, c in enumerate(np.asarray(v).ravel()) if c}
-        return Polynomial.from_dict(self.ctx, coeffs)
+        coeffs = {self.keys[i]: int(c) for i, c in enumerate(np.asarray(v).ravel()) if c}
+        return Polynomial.from_keys(self.ctx, coeffs)
 
     def socle_polynomials(self) -> list[Polynomial]:
         return [self.lift(self.socle[:, j]) for j in range(self.socle.shape[1])]
@@ -256,7 +256,7 @@ class AlgebraElement:
         return not self.vec.any()
 
     def in_max_ideal(self) -> bool:
-        one = self.algebra.index[self.algebra.ctx.zero_exps()]
+        one = self.algebra.index[self.algebra.ctx.codec.one]
         return self.vec[one] == 0
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -409,10 +409,10 @@ def fibre_product(RS: QuotientAlgebra, RT: QuotientAlgebra) -> FibreProductPrese
     nl, nr = RS.ctx.nvars, RT.ctx.nvars
 
     def lift_left(f: Polynomial) -> Polynomial:
-        return Polynomial.from_dict(ctx, {e + (0,) * nr: c for e, c in f.terms})
+        return Polynomial.from_dict(ctx, {e + (0,) * nr: c for e, c in f.exponent_terms()})
 
     def lift_right(f: Polynomial) -> Polynomial:
-        return Polynomial.from_dict(ctx, {(0,) * nl + e: c for e, c in f.terms})
+        return Polynomial.from_dict(ctx, {(0,) * nl + e: c for e, c in f.exponent_terms()})
 
     gens = [lift_left(g) for g in RS.ideal.gens] + [lift_right(g) for g in RT.ideal.gens]
     for i in range(nl):

@@ -397,7 +397,7 @@ def _substitute_variable(f: Polynomial, ctx_new: RingContext, var_index: int, re
     """Substitute x_{var_index} := replacement (given in ctx_new) and drop
     that variable from the exponent tuples."""
     out = ctx_new.zero()
-    for e, c in f.terms:
+    for e, c in f.exponent_terms():
         rest = e[:var_index] + e[var_index + 1 :]
         term = ctx_new.monomial(rest, c)
         if e[var_index]:
@@ -438,7 +438,7 @@ def cut_down(I: Ideal, elems, allow_nonlinear: bool = False) -> CutResult:
             )
         if linear:
             old_ctx = cur.ctx
-            j, coeff = next((i, c) for e, c in x.terms for i, e_i in enumerate(e) if e_i)
+            j, coeff = next((i, c) for e, c in x.exponent_terms() for i, e_i in enumerate(e) if e_i)
             # solve x = 0 for the pivot variable
             names = old_ctx.variables[:j] + old_ctx.variables[j + 1 :]
             if not names:
@@ -446,7 +446,7 @@ def cut_down(I: Ideal, elems, allow_nonlinear: bool = False) -> CutResult:
             ctx_new = RingContext(old_ctx.p, names, old_ctx.order)
             inv = pow(coeff, -1, old_ctx.p)
             repl_terms = {}
-            for e, c in x.terms:
+            for e, c in x.exponent_terms():
                 if e[j]:
                     continue
                 rest = e[:j] + e[j + 1 :]

@@ -4,16 +4,13 @@ The reduced Groebner basis is the canonical form of an ideal under a fixed
 order, so equality, membership and colon computations all route through it.
 
 The kernel (`buchberger`, `_spoly`, `_reduce`, `normal_form`, `Reducers`,
-`reduce_basis`, `exact_divide`) runs on packed monomials (Bachmann and
-Schönemann, "Monomial representations for Gröbner bases computations",
-ISSAC 1998): one Python int per monomial, whose integer order is the
-monomial order, so a product or quotient is one addition, divisibility one
-subtraction and a mask, and the lcm a few masks over the guard bits
-(`MonomialCodec`, one per ring context).  Every exponent field holds up to
-`MAX_PACKED_EXPONENT` = 2^27 - 1, thirteen times the parser's bound; a
-monomial beyond it, given or made by a product, is refused with
-`PreconditionError`.  Polynomials are packed once on the way in and unpacked
-once on the way out; `Polynomial.terms` keeps exponent tuples.
+`reduce_basis`, `exact_divide`) takes and returns `Polynomial`s as they are:
+their terms are packed monomial keys (`poly.MonomialCodec`), so a product or
+quotient of monomials is one addition, divisibility one subtraction and a
+mask, and the lcm a few masks over the guard bits.  A monomial past
+`MAX_PACKED_EXPONENT` = 2^27 - 1, thirteen times the parser's bound, made by
+a product in a reduction or an S-polynomial, is refused with
+`PreconditionError`.
 
 `buchberger` prunes S-pairs with the Gebauer–Möller criteria as each new
 element is made, and keeps the live pairs in a dict beside a heap ordered by
@@ -33,9 +30,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,141 +38,18 @@ from . import linalg
 from .linalg import PreconditionError
 from .poly import (
     Block,
-    Grevlex,
-    Lex,
     Polynomial,
     RingContext,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     monomials_of_degree,
+    packing_overflow,
 )
 
-
-# ---------------------------------------------------------------------------
-# packed monomials
-
-FIELD_BITS = 32
-EXPONENT_BITS = 27
-MAX_PACKED_EXPONENT = (1 << EXPONENT_BITS) - 1
-_FIELD_MASK = (1 << FIELD_BITS) - 1
-
-
-class MonomialCodec:
-    """The packing of the monomials of one ring context into single ints.
-
-    A packed monomial is its own order key: 32-bit fields, most significant
-    first, that compare as the order does.
-    - lex: e_1, ..., e_n;
-    - grevlex: the degree, then F - e_n, ..., F - e_1;
-    - Block(s): that grevlex layout for the first s variables, then for
-      the rest.
-    F = MAX_PACKED_EXPONENT.  Bit 27 of each exponent field is its guard,
-    and bits 28-31 stay clear: a degree, a sum of at most 8 exponents, or
-    the sum of two degrees in a product, fits in a field without a carry.
-    The key is affine in the exponents, key(ab) = key(a) + key(b) - one
-    with one = key(1), so
-    - the product of a and b is a + b - one; it sets a guard bit exactly
-      when an exponent passes F;
-    - the quotient a / b is a - b + one, and b divides a exactly when that
-      sets no guard bit;
-    - the lcm is the per-field max of the exponents, taken with the guard
-      bits, with its degree fields summed anew."""
-
-    def __init__(self, ctx: RingContext):
-        self.ctx = ctx
-        self.p = ctx.p
-        n, order = ctx.nvars, ctx.order
-        if isinstance(order, Lex):
-            layout = [("exp", i) for i in range(n)]
-        elif isinstance(order, (Grevlex, Block)):
-            split = min(order.split, n) if isinstance(order, Block) else 0
-            layout = []
-            for block in (range(split), range(split, n)):
-                if block:
-                    layout.append(("deg", block))
-                    layout.extend(("neg", i) for i in reversed(block))
-        else:
-            raise TypeError(f"no packing for the monomial order {order!r}")
-        self.one = self.guard = self.mask = 0
-        self.units = [0] * n  # key(x_i) - one
-        self.shifts = [0] * n
-        self.degrees = []  # (degree field shift, lowest field shift, top column, ones) per block
-        for k, (kind, what) in enumerate(reversed(layout)):
-            shift = k * FIELD_BITS
-            if kind == "deg":
-                count = len(what)
-                low = shift - count * FIELD_BITS
-                ones = sum(1 << (j * FIELD_BITS) for j in range(count))
-                self.degrees.append((shift, low, (count - 1) * FIELD_BITS, ones))
-                for i in what:
-                    self.units[i] += 1 << shift
-                continue
-            self.shifts[what] = shift
-            self.guard |= 1 << (shift + EXPONENT_BITS)
-            self.mask |= MAX_PACKED_EXPONENT << shift
-            if kind == "neg":
-                self.one |= MAX_PACKED_EXPONENT << shift
-                self.units[what] -= 1 << shift
-            else:
-                self.units[what] += 1 << shift
-
-    def encode(self, exps) -> int:
-        if max(exps) > MAX_PACKED_EXPONENT:
-            raise _overflow()
-        return self.one + sum(map(operator.mul, exps, self.units))
-
-    def decode(self, key: int) -> tuple:
-        x = key ^ self.one  # every exponent field now holds e_i itself
-        return tuple([(x >> s) & MAX_PACKED_EXPONENT for s in self.shifts])
-
-    def lcm(self, a: int, b: int) -> int:
-        """The lcm of packed a and b: with the negated fields flipped back,
-        x - y over guard-set fields leaves each guard set where x >= y; that
-        mask picks x there and y elsewhere, and each degree field is the
-        sum of its block's fields, the top column of a multiply by 1...1."""
-        one, guard = self.one, self.guard
-        x, y = (a ^ one) & self.mask, (b ^ one) & self.mask
-        g = ((x | guard) - y) & guard  # the guard bit of each field where x >= y
-        x = y ^ ((x ^ y) & (g - (g >> EXPONENT_BITS)))
-        out = x ^ one
-        for shift, low, top, ones in self.degrees:
-            out += ((((x >> low) * ones) >> top) & _FIELD_MASK) << shift
-        return out
-
-    def pack(self, f: Polynomial) -> "PackedPolynomial":
-        return PackedPolynomial(self, tuple([(self.encode(e), c) for e, c in f.terms]))
-
-    def unpack(self, terms) -> Polynomial:
-        """The Polynomial of (key, coefficient) terms with descending keys."""
-        return Polynomial(self.ctx, tuple([(self.decode(k), c) for k, c in terms]))
-
-
-@functools.cache
-def monomial_codec(ctx: RingContext) -> MonomialCodec:
-    """The one codec of ctx."""
-    return MonomialCodec(ctx)
-
-
-def _overflow() -> PreconditionError:
-    return PreconditionError(f"monomial exponent above {MAX_PACKED_EXPONENT}, the largest the Groebner kernel holds")
-
-
-class PackedPolynomial(NamedTuple):
-    """A polynomial in the kernel's form: (key, coefficient) terms with
-    strictly descending packed keys; `lead` and `monic` need it nonzero."""
-
-    codec: MonomialCodec
-    terms: tuple
-
-    @property
-    def lead(self) -> int:
-        return self.terms[0][0]
-
-    def monic(self) -> "PackedPolynomial":
-        p = self.codec.p
-        inv = pow(self.terms[0][1], -1, p)
-        return PackedPolynomial(self.codec, tuple([(k, c * inv % p) for k, c in self.terms]))
+# The longest S/I whose standard monomials `Ideal._staircase` lists.  Listing
+# 4096 of them takes about 15 ms; the algebra built on them costs more, and
+# a command also lists the staircases of m·I and m²·I: `check --route all` on
+# (x^4091, y), the longest m-adic chain it accepts, takes 4.5 s and 425 MB
+# peak (one 2-CPU x86 host).
+MAX_LENGTH = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +58,7 @@ class PackedPolynomial(NamedTuple):
 
 class Reducers:
     """The reducer table of a basis: (lead key - one, inverse lead
-    coefficient, packed tail) of each nonzero element, in basis order.
+    coefficient, tail) of each nonzero element, in basis order.
 
     `normal_form` takes it, so a caller that reduces many polynomials by
     one basis builds the table once; `add` extends it as a basis grows."""
@@ -195,18 +67,17 @@ class Reducers:
         self.rows: list[tuple] = []
         for g in basis:
             if not g.is_zero:
-                self.add(monomial_codec(g.ctx).pack(g))
+                self.add(g)
 
-    def add(self, g: PackedPolynomial) -> None:
-        codec = g.codec
-        self.rows.append((g.lead - codec.one, pow(g.terms[0][1], -1, codec.p), g.terms[1:]))
+    def add(self, g: Polynomial) -> None:
+        (lead, c), tail = g.terms[0], g.terms[1:]
+        self.rows.append((lead - g.ctx.codec.one, pow(c, -1, g.ctx.p), tail))
 
 
 def normal_form(f: Polynomial, reducers: Reducers) -> Polynomial:
     """Full remainder of f under multivariate division by the basis (in
     order) of the `Reducers` table."""
-    codec = monomial_codec(f.ctx)
-    return codec.unpack(_reduce(codec, dict(codec.pack(f).terms), reducers.rows))
+    return Polynomial(f.ctx, tuple(_reduce(f.ctx, dict(f.terms), reducers.rows)))
 
 
 def _subtract(work: dict, heap: list, shift: int, coeff: int, tail, p: int) -> None:
@@ -226,14 +97,14 @@ def _subtract(work: dict, heap: list, shift: int, coeff: int, tail, p: int) -> N
                 del work[e]
 
 
-def _reduce(codec: MonomialCodec, work: dict, rows: list[tuple]) -> list:
+def _reduce(ctx: RingContext, work: dict, rows: list[tuple]) -> list:
     """The remainder, as descending (key, coefficient) terms, of the
-    polynomial whose packed terms are the (unsorted) dict `work` under
-    division by the `Reducers` rows; `work` is consumed.  A key is checked
-    for a set guard bit when it leaves the heap, before it is used: an
-    overflowed key equals no valid key, and two equal ones are one
-    monomial, so what cancels before that check cancels exactly."""
-    p, one, guard = codec.p, codec.one, codec.guard
+    polynomial whose terms are the (unsorted) dict `work` under division by
+    the `Reducers` rows; `work` is consumed.  A key is checked for a set
+    guard bit when it leaves the heap, before it is used: an overflowed key
+    equals no valid key, and two equal ones are one monomial, so what
+    cancels before that check cancels exactly."""
+    p, one, guard = ctx.p, ctx.codec.one, ctx.codec.guard
     heap = [-k for k in work]
     heapq.heapify(heap)
     remainder = []
@@ -243,7 +114,7 @@ def _reduce(codec: MonomialCodec, work: dict, rows: list[tuple]) -> list:
         if not coeff:
             continue  # it cancelled after it was pushed
         if k & guard:
-            raise _overflow()
+            raise packing_overflow()
         for dl, inv, tail in rows:
             q = k - dl  # the quotient k / lead, valid when no guard bit is set
             if not q & guard:
@@ -255,38 +126,36 @@ def _reduce(codec: MonomialCodec, work: dict, rows: list[tuple]) -> list:
     return remainder
 
 
-def _spoly(f: PackedPolynomial, g: PackedPolynomial) -> dict:
-    """The S-polynomial of monic f and g as an unsorted dict of packed
-    terms: the leading terms cancel, so only the two tails are shifted and
-    merged."""
-    codec = f.codec
-    lcm = codec.lcm(f.lead, g.lead)
-    a = lcm - f.lead
+def _spoly(f: Polynomial, g: Polynomial) -> dict:
+    """The S-polynomial of monic f and g as an unsorted dict of terms: the
+    leading terms cancel, so only the two tails are shifted and merged."""
+    lf, lg = f.terms[0][0], g.terms[0][0]
+    lcm = f.ctx.codec.lcm(lf, lg)
+    a = lcm - lf
     work = {e + a: c for e, c in f.terms[1:]}
-    _subtract(work, [], lcm - g.lead, 1, g.terms[1:], codec.p)
+    _subtract(work, [], lcm - lg, 1, g.terms[1:], f.ctx.p)
     return work
 
 
-def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[PackedPolynomial]:
-    """A Groebner basis of (gens) under ctx.order (not yet reduced), monic
-    and packed.
+def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
+    """A Groebner basis of (gens) under ctx.order (not yet reduced), monic.
 
     Pairs are pruned when they are made, by the criteria of Gebauer and
     Möller (1988): when h joins the basis, an old pair (i, j) goes if lead(h)
     divides its lcm L and L differs from both lcm(i, h) and lcm(j, h); of the
     new pairs (i, h), one is kept per minimal lcm, and none whose leads are
     coprime.  Pairs are reduced in ascending order of their lcm."""
-    codec = monomial_codec(ctx)
+    codec = ctx.codec
     one, guard, lcm_of = codec.one, codec.guard, codec.lcm
-    basis: list[PackedPolynomial] = []
+    basis: list[Polynomial] = []
     leads: list[int] = []
     reducers = Reducers()
     active: list[int] = []  # elements whose lead no later lead divides
     pairs: dict[tuple[int, int], int] = {}  # live pairs -> lcm of the leads
     heap: list = []  # (lcm, i, j) of every pair made; dead ones are skipped
 
-    def insert(h: PackedPolynomial) -> None:
-        lh = h.lead
+    def insert(h: Polynomial) -> None:
+        lh = h.terms[0][0]
         dl = lh - one  # lh divides m exactly when m - dl sets no guard bit
         for (i, j), lcm in list(pairs.items()):
             if not (lcm - dl) & guard and lcm != lcm_of(leads[i], lh) and lcm != lcm_of(leads[j], lh):
@@ -315,24 +184,23 @@ def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[PackedPolynomia
 
     for g in gens:
         if not g.is_zero:
-            insert(codec.pack(g).monic())
+            insert(g.monic())
     while pairs:
         _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        r = _reduce(codec, _spoly(basis[i], basis[j]), reducers.rows)
+        r = _reduce(ctx, _spoly(basis[i], basis[j]), reducers.rows)
         if r:
-            insert(PackedPolynomial(codec, tuple(r)).monic())
+            insert(Polynomial(ctx, tuple(r)).monic())
     return basis
 
 
-def reduce_basis(basis: list[PackedPolynomial], ctx: RingContext) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis of the monic packed basis that
-    `buchberger` returns: auto-reduced, sorted by leading term, unpacked."""
-    codec = monomial_codec(ctx)
-    one, guard = codec.one, codec.guard
+def reduce_basis(basis: list[Polynomial], ctx: RingContext) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of the monic basis that `buchberger`
+    returns: auto-reduced and sorted by leading term."""
+    one, guard = ctx.codec.one, ctx.codec.guard
     # drop elements whose lead another lead divides; of equal leads the first stays
-    leads = [g.lead for g in basis]
+    leads = [g.terms[0][0] for g in basis]
     keep = []
     for i, g in enumerate(basis):
         up = leads[i] + one  # h divides lead(g) exactly when up - h sets no guard bit
@@ -341,17 +209,15 @@ def reduce_basis(basis: list[PackedPolynomial], ctx: RingContext) -> tuple[Polyn
     # tail-reduce every survivor against one table of all survivors: no other
     # lead divides lead(g), and lead(g) divides no term below itself, so
     # g's own row never applies to its tail
-    table = Reducers()
-    for g in keep:
-        table.add(g)
-    reduced = [g.terms[:1] + tuple(_reduce(codec, dict(g.terms[1:]), table.rows)) for g in keep]
-    reduced.sort(key=lambda terms: terms[0][0])
-    return tuple(codec.unpack(terms) for terms in reduced)
+    table = Reducers(keep)
+    reduced = [Polynomial(ctx, g.terms[:1] + tuple(_reduce(ctx, dict(g.terms[1:]), table.rows))) for g in keep]
+    reduced.sort(key=lambda g: g.terms[0][0])
+    return tuple(reduced)
 
 
 def reduced_groebner(gens, ctx: RingContext) -> tuple[Polynomial, ...]:
     gb = reduce_basis(buchberger(list(gens), ctx), ctx)
-    if any(g.total_degree() == 0 for g in gb):
+    if gb and gb[0].terms[0][0] == ctx.codec.one:
         return (ctx.one(),)
     return gb
 
@@ -392,7 +258,7 @@ class Ideal:
     @property
     def contains_unit(self) -> bool:
         gb = self.groebner()
-        return bool(gb) and gb[0].total_degree() == 0
+        return bool(gb) and gb[0].terms[0][0] == self.ctx.codec.one
 
     def in_max_ideal(self) -> bool:
         return all(g.constant_term == 0 for g in self.gens)
@@ -432,17 +298,33 @@ class Ideal:
         return Ideal.make(self.ctx, gens)
 
     def _staircase(self) -> tuple | None:
-        """The monomials outside the leading-term ideal, ascending in the
-        order, when there are finitely many (S/I has finite length) and I
-        is proper; None otherwise.  Computed once."""
+        """The keys of the monomials outside the leading-term ideal,
+        ascending, when there are finitely many (S/I has finite length) and
+        I is proper; None otherwise; refused past MAX_LENGTH of them.  S/I
+        has finite length exactly when each variable has a pure power among
+        the leads (cached as "pure_powers").  Computed once."""
         if "staircase" not in self._cache:
-            self._cache["staircase"] = None
-            leads = [g.lead_exps for g in self.groebner()]
-            # the least pure power of each variable among the leads
-            bounds = [min((le[i] for le in leads if sum(le) == le[i]), default=0) for i in range(self.ctx.nvars)]
-            if leads and all(bounds):
-                out = [e for e in itertools.product(*map(range, bounds)) if not any(mono_divides(le, e) for le in leads)]
-                self._cache["staircase"] = tuple(sorted(out, key=self.ctx.order.key))
+            gb = self.groebner()
+            leads = [g.lead_exps for g in gb]
+            bounds = [min((le[v] for le in leads if sum(le) == le[v]), default=0) for v in range(self.ctx.nvars)]
+            staircase = None
+            if all(bounds):
+                codec = self.ctx.codec
+                # lead g divides k exactly when k - (g - one) sets no guard bit
+                divisors = [g.terms[0][0] - codec.one for g in gb]
+                # walk up from 1: a divisor of a standard monomial is standard
+                found, todo = {codec.one}, [codec.one]
+                while todo:
+                    k = todo.pop()
+                    for unit in codec.units:
+                        m = k + unit
+                        if m not in found and all((m - d) & codec.guard for d in divisors):
+                            if len(found) == MAX_LENGTH:
+                                raise PreconditionError(f"a quotient S/J of length above the limit of {MAX_LENGTH}")
+                            found.add(m)
+                            todo.append(m)
+                staircase = tuple(sorted(found))
+            self._cache["pure_powers"], self._cache["staircase"] = bounds, staircase
         return self._cache["staircase"]
 
     def finite_colength(self) -> bool:
@@ -456,42 +338,45 @@ class Ideal:
         if "m_primary" not in self._cache:
             basis = self._staircase()
             self._cache["m_primary"] = basis is not None and all(
-                self._nilpotent(v, basis) for v in range(self.ctx.nvars)
+                self._nilpotent(v, b, len(basis)) for v, b in enumerate(self._cache["pure_powers"])
             )
         return self._cache["m_primary"]
 
-    def _nilpotent(self, v: int, basis: tuple) -> bool:
-        """Whether x_v is nilpotent in S/I, of finite length L with standard
-        monomials `basis`.  A nilpotent element has x^L = 0, so x_v^n ∈ I for
-        any one n >= L decides it.  With x_v^b the least pure power of x_v
-        among the leads, n = b·2^j: x_v^b reduces to its normal form g, and
-        each squaring of g doubles the power."""
+    def _nilpotent(self, v: int, power: int, length: int) -> bool:
+        """Whether x_v is nilpotent in S/I, of finite length L = `length`,
+        where x_v^power is the least pure power of x_v among the leads.  A
+        nilpotent element has x^L = 0, so x_v^n ∈ I for any one n >= L
+        decides it; n = power·2^j: x_v^power reduces to its normal form g,
+        and each squaring of g doubles the power."""
         reducers = self.reducers()
-        power = 1 + max(e[v] for e in basis)
-        g = normal_form(self.ctx.monomial(tuple(power if j == v else 0 for j in range(self.ctx.nvars))), reducers)
-        while power < len(basis) and not g.is_zero:
+        g = normal_form(self.ctx.variable(v) ** power, reducers)
+        while power < length and not g.is_zero:
             g, power = normal_form(g * g, reducers), 2 * power
         return g.is_zero
 
-    def standard_monomials(self) -> tuple:
-        """All monomials outside the leading-term ideal, ascending in the
-        order; their count is the length of S/I.  Requires an m-primary ideal."""
+    def standard_keys(self) -> tuple:
+        """The keys of all monomials outside the leading-term ideal,
+        ascending; their count is the length of S/I.  Requires an m-primary
+        ideal."""
         if not self.is_m_primary():
             raise PreconditionError("standard monomials need an m-primary ideal")
         return self._staircase()
 
+    def standard_monomials(self) -> tuple:
+        """`standard_keys` as exponent tuples, decoded once."""
+        if "standard" not in self._cache:
+            self._cache["standard"] = tuple(map(self.ctx.codec.decode, self.standard_keys()))
+        return self._cache["standard"]
+
     def length(self) -> int:
-        return len(self.standard_monomials())
+        return len(self.standard_keys())
 
     def dim_in_degree(self, d: int) -> int:
         """dim_k of the degree-d graded piece (homogeneous ideals only)."""
-        gb = self.groebner()
-        leads = [g.lead_exps for g in gb]
-        n = 0
-        for exps in monomials_of_degree(self.ctx, d):
-            if any(mono_divides(le, exps) for le in leads):
-                n += 1
-        return n
+        codec = self.ctx.codec
+        divisors = [g.terms[0][0] - codec.one for g in self.groebner()]
+        keys = map(codec.encode, monomials_of_degree(self.ctx, d))
+        return sum(1 for k in keys if not all((k - dl) & codec.guard for dl in divisors))
 
     def min_gen_count_graded(self) -> int:
         """mu(I) for a homogeneous ideal via graded piece ranks."""
@@ -534,14 +419,14 @@ def _fresh_variable(ctx: RingContext) -> str:
 
 @functools.cache
 def _extend_context(ctx: RingContext) -> RingContext:
-    """ctx with a fresh elimination variable in front; one per context, so
-    the prime is checked once rather than once per elimination."""
+    """ctx with a fresh elimination variable in front, under Block(1), which
+    admits one variable past MAX_VARIABLES; one per context, so the prime is
+    checked once rather than once per elimination."""
     return RingContext(ctx.p, (_fresh_variable(ctx),) + ctx.variables, Block(1))
 
 
 def _lift(f: Polynomial, ctx2: RingContext, tpow: int) -> Polynomial:
-    terms = {(tpow,) + e: c for e, c in f.terms}
-    return Polynomial.from_dict(ctx2, terms)
+    return Polynomial.from_dict(ctx2, {(tpow,) + e: c for e, c in f.exponent_terms()})
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -555,23 +440,21 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     t_gens = [_lift(f, ctx2, 1) for f in I.gens]
     one_minus_t = [_lift(g, ctx2, 0) - _lift(g, ctx2, 1) for g in J.gens]
     gb = reduced_groebner(t_gens + one_minus_t, ctx2)
-    out = []
-    for g in gb:
-        if all(e[0] == 0 for e, _ in g.terms):
-            out.append(Polynomial.from_dict(ctx, {e[1:]: c for e, c in g.terms}))
+    # Block(1) puts every multiple of t above every t-free monomial, so g is
+    # free of t exactly when its lead lies below t
+    t = ctx2.variable(0).terms[0][0]
+    out = [Polynomial.from_dict(ctx, {e[1:]: c for e, c in g.exponent_terms()}) for g in gb if g.terms[0][0] < t]
     return Ideal.make(ctx, out)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """f / g when g divides f (guaranteed by membership f ∈ (g))."""
-    codec = monomial_codec(f.ctx)
-    p, one, guard = codec.p, codec.one, codec.guard
-    work = dict(codec.pack(f).terms)
+    p, one, guard = f.ctx.p, f.ctx.codec.one, f.ctx.codec.guard
+    work = dict(f.terms)
     heap = [-k for k in work]
     heapq.heapify(heap)
-    g = codec.pack(g)
-    lead, tail = g.lead, g.terms[1:]
-    inv_lead = pow(g.terms[0][1], -1, p)
+    (lead, c), tail = g.terms[0], g.terms[1:]
+    inv_lead = pow(c, -1, p)
     quotient = []  # descending, as the dividend's leading terms are
     while heap:
         k = -heapq.heappop(heap)
@@ -579,14 +462,14 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         if not coeff:
             continue
         if k & guard:
-            raise _overflow()
+            raise packing_overflow()
         q = k - lead + one
         if q & guard:
             raise ValueError("exact division failed: input not a multiple")
         q_coeff = coeff * inv_lead % p
         quotient.append((q, q_coeff))
         _subtract(work, heap, k - lead, q_coeff, tail, p)
-    return codec.unpack(quotient)
+    return Polynomial(f.ctx, tuple(quotient))
 
 
 def ideal_colon_element(I: Ideal, g: Polynomial) -> Ideal:
@@ -645,11 +528,6 @@ class SyzygyMatrix:
                 raise AssertionError("column is not a syzygy")
 
 
-def _degree_basis(ctx: RingContext, d: int) -> tuple[list, dict]:
-    monos = monomials_of_degree(ctx, d)
-    return monos, {m: i for i, m in enumerate(monos)}
-
-
 def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
     """Minimal first syzygies of I's generator list (homogeneous, minimal).
 
@@ -674,10 +552,10 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
         if others.contains(g):
             raise PreconditionError(f"redundant generator: {g}")
 
-    gb = I.groebner()
+    codec = ctx.codec
     bound = max(degs)
-    for a, b in itertools.combinations(gb, 2):
-        bound = max(bound, sum(mono_lcm(a.lead_exps, b.lead_exps)))
+    for a, b in itertools.combinations(I.groebner(), 2):
+        bound = max(bound, codec.degree(codec.lcm(a.terms[0][0], b.terms[0][0])))
 
     mu = len(gens)
     chosen: list[tuple[int, list[Polynomial]]] = []  # (degree, column)
@@ -686,7 +564,7 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
         """Coordinates of ⊕_i S_{t-d_i}: list of (i, mono) and lookup dict."""
         coords = []
         for i in range(mu):
-            for m in monomials_of_degree(ctx, t - degs[i]):
+            for m in map(codec.encode, monomials_of_degree(ctx, t - degs[i])):
                 coords.append((i, m))
         return coords, {c: k for k, c in enumerate(coords)}
 
@@ -696,18 +574,17 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
         coords, lookup = col_index_map(t)
         if not coords:
             continue
-        row_monos, row_lookup = _degree_basis(ctx, t)
+        row_lookup = {m: r for r, m in enumerate(map(codec.encode, monomials_of_degree(ctx, t)))}
         # multiplication matrix: coordinate (i, m) maps to m * gens[i]
-        entries = [(row_lookup[mono_mul(e, m)], k, c) for k, (i, m) in enumerate(coords) for e, c in gens[i].terms]
-        M = linalg.Triples.from_entries(entries, (len(row_monos), len(coords)))
+        entries = [(row_lookup[e + m - codec.one], k, c) for k, (i, m) in enumerate(coords) for e, c in gens[i].terms]
+        M = linalg.Triples.from_entries(entries, (len(row_lookup), len(coords)))
         K = linalg.kernel_basis(M, p)
         # span of x_j * (syzygies of degree t-1), in degree-t coordinates
         carried = linalg.Triples.zeros(len(coords), 0)
         if prev_span is not None and prev_span.shape[1]:
             shifted = []
-            for j in range(ctx.nvars):
-                xj = ctx.var_exps(j)
-                to = np.array([lookup[(i, mono_mul(m, xj))] for i, m in prev_coords], dtype=np.int64)
+            for unit in codec.units:
+                to = np.array([lookup[(i, m + unit)] for i, m in prev_coords], dtype=np.int64)
                 shape = (len(coords), prev_span.shape[1])
                 shifted.append(linalg.Triples(to[prev_span.rows], prev_span.cols, prev_span.vals, shape))
             carried = linalg.column_space_basis(linalg.hstack(shifted, len(coords)), p)
@@ -719,7 +596,7 @@ def syzygy_matrix(I: Ideal) -> SyzygyMatrix:
                 if vec[k]:
                     parts.setdefault(i, {})[m] = int(vec[k])
             for i, d in parts.items():
-                col[i] = Polynomial.from_dict(ctx, d)
+                col[i] = Polynomial.from_keys(ctx, d)
             chosen.append((t, col))
         prev_span = linalg.hstack([carried, new], len(coords))
         prev_coords = coords

@@ -60,7 +60,7 @@ class MonomialIdeal:
         for g in I.gens:
             if len(g.terms) != 1:
                 raise ValueError("not a monomial ideal")
-            gens.append(g.terms[0][0])
+            gens.append(g.lead_exps)
         return MonomialIdeal.make(I.ctx, gens)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -93,7 +93,7 @@ class MonomialIdeal:
         for i in range(self.ctx.nvars):
             bounds.append(min(g[i] for g in self.gens if sum(g) == g[i]))
         out = [e for e in itertools.product(*[range(b) for b in bounds]) if not self.contains(e)]
-        out.sort(key=self.ctx.order.key)
+        out.sort(key=self.ctx.codec.encode)
         return tuple(out)
 
     def __repr__(self):

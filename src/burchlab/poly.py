@@ -1,12 +1,22 @@
 """Multivariate polynomials over F_p with pluggable monomial orders.
 
-Monomials are plain exponent tuples.  A Polynomial stores its terms as a
-tuple of (exponents, coefficient) pairs, strictly descending in the ring's
-monomial order, with coefficients in [1, p).  The empty term tuple is the
-zero polynomial.  Values are immutable and hashable.
+A monomial is stored as one packed key (Bachmann and Schönemann, "Monomial
+representations for Gröbner bases computations", ISSAC 1998): a Python int
+whose integer order is the ring's monomial order (`MonomialCodec`, one per
+`RingContext`), so a product or quotient is one addition, divisibility one
+subtraction and a mask, and the lcm a few masks over the guard bits.  A
+Polynomial stores its terms as a tuple of (key, coefficient) pairs, strictly
+descending, with coefficients in [1, p).  The empty term tuple is the zero
+polynomial.  Values are immutable and hashable.
+
+Exponent tuples are the edge form: `RingContext.monomial`, `from_dict`,
+`lead_exps` and `exponent_terms` encode or decode them, and printing reads
+them.  `MonomialOrder.key` defines each order on exponent tuples; the
+packing is tested against it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -67,8 +77,8 @@ LEX = Lex()
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples); map over a builtin runs about twice as
-# fast as the equivalent generator expression, and these are the hottest calls
+# monomial helpers on exponent tuples, for the monomial-ideal routes; map over
+# a builtin runs about twice as fast as the equivalent generator expression
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -92,12 +102,112 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+FIELD_BITS = 32
+EXPONENT_BITS = 27
+MAX_PACKED_EXPONENT = (1 << EXPONENT_BITS) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+class MonomialCodec:
+    """The packing of the monomials of one ring into single ints.
+
+    A packed monomial is its own order key: 32-bit fields, most significant
+    first, that compare as the order does.
+    - lex: e_1, ..., e_n;
+    - grevlex: the degree, then F - e_n, ..., F - e_1;
+    - Block(s): that grevlex layout for the first s variables, then for
+      the rest.
+    F = MAX_PACKED_EXPONENT.  Bit 27 of each exponent field is its guard,
+    and bits 28-31 stay clear: a degree field sums at most 8 exponents (a
+    ring has at most MAX_VARIABLES = 8, and its elimination ring, Block(1)
+    over t and 8 more, has blocks of 1 and 8), so it, or the sum of two
+    degrees in a product, fits in a field without a carry.
+    The key is affine in the exponents, key(ab) = key(a) + key(b) - one
+    with one = key(1), so
+    - the product of a and b is a + b - one; it sets a guard bit exactly
+      when an exponent passes F;
+    - the quotient a / b is a - b + one, and b divides a exactly when that
+      sets no guard bit;
+    - the lcm is the per-field max of the exponents, taken with the guard
+      bits, with its degree fields summed anew."""
+
+    def __init__(self, nvars: int, order: MonomialOrder):
+        n = nvars
+        if isinstance(order, Lex):
+            layout = [("exp", i) for i in range(n)]
+        elif isinstance(order, (Grevlex, Block)):
+            split = min(order.split, n) if isinstance(order, Block) else 0
+            layout = []
+            for block in (range(split), range(split, n)):
+                if block:
+                    layout.append(("deg", block))
+                    layout.extend(("neg", i) for i in reversed(block))
+        else:
+            raise TypeError(f"no packing for the monomial order {order!r}")
+        self.one = self.guard = self.mask = 0
+        self.units = [0] * n  # key(x_i) - one
+        self.shifts = [0] * n
+        self.degrees = []  # (degree field shift, lowest field shift, top column, ones) per block
+        for k, (kind, what) in enumerate(reversed(layout)):
+            shift = k * FIELD_BITS
+            if kind == "deg":
+                count = len(what)
+                low = shift - count * FIELD_BITS
+                ones = sum(1 << (j * FIELD_BITS) for j in range(count))
+                self.degrees.append((shift, low, (count - 1) * FIELD_BITS, ones))
+                for i in what:
+                    self.units[i] += 1 << shift
+                continue
+            self.shifts[what] = shift
+            self.guard |= 1 << (shift + EXPONENT_BITS)
+            self.mask |= MAX_PACKED_EXPONENT << shift
+            if kind == "neg":
+                self.one |= MAX_PACKED_EXPONENT << shift
+                self.units[what] -= 1 << shift
+            else:
+                self.units[what] += 1 << shift
+
+    def encode(self, exps) -> int:
+        if max(exps) > MAX_PACKED_EXPONENT:
+            raise packing_overflow()
+        return self.one + sum(map(operator.mul, exps, self.units))
+
+    def decode(self, key: int) -> tuple:
+        x = key ^ self.one  # every exponent field now holds e_i itself
+        return tuple([(x >> s) & MAX_PACKED_EXPONENT for s in self.shifts])
+
+    def degree(self, key: int) -> int:
+        return sum(self.decode(key))
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of packed a and b: with the negated fields flipped back,
+        x - y over guard-set fields leaves each guard set where x >= y; that
+        mask picks x there and y elsewhere, and each degree field is the
+        sum of its block's fields, the top column of a multiply by 1...1."""
+        one, guard = self.one, self.guard
+        x, y = (a ^ one) & self.mask, (b ^ one) & self.mask
+        g = ((x | guard) - y) & guard  # the guard bit of each field where x >= y
+        x = y ^ ((x ^ y) & (g - (g >> EXPONENT_BITS)))
+        out = x ^ one
+        for shift, low, top, ones in self.degrees:
+            out += ((((x >> low) * ones) >> top) & _FIELD_MASK) << shift
+        return out
+
+
+def packing_overflow() -> PreconditionError:
+    return PreconditionError(f"monomial exponent above {MAX_PACKED_EXPONENT}, the largest a packed monomial holds")
+
+
+# ---------------------------------------------------------------------------
 # ring context
 
 
 @dataclass(frozen=True)
 class RingContext:
-    """A polynomial ring F_p[x_1..x_n] with a default monomial order.
+    """A polynomial ring F_p[x_1..x_n] with a default monomial order and the
+    packing of its monomials (`codec`).
 
     The ring is read as the regular local ring obtained by localizing at
     (x_1..x_n); all user-facing ideals keep their generators inside that
@@ -108,6 +218,7 @@ class RingContext:
     p: int
     variables: tuple[str, ...]
     order: MonomialOrder = GREVLEX
+    codec: MonomialCodec = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         # the documented range of moduli: p^2 < 2^53, so every product of two
@@ -117,13 +228,16 @@ class RingContext:
             raise PreconditionError(f"modulus {self.p} outside the supported range (needs p^2 < 2^53)")
         if not linalg.is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-        if not (1 <= len(self.variables) <= MAX_VARIABLES):
-            raise ValueError(f"need 1..{MAX_VARIABLES} variables")
+        # Block(1) is the elimination order: its ring has t besides the others
+        limit = MAX_VARIABLES + (self.order == Block(1))
+        if not (1 <= len(self.variables) <= limit):
+            raise ValueError(f"need 1..{limit} variables")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
         for name in self.variables:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
                 raise ValueError(f"bad variable name {name!r}")
+        object.__setattr__(self, "codec", MonomialCodec(len(self.variables), self.order))
 
     @property
     def nvars(self) -> int:
@@ -141,10 +255,10 @@ class RingContext:
         return Polynomial(self, ())
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, ((self.zero_exps(), 1),))
+        return Polynomial(self, ((self.codec.one, 1),))
 
     def variable(self, i: int) -> "Polynomial":
-        return Polynomial(self, ((self.var_exps(i), 1),))
+        return Polynomial(self, ((self.codec.one + self.codec.units[i], 1),))
 
     def monomial(self, exps: Exponents, coeff: int = 1) -> "Polynomial":
         return Polynomial.from_dict(self, {tuple(exps): coeff})
@@ -162,25 +276,22 @@ def check_same_context(a: "Polynomial", b: "Polynomial") -> None:
 @dataclass(frozen=True)
 class Polynomial:
     ctx: RingContext
-    terms: tuple  # ((exps, coeff), ...) descending in ctx.order, coeff in [1,p)
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.ctx.p, self.ctx.variables, self.terms)))
+    terms: tuple  # ((key, coeff), ...) strictly descending keys, coeff in [1,p)
 
     @staticmethod
     def from_dict(ctx: RingContext, coeffs: dict) -> "Polynomial":
+        """The polynomial with coefficient c at each exponent tuple."""
+        encode = ctx.codec.encode
+        return Polynomial.from_keys(ctx, {encode(exps): c for exps, c in coeffs.items()})
+
+    @staticmethod
+    def from_keys(ctx: RingContext, coeffs: dict) -> "Polynomial":
+        """The polynomial with coefficient c at each packed key."""
         p = ctx.p
-        items = []
-        for exps, c in coeffs.items():
-            c %= p
-            if c:
-                items.append((tuple(exps), c))
-        items.sort(key=lambda t: ctx.order.key(t[0]), reverse=True)
-        return Polynomial(ctx, tuple(items))
+        return Polynomial(ctx, tuple(sorted(((k, c % p) for k, c in coeffs.items() if c % p), reverse=True)))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.ctx.p, self.ctx.variables, self.terms))
 
     # -- structure ----------------------------------------------------------
 
@@ -192,7 +303,7 @@ class Polynomial:
     def lead_exps(self) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
+        return self.ctx.codec.decode(self.terms[0][0])
 
     @property
     def lead_coeff(self) -> int:
@@ -200,22 +311,26 @@ class Polynomial:
 
     @property
     def constant_term(self) -> int:
-        zero = self.ctx.zero_exps()
-        for exps, c in self.terms:
-            if exps == zero:
-                return c
+        # 1 is the least monomial, so the constant term is the last one
+        if self.terms and self.terms[-1][0] == self.ctx.codec.one:
+            return self.terms[-1][1]
         return 0
+
+    def exponent_terms(self) -> list:
+        """The terms as (exponent tuple, coefficient) pairs, in term order."""
+        decode = self.ctx.codec.decode
+        return [(decode(k), c) for k, c in self.terms]
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e, _ in self.terms)
+        return max(self.ctx.codec.degree(k) for k, _ in self.terms)
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed (0 is degree 0)."""
         if not self.terms:
             return 0
-        degs = {sum(e) for e, _ in self.terms}
+        degs = {self.ctx.codec.degree(k) for k, _ in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def is_homogeneous(self) -> bool:
@@ -227,49 +342,54 @@ class Polynomial:
         check_same_context(self, other)
         out = dict(self.terms)
         p = self.ctx.p
-        for exps, c in other.terms:
-            v = (out.get(exps, 0) + c) % p
+        for k, c in other.terms:
+            v = (out.get(k, 0) + c) % p
             if v:
-                out[exps] = v
+                out[k] = v
             else:
-                out.pop(exps, None)
-        return Polynomial.from_dict(self.ctx, out)
+                del out[k]
+        return Polynomial(self.ctx, tuple(sorted(out.items(), reverse=True)))
 
     def __neg__(self) -> "Polynomial":
         p = self.ctx.p
-        return Polynomial(self.ctx, tuple((e, p - c) for e, c in self.terms))
+        return Polynomial(self.ctx, tuple((k, p - c) for k, c in self.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product; a monomial past MAX_PACKED_EXPONENT is refused."""
         check_same_context(self, other)
-        p = self.ctx.p
-        out: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = mono_mul(e1, e2)
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return Polynomial.from_dict(self.ctx, out)
+        ctx = self.ctx
+        p, one = ctx.p, ctx.codec.one
+        if len(other.terms) == 1:
+            self, other = other, self
+        if len(self.terms) == 1:
+            # the order is multiplicative: a monomial factor keeps the term order
+            (k1, c1), = self.terms
+            terms = tuple([(k + k1 - one, c * c1 % p) for k, c in other.terms])
+        else:
+            work: dict = {}
+            for k1, c1 in self.terms:
+                s = k1 - one
+                for k2, c2 in other.terms:
+                    k = k2 + s
+                    v = (work.get(k, 0) + c1 * c2) % p
+                    if v:
+                        work[k] = v
+                    else:
+                        del work[k]
+            terms = tuple(sorted(work.items(), reverse=True))
+        if functools.reduce(operator.or_, [k for k, _ in terms], 0) & ctx.codec.guard:
+            raise packing_overflow()
+        return Polynomial(ctx, terms)
 
     def scale(self, c: int) -> "Polynomial":
         c %= self.ctx.p
         if c == 0:
             return self.ctx.zero()
         p = self.ctx.p
-        return Polynomial(self.ctx, tuple((e, (k * c) % p) for e, k in self.terms))
-
-    def mul_term(self, exps: Exponents, coeff: int) -> "Polynomial":
-        coeff %= self.ctx.p
-        if coeff == 0:
-            return self.ctx.zero()
-        p = self.ctx.p
-        terms = tuple((mono_mul(e, exps), (c * coeff) % p) for e, c in self.terms)
-        return Polynomial(self.ctx, terms)
+        return Polynomial(self.ctx, tuple((k, (a * c) % p) for k, a in self.terms))
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -297,7 +417,7 @@ class Polynomial:
         names = self.ctx.variables
         p = self.ctx.p
         parts = []
-        for idx, (exps, c) in enumerate(self.terms):
+        for idx, (exps, c) in enumerate(self.exponent_terms()):
             factors = []
             for name, e in zip(names, exps):
                 if e == 1:
@@ -326,8 +446,8 @@ class Polynomial:
 
 # The largest exponent the parser accepts, written or made by a power or a
 # product.  Exponents later bound ranges over the staircase and fill int64
-# arrays, which overflow on an unbounded int, and the Groebner kernel packs
-# them into fields of groebner.MAX_PACKED_EXPONENT = 2^27 - 1.
+# arrays, which overflow on an unbounded int, and a packed monomial holds
+# at most MAX_PACKED_EXPONENT = 2^27 - 1.
 MAX_EXPONENT = 10**7
 
 # The most terms a power or product may expand to.  Expanding costs about the
@@ -457,7 +577,7 @@ class _Parser:
 
 def _largest_exponents(f: Polynomial) -> list[int]:
     """The largest exponent of each variable among the terms of nonzero f."""
-    return [max(column) for column in zip(*(e for e, _ in f.terms))]
+    return [max(column) for column in zip(*(e for e, _ in f.exponent_terms()))]
 
 
 def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:
@@ -478,5 +598,5 @@ def monomials_of_degree(ctx: RingContext, d: int) -> list[Exponents]:
     if d < 0:
         return []
     rec([], d, 0)
-    out.sort(key=ctx.order.key, reverse=True)
+    out.sort(key=ctx.codec.encode, reverse=True)
     return out

@@ -101,7 +101,7 @@ class AlgebraModule:
     def poly_operator(self, f: Polynomial) -> np.ndarray:
         """Evaluate a polynomial at the action matrices (no normal form), dense."""
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for exps, coeff in f.terms:
+        for exps, coeff in f.exponent_terms():
             term = linalg.Triples.identity(self.dim)
             for i, e in enumerate(exps):
                 for _ in range(e):

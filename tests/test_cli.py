@@ -146,20 +146,56 @@ def test_check_result_exponent_above_limit_exit_2(tmp_path, capsys, gens):
     assert out == "" and "exponent above the limit" in err and "internal error" not in err
 
 
+def run_cli_process(*argv, timeout):
+    """The CLI in a fresh interpreter, killed past `timeout` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "burchlab.cli", *argv], capture_output=True, text=True, timeout=timeout, env=env
+    )
+
+
 @pytest.mark.parametrize("gens", ["(x+y)^2000, x*y", "(x+y+z)^120, x", "(x+y)^200000, x*y"])
 def test_check_huge_expansion_exit_2(tmp_path, gens):
     """A power whose expansion would be too large is refused before it is
     expanded: the run ends, well inside its timeout, with exit 2."""
     f = tmp_path / "expansion.session"
     f.write_text(f"ring 32003 x y z\nideal I = {gens}\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "burchlab.cli", "check", str(f), "I"],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
+    done = run_cli_process("check", str(f), "I", timeout=10)
     assert done.returncode == EXIT_INPUT
     assert done.stdout == "" and "expands above the limit" in done.stderr and "internal error" not in done.stderr
+
+
+def test_check_long_quotient_exit_3(tmp_path):
+    """S/I of length 10^7 is refused once its staircase passes
+    groebner.MAX_LENGTH, not listed: the run ends, well inside its
+    timeout, with exit 3."""
+    f = tmp_path / "long.session"
+    f.write_text("ring 32003 x y\nideal I = x^10000000, y\n")
+    done = run_cli_process("check", str(f), "I", timeout=15)
+    assert done.returncode == EXIT_PRECONDITION
+    assert done.stdout == "" and f"limit of {groebner.MAX_LENGTH}" in done.stderr
+
+
+def test_check_eight_variables(tmp_path):
+    """The colon in 8 variables eliminates in a ninth, t: every route runs
+    and agrees."""
+    f = tmp_path / "eight.session"
+    f.write_text("ring 32003 a b c d e f g h\nideal I = a^2, b^2, c^2, d^2, e^2, f^2, g^2, h^2\n")
+    done = run_cli_process("--json", "check", str(f), "I", "--route", "all", timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    report = json.loads(done.stdout)
+    assert report["verdicts"]["routes_agree"] and not report["verdicts"]["burch"]
+    assert report["invariants"]["length"] == 256
+    assert report["invariants"]["hilbert"] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+
+
+def test_nine_variable_session_exit_2(tmp_path, capsys):
+    f = tmp_path / "nine.session"
+    f.write_text("ring 32003 a b c d e f g h i\nideal I = a^2, b\n")
+    code, out, err = run_cli(capsys, "check", str(f), "I")
+    assert code == EXIT_INPUT
+    assert out == "" and "need 1..8 variables" in err
 
 
 def test_invariants_table(session_file, capsys):

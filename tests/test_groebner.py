@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from burchlab import groebner
 from burchlab.groebner import (
-    MAX_PACKED_EXPONENT,
     Ideal,
     PreconditionError,
     Reducers,
@@ -18,7 +17,6 @@ from burchlab.groebner import (
     ideal_intersection,
     max_ideal,
     max_ideal_product,
-    monomial_codec,
     normal_form,
     reduce_basis,
     reduced_groebner,
@@ -28,6 +26,7 @@ from burchlab.poly import (
     GREVLEX,
     LEX,
     MAX_EXPONENT,
+    MAX_PACKED_EXPONENT,
     Block,
     Polynomial,
     RingContext,
@@ -264,6 +263,18 @@ def test_standard_monomials_requires_m_primary():
         ideal(CTX, "x^3").standard_monomials()
 
 
+def test_staircase_refused_past_max_length():
+    """The limit is on the length of S/I, not on the box below the pure
+    powers: a box of 10^6 with 298 standard monomials is listed."""
+    limit = groebner.MAX_LENGTH
+    assert ideal(CTX, f"x^{limit}", "y").length() == limit
+    with pytest.raises(PreconditionError):
+        ideal(CTX, f"x^{limit + 1}", "y").is_m_primary()
+    with pytest.raises(PreconditionError):
+        ideal(CTX, "x^10000000", "y").finite_colength()
+    assert ideal(CTX3, "x^100", "y^100", "z^100", "x*y", "y*z", "x*z").length() == 298
+
+
 def test_nakayama_count_property():
     # |std(mI)| - |std(I)| = mu(I) for m-primary monomial ideals
     import random
@@ -372,7 +383,7 @@ def _normal_form_reference(f, basis):
     inverting each lead coefficient per reduction step."""
     ctx = f.ctx
     p = ctx.p
-    work = dict(f.terms)
+    work = dict(f.exponent_terms())
     remainder = {}
     lead = [(g.lead_exps, g) for g in basis if not g.is_zero]
     while work:
@@ -382,7 +393,7 @@ def _normal_form_reference(f, basis):
             if mono_divides(le, exps):
                 q_exps = mono_div(exps, le)
                 q_coeff = (coeff * pow(g.lead_coeff, p - 2, p)) % p
-                for ge, gc in g.terms[1:]:
+                for ge, gc in g.exponent_terms()[1:]:
                     e = mono_mul(ge, q_exps)
                     v = (work.get(e, 0) - q_coeff * gc) % p
                     if v:
@@ -396,13 +407,16 @@ def _normal_form_reference(f, basis):
 
 
 def _spoly_reference(f, g):
-    """The S-polynomial as a sorted Polynomial, through `mul_term` and
-    subtraction: the form the engine used before it built a term dict."""
+    """The S-polynomial as a sorted Polynomial: each side's exponent
+    tuples times lcm / lead, over its lead coefficient, then subtracted."""
     ctx = f.ctx
     lcm = mono_lcm(f.lead_exps, g.lead_exps)
-    a = f.mul_term(mono_div(lcm, f.lead_exps), pow(f.lead_coeff, -1, ctx.p))
-    b = g.mul_term(mono_div(lcm, g.lead_exps), pow(g.lead_coeff, -1, ctx.p))
-    return a - b
+
+    def side(h):
+        q, inv = mono_div(lcm, h.lead_exps), pow(h.lead_coeff, -1, ctx.p)
+        return Polynomial.from_dict(ctx, {mono_mul(e, q): c * inv for e, c in h.exponent_terms()})
+
+    return side(f) - side(g)
 
 
 def _buchberger_reference(gens, ctx):
@@ -501,32 +515,34 @@ def test_engine_matches_chain_criterion_reference(case):
 @settings(max_examples=100, deadline=None)
 @given(generator_lists())
 def test_spoly_term_dict_matches_reference(case):
-    """The packed term dict of the S-polynomial of two monic polynomials
-    unpacks to the terms of the sorted reference S-polynomial, and holds no
-    zero coefficient."""
+    """The term dict of the S-polynomial of two monic polynomials decodes
+    to the terms of the sorted reference S-polynomial, and holds no zero
+    coefficient."""
     ctx, gens, f = case
-    codec = monomial_codec(ctx)
     monic = [g.monic() for g in gens + [f] if not g.is_zero]
     for a, b in itertools.combinations(monic, 2):
-        work = groebner._spoly(codec.pack(a), codec.pack(b))
+        work = groebner._spoly(a, b)
         assert all(work.values())
-        unpacked = {codec.decode(k): c for k, c in work.items()}
-        assert Polynomial.from_dict(ctx, unpacked) == _spoly_reference(a, b)
+        decoded = {ctx.codec.decode(k): c for k, c in work.items()}
+        assert Polynomial.from_dict(ctx, decoded) == _spoly_reference(a, b)
 
 
 # -- packed monomials against exponent tuples ----------------------------------
 
 NAMES = ("t", "a", "b", "c", "d", "e", "f", "g")
+NAMES9 = NAMES + ("h",)
 
 
 @st.composite
 def packed_pairs(draw):
     """Two exponent tuples, small or up to the largest packed exponent, in
-    1-8 variables under grevlex, lex or Block(s) for every split s."""
-    n = draw(st.integers(1, 8))
-    order = draw(st.sampled_from((GREVLEX, LEX) + tuple(Block(s) for s in range(n + 2))))
+    1-8 variables under grevlex, lex or Block(s) for every split s, or in
+    the Block(1) ring of t and 8 more, the elimination ring of an
+    8-variable ring."""
+    n = draw(st.integers(1, 9))
+    orders = (GREVLEX, LEX) + tuple(Block(s) for s in range(n + 2)) if n <= 8 else (Block(1),)
     exps = st.tuples(*[st.integers(0, 3) | st.integers(0, MAX_PACKED_EXPONENT)] * n)
-    return RingContext(SMALL_P, NAMES[:n], order), draw(exps), draw(exps)
+    return RingContext(SMALL_P, NAMES9[:n], draw(st.sampled_from(orders))), draw(exps), draw(exps)
 
 
 @settings(max_examples=300, deadline=None)
@@ -536,7 +552,7 @@ def test_packed_monomials_match_exponent_tuples(case):
     guard-bit divisibility test, the quotient, the lcm and the product agree
     with the tuple helpers, and a product past the field sets a guard bit."""
     ctx, a, b = case
-    codec = monomial_codec(ctx)
+    codec = ctx.codec
     one, guard = codec.one, codec.guard
     ka, kb = codec.encode(a), codec.encode(b)
     assert codec.decode(ka) == a and codec.decode(kb) == b
@@ -595,7 +611,7 @@ def test_engine_matches_reference_in_an_eight_variable_elimination():
     gens = [poly(f"t*({g})", ctx) for g in I] + [poly(f"{g} - t*({g})", ctx) for g in J]
     gb = reduced_groebner(gens, ctx)
     assert gb == _reduced_reference(gens, ctx)
-    assert max(max(e) for g in gb for e, _ in g.terms) == 2 * E
+    assert max(max(e) for g in gb for e, _ in g.exponent_terms()) == 2 * E
     f = poly(f"a^{E}*b^3*c + t*g^{E}*e*f + c*d*e", ctx)
     assert normal_form(f, Reducers(gb)) == _normal_form_reference(f, list(gb))
 

@@ -131,7 +131,7 @@ def test_minors_of_hilbert_burch_regenerate_ideal():
             rows = [r for r in range(mu) if r != drop]
             det = _det([[M.entry(r, c) for c in range(mu - 1)] for r in rows])
             assert len(det.terms) == 1
-            assert det.terms[0][0] == by_a_desc[drop]
+            assert det.lead_exps == by_a_desc[drop]
 
 
 def _det(mat):

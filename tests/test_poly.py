@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burchlab.linalg import PreconditionError
 from burchlab.poly import (
     GREVLEX,
     LEX,
     MAX_EXPONENT,
+    MAX_PACKED_EXPONENT,
     MAX_TERMS,
     Block,
     ParseError,
@@ -33,7 +35,7 @@ def poly(s, ctx=CTX):
 
 def test_parse_two_terms():
     f = poly("x^4 + x^2*y^2")
-    assert [e for e, _ in f.terms] == [(4, 0), (2, 2)]
+    assert [e for e, _ in f.exponent_terms()] == [(4, 0), (2, 2)]
 
 
 def test_parse_zero():
@@ -42,12 +44,12 @@ def test_parse_zero():
 
 def test_parse_binomial_negative_coefficient():
     f = poly("x^2*z^2 - y^2", CTX3)
-    assert dict(f.terms) == {(2, 0, 2): 1, (0, 2, 0): P - 1}
+    assert dict(f.exponent_terms()) == {(2, 0, 2): 1, (0, 2, 0): P - 1}
 
 
 def test_parse_reduces_coefficients_mod_p():
     f = poly(f"{P + 3}*x")
-    assert dict(f.terms) == {(1, 0): 3}
+    assert dict(f.exponent_terms()) == {(1, 0): 3}
 
 
 def test_parse_parentheses_and_power():
@@ -147,7 +149,7 @@ def test_power_matches_repeated_product():
 def test_parse_huge_power_is_one_monomial():
     # square-and-multiply: about 20 squarings, not a million products
     assert poly("x^1000000") == CTX.monomial((1000000, 0))
-    assert poly("x^1000000").terms == (((1000000, 0), 1),)
+    assert poly("x^1000000").exponent_terms() == [((1000000, 0), 1)]
 
 
 def test_parse_refuses_exponent_above_limit():
@@ -275,6 +277,12 @@ def test_context_validation():
         RingContext(10, ("x",))
     with pytest.raises(ValueError):
         RingContext(P, tuple("abcdefghi"))
+    # the elimination ring of an 8-variable ring has t besides them, and no more
+    assert RingContext(P, tuple("tabcdefgh"), Block(1)).nvars == 9
+    with pytest.raises(ValueError):
+        RingContext(P, tuple("tabcdefghi"), Block(1))
+    with pytest.raises(ValueError):
+        RingContext(P, tuple("tabcdefgh"), Block(2))
 
 
 def test_context_checks_primality_once(monkeypatch):
@@ -287,3 +295,92 @@ def test_context_checks_primality_once(monkeypatch):
     assert poly("2*x^2 + 3*y", ctx).monic().lead_coeff == 1  # an inverse needs no primality test
     assert calls == [P]
     assert ctx == CTX and hash(ctx) == hash(CTX) and "field" not in repr(ctx)
+
+
+# -- packed polynomials against exponent tuples ---------------------------------
+
+SMALL_P = 7  # a small field makes cancellations frequent
+NAMES = ("t", "a", "b", "c", "d", "e", "f", "g")
+
+
+@st.composite
+def tuple_polynomials(draw):
+    """A ring in 1-8 variables under grevlex, lex, Block(1) or Block(s) with
+    s > 1, two polynomials as dicts of exponent tuples, a scalar and a power."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from([GREVLEX, LEX, Block(1)] + [Block(s) for s in range(2, n)]))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    dicts = st.dictionaries(exps, st.integers(0, 2 * SMALL_P), max_size=5)
+    ctx = RingContext(SMALL_P, NAMES[:n], order)
+    return ctx, draw(dicts), draw(dicts), draw(st.integers(-SMALL_P, 2 * SMALL_P)), draw(st.integers(0, 3))
+
+
+def _reference_terms(ctx, coeffs):
+    """The nonzero terms of a dict of exponent tuples, descending in the
+    order's reference key."""
+    terms = [(e, c % ctx.p) for e, c in coeffs.items() if c % ctx.p]
+    return sorted(terms, key=lambda t: ctx.order.key(t[0]), reverse=True)
+
+
+def _reference_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def _reference_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = mono_mul(e1, e2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuple_polynomials())
+def test_packed_arithmetic_matches_exponent_tuples(case):
+    """+, -, *, **, scale, monic and from_dict on packed keys give the
+    terms, in the order, of the same operations on exponent tuples."""
+    ctx, a, b, c, n = case
+    f, g = Polynomial.from_dict(ctx, a), Polynomial.from_dict(ctx, b)
+
+    def same(h, coeffs):
+        assert h.exponent_terms() == _reference_terms(ctx, coeffs)
+
+    same(f, a)
+    same(f + g, _reference_sum(a, b))
+    same(f - g, _reference_sum(a, b, -1))
+    same(f * g, _reference_product(a, b))
+    power = {ctx.zero_exps(): 1}
+    for _ in range(n):
+        power = _reference_product(power, a)
+    same(f**n, power)
+    same(f.scale(c), {e: v * c for e, v in a.items()})
+    if f.is_zero:
+        assert f.monic().is_zero and f.constant_term == 0
+    else:
+        lead, lead_coeff = _reference_terms(ctx, a)[0]
+        assert f.lead_exps == lead
+        same(f.monic(), {e: v * pow(lead_coeff, -1, SMALL_P) for e, v in a.items()})
+        assert f.constant_term == a.get(ctx.zero_exps(), 0) % SMALL_P
+    assert ctx.one() == ctx.monomial(ctx.zero_exps())
+    assert [ctx.variable(i) for i in range(ctx.nvars)] == [ctx.monomial(ctx.var_exps(i)) for i in range(ctx.nvars)]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, Block(1)])
+def test_product_past_the_packed_field_is_refused(order):
+    """A monomial past MAX_PACKED_EXPONENT, given or made by a product of a
+    monomial or of two polynomials, is refused when it is made."""
+    ctx = RingContext(P, ("x", "y"), order)
+    F = MAX_PACKED_EXPONENT
+    x, y, one = ctx.variable(0), ctx.variable(1), ctx.one()
+    top = ctx.monomial((F, 1))
+    assert top * one == top and (top + y) * (y + one) == top * y + top + y * y + y
+    with pytest.raises(PreconditionError):
+        ctx.monomial((F + 1, 0))
+    with pytest.raises(PreconditionError):
+        top * x
+    with pytest.raises(PreconditionError):
+        (top + y) * (x + y)

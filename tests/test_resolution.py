@@ -146,7 +146,7 @@ def test_free_module_resolution_stops(r12):
 
 def test_minimality_no_constant_entries(r12):
     res = residue_field(r12).resolution(3)
-    one_index = r12.index[(0, 0)]
+    one_index = r12.basis.index((0, 0))
     for i in range(1, 4):
         assert not res.matrix(i)[:, :, one_index].any()
 
@@ -354,7 +354,7 @@ def _free_map_matrix_loop(R, gens, m):
         for b in range(1, d):
             exps = R.basis[b]
             i = next(k for k, e in enumerate(exps) if e)
-            parent = R.index[tuple(e - 1 if k == i else e for k, e in enumerate(exps))]
+            parent = R.basis.index(tuple(e - 1 if k == i else e for k, e in enumerate(exps)))
             out[:, b] = _dense_act(R.act, i, out[:, parent].reshape(-1, 1)).ravel()
         blocks.append(out)
     return np.hstack([np.zeros((m * d, 0), dtype=np.int64)] + blocks)
