@@ -17,13 +17,15 @@ element is made, and keeps the live pairs in a dict beside a heap ordered by
 lcm.  Division runs against a `Reducers` table (lead, inverse lead
 coefficient, tail per element), which `buchberger` extends as the basis
 grows and an `Ideal` builds once for its reduced basis; the working terms
-of a division are a dict beside a heap of their keys.  Intersections use
-a single auxiliary elimination variable; colons by a non-principal ideal
-intersect the principal colons, and each ideal memoizes its colons and its
-product with m.  First
-syzygies of a homogeneous generating list are computed degree by degree with
-exact linear algebra, which yields a minimal generating set directly (graded
-Nakayama) instead of minimizing a Schreyer-style presentation afterwards.
+of a division are a dict beside a heap of their keys.  Monomial generators
+skip `buchberger` and `reduce_basis`: their reduced basis is their minimal
+generators, monic and ascending.  A product of ideals lists each product of
+generators once.  Intersections use a single auxiliary elimination variable;
+colons by a non-principal ideal intersect the principal colons, and each
+ideal memoizes its colons and its product with m.  First syzygies of a
+homogeneous generating list are computed degree by degree with exact linear
+algebra, which yields a minimal generating set directly (graded Nakayama)
+instead of minimizing a Schreyer-style presentation afterwards.
 """
 from __future__ import annotations
 
@@ -216,7 +218,18 @@ def reduce_basis(basis: list[Polynomial], ctx: RingContext) -> tuple[Polynomial,
 
 
 def reduced_groebner(gens, ctx: RingContext) -> tuple[Polynomial, ...]:
-    gb = reduce_basis(buchberger(list(gens), ctx), ctx)
+    """The reduced basis of (gens), monic, ascending; monomial generators give their
+    minimal generators, kept in one ascending pass (divisors sort first)."""
+    gens = [g for g in gens if not g.is_zero]
+    if all(len(g.terms) == 1 for g in gens):
+        one, guard = ctx.codec.one, ctx.codec.guard
+        divisors: list[int] = []  # kept keys minus one: d divides k when k - d sets no guard bit
+        for k in sorted({g.terms[0][0] for g in gens}):
+            if all((k - d) & guard for d in divisors):
+                divisors.append(k - one)
+        gb = tuple(Polynomial(ctx, ((d + one, 1),)) for d in divisors)
+    else:
+        gb = reduce_basis(buchberger(gens, ctx), ctx)
     if gb and gb[0].terms[0][0] == ctx.codec.one:
         return (ctx.one(),)
     return gb
@@ -294,8 +307,8 @@ class Ideal:
         return Ideal.make(self.ctx, self.gens + other.gens)
 
     def product(self, other: "Ideal") -> "Ideal":
-        gens = [f * g for f in self.gens for g in other.gens]
-        return Ideal.make(self.ctx, gens)
+        """I·J; equal products of generators (x·(y·f) = y·(x·f)) are listed once."""
+        return Ideal.make(self.ctx, dict.fromkeys(f * g for f in self.gens for g in other.gens))
 
     def _staircase(self) -> tuple | None:
         """The keys of the monomials outside the leading-term ideal,
@@ -320,7 +333,7 @@ class Ideal:
                         m = k + unit
                         if m not in found and all((m - d) & codec.guard for d in divisors):
                             if len(found) == MAX_LENGTH:
-                                raise PreconditionError(f"a quotient S/J of length above the limit of {MAX_LENGTH}")
+                                raise PreconditionError(f"a quotient S/J of length above the limit of {MAX_LENGTH}, J = {self._short()}")
                             found.add(m)
                             todo.append(m)
                 staircase = tuple(sorted(found))
@@ -388,6 +401,14 @@ class Ideal:
         dmax = max(g.total_degree() for g in self.gens)
         mI = max_ideal_product(self)
         return sum(self.dim_in_degree(d) - mI.dim_in_degree(d) for d in range(dmax + 1))
+
+    def _short(self, shown: int = 4, width: int = 120) -> str:
+        """The generator list for a message, cut after `shown` generators or
+        `width` characters, with the count when it is cut."""
+        text = ", ".join(str(g) for g in self.gens[:shown])
+        if len(self.gens) > shown or len(text) > width:
+            text = f"{text[:width]}, ... ({len(self.gens)} generators)"
+        return f"({text})"
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens)

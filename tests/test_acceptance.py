@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from burchlab import cli
 from burchlab.artinian import QuotientAlgebra, fibre_product, find_exact_pairs
 from burchlab.burch import (
     burch_ideal_test,
@@ -120,6 +121,33 @@ def test_criterion_3_equivalence_sweep(sweep5):
         sweep5.elapsed < 300.0,
     ]
     report("3", all(checks), f"{sweep5.count} ideals, {len(sweep5.counterexamples)} disagreements, {sweep5.elapsed:.1f}s")
+
+
+SWEEP6_SHA256 = "b1c91f2b4747802e1b9eec9b9921b8546adba97ae2f81f62eb4d253377ee2c94"
+
+
+def test_criterion_3_equivalence_sweep_to_socle_degree_six(monkeypatch, capsys):
+    """The d <= 6 sweep through `burch --json sweep`, inside the budget of
+    criterion 3: 1429 ideals, every route agreeing, 1393 of them Burch,
+    and the SHA-256 of the report pinned."""
+    results = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kw: results.append(run_sweep(*args, **kw)) or results[-1])
+    start = time.monotonic()
+    code = cli.main(["--json", "sweep", "--max-socle-degree", "6"])
+    elapsed = time.monotonic() - start
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    (result,) = results
+    burch = sum(r.burch for r in result.records)
+    checks = [
+        code == cli.EXIT_OK,
+        result.count == 1429,
+        len(result.counterexamples) == 0,
+        burch == 1393,
+        digest == SWEEP6_SHA256,
+        elapsed < 300.0,
+    ]
+    detail = f"{result.count} ideals, {len(result.counterexamples)} disagreements, {burch} Burch, {elapsed:.1f}s"
+    report("3 (d = 6)", all(checks), f"{detail}, report {digest[:16]}")
 
 
 def test_criterion_4_choi_consistency(sweep5):

@@ -177,6 +177,17 @@ def test_check_long_quotient_exit_3(tmp_path):
     assert done.stdout == "" and f"limit of {groebner.MAX_LENGTH}" in done.stderr
 
 
+def test_check_long_built_quotient_names_its_ideal(tmp_path, capsys):
+    """S/I of length 4092 is within groebner.MAX_LENGTH, but S/m²I, which
+    `check` builds for μ(m·I), is not: exit 3, and the message names m²I
+    by its first generators and their count."""
+    f = tmp_path / "long.session"
+    f.write_text("ring 32003 x y\nideal I = x^4092, y\n")
+    code, out, err = run_cli(capsys, "check", str(f), "I")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert f"limit of {groebner.MAX_LENGTH}, J = (x^4094, x^2*y, x^4093*y, x*y^2, ... (6 generators))" in err
+
+
 def test_check_eight_variables(tmp_path):
     """The colon in 8 variables eliminates in a ninth, t: every route runs
     and agrees."""

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -265,13 +266,17 @@ def test_standard_monomials_requires_m_primary():
 
 def test_staircase_refused_past_max_length():
     """The limit is on the length of S/I, not on the box below the pure
-    powers: a box of 10^6 with 298 standard monomials is listed."""
+    powers: a box of 10^6 with 298 standard monomials is listed.  The
+    message names the ideal, its generator list cut at 120 characters."""
     limit = groebner.MAX_LENGTH
     assert ideal(CTX, f"x^{limit}", "y").length() == limit
     with pytest.raises(PreconditionError):
         ideal(CTX, f"x^{limit + 1}", "y").is_m_primary()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"J = \(x\^10000000, y\)$"):
         ideal(CTX, "x^10000000", "y").finite_colength()
+    dense = Polynomial.from_dict(CTX, {(k, 0): 1 for k in range(5000, 4960, -1)})
+    with pytest.raises(PreconditionError, match=r"J = \(x\^5000 \+ x\^4999 \+ [^,]{90,}, \.\.\. \(2 generators\)\)$"):
+        Ideal.make(CTX, [dense, CTX.variable(1)]).finite_colength()
     assert ideal(CTX3, "x^100", "y^100", "z^100", "x*y", "y*z", "x*z").length() == 298
 
 
@@ -630,6 +635,73 @@ def test_kernel_refuses_exponent_overflow():
     with pytest.raises(PreconditionError):
         normal_form(ctx.monomial((0, F + 1)), Reducers([g]))
     assert normal_form(ctx.monomial((0, F)), Reducers([g])) == ctx.monomial((0, F))
+
+
+# -- monomial generators and products against the reference -------------------
+
+
+@st.composite
+def monomial_lists(draw):
+    """Monomial generators, not monic, in 1-8 variables under grevlex, lex,
+    Block(1) and Block(s) with s > 1: repeats, multiples of a drawn
+    generator (divisor chains), and sometimes a zero or a constant."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from((GREVLEX, LEX, Block(1), Block(draw(st.integers(2, max(2, n)))))))
+    ctx = RingContext(SMALL_P, NAMES[:n], order)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.integers(1, SMALL_P - 1)
+    gens = [ctx.monomial(e, draw(coeffs)) for e in draw(st.lists(exps, max_size=6))]
+    for _ in range(draw(st.integers(0, 3)) if gens else 0):
+        g = draw(st.sampled_from(gens))
+        gens.append(draw(st.sampled_from((g.scale(draw(coeffs)), g * ctx.monomial(draw(exps))))))
+    extra = draw(st.sampled_from(("none", "zero", "constant")))
+    if extra == "zero":
+        gens.append(ctx.zero())
+    elif extra == "constant":
+        gens.append(ctx.one().scale(draw(coeffs)))
+    return ctx, draw(st.permutations(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_lists())
+def test_monomial_generators_match_reference_without_buchberger(case):
+    """Monomial generators never reach `buchberger`, and their reduced
+    basis (the minimal generators, monic, ascending) is the reference's."""
+    ctx, gens = case
+    with mock.patch.object(groebner, "buchberger", side_effect=AssertionError("buchberger ran on monomials")):
+        gb = reduced_groebner(gens, ctx)
+    assert gb == _reduced_reference(gens, ctx)
+
+
+@st.composite
+def product_pairs(draw):
+    """Two generator lists over a small pool of monomials and binomials of
+    degree 1-2 in 2-3 variables, so that equal products are frequent; one
+    case in four is m times m·K, the product that gives μ(m·K)."""
+    n = draw(st.integers(2, 3))
+    ctx = RingContext(SMALL_P, VARS[:n], draw(st.sampled_from(ORDERS)))
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: 1 <= sum(e) <= 2)
+    terms = st.dictionaries(exps, st.integers(1, SMALL_P - 1), min_size=1, max_size=2)
+    pool = draw(st.lists(terms.map(lambda d: Polynomial.from_dict(ctx, d)), min_size=1, max_size=3))
+    gens = st.lists(st.sampled_from(pool + [ctx.zero()]), min_size=1, max_size=3)
+    I, J = Ideal.make(ctx, draw(gens)), Ideal.make(ctx, draw(gens))
+    if draw(st.integers(0, 3)) == 0:
+        I, J = max_ideal(ctx), max_ideal(ctx).product(J)
+    return ctx, I, J
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pairs())
+def test_product_drops_repeats_and_keeps_the_basis(case):
+    """I·J lists each product once, in order of first occurrence, and its
+    reduced basis is the reference basis of the full product list."""
+    ctx, I, J = case
+    full = [f * g for f in I.gens for g in J.gens]
+    product = I.product(J)
+    firsts = [full.index(g) for g in product.gens]
+    assert firsts == sorted(set(firsts))
+    assert set(product.gens) == {g for g in full if not g.is_zero}
+    assert product.groebner() == _reduced_reference(full, ctx)
 
 
 def _spoly_count(monkeypatch, module, name, build):
