@@ -104,22 +104,13 @@ class QuotientAlgebra:
     # -- invariants, computed on first use -----------------------------------
 
     @cached_property
-    def _filtration(self) -> list[linalg.Triples]:
-        """Bases of m^0 = R, m^1, m^2, ... down to 0 (as column spans)."""
-        chain = [linalg.Triples.identity(self.dim)]
-        current = chain[0]
-        while current.shape[1]:
-            nxt = self.m_span(current, self.act)
-            chain.append(nxt)
-            if nxt.shape[1] == current.shape[1]:
-                raise AssertionError("m-adic filtration does not terminate")
-            current = nxt
-        return chain
+    def _chain(self) -> "_MadicChain":
+        return _MadicChain(self)
 
     @cached_property
     def hilbert(self) -> tuple[int, ...]:
         """The m-adic Hilbert function dim m^j/m^(j+1), j = 0, 1, ..."""
-        dims = [c.shape[1] for c in self._filtration]
+        dims = self._chain.walk()
         return tuple(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
 
     @cached_property
@@ -158,9 +149,8 @@ class QuotientAlgebra:
         return self.socle_dim == 1
 
     def max_power_basis(self, j: int) -> linalg.Triples:
-        if j >= len(self._filtration):
-            return linalg.Triples.zeros(self.dim, 0)
-        return self._filtration[j]
+        """Basis of m^j (as a column span); kept for j <= KEPT_POWER."""
+        return self._chain.power(j)
 
     def element(self, f: Polynomial) -> "AlgebraElement":
         return AlgebraElement(self, self._nf_vector(f))
@@ -241,6 +231,46 @@ class QuotientAlgebra:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal.gens)
         return f"QuotientAlgebra(dim={self.dim}, I=({gens}))"
+
+
+# the deepest power m^j whose basis the m-adic walk keeps: the callers of
+# `max_power_basis` ask for m^2 (`k_summand_test`) and m^3 (the cube test)
+KEPT_POWER = 3
+
+
+class _MadicChain:
+    """The m-adic chain R = m^0 ⊇ m^1 ⊇ ... ⊇ 0 of an algebra, walked one
+    `m_span` at a time and only as far as asked.  It keeps the dimension of
+    every power reached but the bases only of the deepest one and of m^0 ..
+    m^KEPT_POWER, so a long chain costs memory linear in its length, not
+    quadratic."""
+
+    def __init__(self, R: QuotientAlgebra):
+        self.R = R
+        self.dims = [R.dim]  # dim m^j for j = 0 .. the deepest power reached
+        self.deepest = linalg.Triples.identity(R.dim)
+        self.kept = [self.deepest]  # m^0 .. m^KEPT_POWER, as far as reached
+
+    def walk(self, j: int | None = None) -> list[int]:
+        """Walk on to m^j, or to 0 if j is None; the dims reached."""
+        while self.deepest.shape[1] and (j is None or len(self.dims) <= j):
+            nxt = self.R.m_span(self.deepest, self.R.act)
+            if nxt.shape[1] == self.deepest.shape[1]:
+                raise AssertionError("m-adic filtration does not terminate")
+            if len(self.kept) <= KEPT_POWER:
+                self.kept.append(nxt)
+            self.deepest = nxt
+            self.dims.append(nxt.shape[1])
+        return self.dims
+
+    def power(self, j: int) -> linalg.Triples:
+        if j > KEPT_POWER:
+            basis = self.power(KEPT_POWER)
+            for _ in range(j - KEPT_POWER):
+                basis = self.R.m_span(basis, self.R.act)
+            return basis
+        self.walk(j)
+        return self.kept[j] if j < len(self.kept) else linalg.Triples.zeros(self.R.dim, 0)
 
 
 @dataclass

@@ -49,7 +49,7 @@ from .poly import (
 # The longest S/I whose standard monomials `Ideal._staircase` lists.  Listing
 # 4096 of them takes about 15 ms; the algebra built on them costs more, and
 # a command also lists the staircases of m·I and m²·I: `check --route all` on
-# (x^4091, y), the longest m-adic chain it accepts, takes 4.5 s and 425 MB
+# (x^4091, y), the longest m-adic chain it accepts, takes about 3 s and 44 MB
 # peak (one 2-CPU x86 host).
 MAX_LENGTH = 4096
 

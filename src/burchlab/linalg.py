@@ -4,21 +4,31 @@ Every matrix is held as `Triples`, the lists (rows, cols, vals) of its
 nonzero entries, with values reduced to [1, p).  `rref`, `kernel_basis`,
 `column_space_basis`, `complete_columns`, `hstack` and `matmul` take Triples
 and answer with Triples, so a chain of them never builds or scans a dense
-array.  Pivoting is deterministic: the first nonzero entry in row order,
-columns scanned left to right.
+array.
 
-The matrices of the rings and modules here are mostly monomial: most blocks
-of their row/column nonzero graph are a single row (a lone row) or a single
-column (a lone column).
-`rref` takes those pivots straight from the nonzero pattern, with a few
-whole-array operations: a lone row is scaled by the inverse of its first
-entry, a lone column is a unit row.  The per-pivot loop `_eliminate` runs
-only on the submatrix of the remaining blocks, which for a dense matrix is
-all of it.  It eliminates that int64 block in place and reduces mod p after
-every pivot, so its largest intermediate value is a product of two residues,
-below p**2: exact for every prime `RingContext` accepts (p**2 < 2**53, the
-documented input range), well inside int64.  Every modular inverse is
-Python's pow(a, -1, p).
+`rref` eliminates each entry with one of three kernels, chosen from the
+nonzero pattern alone (no option selects one):
+
+(a) `_eliminate_rows`, Gauss-Jordan on rows held as dicts column -> value in
+    Python ints, reduced mod p after every product, so exact for every
+    prime.  It takes the whole matrix when it has at most `SMALL` nonzeros,
+    as almost all matrices here do, and costs only a few numpy calls.
+(b) On a larger matrix, one whole-array pass over the blocks of the
+    row/column nonzero graph that are a single row (a lone row, scaled by
+    the inverse of its first entry) or a single column (a lone column, a
+    unit row), as the matrices of monomial rings and modules mostly are.
+    The connected components of the rest are labelled (`_components`);
+    those of at most `BIG` nonzeros all go to one `_eliminate_rows` call,
+    which never combines rows of different components.
+(c) Each larger component, such as a dense matrix, goes to `_eliminate`, a
+    per-pivot loop on that component's own dense int64 block, in place.  It
+    reduces mod p after every pivot, so its largest intermediate value is a
+    product of two residues, below p**2: exact for every prime `RingContext`
+    accepts (p**2 < 2**53, the documented input range), well inside int64.
+
+The RREF is unique, and a block-diagonal matrix's RREF is its blocks' rows
+ordered by pivot column, so every choice gives the same result.  Every
+modular inverse is Python's pow(a, -1, p).
 
 An action matrix (multiplication by a variable on a ring or module) is
 applied in its scatter form (`scatter_table`): each source's targets and
@@ -40,6 +50,15 @@ DEFAULT_PRIME = 32003
 # the accepted primes: p**2 < EXACT_LIMIT, so a product of two residues,
 # _eliminate's largest value, stays far inside int64
 EXACT_LIMIT = 2**53
+
+# rref eliminates a matrix of at most SMALL nonzeros, and each component of
+# at most BIG nonzeros of a larger one's rest, on Python-int row dicts
+# (`_eliminate_rows`).  Measured on one 2-CPU x86 host: any SMALL in 32..64
+# is within 5% on the benchmark's workloads; row dicts take about 3x as long
+# as the whole-array pass on a 40 x 400 monomial matrix, and 10x as long as
+# `_eliminate` on a dense 256 x 256 block
+SMALL = 48
+BIG = 64
 
 
 class PreconditionError(ValueError):
@@ -209,17 +228,23 @@ def reduce_by_echelon(E: Triples, pivots, V: Triples, p: int) -> Triples:
 def rref(A: Triples, p: int) -> tuple[Triples, tuple[int, ...]]:
     """Reduced row echelon form and the pivot-column indices.
 
-    Lone rows and lone columns are reduced from the nonzero pattern, and
-    `_eliminate` runs on the rest (see the module docstring).  The RREF of a
-    block-diagonal matrix, up to permutation, is its blocks' RREF rows
-    ordered by pivot column, so the result equals a full elimination's.
+    `_eliminate_rows` takes a matrix of at most SMALL nonzeros whole; on a
+    larger one, lone rows and lone columns are reduced from the nonzero
+    pattern, the components of the rest with at most BIG nonzeros go to one
+    `_eliminate_rows` call, and each larger one to `_eliminate` (see the
+    module docstring).  The RREF of a block-diagonal matrix, up to
+    permutation, is its blocks' RREF rows ordered by pivot column, so the
+    result equals a full elimination's.
     """
     m, n = A.shape
+    if A.vals.size == 0:
+        return Triples.zeros(m, n), ()
+    if A.vals.size <= SMALL:
+        pivots, reduced = _eliminate_rows(A.rows.tolist(), A.cols.tolist(), A.vals.tolist(), p)
+        return _from_rows(reduced, (m, n)), tuple(pivots)
     # the entries row by row, left to right
     order = (A.rows * n + A.cols).argsort()
     rows, cols, vals = A.rows[order], A.cols[order], A.vals[order]
-    if rows.size == 0:
-        return Triples.zeros(m, n), ()
     row_count = np.bincount(rows, minlength=m)
     col_count = np.bincount(cols, minlength=n)
     lone_row = row_count > 0
@@ -227,7 +252,7 @@ def rref(A: Triples, p: int) -> tuple[Triples, tuple[int, ...]]:
     lone_col = col_count > 1  # a 1x1 block counts once, as a row
     lone_col[cols[row_count[rows] > 1]] = False
     in_row = lone_row[rows]
-    rest = ~(in_row | lone_col[cols])
+    rest = (~(in_row | lone_col[cols])).nonzero()[0]
 
     # a lone row's first entry is its pivot
     r_rows, r_cols, r_vals = rows[in_row], cols[in_row], vals[in_row]
@@ -241,33 +266,138 @@ def rref(A: Triples, p: int) -> tuple[Triples, tuple[int, ...]]:
     run = head.cumsum() - 1  # entry -> its lone row, in row order
     r_pivots = r_cols[head]
     c_pivots = lone_col.nonzero()[0]
-    sub_cols = s_pivots = np.zeros(0, dtype=np.int64)  # empty without a rest block
-    sub = zeros(0, 0)
-    if rest.any():
-        # the rest block holds exactly the rest entries: a lone row or column
-        # shares no row and no column with it
-        in_sub_row = np.bincount(rows[rest], minlength=m) > 0
-        in_sub_col = np.bincount(cols[rest], minlength=n) > 0
-        sub_cols = in_sub_col.nonzero()[0]
-        block = zeros(int(in_sub_row.sum()), sub_cols.size)
-        block[(in_sub_row.cumsum() - 1)[rows[rest]], (in_sub_col.cumsum() - 1)[cols[rest]]] = vals[rest]
-        sub, sub_pivots = _eliminate(block, p)
-        s_pivots = sub_cols[list(sub_pivots)]
-        sub = sub[: s_pivots.size]
+    parts = [
+        (r_pivots, run, r_cols, r_vals * scale[run] % p),
+        (c_pivots, np.arange(c_pivots.size), c_pivots, np.ones(c_pivots.size, dtype=np.int64)),
+    ]
+    if rest.size:
+        rows, cols, vals = rows[rest], cols[rest], vals[rest]
+        label = _components(rows, cols + m, m + n)
+        small = np.bincount(label, minlength=m + n)[label] <= BIG
+        if small.any():
+            s_pivots, reduced = _eliminate_rows(rows[small].tolist(), cols[small].tolist(), vals[small].tolist(), p)
+            S = _from_rows(reduced, (len(s_pivots), n))
+            parts.append((np.array(s_pivots, dtype=np.int64), S.rows, S.cols, S.vals))
+        big = (~small).nonzero()[0]
+        if big.size:
+            big = big[label[big].argsort(kind="stable")]
+            for one in np.split(big, np.flatnonzero(np.diff(label[big])) + 1):
+                parts.append(_eliminate_component(rows[one], cols[one], vals[one], (m, n), p))
 
-    pivots = np.concatenate([r_pivots, c_pivots, s_pivots])
+    pivots = np.concatenate([part[0] for part in parts])
     order = pivots.argsort()
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
-    nr, nc = r_pivots.size, c_pivots.size
-    s_rows, s_cols = sub.nonzero()
+    offsets = itertools.accumulate((part[0].size for part in parts), initial=0)
     R = Triples(
-        np.concatenate([slot[run], slot[nr : nr + nc], slot[nr + nc :][s_rows]]),
-        np.concatenate([r_cols, c_pivots, sub_cols[s_cols]]),
-        np.concatenate([r_vals * scale[run] % p, np.ones(nc, dtype=np.int64), sub[s_rows, s_cols]]),
+        np.concatenate([slot[at + part[1]] for part, at in zip(parts, offsets)]),
+        np.concatenate([part[2] for part in parts]),
+        np.concatenate([part[3] for part in parts]),
         (m, n),
     )
     return R, tuple(pivots[order].tolist())
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, nodes: int) -> np.ndarray:
+    """The connected component of each entry in the graph on `nodes` nodes
+    whose edges are the entries' (row, col) node pairs, as the least node of
+    the component: label propagation along the edges, with pointer jumping."""
+    label = np.arange(nodes)
+    while True:
+        at_row, at_col = label[rows], label[cols]
+        if (at_row == at_col).all():
+            return at_row
+        low = np.minimum(at_row, at_col)
+        np.minimum.at(label, rows, low)
+        np.minimum.at(label, cols, low)
+        while True:  # every label is a node of the same component, no larger
+            jump = label[label]
+            if (jump == label).all():
+                break
+            label = jump
+
+
+def _eliminate_rows(
+    rows: list[int], cols: list[int], vals: list[int], p: int
+) -> tuple[list[int], list[dict[int, int]]]:
+    """Gauss-Jordan elimination of the matrix with the given entries (values
+    in [1, p)) on rows held as dicts column -> value in Python ints, reduced
+    mod p after every product, as in SymPy's sparse `sdm_irref`.  Returns
+    the pivot columns ascending and the reduced rows in that order.
+
+    Each row is cleared against the pivot rows it meets and, if anything is
+    left, becomes a pivot row at its first column, which is then cleared
+    from the earlier pivot rows that hold it (found by a column -> pivot
+    rows index).  A pivot row never gains an entry left of its pivot, so
+    the rows are the unique RREF whatever order they come in; rows of
+    different blocks share no column and are never combined."""
+    by_row: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(rows, cols, vals):
+        by_row.setdefault(i, {})[j] = v
+    pivot_row: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
+    for row in sorted(by_row.values(), key=min):
+        # a pivot row is zero at every other pivot, so no clearing adds one
+        for j in [j for j in row if j in pivot_row]:
+            f = row.pop(j)
+            for k, v in pivot_row[j].items():
+                if k != j:
+                    x = (row.get(k, 0) - f * v) % p
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+        if not row:
+            continue
+        c = min(row)
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            for k in row:
+                row[k] = row[k] * inv % p
+        for j in holders.pop(c, ()):
+            other = pivot_row[j]
+            f = other.pop(c)
+            for k, v in row.items():
+                if k != c:
+                    x = (other.get(k, 0) - f * v) % p
+                    if not x:
+                        del other[k]
+                        holders[k].discard(j)
+                    else:
+                        if k not in other:
+                            holders.setdefault(k, set()).add(j)
+                        other[k] = x
+        pivot_row[c] = row
+        for k in row:
+            if k != c:
+                holders.setdefault(k, set()).add(c)
+    pivots = sorted(pivot_row)
+    return pivots, [pivot_row[c] for c in pivots]
+
+
+def _from_rows(reduced: list[dict[int, int]], shape: tuple[int, int]) -> Triples:
+    """The Triples whose row i holds the entries of the dict reduced[i]."""
+    rows = [i for i, row in enumerate(reduced) for _ in row]
+    cols = [k for row in reduced for k in row]
+    vals = [v for row in reduced for v in row.values()]
+    return Triples(
+        np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=np.int64), shape
+    )
+
+
+def _eliminate_component(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int], p: int):
+    """(pivots, row, col, val) of one component's entries in a matrix of
+    `shape`, eliminated by `_eliminate` as a dense block over the
+    component's own rows and columns: its pivot columns and the entries of
+    its reduced rows, row k being the one of the k-th pivot."""
+    in_rows = np.bincount(rows, minlength=shape[0]) > 0
+    in_cols = np.bincount(cols, minlength=shape[1]) > 0
+    block_cols = in_cols.nonzero()[0]
+    block = zeros(int(in_rows.sum()), block_cols.size)
+    block[(in_rows.cumsum() - 1)[rows], (in_cols.cumsum() - 1)[cols]] = vals
+    sub, sub_pivots = _eliminate(block, p)
+    s_rows, s_cols = sub[: len(sub_pivots)].nonzero()
+    return block_cols[list(sub_pivots)], s_rows, block_cols[s_cols], sub[s_rows, s_cols]
 
 
 def _eliminate(R: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

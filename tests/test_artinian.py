@@ -6,6 +6,7 @@ import pytest
 
 from burchlab import linalg
 from burchlab.artinian import (
+    KEPT_POWER,
     QuotientAlgebra,
     annihilator,
     fibre_product,
@@ -109,12 +110,40 @@ def test_invariants_computed_on_first_use():
     and socle for their first reader, so a caller that needs only the
     multiplication matrices never pays for them."""
     R = quotient(CTX, "x^4", "x^2*y^2", "y^4")
-    lazy = {"_filtration", "hilbert", "edim", "socle"}
+    lazy = {"_chain", "hilbert", "edim", "socle"}
     assert not lazy & vars(R).keys()
     assert R.edim == 2
-    assert {"_filtration", "hilbert", "edim"} <= vars(R).keys()
+    assert {"_chain", "hilbert", "edim"} <= vars(R).keys()
     assert "socle" not in vars(R)
     assert R.socle_dim == 2 and "socle" in vars(R)
+
+
+def test_madic_walk_keeps_only_the_first_powers(monkeypatch):
+    """The m-adic chain of (x^40, y) is walked once, one `m_span` a power,
+    whatever asks first: `hilbert` keeps only the dimensions, and of the
+    40 bases only m^0 .. m^KEPT_POWER and the deepest power stay kept."""
+    spans = []
+    real = QuotientAlgebra.m_span
+
+    def counted(self, W, act):
+        spans.append(W.shape[1])
+        return real(self, W, act)
+
+    monkeypatch.setattr(QuotientAlgebra, "m_span", counted)
+    for power_first in (True, False):
+        spans.clear()
+        R = quotient(CTX, "x^40", "y")
+        if power_first:
+            assert R.max_power_basis(3).shape == (40, 37) and len(spans) == 3
+        assert R.hilbert == (1,) * 40 and len(spans) == 40
+        assert [R.max_power_basis(j).shape[1] for j in (0, 1, 2, 3)] == [40, 39, 38, 37]
+        assert len(spans) == 40
+        assert len(R._chain.kept) == KEPT_POWER + 1 and R._chain.deepest.shape == (40, 0)
+    assert R.max_power_basis(10).shape == (40, 30) and len(spans) == 40 + 10 - KEPT_POWER
+    assert linalg.subspace_le(R.max_power_basis(10), R.max_power_basis(3), P)
+    assert len(R._chain.kept) == KEPT_POWER + 1
+    short = quotient(CTX, "x^2", "y")
+    assert [short.max_power_basis(j).shape for j in (1, 2, 3, 5)] == [(2, 1), (2, 0), (2, 0), (2, 0)]
 
 
 def test_edim_and_length_consistency():

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from burchlab import cli, groebner, linalg, resolution
@@ -540,22 +539,44 @@ def test_resolve_to_length_ten_builds_no_dense_differential(monkeypatch, capsys)
     assert hashlib.sha256(blob).hexdigest().startswith("48b9972e")
 
 
-def test_resolve_to_length_twelve_eliminates_in_place(monkeypatch, capsys):
-    """Every rest block reaches `_eliminate` as int64 and is reduced in
-    place, and the length-12 report is the one pinned from the elimination
-    that worked on a float64 copy."""
-    real = linalg._eliminate
-    blocks = []
+def _largest_component(rows, cols):
+    """The most rows plus columns in one connected component of the
+    row/column graph of the given entries, by union-find."""
+    parent = {}
 
-    def in_place(block, p):
-        R, pivots = real(block, p)
-        blocks.append((block.dtype == np.int64, R is block))
-        return R, pivots
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    monkeypatch.setattr(linalg, "_eliminate", in_place)
+    for r, c in zip(rows, cols):
+        parent[find(("row", r))] = find(("col", c))
+    sizes = {}
+    for x in parent:
+        root = find(x)
+        sizes[root] = sizes.get(root, 0) + 1
+    return max(sizes.values(), default=0)
+
+
+def test_resolve_to_length_twelve_eliminates_small_components(monkeypatch, capsys):
+    """At length 12 every elimination runs on row dicts: `_eliminate`, the
+    dense kernel, is never called, no component handed to `_eliminate_rows`
+    has more than 8 rows plus columns, and the report is the one pinned
+    from the dense elimination of the whole rest block."""
+    real = linalg._eliminate_rows
+    largest = []
+    dense = []
+
+    def counted(rows, cols, vals, p):
+        largest.append(_largest_component(rows, cols))
+        return real(rows, cols, vals, p)
+
+    monkeypatch.setattr(linalg, "_eliminate_rows", counted)
+    monkeypatch.setattr(linalg, "_eliminate", lambda R, p: dense.append(R.shape))
     code, out, _ = run_cli(capsys, "--json", "resolve", DEMO, "k", "--ring", "I", "--length", "12")
     assert code == EXIT_OK
-    assert blocks and all(is_int64 and same for is_int64, same in blocks)
+    assert largest and max(largest) <= 8 and not dense
     data = json.loads(out)
     del data["args"]["file"]
     blob = json.dumps(data, sort_keys=True, indent=2).encode()

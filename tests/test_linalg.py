@@ -245,27 +245,49 @@ def _block(draw, p, rows, cols, dense):
 def structured_matrices(draw):
     """(A, p): block-diagonal up to a row and column permutation, monomial,
     lone rows and columns beside one general block, or zero; with zero rows
-    and columns, empty shapes, and entries shifted by multiples of p."""
+    and columns, empty shapes, and entries shifted by multiples of p.  Past
+    `linalg.SMALL` nonzeros: many small dense blocks, a wide monomial matrix,
+    and one dense block of more than `linalg.BIG` nonzeros beside lone rows
+    and columns, so that every kernel of `rref` runs."""
     p = draw(st.sampled_from(PRIMES))
-    kind = draw(st.sampled_from(["blocks", "monomial", "one_per_row_and_column", "lone_and_block", "zero"]))
-    if kind in ("blocks", "lone_and_block"):
+    kind = draw(
+        st.sampled_from(
+            [
+                "blocks", "monomial", "one_per_row_and_column", "lone_and_block", "zero",
+                "many_blocks", "wide_monomial", "big_block",
+            ]
+        )
+    )
+    if kind in ("blocks", "lone_and_block", "many_blocks", "big_block"):
+        lone = st.one_of(
+            st.tuples(st.just(1), st.integers(1, 3)),
+            st.tuples(st.integers(1, 3), st.just(1)),
+            st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        )
         if kind == "blocks":
             shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5))
+        elif kind == "many_blocks":
+            # at least two nonzeros a block, so more than SMALL in all
+            small = st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+            shapes = draw(st.lists(small, min_size=linalg.SMALL // 2 + 1, max_size=linalg.SMALL // 2 + 8))
         else:
-            lone = st.one_of(
-                st.tuples(st.just(1), st.integers(1, 3)),
-                st.tuples(st.integers(1, 3), st.just(1)),
-                st.tuples(st.integers(0, 1), st.integers(0, 1)),
-            )
             shapes = draw(st.lists(lone, max_size=6))
-            shapes.insert(draw(st.integers(0, len(shapes))), (draw(st.integers(2, 4)), draw(st.integers(2, 4))))
+            r = draw(st.integers(2, 4) if kind == "lone_and_block" else st.integers(8, 10))
+            c = draw(st.integers(2, 4)) if kind == "lone_and_block" else linalg.BIG // r + draw(st.integers(1, 2))
+            shapes.insert(draw(st.integers(0, len(shapes))), (r, c))
         m, n = sum(r for r, _ in shapes), sum(c for _, c in shapes)
         A = linalg.zeros(m, n)
         i = j = 0
         for r, c in shapes:
-            dense = kind == "lone_and_block" or draw(st.booleans())
+            dense = kind != "blocks" or draw(st.booleans())
             A[i : i + r, j : j + c] = _block(draw, p, r, c, dense)
             i, j = i + r, j + c
+    elif kind == "wide_monomial":
+        # one nonzero in every column, more columns than SMALL
+        m, n = draw(st.integers(1, 6)), draw(st.integers(linalg.SMALL + 1, linalg.SMALL + 24))
+        A = linalg.zeros(m, n)
+        for c, r in enumerate(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))):
+            A[r, c] = draw(st.integers(1, p - 1))
     else:
         m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
         A = linalg.zeros(m, n)
@@ -281,8 +303,8 @@ def structured_matrices(draw):
             for r, c in zip(rs, cs):
                 A[r, c] = draw(st.integers(1, p - 1))
     A = A[draw(st.permutations(range(A.shape[0])))][:, draw(st.permutations(range(A.shape[1])))]
-    shifts = draw(st.lists(st.integers(-2, 2), min_size=A.size, max_size=A.size))
-    A = A + p * np.array(shifts, dtype=np.int64).reshape(A.shape)
+    shifts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-2, 3, size=A.shape)
+    A = A + p * shifts
     if draw(st.booleans()):
         A = np.ascontiguousarray(A.T).T  # same matrix, column-major
     return A, p
@@ -307,6 +329,65 @@ def test_rref_matches_python_reference(case):
     assert R.shape == A.shape
     assert pivots == ref_pivots and all(type(c) is int for c in pivots)
     assert _dense(R, p).tolist() == ref
+
+
+def _block_diagonal(blocks):
+    """The blocks along the diagonal, in order."""
+    A = linalg.zeros(sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks))
+    i = j = 0
+    for B in blocks:
+        A[i : i + B.shape[0], j : j + B.shape[1]] = B
+        i, j = i + B.shape[0], j + B.shape[1]
+    return A
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_runs_each_kernel_on_its_own_input(monkeypatch, p):
+    """Which kernel eliminates which entries follows from the nonzero
+    pattern: a matrix of at most SMALL nonzeros goes whole to
+    `_eliminate_rows`; a larger all-lone one to neither loop; the small
+    components of a larger one's rest to one `_eliminate_rows` call, and
+    each component of more than BIG nonzeros to its own `_eliminate`; and
+    every result equals the Python-int reference."""
+    rng = np.random.default_rng(p)
+    real_rows, real_dense = linalg._eliminate_rows, linalg._eliminate
+    calls = []
+
+    def rows_kernel(rows, cols, vals, p):
+        calls.append(("rows", len(vals)))
+        return real_rows(rows, cols, vals, p)
+
+    def dense_kernel(R, p):
+        calls.append(("dense", R.shape))
+        return real_dense(R, p)
+
+    monkeypatch.setattr(linalg, "_eliminate_rows", rows_kernel)
+    monkeypatch.setattr(linalg, "_eliminate", dense_kernel)
+
+    def dense(r, c):
+        return rng.integers(1, p, size=(r, c)) if p > 2 else np.ones((r, c), dtype=np.int64)
+
+    wide = linalg.zeros(4, linalg.SMALL + 10)
+    wide[rng.integers(0, 4, size=wide.shape[1]), np.arange(wide.shape[1])] = dense(1, wide.shape[1])[0]
+    small_blocks = [dense(3, 3) for _ in range(linalg.SMALL // 9 + 1)]
+    big_r, big_c = 8, linalg.BIG // 8 + 1
+    cases = [
+        (dense(3, 4), [("rows", 12)]),
+        (wide, []),
+        (_block_diagonal(small_blocks + [dense(1, 5), dense(4, 1)]), [("rows", 9 * len(small_blocks))]),
+        (_block_diagonal([dense(1, 3), dense(big_r, big_c), dense(2, 1)]), [("dense", (big_r, big_c))]),
+        (
+            _block_diagonal([dense(big_r, big_c), dense(2, 2), dense(big_c, big_r)]),
+            [("rows", 4), ("dense", (big_r, big_c)), ("dense", (big_c, big_r))],
+        ),
+    ]
+    for A, want in cases:
+        A = A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+        calls.clear()
+        R, pivots = linalg.rref(linalg.Triples.from_dense(A), p)
+        assert sorted(calls) == sorted(want)
+        ref, ref_pivots = _rref_python(A.tolist(), p)
+        assert pivots == ref_pivots and _dense(R, p).tolist() == ref
 
 
 def _rank_python(A, p):
