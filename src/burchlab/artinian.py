@@ -115,7 +115,9 @@ class QuotientAlgebra:
 
     @cached_property
     def edim(self) -> int:
-        return self.hilbert[1] if len(self.hilbert) > 1 else 0
+        """dim m/m^2, from the chain walked to m^2 only; 0 for a field."""
+        dims = self._chain.walk(2) + [0, 0]
+        return dims[1] - dims[2]
 
     @cached_property
     def koszul_h1(self) -> int:
@@ -226,11 +228,19 @@ class QuotientAlgebra:
 
     def quotient_by_socle(self) -> "QuotientAlgebra":
         """R/Soc R = S/(I : m)."""
-        return QuotientAlgebra(self.socle_colon)
+        return quotient_algebra(self.socle_colon)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal.gens)
         return f"QuotientAlgebra(dim={self.dim}, I=({gens}))"
+
+
+def quotient_algebra(I: Ideal) -> QuotientAlgebra:
+    """S/I, memoized in I's cache as `groebner.max_ideal_product` memoizes
+    m·I, so that the routes of one command share one algebra."""
+    if "algebra" not in I._cache:
+        I._cache["algebra"] = QuotientAlgebra(I)
+    return I._cache["algebra"]
 
 
 # the deepest power m^j whose basis the m-adic walk keeps: the callers of

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .artinian import QuotientAlgebra, check_fibre_factors, fibre_product
+from .artinian import QuotientAlgebra, check_fibre_factors, fibre_product, quotient_algebra
 from .groebner import (
     Ideal,
     PreconditionError,
@@ -105,7 +105,7 @@ def _mu_pair(I: Ideal, len_I: int) -> tuple[int, int]:
 def _invariant_table(I: Ideal) -> dict:
     table: dict = {"choi_invariant": choi_invariant(I)}
     if I.is_m_primary():
-        R = QuotientAlgebra(I)
+        R = quotient_algebra(I)
         mu_I, mu_mI = _mu_pair(I, R.length)
         table.update(
             length=R.length,
@@ -153,7 +153,7 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
     verdicts: dict = {}
     verdicts["definition"] = max_ideal_product(J) != mI
     if I.is_m_primary():
-        A = QuotientAlgebra(mI)
+        A = quotient_algebra(mI)
         verdicts["colon_shift"] = J != A.socle_colon
         socle_hit = False
         for g in J.gens:
@@ -164,7 +164,7 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
             if socle_hit:
                 break
         verdicts["socle_action"] = socle_hit
-        R = QuotientAlgebra(I)
+        R = quotient_algebra(I)
         mu = mI.length() - R.length
         verdicts["type_count"] = (J != I) and (A.type() != R.type() + mu)
     else:
@@ -294,7 +294,7 @@ def gorenstein_burch_classifier(I: Ideal) -> GorensteinBurchReport:
     quotient is then k[t]/(t^r) with r = length."""
     if not I.is_m_primary():
         raise PreconditionError("classifier needs an m-primary ideal")
-    R = QuotientAlgebra(I)
+    R = quotient_algebra(I)
     gor = R.is_gorenstein()
     burch = burch_ideal_test(I, with_invariants=False).burch
     expo = None
@@ -350,7 +350,7 @@ def cyclic_summand_condition(I: Ideal, J: Ideal, A) -> SummandConditionResult:
     i1a_in_j = I1A <= J
     gor = None
     if J.is_m_primary():
-        gor = QuotientAlgebra(J).is_gorenstein()
+        gor = quotient_algebra(J).is_gorenstein()
     return SummandConditionResult(holds, i1a_in_j, gor)
 
 
@@ -492,7 +492,7 @@ def fibre_burch_test(RS: QuotientAlgebra, RT: QuotientAlgebra, direct: bool = Tr
     direct_verdict = None
     if direct:
         pres = fibre_product(RS, RT)
-        direct_verdict = burch_ring_depth_zero(QuotientAlgebra(pres.ideal)).burch
+        direct_verdict = burch_ring_depth_zero(quotient_algebra(pres.ideal)).burch
         if direct_verdict != verdict:
             raise InternalConsistencyError(
                 "fibre-product criterion disagrees with the direct verdict"

@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .artinian import QuotientAlgebra
+from .artinian import QuotientAlgebra, quotient_algebra
 from .burch import (
     InternalConsistencyError,
     burch_criteria_crosscheck,
@@ -157,7 +157,7 @@ def default_ring(session: Session, args) -> QuotientAlgebra:
         if not session.ideals:
             raise SessionError("session file declares no ideals")
         name = next(iter(session.ideals))
-    return QuotientAlgebra(session.ideal(name))
+    return quotient_algebra(session.ideal(name))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def cmd_cut(args) -> tuple[Report, int]:
     for step in result.steps:
         report.line(f"  cut by {step.element}: regular={step.regular}")
     if result.ideal.is_m_primary():
-        verdict = burch_ring_depth_zero(QuotientAlgebra(result.ideal))
+        verdict = burch_ring_depth_zero(quotient_algebra(result.ideal))
         report.verdict("quotient_burch", verdict.burch)
         report.invariant("c_invariant", verdict.c_invariant)
         # per-sequence verdict only: a different maximal regular sequence may
@@ -385,8 +385,8 @@ def cmd_cut(args) -> tuple[Report, int]:
 def cmd_fibre(args) -> tuple[Report, int]:
     left = parse_session(args.left_file, args.modulus)
     right = parse_session(args.right_file, args.modulus)
-    RS = QuotientAlgebra(left.ideal(args.left_ideal))
-    RT = QuotientAlgebra(right.ideal(args.right_ideal))
+    RS = quotient_algebra(left.ideal(args.left_ideal))
+    RT = quotient_algebra(right.ideal(args.right_ideal))
     verdict = fibre_burch_test(RS, RT)
     report = Report(
         "fibre",

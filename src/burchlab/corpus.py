@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .artinian import QuotientAlgebra, fibre_product, find_exact_pairs
+from .artinian import fibre_product, find_exact_pairs, quotient_algebra
 from .burch import (
     burch_ideal_test,
     burch_ring_depth_zero,
@@ -75,7 +75,7 @@ def _max_ideal_powers(p: int) -> list[CheckRow]:
 
 def _two_var_twelve(p: int) -> list[CheckRow]:
     I = _ideal(p, ("x", "y"), "x^4", "x^2*y^2", "y^4")
-    R = QuotientAlgebra(I)
+    R = quotient_algebra(I)
     rows = [_row("length", R.length, 12)]
     socle = sorted(str(f) for f in R.socle_polynomials())
     rows.append(_row("socle basis", socle, ["x*y^3", "x^3*y"]))
@@ -141,7 +141,7 @@ def _determinantal_cuts(p: int) -> list[CheckRow]:
     )
     rows.append(_row("R/(x) = k[y,z]/(y^2,yz^2,z^4)", cut_x.ideal == expected_x, True))
     rows.append(
-        _row("R/(x) Burch", burch_ring_depth_zero(QuotientAlgebra(cut_x.ideal)).burch, True)
+        _row("R/(x) Burch", burch_ring_depth_zero(quotient_algebra(cut_x.ideal)).burch, True)
     )
     cut_y = cut_down(I, [parse_polynomial("y", ctx)])
     rows.append(_row("y is regular", cut_y.all_regular, True))
@@ -150,7 +150,7 @@ def _determinantal_cuts(p: int) -> list[CheckRow]:
     )
     rows.append(_row("R/(y) = k[x,z]/(x^4,x^2z^2,z^4)", cut_y.ideal == expected_y, True))
     rows.append(
-        _row("R/(y) not Burch", burch_ring_depth_zero(QuotientAlgebra(cut_y.ideal)).burch, False)
+        _row("R/(y) not Burch", burch_ring_depth_zero(quotient_algebra(cut_y.ideal)).burch, False)
     )
     return rows
 
@@ -160,10 +160,10 @@ def _fibre_axes(p: int) -> list[CheckRow]:
     for a, b in ((2, 2), (2, 3), (3, 4)):
         I = _ideal(p, ("x", "y"), f"x^{a}", "x*y", f"y^{b}")
         rows.append(
-            _row(f"k[x,y]/(x^{a},xy,y^{b}) Burch", burch_ring_depth_zero(QuotientAlgebra(I)).burch, True)
+            _row(f"k[x,y]/(x^{a},xy,y^{b}) Burch", burch_ring_depth_zero(quotient_algebra(I)).burch, True)
         )
-        RS = QuotientAlgebra(_ideal(p, ("x",), f"x^{a}"))
-        RT = QuotientAlgebra(_ideal(p, ("y",), f"y^{b}"))
+        RS = quotient_algebra(_ideal(p, ("x",), f"x^{a}"))
+        RT = quotient_algebra(_ideal(p, ("y",), f"y^{b}"))
         pres = fibre_product(RS, RT)
         rows.append(_row(f"fibre presentation a={a} b={b}", pres.ideal == I, True))
         rows.append(_row(f"fibre criterion a={a} b={b}", fibre_burch_test(RS, RT).burch, True))
@@ -171,7 +171,7 @@ def _fibre_axes(p: int) -> list[CheckRow]:
 
 
 def _flat_ascent(p: int) -> list[CheckRow]:
-    R = QuotientAlgebra(_ideal(p, ("x", "y", "t"), "x^2", "x*y", "y^2", "t^2"))
+    R = quotient_algebra(_ideal(p, ("x", "y", "t"), "x^2", "x*y", "y^2", "t^2"))
     pairs = find_exact_pairs(R)
     has_tt = any(str(pr.a) == "t" and str(pr.b) == "t" for pr in pairs)
     rows = [_row("(t,t) is an exact pair", has_tt, True)]
@@ -200,7 +200,7 @@ def _embedded_deformations(p: int) -> list[CheckRow]:
         ctx = RingContext(p, variables)
         I = Ideal.make(ctx, [parse_polynomial(g, ctx) for g in gens])
         cut = cut_down(I, [parse_polynomial(elem, ctx)], allow_nonlinear=True)
-        verdict = burch_ring_depth_zero(QuotientAlgebra(cut.ideal)).burch
+        verdict = burch_ring_depth_zero(quotient_algebra(cut.ideal)).burch
         rows.append(
             _row(f"cut of ({', '.join(gens)}) by {elem} in m^2 not Burch", verdict, False)
         )
@@ -216,7 +216,7 @@ def _minimal_multiplicity(p: int) -> list[CheckRow]:
         rows.append(
             _row(
                 f"m^2 = 0 quotient in {len(variables)} vars Burch",
-                burch_ring_depth_zero(QuotientAlgebra(I)).burch,
+                burch_ring_depth_zero(quotient_algebra(I)).burch,
                 True,
             )
         )
@@ -224,7 +224,7 @@ def _minimal_multiplicity(p: int) -> list[CheckRow]:
 
 
 def _hypersurface_pair(p: int) -> list[CheckRow]:
-    R = QuotientAlgebra(_ideal(p, ("x",), "x^4"))
+    R = quotient_algebra(_ideal(p, ("x",), "x^4"))
     pairs = find_exact_pairs(R)
     has = any({str(pr.a), str(pr.b)} == {"x", "x^3"} for pr in pairs)
     rows = [_row("(x, x^3) exact pair over k[x]/(x^4)", has, True)]

@@ -14,15 +14,28 @@ a product in a reduction or an S-polynomial, is refused with
 
 `buchberger` prunes S-pairs with the Gebauer–Möller criteria as each new
 element is made, and keeps the live pairs in a dict beside a heap ordered by
-lcm.  Division runs against a `Reducers` table (lead, inverse lead
-coefficient, tail per element), which `buchberger` extends as the basis
-grows and an `Ideal` builds once for its reduced basis; the working terms
-of a division are a dict beside a heap of their keys.  Monomial generators
-skip `buchberger` and `reduce_basis`: their reduced basis is their minimal
-generators, monic and ascending.  A product of ideals lists each product of
-generators once.  Intersections use a single auxiliary elimination variable;
-colons by a non-principal ideal intersect the principal colons, and each
-ideal memoizes its colons and its product with m.  First syzygies of a
+lcm.  It never queues a pair whose S-polynomial is zero by construction: two
+monomials, or two elements of one input block that is a Groebner basis
+already; such a pair still counts as treated in the pair criteria.
+Division runs against a `Reducers` table (lead, inverse lead coefficient,
+tail per element), which `buchberger` extends as the basis grows and an
+`Ideal` builds once for its reduced basis; the working terms of a division
+are a dict beside a heap of their keys.  Monomial generators skip
+`buchberger` and `reduce_basis`: their reduced basis is their minimal
+generators, monic and ascending, kept by the same one-pass lead
+minimalisation that `reduce_basis` runs.  A product of ideals lists each
+product of generators once.
+
+An intersection eliminates a single variable t under Block(1), the power
+of t first and then grevlex, whatever the ring's order.  In a grevlex ring
+it starts from t·G_I + (1 - t)·G_J, where G_I and G_J are the reduced
+bases, so Buchberger reduces only pairs across the two; a key lifts by
+adding a constant and comes back by subtracting it, and the intersection
+and each principal colon carry their reduced basis in their cache, so
+nothing downstream runs Buchberger again for them.  In any other ring the
+generators are lifted by their exponents.  Colons by a non-principal ideal
+intersect the principal colons, and each ideal memoizes its colons and its
+product with m.  First syzygies of a
 homogeneous generating list are computed degree by degree with exact linear
 algebra, which yields a minimal generating set directly (graded Nakayama)
 instead of minimizing a Schreyer-style presentation afterwards.
@@ -39,6 +52,7 @@ import numpy as np
 from . import linalg
 from .linalg import PreconditionError
 from .poly import (
+    GREVLEX,
     Block,
     Polynomial,
     RingContext,
@@ -139,30 +153,39 @@ def _spoly(f: Polynomial, g: Polynomial) -> dict:
     return work
 
 
-def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
-    """A Groebner basis of (gens) under ctx.order (not yet reduced), monic.
+def buchberger(gens: list[Polynomial], ctx: RingContext, bases=()) -> list[Polynomial]:
+    """A Groebner basis of (gens) plus the ideals of `bases`, each of which
+    is a monic Groebner basis already, under ctx.order (not yet reduced),
+    monic.
 
     Pairs are pruned when they are made, by the criteria of Gebauer and
     Möller (1988): when h joins the basis, an old pair (i, j) goes if lead(h)
     divides its lcm L and L differs from both lcm(i, h) and lcm(j, h); of the
     new pairs (i, h), one is kept per minimal lcm, and none whose leads are
-    coprime.  Pairs are reduced in ascending order of their lcm."""
+    coprime.  A kept pair whose S-polynomial is zero by construction counts
+    as treated, as one reduced to zero does, but is never queued: both
+    elements are monomials, or both come from one of `bases`.  Pairs are
+    reduced in ascending order of their lcm."""
     codec = ctx.codec
     one, guard, lcm_of = codec.one, codec.guard, codec.lcm
     basis: list[Polynomial] = []
     leads: list[int] = []
+    monomial: list[bool] = []
+    block: list[int | None] = []  # the index in `bases` an element comes from, or None
     reducers = Reducers()
     active: list[int] = []  # elements whose lead no later lead divides
     pairs: dict[tuple[int, int], int] = {}  # live pairs -> lcm of the leads
     heap: list = []  # (lcm, i, j) of every pair made; dead ones are skipped
 
-    def insert(h: Polynomial) -> None:
+    def insert(h: Polynomial, b: int | None = None) -> None:
         lh = h.terms[0][0]
         dl = lh - one  # lh divides m exactly when m - dl sets no guard bit
-        for (i, j), lcm in list(pairs.items()):
-            if not (lcm - dl) & guard and lcm != lcm_of(leads[i], lh) and lcm != lcm_of(leads[j], lh):
-                del pairs[i, j]
-        made = [lcm_of(leads[i], lh) for i in active]
+        mono = len(h.terms) == 1
+        lcms = [lcm_of(lead, lh) for lead in leads]  # lcm(lead(i), lh), once per element
+        dead = [(i, j) for (i, j), lcm in pairs.items() if not (lcm - dl) & guard and lcm not in (lcms[i], lcms[j])]
+        for ij in dead:
+            del pairs[ij]
+        made = [lcms[i] for i in active]
         kept: list[int] = []  # lcms of the kept new pairs, in the order made
         queued: list[tuple[int, int]] = []
         for n, (lcm, i) in enumerate(zip(made, active)):
@@ -171,9 +194,11 @@ def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
                 kept.append(lcm)
                 continue
             up = lcm + one  # m divides lcm exactly when up - m sets no guard bit
-            if not [m for m in made[n + 1 :] + kept if not (up - m) & guard]:
+            later = itertools.islice(made, n + 1, None)
+            if all((up - m) & guard for m in kept) and all((up - m) & guard for m in later):
                 kept.append(lcm)
-                queued.append((lcm, i))
+                if not (mono and monomial[i]) and (b is None or block[i] != b):
+                    queued.append((lcm, i))
         new = len(basis)
         for lcm, i in queued:
             pairs[i, new] = lcm
@@ -182,11 +207,16 @@ def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
         active.append(new)
         basis.append(h)
         leads.append(lh)
+        monomial.append(mono)
+        block.append(b)
         reducers.add(h)
 
     for g in gens:
         if not g.is_zero:
             insert(g.monic())
+    for b, known in enumerate(bases):
+        for g in known:
+            insert(g, b)
     while pairs:
         _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
@@ -197,42 +227,39 @@ def buchberger(gens: list[Polynomial], ctx: RingContext) -> list[Polynomial]:
     return basis
 
 
-def reduce_basis(basis: list[Polynomial], ctx: RingContext) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis of the monic basis that `buchberger`
-    returns: auto-reduced and sorted by leading term."""
+def _minimal_leads(basis, ctx: RingContext) -> list[Polynomial]:
+    """The elements whose lead no other lead divides, ascending by lead,
+    from one pass: a divisor sorts before its multiples, and of equal leads
+    the first in basis order stays (the sort is stable)."""
     one, guard = ctx.codec.one, ctx.codec.guard
-    # drop elements whose lead another lead divides; of equal leads the first stays
-    leads = [g.terms[0][0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        up = leads[i] + one  # h divides lead(g) exactly when up - h sets no guard bit
-        if all(leads[j] == leads[i] and j >= i for j in [j for j, h in enumerate(leads) if not (up - h) & guard]):
-            keep.append(g)
+    kept: list[Polynomial] = []
+    divisors: list[int] = []  # kept leads minus one: d divides k when k - d sets no guard bit
+    for g in sorted(basis, key=lambda g: g.terms[0][0]):
+        k = g.terms[0][0]
+        if all((k - d) & guard for d in divisors):
+            divisors.append(k - one)
+            kept.append(g)
+    return kept
+
+
+def reduce_basis(basis: list[Polynomial], ctx: RingContext) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of a monic Groebner basis, such as
+    `buchberger` returns: auto-reduced and sorted by leading term."""
+    keep = _minimal_leads(basis, ctx)
     # tail-reduce every survivor against one table of all survivors: no other
     # lead divides lead(g), and lead(g) divides no term below itself, so
     # g's own row never applies to its tail
     table = Reducers(keep)
-    reduced = [Polynomial(ctx, g.terms[:1] + tuple(_reduce(ctx, dict(g.terms[1:]), table.rows))) for g in keep]
-    reduced.sort(key=lambda g: g.terms[0][0])
-    return tuple(reduced)
+    return tuple(Polynomial(ctx, g.terms[:1] + tuple(_reduce(ctx, dict(g.terms[1:]), table.rows))) for g in keep)
 
 
 def reduced_groebner(gens, ctx: RingContext) -> tuple[Polynomial, ...]:
-    """The reduced basis of (gens), monic, ascending; monomial generators give their
-    minimal generators, kept in one ascending pass (divisors sort first)."""
+    """The reduced basis of (gens), monic, ascending; monomial generators
+    give their minimal generators, with no Buchberger run."""
     gens = [g for g in gens if not g.is_zero]
     if all(len(g.terms) == 1 for g in gens):
-        one, guard = ctx.codec.one, ctx.codec.guard
-        divisors: list[int] = []  # kept keys minus one: d divides k when k - d sets no guard bit
-        for k in sorted({g.terms[0][0] for g in gens}):
-            if all((k - d) & guard for d in divisors):
-                divisors.append(k - one)
-        gb = tuple(Polynomial(ctx, ((d + one, 1),)) for d in divisors)
-    else:
-        gb = reduce_basis(buchberger(gens, ctx), ctx)
-    if gb and gb[0].terms[0][0] == ctx.codec.one:
-        return (ctx.one(),)
-    return gb
+        return tuple(_minimal_leads([Polynomial(ctx, ((g.terms[0][0], 1),)) for g in gens], ctx))
+    return reduce_basis(buchberger(gens, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -440,32 +467,57 @@ def _fresh_variable(ctx: RingContext) -> str:
 
 @functools.cache
 def _extend_context(ctx: RingContext) -> RingContext:
-    """ctx with a fresh elimination variable in front, under Block(1), which
-    admits one variable past MAX_VARIABLES; one per context, so the prime is
-    checked once rather than once per elimination."""
+    """ctx's variables with a fresh elimination variable t in front, under
+    Block(1): the power of t first, then grevlex on the rest, whatever
+    ctx.order is.  Block(1) admits one variable past MAX_VARIABLES.  One
+    context per ctx, so the prime is checked once rather than once per
+    elimination."""
     return RingContext(ctx.p, (_fresh_variable(ctx),) + ctx.variables, Block(1))
 
 
-def _lift(f: Polynomial, ctx2: RingContext, tpow: int) -> Polynomial:
-    return Polynomial.from_dict(ctx2, {(tpow,) + e: c for e, c in f.exponent_terms()})
-
-
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J by eliminating t from t·I + (1-t)·J."""
+    """I ∩ J by eliminating t from t·I + (1-t)·J under Block(1).
+
+    Every multiple of t lies above every t-free monomial there, so the
+    t-free elements of the reduced basis, the first ones, are the grevlex
+    reduced basis of I ∩ J.  In a grevlex ring:
+    - the result carries that basis;
+    - t·G_I and (t-1)·G_J, from the reduced bases of I and J, are Groebner
+      bases in the elimination ring already, so `buchberger` reduces only
+      pairs across them;
+    - a key of ctx becomes the key of the same monomial there by adding a
+      constant (the field of F - e_t that grevlex does not have), and a
+      multiple by t adds one more.
+    In any other ring the generators are lifted by their exponents and the
+    result carries no basis: its generators are not ctx's reduced basis."""
     if I.ctx != J.ctx:
         raise ValueError("ideals from different ring contexts")
     ctx = I.ctx
     if not I.gens or not J.gens:
         return Ideal.make(ctx, ())
     ctx2 = _extend_context(ctx)
-    t_gens = [_lift(f, ctx2, 1) for f in I.gens]
-    one_minus_t = [_lift(g, ctx2, 0) - _lift(g, ctx2, 1) for g in J.gens]
-    gb = reduced_groebner(t_gens + one_minus_t, ctx2)
-    # Block(1) puts every multiple of t above every t-free monomial, so g is
-    # free of t exactly when its lead lies below t
-    t = ctx2.variable(0).terms[0][0]
-    out = [Polynomial.from_dict(ctx, {e[1:]: c for e, c in g.exponent_terms()}) for g in gb if g.terms[0][0] < t]
-    return Ideal.make(ctx, out)
+    t = ctx2.codec.units[0]
+    t_key = ctx2.codec.one + t  # g is free of t exactly when its lead lies below t
+    if ctx.order != GREVLEX:
+        def lift(f, tpow):
+            return Polynomial.from_dict(ctx2, {(tpow,) + e: c for e, c in f.exponent_terms()})
+
+        gens = [lift(f, 1) for f in I.gens] + [lift(g, 0) - lift(g, 1) for g in J.gens]
+        gb = reduced_groebner(gens, ctx2)
+        out = [Polynomial.from_dict(ctx, {e[1:]: c for e, c in g.exponent_terms()}) for g in gb if g.terms[0][0] < t_key]
+        return Ideal.make(ctx, out)
+    p, free = ctx.p, ctx2.codec.one - ctx.codec.one
+    t_I = [Polynomial(ctx2, tuple([(k + free + t, c) for k, c in g.terms])) for g in I.groebner()]
+    t_J = [
+        Polynomial(ctx2, tuple([(k + free + t, c) for k, c in g.terms] + [(k + free, p - c) for k, c in g.terms]))
+        for g in J.groebner()
+    ]
+    gb = reduce_basis(buchberger([], ctx2, (t_I, t_J)), ctx2)
+    meet = Ideal.make(
+        ctx, [Polynomial(ctx, tuple([(k - free, c) for k, c in g.terms])) for g in gb if g.terms[0][0] < t_key]
+    )
+    meet._cache["groebner"] = meet.gens
+    return meet
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -494,11 +546,25 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def ideal_colon_element(I: Ideal, g: Polynomial) -> Ideal:
-    """(I : g) = (I ∩ (g)) / g."""
+    """(I : g) = (I ∩ (g)) / g.  In a grevlex ring it carries its reduced
+    basis: the quotients h/g of the reduced basis of I ∩ (g) are a Groebner
+    basis of it."""
     if g.is_zero:
         raise PreconditionError("colon by zero element")
-    meet = ideal_intersection(I, Ideal.make(I.ctx, (g,)))
-    return Ideal.make(I.ctx, [exact_divide(h, g) for h in meet.gens])
+    principal = Ideal.make(I.ctx, (g,))
+    principal._cache["groebner"] = (g.monic(),)
+    meet = ideal_intersection(I, principal)
+    colon = Ideal.make(I.ctx, [exact_divide(h, g) for h in meet.gens])
+    if I.ctx.order != GREVLEX:
+        return colon
+    # lead(h) = lead(g)·lead(h/g), so the quotients have minimal leads; by a
+    # monic monomial g, h and h/g have the same terms shifted, and the
+    # quotients are the reduced basis itself
+    if len(g.terms) == 1 and g.lead_coeff == 1:
+        colon._cache["groebner"] = colon.gens
+    else:
+        colon._cache["groebner"] = reduce_basis([q.monic() for q in colon.gens], I.ctx)
+    return colon
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .artinian import AlgebraElement, QuotientAlgebra, check_commuting
+from .artinian import AlgebraElement, QuotientAlgebra, check_commuting, quotient_algebra
 from .groebner import Ideal, PreconditionError
 from .poly import Polynomial
 
@@ -136,7 +136,7 @@ def module_from_cyclic(R: QuotientAlgebra, J: Ideal) -> AlgebraModule:
     for g in R.ideal.gens:
         if not J.contains(g):
             raise PreconditionError("cyclic module needs J ⊇ I")
-    Q = QuotientAlgebra(J)
+    Q = quotient_algebra(J)
     return AlgebraModule(R, Q.mult, label=f"R/({', '.join(str(g) for g in J.gens)})", check=False)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .artinian import QuotientAlgebra
+from .artinian import quotient_algebra
 from .burch import (
     burch_criteria_crosscheck,
     burch_invariant,
@@ -93,7 +93,7 @@ def analyze_ideal(mi: MonomialIdeal, checks=ALL_CHECKS) -> IdealRecord:
     if "mu_growth" in checks:
         verdicts["mu_growth"] = lem.burch
 
-    R = QuotientAlgebra(I)
+    R = quotient_algebra(I)
     c = burch_invariant(R)
     if "c_positive" in checks:
         verdicts["c_positive"] = c > 0

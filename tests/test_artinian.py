@@ -12,6 +12,7 @@ from burchlab.artinian import (
     fibre_product,
     find_exact_pairs,
 )
+from burchlab.burch import burch_invariant
 from burchlab.groebner import Ideal, PreconditionError, ideal_colon, max_ideal, max_ideal_product
 from burchlab.monomial import enumerate_m_primary
 from burchlab.poly import RingContext, parse_polynomial
@@ -108,13 +109,14 @@ def test_hilbert_function_m_adic_for_nonhomogeneous():
 def test_invariants_computed_on_first_use():
     """Building the algebra leaves the m-adic chain, Hilbert function, edim
     and socle for their first reader, so a caller that needs only the
-    multiplication matrices never pays for them."""
+    multiplication matrices never pays for them; edim needs the chain only
+    to m^2, not the Hilbert function."""
     R = quotient(CTX, "x^4", "x^2*y^2", "y^4")
     lazy = {"_chain", "hilbert", "edim", "socle"}
     assert not lazy & vars(R).keys()
     assert R.edim == 2
-    assert {"_chain", "hilbert", "edim"} <= vars(R).keys()
-    assert "socle" not in vars(R)
+    assert {"_chain", "edim"} <= vars(R).keys()
+    assert "hilbert" not in vars(R) and "socle" not in vars(R)
     assert R.socle_dim == 2 and "socle" in vars(R)
 
 
@@ -144,6 +146,24 @@ def test_madic_walk_keeps_only_the_first_powers(monkeypatch):
     assert len(R._chain.kept) == KEPT_POWER + 1
     short = quotient(CTX, "x^2", "y")
     assert [short.max_power_basis(j).shape for j in (1, 2, 3, 5)] == [(2, 1), (2, 0), (2, 0), (2, 0)]
+
+
+def test_edim_walks_the_chain_only_to_m_squared(monkeypatch):
+    """edim is dim m/m^2 from the chain walked to m^2: `burch_invariant` on
+    (x^40, y) walks R and R/Soc R two powers each, not 40 and 39.  The
+    Hilbert function walked on from there is unchanged, and a field keeps
+    edim 0."""
+    spans = []
+    real = QuotientAlgebra.m_span
+    monkeypatch.setattr(QuotientAlgebra, "m_span", lambda self, W, act: spans.append(1) or real(self, W, act))
+    R = quotient(CTX, "x^40", "y")
+    assert R.edim == 1 and len(spans) == 2
+    spans.clear()
+    R = quotient(CTX, "x^40", "y")
+    assert burch_invariant(R) > 0 and len(spans) == 4
+    assert R.hilbert == (1,) * 40 and len(spans) == 4 + 38
+    field = quotient(CTX, "x", "y")
+    assert field.edim == 0 and field.hilbert == (1,)
 
 
 def test_edim_and_length_consistency():

@@ -113,6 +113,26 @@ def test_check_all_routes_builds_one_basis_of_m_times_colon(session_file, capsys
     assert inputs.count(mJ) == 1
 
 
+@pytest.mark.parametrize("name", ["I", "B"])
+def test_check_all_routes_builds_one_algebra_of_the_ideal(session_file, capsys, monkeypatch, name):
+    """`check --route all` asks for S/I in the invariant table and in the
+    cross-check; it is built once."""
+    from burchlab import artinian
+
+    I = parse_session(session_file).ideal(name)
+    built = []
+    real = artinian.QuotientAlgebra.__init__
+
+    def recording(self, ideal):
+        built.append(ideal.gens)
+        real(self, ideal)
+
+    monkeypatch.setattr(artinian.QuotientAlgebra, "__init__", recording)
+    code, out, _ = run_cli(capsys, "check", session_file, name, "--route", "all")
+    assert code == EXIT_OK and "route definition" in out
+    assert built.count(I.gens) == 1
+
+
 def test_check_unknown_ideal_exit_2(session_file, capsys):
     code, _, err = run_cli(capsys, "check", session_file, "NOPE")
     assert code == EXIT_INPUT and "NOPE" in err

@@ -5,7 +5,7 @@ from burchlab.burch import burch_ideal_test, m_full_test, weakly_m_full_test
 from burchlab.groebner import ideal_colon, max_ideal
 from burchlab.monomial import enumerate_m_primary, mono_colon_m
 from burchlab.poly import RingContext
-from burchlab.sweep import run_sweep
+from burchlab.sweep import analyze_ideal, run_sweep
 
 P = 32003
 CTX = RingContext(P, ("x", "y"))
@@ -55,3 +55,22 @@ def test_weak_fullness_implies_burch_on_sweep():
             assert burch_ideal_test(I, with_invariants=False).burch
         if m_full_test(I, trials=2).m_full:
             assert weakly
+
+
+def test_analyze_ideal_builds_one_algebra_of_the_ideal(monkeypatch):
+    """The cross-check and the ring invariants of one sweep record share
+    one S/I."""
+    from burchlab import artinian
+
+    built = []
+    real = artinian.QuotientAlgebra.__init__
+
+    def recording(self, ideal):
+        built.append(ideal.gens)
+        real(self, ideal)
+
+    monkeypatch.setattr(artinian.QuotientAlgebra, "__init__", recording)
+    for mi in list(enumerate_m_primary(CTX, 3))[:5]:
+        built.clear()
+        analyze_ideal(mi)
+        assert built.count(mi.to_ideal().gens) == 1
