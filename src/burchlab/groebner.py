@@ -13,10 +13,11 @@ a product in a reduction or an S-polynomial, is refused with
 `PreconditionError`.
 
 `buchberger` prunes S-pairs with the Gebauer–Möller criteria as each new
-element is made, and keeps the live pairs in a dict beside a heap ordered by
-lcm.  It never queues a pair whose S-polynomial is zero by construction: two
-monomials, or two elements of one input block that is a Groebner basis
-already; such a pair still counts as treated in the pair criteria.
+element is made, taking only the lcms the update uses, and keeps the live
+pairs in a dict beside a heap ordered by lcm.  It never queues a pair whose
+S-polynomial is zero by construction: two monomials, or two elements of one
+input block that is a Groebner basis already; such a pair still counts as
+treated in the pair criteria.
 Division runs against a `Reducers` table (lead, inverse lead coefficient,
 tail per element), which `buchberger` extends as the basis grows and an
 `Ideal` builds once for its reduced basis; the working terms of a division
@@ -24,7 +25,10 @@ are a dict beside a heap of their keys.  Monomial generators skip
 `buchberger` and `reduce_basis`: their reduced basis is their minimal
 generators, monic and ascending, kept by the same one-pass lead
 minimalisation that `reduce_basis` runs.  A product of ideals lists each
-product of generators once.
+product of generators once.  The product m·I lists x_v·f for f in I's
+generators, but its reduced basis starts from x_v·G_I, the products of I's
+reduced basis: when G_I is monomial, as the basis of m·I often is, m²·I
+takes the monomial path and no Buchberger run.
 
 An intersection eliminates a single variable t under Block(1), the power
 of t first and then grevlex, whatever the ring's order.  In a grevlex ring
@@ -181,11 +185,16 @@ def buchberger(gens: list[Polynomial], ctx: RingContext, bases=()) -> list[Polyn
         lh = h.terms[0][0]
         dl = lh - one  # lh divides m exactly when m - dl sets no guard bit
         mono = len(h.terms) == 1
-        lcms = [lcm_of(lead, lh) for lead in leads]  # lcm(lead(i), lh), once per element
-        dead = [(i, j) for (i, j), lcm in pairs.items() if not (lcm - dl) & guard and lcm not in (lcms[i], lcms[j])]
+        # lcm(lead(i), lh) is taken only where it is used: for each active i,
+        # and for the two ends of a live pair whose lcm lh divides
+        dead = [
+            (i, j)
+            for (i, j), lcm in pairs.items()
+            if not (lcm - dl) & guard and lcm != lcm_of(leads[i], lh) and lcm != lcm_of(leads[j], lh)
+        ]
         for ij in dead:
             del pairs[ij]
-        made = [lcms[i] for i in active]
+        made = [lcm_of(leads[i], lh) for i in active]
         kept: list[int] = []  # lcms of the kept new pairs, in the order made
         queued: list[tuple[int, int]] = []
         for n, (lcm, i) in enumerate(zip(made, active)):
@@ -335,7 +344,7 @@ class Ideal:
 
     def product(self, other: "Ideal") -> "Ideal":
         """I·J; equal products of generators (x·(y·f) = y·(x·f)) are listed once."""
-        return Ideal.make(self.ctx, dict.fromkeys(f * g for f in self.gens for g in other.gens))
+        return Ideal.make(self.ctx, _products(self.gens, other.gens))
 
     def _staircase(self) -> tuple | None:
         """The keys of the monomials outside the leading-term ideal,
@@ -446,12 +455,29 @@ def max_ideal(ctx: RingContext) -> Ideal:
     return Ideal.make(ctx, [ctx.variable(i) for i in range(ctx.nvars)])
 
 
+def _products(fs, gs) -> tuple:
+    """f·g for f in fs and g in gs, f-major, each product listed once."""
+    return tuple(dict.fromkeys(f * g for f in fs for g in gs))
+
+
 def max_ideal_product(I: Ideal) -> Ideal:
     """m·I, memoized in I's cache so that the routes of one command share
     one product and its reduced basis.  The memo lives on I, not on a shared
-    m, which would then keep every product of a sweep alive."""
+    m, which would then keep every product of a sweep alive.
+
+    Its generators are x_v·f for f in I.gens, as `Ideal.product` lists them.
+    Its reduced basis is computed with it (every caller asks for it next)
+    from x_v·g for g in I's reduced basis G, which generates I as well:
+    when G is monomial, as the basis of m·I often is, the products are
+    monomials and need no Buchberger run.  When I.gens is G, as for a
+    colon, the generators are the seed."""
     if "m_product" not in I._cache:
-        I._cache["m_product"] = max_ideal(I.ctx).product(I)
+        variables = max_ideal(I.ctx).gens
+        basis = I.groebner()
+        mI = Ideal.make(I.ctx, _products(variables, I.gens))
+        seed = mI.gens if basis == I.gens else _products(variables, basis)
+        mI._cache["groebner"] = reduced_groebner(seed, I.ctx)
+        I._cache["m_product"] = mI
     return I._cache["m_product"]
 
 

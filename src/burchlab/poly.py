@@ -12,7 +12,8 @@ polynomial.  Values are immutable and hashable.
 Exponent tuples are the edge form: `RingContext.monomial`, `from_dict`,
 `lead_exps` and `exponent_terms` encode or decode them, and printing reads
 them.  `MonomialOrder.key` defines each order on exponent tuples; the
-packing is tested against it.
+packing is tested against it.  The parser works on keys too: a sum adds its
+terms into one dict, and monomial factors multiply by adding their keys.
 """
 from __future__ import annotations
 
@@ -463,79 +464,95 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*^()])")
+_TOKENS = re.compile(r"(?:\s*(?:\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*^()]))*")  # the longest run of tokens
 
 
 class _Parser:
     def __init__(self, text: str, ctx: RingContext):
-        self.text = text
         self.ctx = ctx
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
-                break
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
+        self.variable_keys = {name: ctx.codec.one + unit for name, unit in zip(ctx.variables, ctx.codec.units)}
+        end = _TOKENS.match(text).end()
+        if text[end:].strip():
+            raise ParseError(f"unexpected character {text[end]!r}", end)
+        # the tokens and their positions, closed by None at the end of the text
+        found = list(_TOKEN.finditer(text, 0, end))
+        self.tokens = [m.group(1) for m in found] + [None]
+        self.starts = [m.start(1) for m in found] + [len(text)]
         self.i = 0
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def pos(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return len(self.text)
+        return self.starts[self.i]
 
     def next(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
+            raise ParseError("unexpected end of input", self.starts[self.i])
         self.i += 1
         return tok
 
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.tokens[self.i - 1][1])
+            raise ParseError(f"expected {tok!r}, got {got!r}", self.starts[self.i - 1])
 
     def parse(self) -> Polynomial:
         f = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r}", self.pos())
-        return f
+        return Polynomial(self.ctx, f)
 
-    def expr(self) -> Polynomial:
+    # Every method below returns the terms of a polynomial, descending keys
+    # with coefficients in [1, p), and builds no `Polynomial` unless it
+    # multiplies or raises one of more than one term.
+
+    def expr(self) -> tuple:
+        """A sum, its terms added into one dict."""
+        p = self.ctx.p
         sign = 1
         while self.peek() in ("+", "-"):
             if self.next() == "-":
                 sign = -sign
-        f = self.term().scale(sign)
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            g = self.term()
-            f = f + g if op == "+" else f - g
-        return f
+        work: dict = {}
+        while True:
+            for k, c in self.term():
+                work[k] = (work.get(k, 0) + sign * c) % p
+            if self.peek() not in ("+", "-"):
+                break
+            sign = 1 if self.next() == "+" else -1
+        return tuple(sorted(((k, c) for k, c in work.items() if c), reverse=True))
 
-    def term(self) -> Polynomial:
+    def term(self) -> tuple:
+        """A product; two monomials multiply by adding their keys."""
+        ctx = self.ctx
+        p, one = ctx.p, ctx.codec.one
         f = self.factor()
         while self.peek() == "*":
             at = self.pos()
             self.next()
             g = self.factor()
-            if len(f.terms) * len(g.terms) > MAX_TERMS:
+            if len(f) * len(g) > MAX_TERMS:
                 raise ParseError(f"product expands above the limit of {MAX_TERMS} terms", at)
+            if len(f) == 1 and len(g) == 1:
+                # factors hold exponents at most MAX_EXPONENT, so the key
+                # sum sets no guard bit and decodes to the product's exponents
+                (k1, c1), (k2, c2) = f[0], g[0]
+                k = k1 + k2 - one
+                if max(ctx.codec.decode(k)) > MAX_EXPONENT:
+                    raise ParseError(f"product makes an exponent above the limit {MAX_EXPONENT}", at)
+                f = ((k, c1 * c2 % p),)
+                continue
             # the largest exponent of the product is the largest pairwise sum
-            if f.terms and g.terms:
-                top = max(map(operator.add, _largest_exponents(f), _largest_exponents(g)))
+            if f and g:
+                top = max(map(operator.add, _largest_exponents(ctx, f), _largest_exponents(ctx, g)))
                 if top > MAX_EXPONENT:
                     raise ParseError(f"product makes an exponent above the limit {MAX_EXPONENT}", at)
-            f = f * g
+            f = (Polynomial(ctx, f) * Polynomial(ctx, g)).terms
         return f
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> tuple:
         base = self.base()
         if self.peek() == "^":
             self.next()
@@ -546,18 +563,22 @@ class _Parser:
             # the length test first: int() refuses strings of thousands of digits
             if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the limit {MAX_EXPONENT}", at)
-            n, t = int(tok), len(base.terms)
+            n, t = int(tok), len(base)
             # a t-term base to the n has at most comb(n + t - 1, t - 1) terms,
             # which for t > 1 and n > 0 is at least n + 1 and t: those cheap
             # tests go first, so comb only ever sees small arguments
             if t > 1 and n > 0 and (max(n + 1, t) > MAX_TERMS or math.comb(n + t - 1, t - 1) > MAX_TERMS):
                 raise ParseError(f"power expands above the limit of {MAX_TERMS} terms", at)
-            if t and n * max(_largest_exponents(base)) > MAX_EXPONENT:
+            if t and n * max(_largest_exponents(self.ctx, base)) > MAX_EXPONENT:
                 raise ParseError(f"power makes an exponent above the limit {MAX_EXPONENT}", at)
-            return base**n
+            if t == 1:
+                (k, c), one = base[0], self.ctx.codec.one
+                return ((one + n * (k - one), pow(c, n, self.ctx.p)),)
+            return (Polynomial(self.ctx, base) ** n).terms
         return base
 
-    def base(self) -> Polynomial:
+    def base(self) -> tuple:
+        ctx = self.ctx
         at = self.pos()
         tok = self.next()
         if tok == "(":
@@ -565,19 +586,23 @@ class _Parser:
             self.expect(")")
             return f
         if tok == "-":
-            return -self.base()
+            p = ctx.p
+            return tuple([(k, p - c) for k, c in self.base()])
         if tok.isdigit():
-            return self.ctx.one().scale(int(tok))
-        if tok in self.ctx.variables:
-            return self.ctx.variable(self.ctx.variables.index(tok))
+            c = int(tok) % ctx.p
+            return ((ctx.codec.one, c),) if c else ()
+        if tok in self.variable_keys:
+            return ((self.variable_keys[tok], 1),)
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             raise ParseError(f"unknown variable {tok!r}", at)
         raise ParseError(f"unexpected token {tok!r}", at)
 
 
-def _largest_exponents(f: Polynomial) -> list[int]:
-    """The largest exponent of each variable among the terms of nonzero f."""
-    return [max(column) for column in zip(*(e for e, _ in f.exponent_terms()))]
+def _largest_exponents(ctx: RingContext, terms) -> tuple:
+    """The largest exponent of each variable among nonzero terms."""
+    if len(terms) == 1:
+        return ctx.codec.decode(terms[0][0])
+    return tuple([max(column) for column in zip(*map(ctx.codec.decode, (k for k, _ in terms)))])
 
 
 def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:

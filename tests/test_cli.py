@@ -113,6 +113,33 @@ def test_check_all_routes_builds_one_basis_of_m_times_colon(session_file, capsys
     assert inputs.count(mJ) == 1
 
 
+def test_invariants_run_no_buchberger_for_m_squared_times_the_ideal(tmp_path, capsys, monkeypatch):
+    """`invariants` needs the length of S/m²I.  For I = (x², y², z², q) with
+    q a generic quadric, m²I has generators that are not monomials, but
+    m·I = m³ has a monomial basis G and m²I's basis comes from x_v·G: no
+    `buchberger` run computes a basis of m²I, while those of I and m·I run."""
+    f = tmp_path / "quadric.session"
+    f.write_text("ring 32003 x y z\nideal I = x^2, y^2, z^2, 3*x*y + 5*x*z + 7*y*z\n")
+    runs = []
+    real = groebner.buchberger
+
+    def recording(gens, ctx, bases=()):
+        runs.append((ctx, gens))
+        return real(gens, ctx, bases)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    code, _, _ = run_cli(capsys, "invariants", str(f), "I")
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    I = parse_session(str(f)).ideal("I")
+    mI = groebner.max_ideal_product(I)
+    m2I = groebner.max_ideal_product(mI)
+    assert any(len(g.terms) > 1 for g in m2I.gens)
+    built = [groebner.Ideal.make(ctx, gens) for ctx, gens in runs if ctx == I.ctx]
+    assert I in built and mI in built
+    assert m2I not in built
+
+
 @pytest.mark.parametrize("name", ["I", "B"])
 def test_check_all_routes_builds_one_algebra_of_the_ideal(session_file, capsys, monkeypatch, name):
     """`check --route all` asks for S/I in the invariant table and in the
@@ -541,6 +568,93 @@ def test_json_report_matches_pinned_digest(argv, capsys):
     del data["args"]["file"]
     blob = json.dumps(data, sort_keys=True, indent=2).encode()
     assert hashlib.sha256(blob).hexdigest() == JSON_REPORT_SHA256[argv]
+
+
+# Non-homogeneous m-primary ideals of k[x,y,z]: x^a, y^b, z^c (a, b, c in
+# {2, 3, 4}) plus one or two forms of 3-6 terms of mixed degree 2-4 with
+# coefficients drawn once from random.Random("nonhomogeneous pins").  Each row
+# is (generators, SHA-256 of the `check --route all` report, SHA-256 of the
+# `invariants` report), with args.file removed as above, recorded before m·I
+# took its basis from I's reduced basis
+NONHOMOGENEOUS_REPORT_SHA256 = [
+    (
+        "x^3, y^4, z^3, 17915*x*z^2 + 27747*y^2*z + 22500*x*y^2*z + 5005*x*y^3, 21497*x*y + 14484*z^2 + 8871*x^2*y^2 + 2949*x*y^2*z",
+        "dd07f360975443a2ea2e57a6694d47db96276a30dd89a3b8691b705410ff9db9",
+        "37dc23e79e8a6a25a65f7a40b98a9396008eb7ebb94e997b408ae8cd4e1d89ca",
+    ),
+    (
+        "x^4, y^4, z^4, 31917*x^2*z + 2116*x^3*y + 24517*y^2*z^2, 23336*x*y + 30060*x*z + 19109*x^2 + 1693*x*z^2 + 11352*x*y*z^2 + 3644*y^2*z^2",
+        "c6067753e717c8f86bf9a2621d7d905973aba9e9bd280f72167df03750466ad9",
+        "f2311bd041169b2e7a5b0660320de99b9ba4f3f72dcbb60fbe981afd21038b32",
+    ),
+    (
+        "x^3, y^2, z^2, 15077*x*z + 2048*x*y*z + 29292*y^3*z + 22165*x^2*y*z + 22565*x^2*z^2",
+        "bad626987c58f339313648adaabb32aa9f1b2086ff2555c00c1432a1a409ec28",
+        "e2b3956f0c4d3967ca5a90445ae50bac68ece6bcd0f2da3e41a1f196180c3926",
+    ),
+    (
+        "x^4, y^4, z^4, 13130*x*z^2 + 26618*x^2*z + 26269*y^3*z",
+        "eb2d9f9c32c064a0ce22e85894fe639f7035feb7e53f4079ea8b31713ae97c66",
+        "0dd6a21a33a76ccd0d207673e9930a7dc523513128994354341e7dc4bb1ea2d4",
+    ),
+    (
+        "x^4, y^2, z^4, 30537*x^2 + 29860*y*z + 31305*x*y^2 + 9425*y^2*z^2, 19617*x*z^2 + 25731*x^2*z + 16464*y^3 + 1091*x^2*y*z",
+        "8e38c9e5749f0dafdb3b86355feeb9372d2d2f299993d112a451a8df9e314700",
+        "800313828ac3b79a02bec3ed4a31e34137ec10b437106cc7f9f21615deac85fe",
+    ),
+    (
+        "x^4, y^4, z^3, 530*z^2 + 10699*x^2 + 9765*y*z + 14322*x^3 + 20144*z^3 + 25291*z^4, 24605*x^2 + 132*y*z^2 + 10468*x*y*z + 2929*z^4",
+        "7fcaf4f18ce6242d1217a3354d72373f6813fe8b4169bb4d006ec87c8e03032f",
+        "2ead886f1f57e1cd29d9a8742ce41b4ca13dce3707d12d5c7148535e576b2c7d",
+    ),
+    (
+        "x^3, y^3, z^3, 15367*z^2 + 26161*x^2*y + 30076*x*y*z + 8954*x*z^2 + 12631*x^4, 21032*y^2 + 22507*x^2*z + 12248*x*y^2 + 7632*x*y^2*z + 18512*x*y*z^2",
+        "74b8dd8cf69344e05ce90bc0d374fedb165cf8924adfee5b403563c186f3b29b",
+        "34dcc9ee3c10a43e88ea7e0ca9b1e709148f6f0c39330ef31c0d600ce96a4579",
+    ),
+    (
+        "x^4, y^4, z^3, 19678*x*y + 23619*x*z^2 + 10896*x*y^3 + 10886*x*y*z^2 + 26926*x^3*y + 24088*y^3*z",
+        "f96c0ef7c185389bc921dc007bab506a2841c321c8aefeef623820fae6129a8e",
+        "b85e6ff5b0414d7f236a6843cc7d089f403f8cbe6e832ded4ab46c3a0a4dfe60",
+    ),
+    (
+        "x^3, y^3, z^2, 9624*x*y + 27821*x*z^2 + 31378*x^2*y*z + 30011*x*y*z^2",
+        "9fdf6ef1173b590ce909724d196101ac7597d854b4f7ed5694b925a9aebdf2e3",
+        "61f06c5634c6b1e92ef23cf7a1f2763136e405678e903c8d3fe5ad60410e6603",
+    ),
+    (
+        "x^2, y^4, z^2, 12962*y^2 + 23427*y*z + 9649*x*y^2 + 13275*x^3 + 4581*x^3*z, 22458*x^2*z + 7355*x*z^2 + 7070*x^3*z + 11378*x^3*y + 16273*y^4",
+        "70a21a681d45e8d4609c91df71d6c2c0ed25167f16ef80b6d71a96b5182d5536",
+        "6e01d2068d2c4c51a7d09d402aa1754da55b7638cc55e1eeb3b7f3486b9d5841",
+    ),
+    (
+        "x^2, y^2, z^2, 30461*y^2 + 30767*x^2 + 20813*x^2*z + 18741*y^3 + 2906*x^4",
+        "70a21a681d45e8d4609c91df71d6c2c0ed25167f16ef80b6d71a96b5182d5536",
+        "6e01d2068d2c4c51a7d09d402aa1754da55b7638cc55e1eeb3b7f3486b9d5841",
+    ),
+    (
+        "x^2, y^3, z^2, 11279*x^4 + 19733*x^2*y^2 + 25258*z^4, 26979*x*y^2 + 14909*y^2*z + 25304*x^2*y^2",
+        "9fdf6ef1173b590ce909724d196101ac7597d854b4f7ed5694b925a9aebdf2e3",
+        "61f06c5634c6b1e92ef23cf7a1f2763136e405678e903c8d3fe5ad60410e6603",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, check_sha, invariants_sha",
+    NONHOMOGENEOUS_REPORT_SHA256,
+    ids=[f"ideal{i}" for i in range(len(NONHOMOGENEOUS_REPORT_SHA256))],
+)
+def test_nonhomogeneous_json_reports_match_pinned_digests(tmp_path, capsys, gens, check_sha, invariants_sha):
+    f = tmp_path / "nonhomogeneous.session"
+    f.write_text(f"ring 32003 x y z\nideal I = {gens}\n")
+    commands = (("check", str(f), "I", "--route", "all"), check_sha), (("invariants", str(f), "I"), invariants_sha)
+    for argv, pinned in commands:
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == EXIT_OK
+        data = json.loads(out)
+        del data["args"]["file"]
+        assert hashlib.sha256(json.dumps(data, sort_keys=True, indent=2).encode()).hexdigest() == pinned
 
 
 def test_resolve_to_length_ten_builds_no_dense_differential(monkeypatch, capsys):

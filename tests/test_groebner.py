@@ -705,6 +705,43 @@ def test_product_drops_repeats_and_keeps_the_basis(case):
     assert product.groebner() == _reduced_reference(full, ctx)
 
 
+@st.composite
+def factor_ideals(draw):
+    """An ideal in 1-8 variables under grevlex, lex, Block(1) or Block(s)
+    with s > 1, from up to three sparse generators of degree at most 2, some
+    with a constant term, so that most are not m-primary; or the zero ideal,
+    the unit ideal, or an ideal whose generators are its reduced basis."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from((GREVLEX, LEX, Block(1), Block(draw(st.integers(2, max(2, n)))))))
+    ctx = RingContext(SMALL_P, NAMES[:n], order)
+    exps = st.lists(st.integers(0, n - 1), max_size=2).map(lambda vs: tuple(vs.count(i) for i in range(n)))
+    polys = st.dictionaries(exps, st.integers(1, SMALL_P - 1), min_size=1, max_size=3).map(
+        lambda d: Polynomial.from_dict(ctx, d)
+    )
+    gens = draw(st.lists(polys, max_size=3 if n <= 4 else 2))
+    kind = draw(st.sampled_from(("generators", "zero", "unit", "basis")))
+    if kind == "zero":
+        gens = draw(st.sampled_from(([], [ctx.zero()])))
+    elif kind == "unit":
+        gens.append(ctx.one().scale(draw(st.integers(1, SMALL_P - 1))))
+    elif kind == "basis":
+        gens = Ideal.make(ctx, gens).groebner()
+    return ctx, Ideal.make(ctx, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_ideals())
+def test_max_ideal_product_keeps_its_generators_and_the_reference_basis(case):
+    """m·I lists x_v·f for f in I.gens, variable-major, each once, whatever
+    its basis was computed from; that basis is the reference basis of the
+    full product list."""
+    ctx, I = case
+    full = [ctx.variable(v) * f for v in range(ctx.nvars) for f in I.gens]
+    mI = max_ideal_product(I)
+    assert mI.gens == tuple(dict.fromkeys(full))
+    assert mI.groebner() == _reduced_reference(full, ctx)
+
+
 def _spoly_count(monkeypatch, module, name, build):
     calls = []
     real = getattr(module, name)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -384,3 +385,102 @@ def test_product_past_the_packed_field_is_refused(order):
         top * x
     with pytest.raises(PreconditionError):
         (top + y) * (x + y)
+
+
+# -- the parser against a term-by-term expansion -------------------------------
+
+
+def _term_bound(tree) -> int:
+    """An upper bound on the terms of an expression tree, from the bounds the
+    parser refuses past MAX_TERMS; the largest over its nodes."""
+    def walk(node):
+        kind = node[0]
+        if kind in ("num", "var"):
+            return 1, 1
+        if kind == "neg":
+            return walk(node[1])
+        if kind == "pow":
+            t, top = walk(node[1])
+            n = node[2]
+            t = 1 if t == 1 or n == 0 else math.comb(n + t - 1, t - 1)
+            return t, max(top, t)
+        (a, top_a), (b, top_b) = walk(node[1]), walk(node[2])
+        t = a * b if kind == "*" else a + b
+        return t, max(top_a, top_b, t)
+
+    return walk(tree)[1]
+
+
+@st.composite
+def expressions(draw):
+    """A ring in 1-8 variables under grevlex, lex, Block(1) or Block(s) with
+    s > 1, and an expression tree over its variables and integers in
+    [0, 3p]: sums, differences, products, powers 0-3 and unary minus, small
+    enough that the parser refuses nothing."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from([GREVLEX, LEX, Block(1)] + [Block(s) for s in range(2, n)]))
+    ctx = RingContext(SMALL_P, NAMES[:n], order)
+    leaves = st.tuples(st.just("num"), st.integers(0, 3 * SMALL_P)) | st.tuples(st.just("var"), st.integers(0, n - 1))
+
+    def extend(children):
+        return (
+            st.tuples(st.just("neg"), children)
+            | st.tuples(st.just("pow"), children, st.integers(0, 3))
+            | st.tuples(st.sampled_from(("+", "-", "*")), children, children)
+        )
+
+    tree = draw(st.recursive(leaves, extend, max_leaves=10).filter(lambda t: _term_bound(t) <= MAX_TERMS))
+    return ctx, tree
+
+
+def _render(ctx, node) -> str:
+    """The text of a tree: a power base or a negated operand is bracketed
+    unless it is a leaf, and so is a sum that is a factor or the right side
+    of a sum."""
+    kind = node[0]
+    if kind == "num":
+        return str(node[1])
+    if kind == "var":
+        return ctx.variables[node[1]]
+
+    def bracketed(child, when):
+        text = _render(ctx, child)
+        return f"({text})" if child[0] in when else text
+
+    if kind == "neg":
+        return "-" + bracketed(node[1], ("neg", "pow", "+", "-", "*"))
+    if kind == "pow":
+        return bracketed(node[1], ("neg", "pow", "+", "-", "*")) + f"^{node[2]}"
+    if kind == "*":
+        return bracketed(node[1], ("+", "-")) + "*" + bracketed(node[2], ("+", "-"))
+    return _render(ctx, node[1]) + f" {kind} " + bracketed(node[2], ("+", "-"))
+
+
+def _expand(ctx, node) -> dict:
+    """The coefficients, by exponent tuple, of a tree expanded term by term."""
+    kind = node[0]
+    if kind == "num":
+        return {ctx.zero_exps(): node[1]}
+    if kind == "var":
+        return {ctx.var_exps(node[1]): 1}
+    if kind == "neg":
+        return {e: -c for e, c in _expand(ctx, node[1]).items()}
+    if kind == "pow":
+        power = {ctx.zero_exps(): 1}
+        for _ in range(node[2]):
+            power = _reference_product(power, _expand(ctx, node[1]))
+        return power
+    a, b = _expand(ctx, node[1]), _expand(ctx, node[2])
+    if kind == "*":
+        return _reference_product(a, b)
+    return _reference_sum(a, b, 1 if kind == "+" else -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions())
+@example((RingContext(SMALL_P, ("t", "a")), ("-", ("neg", ("var", 0)), ("*", ("neg", ("var", 1)), ("pow", ("var", 0), 2)))))
+def test_parser_matches_term_by_term_expansion(case):
+    """A parsed expression has the terms, in order, of its tree expanded by
+    exponent tuples; the example reads "-t - -a*t^2"."""
+    ctx, tree = case
+    assert parse_polynomial(_render(ctx, tree), ctx).exponent_terms() == _reference_terms(ctx, _expand(ctx, tree))
