@@ -260,5 +260,5 @@ def run_corpus(p: int = 32003, only: str | None = None):
         results[entry.name] = rows
         ok = ok and all(r.ok for r in rows)
     if only is not None and not results:
-        raise KeyError(f"no corpus entry named {only!r}")
+        raise ValueError(f"no corpus entry named {only!r}")
     return ok, results

@@ -114,6 +114,8 @@ class AlgebraModule:
         return res.betti[1] == 0 and res.betti[0] * self.algebra.dim == self.dim
 
     def resolution(self, length: int) -> "Resolution":
+        if length < 0:
+            raise PreconditionError("resolution length must be >= 0")
         if self._resolution is None:
             self._resolution = Resolution(self)
         self._resolution.ensure_length(length)
@@ -417,14 +419,14 @@ def _tensor_map(G: linalg.Triples, N: AlgebraModule) -> linalg.Triples:
 
 def tor(M: AlgebraModule, N: AlgebraModule, i: int) -> int:
     """dim_k Tor_i(M, N), the last entry of `tor_profile(M, N, i)`."""
-    if i < 0:
-        raise PreconditionError("Tor index must be >= 0")
     return tor_profile(M, N, i)[i]
 
 
 def tor_profile(M: AlgebraModule, N: AlgebraModule, max_index: int) -> list[int]:
     """[dim Tor_i(M, N) for i = 0..max_index], sharing one resolution of M
     and one rank computation per differential."""
+    if max_index < 0:
+        raise PreconditionError("Tor index must be >= 0")
     res = M.resolution(max_index + 1)
     p = M.p
     dN = N.dim

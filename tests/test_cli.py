@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from burchlab import cli, groebner, linalg, resolution
 from burchlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION, main, parse_session
@@ -283,6 +285,14 @@ def test_resolve_length_defaults_to_six(capsys):
     assert run_cli(capsys, "--json", "resolve", DEMO, "k", "--ring", "I", "--length", "6")[1] == out
 
 
+def test_resolve_negative_length_exit_3(capsys):
+    code, out, err = run_cli(capsys, "resolve", DEMO, "k", "--ring", "I", "--length", "-1")
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err.splitlines() == ["precondition failed: resolution length must be >= 0"]
+    code, out, _ = run_cli(capsys, "resolve", DEMO, "k", "--ring", "I", "--length", "0")
+    assert code == EXIT_OK and out.splitlines() == ["betti: [1]"]
+
+
 def test_max_length_flag_is_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--max-length", "3", "resolve", DEMO, "k"])
@@ -365,6 +375,12 @@ def test_tor_table(session_file, capsys):
     assert "tor_0 = 1" in out and "tor_1 = 2" in out and "tor_2 = 4" in out
 
 
+def test_tor_negative_index_exit_3(session_file, capsys):
+    code, out, err = run_cli(capsys, "tor", session_file, "k", "k", "--max-index", "-1", "--ring", "B")
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err.splitlines() == ["precondition failed: Tor index must be >= 0"]
+
+
 def test_mfull_witness(session_file, capsys):
     code, out, _ = run_cli(capsys, "mfull", session_file, "B", "--trials", "2")
     assert code == EXIT_OK
@@ -439,8 +455,21 @@ def test_corpus_only_entry(capsys):
 
 
 def test_corpus_unknown_entry(capsys):
-    code, _, err = run_cli(capsys, "corpus", "--only", "zzz")
+    code, out, err = run_cli(capsys, "corpus", "--only", "zzz")
     assert code == EXIT_INPUT
+    assert out == "" and err.splitlines() == ["input error: no corpus entry named 'zzz'"]
+
+
+def test_internal_key_error_exit_5(monkeypatch, capsys):
+    """A KeyError from inside a command is a bug, not an input error."""
+
+    def broken(args):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_corpus", broken)
+    code, out, err = run_cli(capsys, "corpus")
+    assert code == EXIT_INTERNAL
+    assert out == "" and err.splitlines() == ["internal error: KeyError: 'missing'"]
 
 
 def test_unexpected_exception_exit_5(monkeypatch, capsys):
@@ -725,24 +754,140 @@ def test_emit_rejects_report_that_breaks_schema(capsys, key, value):
     jsonschema = pytest.importorskip("jsonschema")
     report = cli.Report("check", {})
     report.data[key] = value
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(cli.ValidationError):
         report.emit(True, None)
     assert capsys.readouterr().out == ""
+    assert not jsonschema.validators.validator_for(cli.REPORT_SCHEMA)(cli.REPORT_SCHEMA).is_valid(report.data)
 
 
 def test_report_schema_checked_once_per_process(monkeypatch):
     """The schema is checked when the validator is built, not per report;
     an invalid schema still fails."""
-    jsonschema = pytest.importorskip("jsonschema")
-    cls = jsonschema.validators.validator_for(cli.REPORT_SCHEMA)
-    real = cls.check_schema
+    real = cli._compile_schema
     calls = []
-    monkeypatch.setattr(cls, "check_schema", lambda schema: calls.append(1) or real(schema))
+    monkeypatch.setattr(cli, "_compile_schema", lambda *args: calls.append(args) or real(*args))
     cli._report_validator.cache_clear()
     for _ in range(3):
         cli.Report("check", {}).emit(True, 0.5)
-    assert len(calls) == 1
+    # one build: the root schema, then each property's schema once
+    assert calls[0] == (cli.REPORT_SCHEMA,)
+    assert len(calls) == 1 + len(cli.REPORT_SCHEMA["properties"])
     monkeypatch.setattr(cli, "REPORT_SCHEMA", {"type": 5})
     cli._report_validator.cache_clear()
-    with pytest.raises(jsonschema.SchemaError):
-        cli.Report("check", {}).emit(True, None)
+    try:
+        with pytest.raises(cli.SchemaError):
+            cli.Report("check", {}).emit(True, None)
+    finally:
+        cli._report_validator.cache_clear()
+
+
+# schemas the checker refuses: a keyword it does not implement, or a value
+# that is not valid JSON Schema
+UNSUPPORTED_SCHEMAS = [
+    {"type": 5},
+    {"type": []},
+    {"type": ["string", "string"]},
+    {"type": "text"},
+    {"type": ["number", None]},
+    {"required": "schema"},
+    {"required": ["a", "a"]},
+    {"required": [1]},
+    {"properties": []},
+    {"properties": {"a": {"type": "texts"}}},
+    {"properties": {"a": 3}},
+    {"minimum": 0},
+    {"type": "object", "additionalProperties": False},
+    {"properties": {"a": {"enum": [1, 2]}}},
+    True,
+]
+
+
+@pytest.mark.parametrize("schema", UNSUPPORTED_SCHEMAS)
+def test_unsupported_schema_is_refused(schema):
+    with pytest.raises(cli.SchemaError):
+        cli._compile_schema(schema)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# values near the ones a report holds, so that valid documents are drawn too
+REPORT_VALUES = JSON_VALUES | st.sampled_from(["1", "check", {}, None, 0.25, 3, True])
+REPORT_KEYS = [*cli.REPORT_SCHEMA["properties"], "extra"]
+REPORT_DOCUMENTS = st.dictionaries(st.sampled_from(REPORT_KEYS), REPORT_VALUES) | JSON_VALUES
+
+
+def _accepts(check, document) -> bool:
+    try:
+        check(document)
+    except cli.ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(REPORT_DOCUMENTS)
+@example({"schema": "1", "command": "check", "verdicts": {}, "timing_s": 0.5})
+@example({"schema": "1", "command": "check", "verdicts": {}, "timing_s": True})
+@example({"schema": "1", "command": "check", "verdicts": {}, "timing_s": None, "args": []})
+@example({"schema": 1, "command": "check", "verdicts": {}})
+@example({"schema": "1", "command": "check"})
+@example(["schema", "command", "verdicts"])
+def test_report_check_agrees_with_jsonschema(document):
+    """The in-house check accepts a document exactly when jsonschema does."""
+    jsonschema = pytest.importorskip("jsonschema")
+    oracle = jsonschema.validators.validator_for(cli.REPORT_SCHEMA)(cli.REPORT_SCHEMA)
+    assert _accepts(cli._compile_schema(cli.REPORT_SCHEMA), document) == oracle.is_valid(document)
+
+
+TYPE_NAMES = ["object", "array", "string", "number", "integer", "boolean", "null"]
+SCHEMAS = st.recursive(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "type": st.sampled_from(TYPE_NAMES) | st.lists(st.sampled_from(TYPE_NAMES), min_size=1, max_size=3, unique=True),
+            "const": JSON_VALUES,
+            "required": st.lists(st.sampled_from("abc"), max_size=3, unique=True),
+        },
+    ),
+    lambda inner: st.fixed_dictionaries(
+        {"properties": st.dictionaries(st.sampled_from("abc"), inner, max_size=3)},
+        optional={"type": st.sampled_from(TYPE_NAMES), "required": st.lists(st.sampled_from("abc"), max_size=3, unique=True)},
+    ),
+    max_leaves=4,
+)
+DOCUMENTS = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.sampled_from("abc"), inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SCHEMAS, DOCUMENTS)
+@example({"type": "number"}, True)
+@example({"type": "integer"}, 2.0)
+@example({"type": "integer"}, False)
+@example({"const": 1}, True)
+@example({"const": [0]}, [False])
+@example({"const": {"a": 1.0}}, {"a": 1})
+def test_schema_check_agrees_with_jsonschema(schema, document):
+    """Over every schema built from the four keywords, the check and
+    jsonschema accept the same documents."""
+    jsonschema = pytest.importorskip("jsonschema")
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    assert _accepts(cli._compile_schema(schema), document) == oracle.is_valid(document)
+
+
+def test_json_report_does_not_import_jsonschema():
+    code = (
+        "import sys\n"
+        "from burchlab import cli\n"
+        f"assert cli.main(['--json', 'check', {DEMO!r}, 'I', '--route', 'all']) == 0\n"
+        "print('jsonschema' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdicts"]["routes_agree"] is True
+    assert done.stderr.strip() == "False"

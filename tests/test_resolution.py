@@ -276,6 +276,15 @@ def test_tor_is_the_profile_entry(oracle_rings):
         tor(k, k, -1)
 
 
+def test_negative_tor_index_and_resolution_length_are_refused(oracle_rings):
+    k = residue_field(oracle_rings[0])
+    with pytest.raises(PreconditionError, match="Tor index"):
+        tor_profile(k, k, -1)
+    with pytest.raises(PreconditionError, match="resolution length"):
+        k.resolution(-1)
+    assert k.resolution(0).betti[:1] == [1]
+
+
 # -- mapping cones ------------------------------------------------------------------
 
 
