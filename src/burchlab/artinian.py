@@ -27,7 +27,10 @@ stay Triples.
 
 The socle also gives the colon by m without elimination: for m-primary I,
 (I : m) = I + lift(Soc S/I) (`socle_colon`), which presents R/Soc R and is
-the colon-shift route's (mI : m).
+the colon-shift route's (mI : m).  Its Groebner basis needs no Buchberger
+run either: the lifts of an echelon basis of the socle have distinct
+standard monomials as leads, and with G_I they already form a basis, by a
+count of colengths.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .groebner import Ideal, PreconditionError, normal_form
+from .groebner import Ideal, PreconditionError, normal_form, reduce_basis
 from .poly import Exponents, Polynomial, RingContext
 
 
@@ -223,8 +226,20 @@ class QuotientAlgebra:
     @cached_property
     def socle_colon(self) -> Ideal:
         """(I : m) = I + lift(Soc S/I), the colon by m read off the socle
-        with no elimination, generated by I's reduced basis and the lifts."""
-        return Ideal.make(self.ctx, self.ideal.groebner() + tuple(self.socle_polynomials()))
+        with no elimination, generated by I's reduced basis and the lifts.
+
+        It carries its reduced basis, found with no Buchberger run: the
+        lifts of a reduced echelon basis of Soc S/I, pivots at the highest
+        key, have distinct standard monomials s_1..s_r as leads, so
+        in(I) + (s_1..s_r) ⊆ in(I : m), and the two monomial ideals have the
+        same colength ℓ(S/I) − r.  They are equal, and G_I with the lifts
+        is a Groebner basis of (I : m), which `reduce_basis` reduces."""
+        colon = Ideal.make(self.ctx, self.ideal.groebner() + tuple(self.socle_polynomials()))
+        # the socle vectors as rows over the basis in descending key order
+        ech, pivots = linalg.rref(linalg.Triples.from_dense(self.socle[::-1].T), self.p)
+        lifts = [self.lift(v[::-1]) for v in ech.toarray()[: len(pivots)]]
+        colon._cache["groebner"] = reduce_basis(list(self.ideal.groebner()) + lifts, self.ctx)
+        return colon
 
     def quotient_by_socle(self) -> "QuotientAlgebra":
         """R/Soc R = S/(I : m)."""

@@ -141,10 +141,13 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
     (colon shift) (I:m) != (mI:m)
     (socle action) Soc(S/I)·m is nonzero in m/Im
     (type count)  depth S/I = 0 and r(S/mI) != r(S/I) + mu(I)
-    (I:m) comes from elimination, shared by `definition` and the colon
-    shift.  For m-primary I the colon shift reads (mI:m) off the socle of
-    A = S/mI (`QuotientAlgebra.socle_colon`), otherwise from elimination.
-    The length-based routes are skipped (None) when I is not m-primary."""
+    (I:m) comes from elimination, a chain of n steps in n variables (one
+    elimination each, `groebner.ideal_colon`), shared by `definition` and
+    the colon shift.  For m-primary I the colon shift reads (mI:m) off the
+    socle of A = S/mI (`QuotientAlgebra.socle_colon`, whose basis is G_mI
+    with the socle lifts, with no Buchberger run), otherwise from
+    elimination.  The length-based routes are skipped (None) when I is not
+    m-primary."""
     _require_proper_nonzero(I)
     ctx = I.ctx
     m = max_ideal(ctx)

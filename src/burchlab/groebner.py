@@ -13,11 +13,12 @@ a product in a reduction or an S-polynomial, is refused with
 `PreconditionError`.
 
 `buchberger` prunes S-pairs with the Gebauer–Möller criteria as each new
-element is made, taking only the lcms the update uses, and keeps the live
-pairs in a dict beside a heap ordered by lcm.  It never queues a pair whose
-S-polynomial is zero by construction: two monomials, or two elements of one
-input block that is a Groebner basis already; such a pair still counts as
-treated in the pair criteria.
+element is made, taking only the lcms the update uses and walking the new
+ones in ascending order, so that each is checked only against the minimal
+ones before it, and keeps the live pairs in a dict beside a heap ordered by
+lcm.  It never queues a pair whose S-polynomial is zero by construction:
+two monomials, or two elements of one input block that is a Groebner basis
+already; such a pair still counts as treated in the pair criteria.
 Division runs against a `Reducers` table (lead, inverse lead coefficient,
 tail per element), which `buchberger` extends as the basis grows and an
 `Ideal` builds once for its reduced basis; the working terms of a division
@@ -35,14 +36,16 @@ of t first and then grevlex, whatever the ring's order.  In a grevlex ring
 it starts from t·G_I + (1 - t)·G_J, where G_I and G_J are the reduced
 bases, so Buchberger reduces only pairs across the two; a key lifts by
 adding a constant and comes back by subtracting it, and the intersection
-and each principal colon carry their reduced basis in their cache, so
-nothing downstream runs Buchberger again for them.  In any other ring the
-generators are lifted by their exponents.  Colons by a non-principal ideal
-intersect the principal colons, and each ideal memoizes its colons and its
-product with m.  First syzygies of a
-homogeneous generating list are computed degree by degree with exact linear
-algebra, which yields a minimal generating set directly (graded Nakayama)
-instead of minimizing a Schreyer-style presentation afterwards.
+and each colon carry their reduced basis in their cache, so nothing
+downstream runs Buchberger again for them.  In any other ring the
+generators are lifted by their exponents.  A colon by (g_1..g_r) is a chain
+of r eliminations, K_j = K_{j-1} ∩ (I : g_j) = (I ∩ g_j·K_{j-1}) / g_j,
+each seeded in a grevlex ring with g_j·G_{K_{j-1}}, a Groebner basis of
+g_j·K_{j-1}; each ideal memoizes its colons and its product with m.  First
+syzygies of a homogeneous generating list are computed degree by degree
+with exact linear algebra, which yields a minimal generating set directly
+(graded Nakayama) instead of minimizing a Schreyer-style presentation
+afterwards.
 """
 from __future__ import annotations
 
@@ -166,10 +169,12 @@ def buchberger(gens: list[Polynomial], ctx: RingContext, bases=()) -> list[Polyn
     Möller (1988): when h joins the basis, an old pair (i, j) goes if lead(h)
     divides its lcm L and L differs from both lcm(i, h) and lcm(j, h); of the
     new pairs (i, h), one is kept per minimal lcm, and none whose leads are
-    coprime.  A kept pair whose S-polynomial is zero by construction counts
-    as treated, as one reduced to zero does, but is never queued: both
-    elements are monomials, or both come from one of `bases`.  Pairs are
-    reduced in ascending order of their lcm."""
+    coprime (`_new_pairs`, which walks the distinct lcms in ascending order
+    and checks each against the minimal ones met before it).  A kept
+    pair whose S-polynomial is zero by construction counts as treated, as
+    one reduced to zero does, but is never queued: both elements are
+    monomials, or both come from one of `bases`.  Pairs are reduced in
+    ascending order of their lcm."""
     codec = ctx.codec
     one, guard, lcm_of = codec.one, codec.guard, codec.lcm
     basis: list[Polynomial] = []
@@ -194,22 +199,12 @@ def buchberger(gens: list[Polynomial], ctx: RingContext, bases=()) -> list[Polyn
         ]
         for ij in dead:
             del pairs[ij]
-        made = [lcm_of(leads[i], lh) for i in active]
-        kept: list[int] = []  # lcms of the kept new pairs, in the order made
-        queued: list[tuple[int, int]] = []
-        for n, (lcm, i) in enumerate(zip(made, active)):
-            if lcm == leads[i] + dl:
-                # coprime leads, lcm = lead(i)·lh: kept only to prune others, never queued
-                kept.append(lcm)
-                continue
-            up = lcm + one  # m divides lcm exactly when up - m sets no guard bit
-            later = itertools.islice(made, n + 1, None)
-            if all((up - m) & guard for m in kept) and all((up - m) & guard for m in later):
-                kept.append(lcm)
-                if not (mono and monomial[i]) and (b is None or block[i] != b):
-                    queued.append((lcm, i))
         new = len(basis)
-        for lcm, i in queued:
+
+        def zero(i: int) -> bool:
+            return (mono and monomial[i]) or (b is not None and block[i] == b)
+
+        for lcm, i in _new_pairs(codec, lh, active, leads, zero):
             pairs[i, new] = lcm
             heapq.heappush(heap, (lcm, i, new))
         active[:] = [i for i in active if (leads[i] - dl) & guard]
@@ -234,6 +229,40 @@ def buchberger(gens: list[Polynomial], ctx: RingContext, bases=()) -> list[Polyn
         if r:
             insert(Polynomial(ctx, tuple(r)).monic())
     return basis
+
+
+def _new_pairs(codec, lh: int, active: list[int], leads: list[int], zero) -> list[tuple[int, int]]:
+    """The pairs (lcm, i) that a new element with lead key lh makes with the
+    elements i in `active` (ascending) and `buchberger` queues: one per
+    minimal lcm(lead(i), lh), the last in `active` order, none whose lcm
+    also belongs to a pair with coprime leads, and none for which zero(i)
+    says that the S-polynomial is zero by construction.
+
+    The pairs are grouped by lcm and the distinct lcms walked in ascending
+    key order: a divisor of an lcm has a smaller key, so each lcm is checked
+    only against the minimal lcms met before it."""
+    one, guard, lcm_of = codec.one, codec.guard, codec.lcm
+    dl = lh - one
+    last: dict[int, int] = {}  # lcm(lead(i), lh) -> the last i with that lcm
+    coprime = set()  # the lcms lead(i)·lh of pairs with coprime leads
+    for i in active:
+        lcm = lcm_of(leads[i], lh)
+        last[lcm] = i
+        if lcm == leads[i] + dl:
+            coprime.add(lcm)
+    minimal: list[int] = []  # the minimal lcms met so far
+    queued = []
+    for lcm in sorted(last):
+        up = lcm + one  # m divides lcm exactly when up - m sets no guard bit
+        for m in minimal:
+            if not (up - m) & guard:
+                break
+        else:
+            minimal.append(lcm)
+            # a coprime lcm prunes others, but no pair with it is queued
+            if lcm not in coprime and not zero(last[lcm]):
+                queued.append((lcm, last[lcm]))
+    return queued
 
 
 def _minimal_leads(basis, ctx: RingContext) -> list[Polynomial]:
@@ -572,16 +601,36 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def ideal_colon_element(I: Ideal, g: Polynomial) -> Ideal:
-    """(I : g) = (I ∩ (g)) / g.  In a grevlex ring it carries its reduced
-    basis: the quotients h/g of the reduced basis of I ∩ (g) are a Groebner
-    basis of it."""
+    """(I : g) = (I ∩ (g)) / g, the first step of `ideal_colon`.  In a
+    grevlex ring it carries its reduced basis."""
     if g.is_zero:
         raise PreconditionError("colon by zero element")
-    principal = Ideal.make(I.ctx, (g,))
-    principal._cache["groebner"] = (g.monic(),)
-    meet = ideal_intersection(I, principal)
-    colon = Ideal.make(I.ctx, [exact_divide(h, g) for h in meet.gens])
-    if I.ctx.order != GREVLEX:
+    return _colon_step(I, g, None)
+
+
+def _colon_step(I: Ideal, g: Polynomial, K: Ideal | None) -> Ideal:
+    """K ∩ (I : g) = (I ∩ g·K) / g, or (I : g) when K is None, from one
+    elimination.
+
+    In a grevlex ring K carries its reduced basis G_K.  Since in(g·K) =
+    lead(g)·in(K), g·G_K, made monic, is a Groebner basis of g·K, so it
+    seeds the elimination as (g) does; by a monomial g it is the reduced
+    basis itself, by any other g it is tail-reduced first.  The result
+    carries its reduced basis: the quotients h/g of the reduced basis of
+    I ∩ g·K are a Groebner basis of it."""
+    ctx = I.ctx
+    if K is None:
+        multiple = Ideal.make(ctx, (g,))
+        multiple._cache["groebner"] = (g.monic(),)
+    elif ctx.order == GREVLEX:
+        multiple = Ideal.make(ctx, [g.monic() * f for f in K.groebner()])
+        basis = multiple.gens
+        multiple._cache["groebner"] = basis if len(g.terms) == 1 else reduce_basis(list(basis), ctx)
+    else:
+        multiple = Ideal.make(ctx, [g * f for f in K.gens])
+    meet = ideal_intersection(I, multiple)
+    colon = Ideal.make(ctx, [exact_divide(h, g) for h in meet.gens])
+    if ctx.order != GREVLEX:
         return colon
     # lead(h) = lead(g)·lead(h/g), so the quotients have minimal leads; by a
     # monic monomial g, h and h/g have the same terms shifted, and the
@@ -589,12 +638,17 @@ def ideal_colon_element(I: Ideal, g: Polynomial) -> Ideal:
     if len(g.terms) == 1 and g.lead_coeff == 1:
         colon._cache["groebner"] = colon.gens
     else:
-        colon._cache["groebner"] = reduce_basis([q.monic() for q in colon.gens], I.ctx)
+        colon._cache["groebner"] = reduce_basis([q.monic() for q in colon.gens], ctx)
     return colon
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) = {f : fJ ⊆ I}, via intersection of the principal colons.
+    """(I : J) = {f : fJ ⊆ I} for J = (g_1..g_r), by a chain of r
+    eliminations: K_1 = (I : g_1), and K_j = K_{j-1} ∩ (I : g_j) =
+    (I ∩ g_j·K_{j-1}) / g_j (`_colon_step`), with K_r the colon.  Each
+    step needs one elimination where intersecting the principal colons
+    would take two.  By monomials g_j, as for (I : m), the generators of
+    the result are its grevlex reduced basis in every ring.
 
     The result is memoized in I's cache, keyed by J's generators, so the
     routes of one command that each need (I : m) share one computation."""
@@ -605,10 +659,10 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
         raise PreconditionError("colon by the zero ideal")
     memo = ("colon", J.gens)
     if memo not in I._cache:
-        result = ideal_colon_element(I, gens[0])
-        for g in gens[1:]:
-            result = ideal_intersection(result, ideal_colon_element(I, g))
-        I._cache[memo] = result
+        colon = None
+        for g in gens:
+            colon = _colon_step(I, g, colon)
+        I._cache[memo] = colon
     return I._cache[memo]
 
 

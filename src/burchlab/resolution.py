@@ -21,9 +21,12 @@ resolution step takes a matrix product.  Only the test oracle
 Every resolution step, the first cover onto M included, runs on Triples:
 the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i, the
 chosen generators, the free map R^β -> Omega^i and its kernel Omega^{i+1}.
-`Resolution.syzygy` hands Omega^i and m·Omega^i on as they are, and
-`k_summand_test` tests all socle vectors against m·Omega^i with one
-elimination (`linalg.columns_in_span`).  A matrix over R, such as ∂_i or a
+That kernel is taken when the next step or `Resolution.syzygy` asks for
+it, except in the first cover, which acts through M itself; so a
+resolution to length L stops at ∂_L and Omega^L.  `Resolution.syzygy`
+hands Omega^i and m·Omega^i on as they are, and `k_summand_test` tests all
+socle vectors against m·Omega^i with one elimination
+(`linalg.columns_in_span`).  A matrix over R, such as ∂_i or a
 presentation, is the Triples of shape (rows·dim R, cols) whose column j is a
 vector of R^rows; the tensor maps ∂_i ⊗ N, entry ideals and ∂∂ = 0 are read
 off it by index arithmetic.  Only `_dense_entries` builds the dense (rows,
@@ -252,11 +255,15 @@ class Resolution:
         self.R = module.algebra
         self.betti: list[int] = []
         self._differentials: list[linalg.Triples] = []  # ∂_{i+1} at i
-        self._omegas: list[linalg.Triples] = []  # Omega^{i+1} basis, ambient R^{betti[i]}
+        # Omega^{i+1} basis, ambient R^{betti[i]}; the kernel of the last
+        # cover is added by `_omega` when a step or `syzygy` needs it
+        self._omegas: list[linalg.Triples] = []
         self._m_spans: list[linalg.Triples] = []  # m·W of every cover: m·M, m·Omega^1, ...
         # M's generators are unit vectors, kept in the order they are chosen
-        # in: ∂_1 and every later differential depend on that order
-        self._cover(linalg.Triples.identity(module.dim), module.act)
+        # in: ∂_1 and every later differential depend on that order.  The
+        # first kernel is taken at once, while the module's act is at hand.
+        G = self._cover(linalg.Triples.identity(module.dim), module.act)
+        self._omegas.append(linalg.kernel_basis(_free_map_matrix(self.R, G, module.act), self.R.p))
 
     @property
     def module(self) -> AlgebraModule | None:
@@ -266,10 +273,10 @@ class Resolution:
     def _cover(self, W: linalg.Triples, act, m: int | None = None) -> linalg.Triples:
         """One step: choose minimal generators of span(W), whose vectors x_v
         multiplies by act(v, ·); record their number as the next Betti number
-        and the kernel of the free cover R^β -> span(W) as the next syzygy.
-        W is M's identity in the first cover; with m, W is the basis of a
-        syzygy in R^m and the generators are sorted.  Returns the
-        generators."""
+        and m·span(W).  W is M's identity in the first cover; with m, W is
+        the basis of a syzygy in R^m and the generators are sorted.  Returns
+        the generators, whose free cover R^β -> span(W) has the next syzygy
+        as its kernel."""
         R = self.R
         chosen, span = R.minimal_generators(W, act)
         G = W.take_columns(chosen)
@@ -277,8 +284,15 @@ class Resolution:
             G = _sort_generators(R, G, m)
         self.betti.append(G.shape[1])
         self._m_spans.append(span)
-        self._omegas.append(linalg.kernel_basis(_free_map_matrix(R, G, act), R.p))
         return G
+
+    def _omega(self, i: int) -> linalg.Triples:
+        """The basis of Omega^{i+1} in R^{betti[i]}; for i >= 1 the kernel of
+        the free map of ∂_i, taken on first use."""
+        if i == len(self._omegas):
+            R = self.R
+            self._omegas.append(linalg.kernel_basis(_free_map_matrix(R, self._differentials[i - 1], R.act), R.p))
+        return self._omegas[i]
 
     def ensure_length(self, length: int) -> None:
         while len(self._differentials) < length:
@@ -287,7 +301,7 @@ class Resolution:
     def _step(self) -> None:
         R = self.R
         i = len(self._differentials)  # computing ∂_{i+1}
-        G = self._cover(self._omegas[i], R.act, self.betti[i])
+        G = self._cover(self._omega(i), R.act, self.betti[i])
         # basis[0] is 1, so coordinate c·dim R is the constant term of an entry
         if (G.rows % R.dim == 0).any():
             raise AssertionError("non-minimal resolution step: constant entry")
@@ -309,7 +323,7 @@ class Resolution:
             raise PreconditionError("syzygy index must be >= 1")
         self.ensure_length(i)
         # the step that made ∂_i covered Omega^i and kept m·Omega^i
-        return SyzygyModule(self.R, self.betti[i - 1], self._omegas[i - 1], i, self.module, self._m_spans[i])
+        return SyzygyModule(self.R, self.betti[i - 1], self._omega(i - 1), i, self.module, self._m_spans[i])
 
     def entry_ideal(self, i: int) -> Ideal:
         """I_1(∂_i) lifted to S via standard-monomial representatives."""

@@ -1,10 +1,12 @@
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from test_cli import NONHOMOGENEOUS_REPORT_SHA256
 
-from burchlab import linalg
+from burchlab import groebner, linalg
 from burchlab.artinian import (
     KEPT_POWER,
     QuotientAlgebra,
@@ -13,7 +15,8 @@ from burchlab.artinian import (
     find_exact_pairs,
 )
 from burchlab.burch import burch_invariant
-from burchlab.groebner import Ideal, PreconditionError, ideal_colon, max_ideal, max_ideal_product
+from burchlab.corpus import run_corpus
+from burchlab.groebner import Ideal, PreconditionError, ideal_colon, max_ideal, max_ideal_product, reduced_groebner
 from burchlab.monomial import enumerate_m_primary
 from burchlab.poly import RingContext, parse_polynomial
 
@@ -323,6 +326,56 @@ def test_socle_colon_matches_elimination_on_dense_input(ctx, gens):
     I = ideal(ctx, *gens)
     assert QuotientAlgebra(I).socle_colon == ideal_colon(I, max_ideal(ctx))
     _assert_socle_colon_is_elimination_colon(I)
+
+
+def _assert_socle_colon_carries_its_basis(R: QuotientAlgebra) -> None:
+    """R.socle_colon carries the reduced basis of its generators, and
+    building it runs no Buchberger; its generators are G_I and the lifts of
+    the socle as `socle_polynomials` gives them."""
+    with mock.patch.object(groebner, "buchberger", side_effect=AssertionError("buchberger ran")):
+        colon = R.socle_colon
+        basis = colon.groebner()
+    assert colon.gens == R.ideal.groebner() + tuple(R.socle_polynomials())
+    assert basis == reduced_groebner(colon.gens, R.ctx)
+
+
+def test_socle_colon_carries_its_basis_on_the_sweep5_ideals():
+    """Every m-primary monomial ideal of k[x,y] to socle degree 5, the
+    ideals of the d = 5 sweep: S/I and S/mI."""
+    ideals = list(enumerate_m_primary(CTX, 5))
+    assert len(ideals) == 428
+    for mi in ideals:
+        I = mi.to_ideal()
+        _assert_socle_colon_carries_its_basis(QuotientAlgebra(I))
+        _assert_socle_colon_carries_its_basis(QuotientAlgebra(max_ideal_product(I)))
+
+
+def test_socle_colon_carries_its_basis_on_the_corpus(monkeypatch):
+    """Every algebra that the corpus builds."""
+    built = []
+    real = QuotientAlgebra.__init__
+
+    def recording(R, ideal):
+        real(R, ideal)
+        built.append(R)
+
+    monkeypatch.setattr(QuotientAlgebra, "__init__", recording)
+    assert run_corpus()[0]
+    monkeypatch.undo()
+    assert len(built) > 20
+    for R in built:
+        _assert_socle_colon_carries_its_basis(R)
+
+
+@pytest.mark.parametrize("gens", [g for g, _, _ in NONHOMOGENEOUS_REPORT_SHA256])
+def test_socle_colon_carries_its_basis_on_nonhomogeneous_ideals(gens):
+    """The pinned non-homogeneous m-primary ideals of k[x,y,z], S/I and
+    S/mI, and the colon equals the elimination colon."""
+    I = ideal(CTX3, *gens.split(", "))
+    for K in (I, max_ideal_product(I)):
+        R = QuotientAlgebra(K)
+        _assert_socle_colon_carries_its_basis(R)
+        assert R.socle_colon.groebner() == ideal_colon(K, max_ideal(CTX3)).groebner()
 
 
 @pytest.mark.parametrize(

@@ -176,13 +176,13 @@ def test_colon_memoized_per_ideal(monkeypatch):
     """A second colon of the same ideal by the same generators is the first
     result; an equal ideal built anew computes its own."""
     calls = []
-    real = groebner.ideal_colon_element
-    monkeypatch.setattr(groebner, "ideal_colon_element", lambda I, g: calls.append(g) or real(I, g))
+    real = groebner._colon_step
+    monkeypatch.setattr(groebner, "_colon_step", lambda I, g, K: calls.append(g) or real(I, g, K))
     gens = ("x^4", "x^2*y^2", "y^4")
     I = ideal(CTX, *gens)
     J = ideal_colon(I, max_ideal(CTX))
     assert ideal_colon(I, max_ideal(CTX)) is J
-    assert len(calls) == 2  # one principal colon per generator of m
+    assert len(calls) == 2  # one chained step per generator of m
     assert ideal_colon(ideal(CTX, *gens), max_ideal(CTX)) == J
     assert len(calls) == 4
 
@@ -912,6 +912,132 @@ def test_intersection_in_a_block_ring_eliminates_under_grevlex():
     meet = ideal_intersection(Ideal.make(ctx, I_gens), Ideal.make(ctx, J_gens))
     assert time.perf_counter() - start < 5
     assert meet.gens == _intersection_reference(I_gens, J_gens, ctx)
+
+
+# -- the chained colon and the sorted pair update against references -----------
+
+
+@st.composite
+def colon_inputs(draw):
+    """I from one to three sparse generators of degree 1-3 in 1-4 variables
+    under grevlex, lex or Block(s), most of them not m-primary, sometimes
+    with a pure power of every variable added; J generated by variables, by
+    monomials, by linear forms, or by multiples of I's generators, so that
+    the colon is the unit ideal."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from((GREVLEX, LEX) + tuple(Block(s) for s in range(1, n + 1))))
+    ctx = RingContext(SMALL_P, LETTERS[:n], order)
+    exps = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(lambda vs: tuple(vs.count(i) for i in range(n)))
+    coeffs = st.integers(1, SMALL_P - 1)
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(lambda d: Polynomial.from_dict(ctx, d))
+    I_gens = draw(st.lists(polys, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        I_gens += [ctx.variable(v) ** draw(st.integers(1, 3)) for v in range(n)]
+    kind = draw(st.sampled_from(("variables", "monomials", "linear", "inside")))
+    if kind == "variables":
+        J_gens = [ctx.variable(v) for v in draw(st.permutations(range(n)))[: draw(st.integers(1, n))]]
+    elif kind == "monomials":
+        J_gens = [ctx.monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=3))]
+    elif kind == "linear":
+        forms = st.lists(st.integers(0, SMALL_P - 1), min_size=n, max_size=n).filter(any)
+        J_gens = [
+            Polynomial.from_dict(ctx, {tuple(int(i == v) for i in range(n)): c for v, c in enumerate(form) if c})
+            for form in draw(st.lists(forms, min_size=1, max_size=3))
+        ]
+    else:
+        J_gens = [draw(st.sampled_from(I_gens)) * ctx.monomial(draw(exps)) for _ in range(draw(st.integers(1, 2)))]
+    return ctx, I_gens, J_gens
+
+
+@settings(max_examples=120, deadline=None)
+@given(colon_inputs())
+@example((CTX3, [poly("x^2*y - z^3", CTX3), poly("y^2", CTX3)], list(max_ideal(CTX3).gens)))
+@example((CTX, [poly("x^2", CTX), poly("x*y", CTX)], [poly("x", CTX)]))
+def test_chained_colon_matches_intersection_of_principal_colons(case):
+    """The chain K_j = (I ∩ g_j·K_{j-1}) / g_j gives the reference colon,
+    the intersection of the principal colons, in every order, and carries
+    the basis computed from scratch.  By monic monomials, as for (I : m),
+    its generators are the reference's generators: its grevlex reduced
+    basis."""
+    ctx, I_gens, J_gens = case
+    I, J = Ideal.make(ctx, I_gens), Ideal.make(ctx, J_gens)
+    reference = _colon_reference(I.gens, J.gens, ctx)
+    colon = ideal_colon(I, J)
+    assert colon.groebner() == _reduced_reference(reference, ctx)
+    assert colon.groebner() == reduced_groebner(colon.gens, ctx)
+    if all(len(g.terms) == 1 and g.lead_coeff == 1 for g in J.gens):
+        assert colon.gens == tuple(reference)
+    if J.gens and all(I.contains(g) for g in J.gens):
+        assert colon.contains_unit
+
+
+def test_colon_by_m_takes_one_elimination_per_variable(monkeypatch):
+    """(I : m) in k[x,y,z] is three eliminations, the second and third
+    seeded with x·G_{K_1} and y·G_{K_2}."""
+    calls = []
+    real = groebner.ideal_intersection
+    monkeypatch.setattr(groebner, "ideal_intersection", lambda I, J: calls.append(J) or real(I, J))
+    I = ideal(CTX3, "x^3", "y^3", "z^3", "x^2*y + 2*y^2*z + 3*z^2*x + 5*x*y*z")
+    J = ideal_colon(I, max_ideal(CTX3))
+    assert len(calls) == 3
+    assert [g.lead_exps for g in calls[0].groebner()] == [(1, 0, 0)]
+    for seeded in calls[1:]:
+        assert seeded.groebner() == reduced_groebner(seeded.gens, CTX3)
+    assert J.gens == J.groebner() == _reduced_reference(_colon_reference(I.gens, max_ideal(CTX3).gens, CTX3), CTX3)
+
+
+def _new_pairs_reference(codec, lh, active, leads, zero):
+    """The pair update as a scan of the new pairs in `active` order: a pair
+    with coprime leads keeps its lcm to prune others and is not queued;
+    any other is kept when no kept lcm and no later lcm divides its own."""
+    one, guard = codec.one, codec.guard
+    dl = lh - one
+    made = [codec.lcm(leads[i], lh) for i in active]
+    kept, queued = [], []
+    for n, (lcm, i) in enumerate(zip(made, active)):
+        if lcm == leads[i] + dl:
+            kept.append(lcm)
+            continue
+        up = lcm + one
+        later = itertools.islice(made, n + 1, None)
+        if all((up - m) & guard for m in kept) and all((up - m) & guard for m in later):
+            kept.append(lcm)
+            if not zero(i):
+                queued.append((lcm, i))
+    return queued
+
+
+@st.composite
+def pair_updates(draw):
+    """Packed leads over exponents 0-2 in 1-4 variables, under grevlex,
+    lex or Block(s), so that equal lcms and coprime pairs are frequent; an
+    increasing run of them active; monomial flags and block tags for the
+    old elements and the new one."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from((GREVLEX, LEX) + tuple(Block(s) for s in range(1, n + 1))))
+    codec = RingContext(SMALL_P, LETTERS[:n], order).codec
+    exps = st.tuples(*[st.integers(0, 2)] * n).map(codec.encode)
+    leads = draw(st.lists(exps, min_size=1, max_size=12))
+    active = sorted(draw(st.sets(st.integers(0, len(leads) - 1))))
+    tags = st.none() | st.integers(0, 1)
+    monomial = draw(st.lists(st.booleans(), min_size=len(leads), max_size=len(leads)))
+    block = draw(st.lists(tags, min_size=len(leads), max_size=len(leads)))
+    mono, b = draw(st.booleans()), draw(tags)
+
+    def zero(i):
+        return (mono and monomial[i]) or (b is not None and block[i] == b)
+
+    return codec, draw(exps), active, leads, zero
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_updates())
+def test_sorted_pair_update_queues_the_pairs_of_the_scan(case):
+    """Walking the distinct lcms in ascending order queues exactly the
+    pairs that the scan in `active` order queues."""
+    codec, lh, active, leads, zero = case
+    got = groebner._new_pairs(codec, lh, active, leads, zero)
+    assert sorted(got) == sorted(_new_pairs_reference(codec, lh, active, leads, zero))
 
 
 def test_reduced_bases_match_sympy():

@@ -698,7 +698,7 @@ def test_resolution_steps_stay_sparse(monkeypatch):
         monkeypatch.undo()
         assert res.betti == betti
         assert kinds and set(kinds) == {linalg.Triples}
-        assert len(free_maps) == 5 and all(isinstance(F, linalg.Triples) for F in free_maps)
+        assert len(free_maps) == 4 and all(isinstance(F, linalg.Triples) for F in free_maps)
         assert all(isinstance(W, linalg.Triples) for W in res._omegas + res._m_spans)
         assert not hasattr(res, "matrices") and len(res._differentials) == 4
         for i, G in enumerate(res._differentials, start=1):
