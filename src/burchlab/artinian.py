@@ -130,7 +130,9 @@ class QuotientAlgebra:
 
     @cached_property
     def socle(self) -> np.ndarray:
-        """Basis of the socle (0 : m) as columns."""
+        """Basis of the socle (0 : m) as columns, in the form
+        `linalg.kernel_basis` gives, as W is the identity: each column ends
+        (by key) in a 1, at a coordinate where every other column is 0."""
         return self.socle_span(linalg.Triples.identity(self.dim), self.act).toarray()
 
     # -- queries ---------------------------------------------------------------
@@ -228,16 +230,15 @@ class QuotientAlgebra:
         """(I : m) = I + lift(Soc S/I), the colon by m read off the socle
         with no elimination, generated by I's reduced basis and the lifts.
 
-        It carries its reduced basis, found with no Buchberger run: the
-        lifts of a reduced echelon basis of Soc S/I, pivots at the highest
-        key, have distinct standard monomials s_1..s_r as leads, so
-        in(I) + (s_1..s_r) ⊆ in(I : m), and the two monomial ideals have the
-        same colength ℓ(S/I) − r.  They are equal, and G_I with the lifts
-        is a Groebner basis of (I : m), which `reduce_basis` reduces."""
-        colon = Ideal.make(self.ctx, self.ideal.groebner() + tuple(self.socle_polynomials()))
-        # the socle vectors as rows over the basis in descending key order
-        ech, pivots = linalg.rref(linalg.Triples.from_dense(self.socle[::-1].T), self.p)
-        lifts = [self.lift(v[::-1]) for v in ech.toarray()[: len(pivots)]]
+        It carries its reduced basis, found with no Buchberger run: `socle`
+        is a reduced echelon basis with pivots at the highest key (the form
+        `linalg.kernel_basis` gives), so the lifts are monic with distinct
+        standard monomials s_1..s_r as leads, in(I) + (s_1..s_r) ⊆ in(I : m),
+        and the two monomial ideals have the same colength ℓ(S/I) − r.  They
+        are equal, and G_I with the lifts is a Groebner basis of (I : m),
+        which `reduce_basis` reduces."""
+        lifts = self.socle_polynomials()
+        colon = Ideal.make(self.ctx, self.ideal.groebner() + tuple(lifts))
         colon._cache["groebner"] = reduce_basis(list(self.ideal.groebner()) + lifts, self.ctx)
         return colon
 

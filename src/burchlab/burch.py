@@ -68,7 +68,12 @@ def _require_proper_nonzero(I: Ideal) -> None:
 
 
 def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
-    """The defining test mI != m(I:m), with a witness and invariant table."""
+    """The defining test mI != m(I:m), with a witness and invariant table.
+
+    I need not be local when S/I has infinite length, as (x^2 - x) is not:
+    (I:m)/I and m(I:m)/mI are supported at m alone, since (I:m)_P = I_P at
+    every prime P != m, so the depth-zero and Burch verdicts, the witness
+    and Choi's invariant computed in S are those of the localization at m."""
     _require_proper_nonzero(I)
     m = max_ideal(I.ctx)
     mI = max_ideal_product(I)
@@ -78,20 +83,32 @@ def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
     depth0 = J != I
     report = BurchReport(burch, depth0 or burch, "definition")
     if burch:
-        reducers_mI = mI.reducers()
-        for g in J.gens:
-            for i in range(I.ctx.nvars):
-                prod = I.ctx.variable(i) * g
-                if not normal_form(prod, reducers_mI).is_zero:
-                    report.witness_socle = g
-                    report.witness_variable = I.ctx.variables[i]
-                    report.witness_product = prod
-                    break
-            if report.witness_product is not None:
-                break
+        g, v, _ = _colon_residues(I)[0]
+        report.witness_socle = g
+        report.witness_variable = I.ctx.variables[v]
+        report.witness_product = I.ctx.variable(v) * g
     if with_invariants:
         report.invariants = _invariant_table(I)
     return report
+
+
+def _colon_residues(I: Ideal) -> list[tuple[Polynomial, int, Polynomial]]:
+    """(g, v, NF(x_v·g, G_mI)) for g in (I:m).gens and v in variable order,
+    the nonzero residues only, memoized in I's cache as `max_ideal_product`
+    is: the Burch witness is the first, Choi's invariant is the rank of
+    them all, and the socle acts on m/mI exactly when there is one."""
+    if "colon_residues" not in I._cache:
+        ctx = I.ctx
+        J = ideal_colon(I, max_ideal(ctx))
+        reducers_mI = max_ideal_product(I).reducers()
+        table = []
+        for g in J.gens:
+            for v in range(ctx.nvars):
+                r = normal_form(ctx.variable(v) * g, reducers_mI)
+                if not r.is_zero:
+                    table.append((g, v, r))
+        I._cache["colon_residues"] = table
+    return I._cache["colon_residues"]
 
 
 def _mu_pair(I: Ideal, len_I: int) -> tuple[int, int]:
@@ -146,8 +163,9 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
     the colon shift.  For m-primary I the colon shift reads (mI:m) off the
     socle of A = S/mI (`QuotientAlgebra.socle_colon`, whose basis is G_mI
     with the socle lifts, with no Buchberger run), otherwise from
-    elimination.  The length-based routes are skipped (None) when I is not
-    m-primary."""
+    elimination.  The socle action reads the normal forms of x_v·g modulo
+    mI (`_colon_residues`), which the witness and Choi's invariant share.
+    The length-based routes are skipped (None) when I is not m-primary."""
     _require_proper_nonzero(I)
     ctx = I.ctx
     m = max_ideal(ctx)
@@ -158,15 +176,7 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
     if I.is_m_primary():
         A = quotient_algebra(mI)
         verdicts["colon_shift"] = J != A.socle_colon
-        socle_hit = False
-        for g in J.gens:
-            for i in range(ctx.nvars):
-                if not A.element(ctx.variable(i) * g).is_zero:
-                    socle_hit = True
-                    break
-            if socle_hit:
-                break
-        verdicts["socle_action"] = socle_hit
+        verdicts["socle_action"] = bool(_colon_residues(I))
         R = quotient_algebra(I)
         mu = mI.length() - R.length
         verdicts["type_count"] = (J != I) and (A.type() != R.type() + mu)
@@ -225,21 +235,13 @@ def choi_invariant(I: Ideal) -> int:
     J = (I:n), because n·nJ ⊆ nI; so the dimension is the rank of the
     normal-form coefficient matrix of those products modulo nI."""
     _require_proper_nonzero(I)
-    ctx = I.ctx
-    m = max_ideal(ctx)
-    J = ideal_colon(I, m)
-    reducers_mI = max_ideal_product(I).reducers()
+    residues = _colon_residues(I)
     entries = []  # (monomial index, residue index, coefficient)
     monomials: dict = {}
-    residues = 0
-    for g in J.gens:
-        for i in range(ctx.nvars):
-            r = normal_form(ctx.variable(i) * g, reducers_mI)
-            if not r.is_zero:
-                entries.extend((monomials.setdefault(e, len(monomials)), residues, c) for e, c in r.terms)
-                residues += 1
-    mat = linalg.Triples.from_entries(entries, (len(monomials), residues))
-    return linalg.rank(mat, ctx.p)
+    for j, (_, _, r) in enumerate(residues):
+        entries.extend((monomials.setdefault(e, len(monomials)), j, c) for e, c in r.terms)
+    mat = linalg.Triples.from_entries(entries, (len(monomials), len(residues)))
+    return linalg.rank(mat, I.ctx.p)
 
 
 def burch_invariant(R: QuotientAlgebra) -> int:

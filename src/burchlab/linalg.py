@@ -433,7 +433,12 @@ def rank(A: Triples, p: int) -> int:
 
 
 def kernel_basis(A: Triples, p: int) -> Triples:
-    """Columns form a basis of {v : Av = 0}; count = cols - rank(A)."""
+    """Columns form a basis of {v : Av = 0}; count = cols - rank(A).
+
+    Column k is 1 at the k-th free (non-pivot) column of A's rref, 0 at every
+    other free column, and nonzero elsewhere only at pivot columns left of
+    its own free column: read from the last coordinate, the basis is a
+    reduced echelon basis, its pivots the free columns, in ascending order."""
     n = A.shape[1]
     R, pivots = rref(A, p)
     is_free = np.ones(n, dtype=bool)

@@ -130,6 +130,52 @@ def test_crosscheck_makes_one_elimination_colon(monkeypatch, ctx, gens):
     assert len(calls) == ctx.nvars
 
 
+@pytest.mark.parametrize(
+    "ctx, gens", [(CTX, ("x^2", "x*y", "y^2")), (CTX3, ("x^2", "y^2", "z^2", "x*y + 3*y*z")), (CTX, ("x^3",))]
+)
+def test_colon_residues_are_reduced_once_per_ideal(monkeypatch, ctx, gens):
+    """The witness, the socle-action route and Choi's invariant read one
+    table of NF(x_v·g, G_mI): each product is reduced once, and the witness
+    is its first nonzero entry in (generator, variable) order."""
+    import burchlab.burch as burch
+
+    I = ideal(ctx, *gens)
+    J = burch.ideal_colon(I, max_ideal(ctx))
+    mI = burch.max_ideal_product(I)
+    calls = []
+    real = burch.normal_form
+    monkeypatch.setattr(burch, "normal_form", lambda f, reducers: calls.append(f) or real(f, reducers))
+    rep = burch_ideal_test(I)
+    burch_criteria_crosscheck(I)
+    choi_invariant(I)
+    products = [ctx.variable(v) * g for g in J.gens for v in range(ctx.nvars)]
+    assert calls == products
+    outside = [f for f in products if not mI.contains(f)]
+    assert rep.burch == bool(outside)
+    assert rep.witness_product == (outside[0] if outside else None)
+
+
+# An ideal of infinite colength need not be local: (x^2 - x) also vanishes at
+# x = 1.  (I:m)/I and m(I:m)/mI are supported at m alone, since (I:m)_P = I_P
+# at every prime P != m, so the verdicts computed in S are those of the
+# localization at m, presented here by the ideal on the right.
+NONLOCAL_PAIRS = [
+    (("x^2 - x",), ("x",), False, False, 0),
+    (("x^2*(y - 1)", "x*y^2*(y - 1)", "x^3"), ("x^2", "x*y^2"), True, True, 1),
+]
+
+
+@pytest.mark.parametrize("nonlocal_gens, local_gens, burch, depth0, choi", NONLOCAL_PAIRS)
+def test_nonlocal_ideal_gets_the_verdicts_of_its_localization(nonlocal_gens, local_gens, burch, depth0, choi):
+    for gens in (nonlocal_gens, local_gens):
+        I = ideal(CTX, *gens)
+        rep = burch_ideal_test(I)
+        assert (rep.burch, rep.depth_zero, rep.invariants["choi_invariant"]) == (burch, depth0, choi)
+        assert depth_zero_ideal(I) == depth0
+        cross = burch_criteria_crosscheck(I)
+        assert cross.agree and cross.burch == burch
+
+
 # -- fullness --------------------------------------------------------------------
 
 

@@ -159,6 +159,25 @@ def test_kernel_basis_matches_loop_reference(case):
     assert K.dtype == ref.dtype and K.shape == ref.shape and np.array_equal(K, ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+@example((linalg.zeros(3, 0), P))
+@example((linalg.zeros(2, 4), P))
+def test_kernel_basis_is_reduced_echelon_from_the_last_coordinate(case):
+    """Each column ends in a 1 at a coordinate where every other column is
+    0, and those ends ascend: with the coordinates reversed, the basis is
+    its own rref, so `QuotientAlgebra.socle_colon` lifts it as it is."""
+    A, p = case
+    K = _dense(linalg.kernel_basis(linalg.Triples.from_dense(A), p), p)
+    ends = [int(np.flatnonzero(K[:, k])[-1]) for k in range(K.shape[1])]
+    assert ends == sorted(set(ends))
+    for k, j in enumerate(ends):
+        assert K[j, k] == 1 and np.count_nonzero(K[j]) == 1
+    flipped = K[::-1, ::-1].T
+    R, pivots = linalg.rref(linalg.Triples.from_dense(flipped), p)
+    assert np.array_equal(_dense(R, p)[: len(pivots)], flipped)
+
+
 # -- the prime bound of the exact int64 elimination ------------------------------------
 
 
