@@ -42,7 +42,7 @@ from .monomial import (
     monomial_burch_test,
     staircase_burch_test,
 )
-from .poly import GREVLEX, LEX, Block, ParseError, Polynomial, RingContext, parse_polynomial
+from .poly import GREVLEX, Block, ParseError, Polynomial, RingContext, parse_polynomial
 from .resolution import (
     AlgebraModule,
     Resolution,

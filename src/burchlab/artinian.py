@@ -168,11 +168,6 @@ class QuotientAlgebra:
     def variable_element(self, i: int) -> "AlgebraElement":
         return self.element(self.ctx.variable(i))
 
-    def one(self) -> "AlgebraElement":
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[self.index[self.ctx.codec.one]] = 1
-        return AlgebraElement(self, v)
-
     def basis_multiples(self, X: linalg.Triples, act) -> list[linalg.Triples]:
         """(basis monomial b)·X for every b, in basis order, where act(v, Y)
         computes x_v·Y: one act call per basis monomial other than 1, on the

@@ -437,7 +437,6 @@ def cut_down(I: Ideal, elems, allow_nonlinear: bool = False) -> CutResult:
         colon = ideal_colon_element(cur, x)
         if colon != cur:
             witness = next(g for g in colon.gens if not cur.contains(g))
-            steps.append(CutStep(x, False, witness, None))
             raise PreconditionError(
                 f"element {x} is not regular modulo the current ideal; witness {witness}"
             )
@@ -448,7 +447,7 @@ def cut_down(I: Ideal, elems, allow_nonlinear: bool = False) -> CutResult:
             names = old_ctx.variables[:j] + old_ctx.variables[j + 1 :]
             if not names:
                 raise PreconditionError("cannot eliminate the last variable")
-            ctx_new = RingContext(old_ctx.p, names, old_ctx.order)
+            ctx_new = RingContext(old_ctx.p, names)
             inv = pow(coeff, -1, old_ctx.p)
             repl_terms = {}
             for e, c in x.exponent_terms():

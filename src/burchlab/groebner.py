@@ -31,21 +31,19 @@ generators, but its reduced basis starts from x_v·G_I, the products of I's
 reduced basis: when G_I is monomial, as the basis of m·I often is, m²·I
 takes the monomial path and no Buchberger run.
 
-An intersection eliminates a single variable t under Block(1), the power
-of t first and then grevlex, whatever the ring's order.  In a grevlex ring
-it starts from t·G_I + (1 - t)·G_J, where G_I and G_J are the reduced
-bases, so Buchberger reduces only pairs across the two; a key lifts by
-adding a constant and comes back by subtracting it, and the intersection
-and each colon carry their reduced basis in their cache, so nothing
-downstream runs Buchberger again for them.  In any other ring the
-generators are lifted by their exponents.  A colon by (g_1..g_r) is a chain
-of r eliminations, K_j = K_{j-1} ∩ (I : g_j) = (I ∩ g_j·K_{j-1}) / g_j,
-each seeded in a grevlex ring with g_j·G_{K_{j-1}}, a Groebner basis of
-g_j·K_{j-1}; each ideal memoizes its colons and its product with m.  First
-syzygies of a homogeneous generating list are computed degree by degree
-with exact linear algebra, which yields a minimal generating set directly
-(graded Nakayama) instead of minimizing a Schreyer-style presentation
-afterwards.
+An intersection of ideals of a grevlex ring eliminates a single variable t
+under Block(1), the power of t first and then grevlex.  It starts from
+t·G_I + (1 - t)·G_J, where G_I and G_J are the reduced bases, so Buchberger
+reduces only pairs across the two; a key lifts by adding a constant and
+comes back by subtracting it, and the intersection and each colon carry
+their reduced basis in their cache, so nothing downstream runs Buchberger
+again for them.  A colon by (g_1..g_r) is a chain of r eliminations,
+K_j = K_{j-1} ∩ (I : g_j) = (I ∩ g_j·K_{j-1}) / g_j, each seeded with
+g_j·G_{K_{j-1}}, a Groebner basis of g_j·K_{j-1}; each ideal memoizes its
+colons and its product with m.  First syzygies of a homogeneous generating
+list are computed degree by degree with exact linear algebra, which yields
+a minimal generating set directly (graded Nakayama) instead of minimizing a
+Schreyer-style presentation afterwards.
 """
 from __future__ import annotations
 
@@ -523,10 +521,9 @@ def _fresh_variable(ctx: RingContext) -> str:
 @functools.cache
 def _extend_context(ctx: RingContext) -> RingContext:
     """ctx's variables with a fresh elimination variable t in front, under
-    Block(1): the power of t first, then grevlex on the rest, whatever
-    ctx.order is.  Block(1) admits one variable past MAX_VARIABLES.  One
-    context per ctx, so the prime is checked once rather than once per
-    elimination."""
+    Block(1): the power of t first, then grevlex on the rest.  Block(1)
+    admits one variable past MAX_VARIABLES.  One context per ctx, so the
+    prime is checked once rather than once per elimination."""
     return RingContext(ctx.p, (_fresh_variable(ctx),) + ctx.variables, Block(1))
 
 
@@ -535,7 +532,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
     Every multiple of t lies above every t-free monomial there, so the
     t-free elements of the reduced basis, the first ones, are the grevlex
-    reduced basis of I ∩ J.  In a grevlex ring:
+    reduced basis of I ∩ J:
     - the result carries that basis;
     - t·G_I and (t-1)·G_J, from the reduced bases of I and J, are Groebner
       bases in the elimination ring already, so `buchberger` reduces only
@@ -543,24 +540,18 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     - a key of ctx becomes the key of the same monomial there by adding a
       constant (the field of F - e_t that grevlex does not have), and a
       multiple by t adds one more.
-    In any other ring the generators are lifted by their exponents and the
-    result carries no basis: its generators are not ctx's reduced basis."""
+    That lift holds for grevlex keys only, so I and J must lie in a grevlex
+    ring."""
     if I.ctx != J.ctx:
         raise ValueError("ideals from different ring contexts")
     ctx = I.ctx
+    if ctx.order != GREVLEX:
+        raise PreconditionError(f"intersection needs a grevlex ring, not {ctx.order!r}")
     if not I.gens or not J.gens:
         return Ideal.make(ctx, ())
     ctx2 = _extend_context(ctx)
     t = ctx2.codec.units[0]
     t_key = ctx2.codec.one + t  # g is free of t exactly when its lead lies below t
-    if ctx.order != GREVLEX:
-        def lift(f, tpow):
-            return Polynomial.from_dict(ctx2, {(tpow,) + e: c for e, c in f.exponent_terms()})
-
-        gens = [lift(f, 1) for f in I.gens] + [lift(g, 0) - lift(g, 1) for g in J.gens]
-        gb = reduced_groebner(gens, ctx2)
-        out = [Polynomial.from_dict(ctx, {e[1:]: c for e, c in g.exponent_terms()}) for g in gb if g.terms[0][0] < t_key]
-        return Ideal.make(ctx, out)
     p, free = ctx.p, ctx2.codec.one - ctx.codec.one
     t_I = [Polynomial(ctx2, tuple([(k + free + t, c) for k, c in g.terms])) for g in I.groebner()]
     t_J = [
@@ -601,8 +592,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def ideal_colon_element(I: Ideal, g: Polynomial) -> Ideal:
-    """(I : g) = (I ∩ (g)) / g, the first step of `ideal_colon`.  In a
-    grevlex ring it carries its reduced basis."""
+    """(I : g) = (I ∩ (g)) / g, the first step of `ideal_colon`, carrying
+    its reduced basis."""
     if g.is_zero:
         raise PreconditionError("colon by zero element")
     return _colon_step(I, g, None)
@@ -612,26 +603,22 @@ def _colon_step(I: Ideal, g: Polynomial, K: Ideal | None) -> Ideal:
     """K ∩ (I : g) = (I ∩ g·K) / g, or (I : g) when K is None, from one
     elimination.
 
-    In a grevlex ring K carries its reduced basis G_K.  Since in(g·K) =
-    lead(g)·in(K), g·G_K, made monic, is a Groebner basis of g·K, so it
-    seeds the elimination as (g) does; by a monomial g it is the reduced
-    basis itself, by any other g it is tail-reduced first.  The result
-    carries its reduced basis: the quotients h/g of the reduced basis of
-    I ∩ g·K are a Groebner basis of it."""
+    K carries its reduced basis G_K.  Since in(g·K) = lead(g)·in(K), g·G_K,
+    made monic, is a Groebner basis of g·K, so it seeds the elimination as
+    (g) does; by a monomial g it is the reduced basis itself, by any other g
+    it is tail-reduced first.  The result carries its reduced basis: the
+    quotients h/g of the reduced basis of I ∩ g·K are a Groebner basis of
+    it."""
     ctx = I.ctx
     if K is None:
         multiple = Ideal.make(ctx, (g,))
         multiple._cache["groebner"] = (g.monic(),)
-    elif ctx.order == GREVLEX:
+    else:
         multiple = Ideal.make(ctx, [g.monic() * f for f in K.groebner()])
         basis = multiple.gens
         multiple._cache["groebner"] = basis if len(g.terms) == 1 else reduce_basis(list(basis), ctx)
-    else:
-        multiple = Ideal.make(ctx, [g * f for f in K.gens])
     meet = ideal_intersection(I, multiple)
     colon = Ideal.make(ctx, [exact_divide(h, g) for h in meet.gens])
-    if ctx.order != GREVLEX:
-        return colon
     # lead(h) = lead(g)·lead(h/g), so the quotients have minimal leads; by a
     # monic monomial g, h and h/g have the same terms shifted, and the
     # quotients are the reduced basis itself
@@ -647,8 +634,8 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     eliminations: K_1 = (I : g_1), and K_j = K_{j-1} ∩ (I : g_j) =
     (I ∩ g_j·K_{j-1}) / g_j (`_colon_step`), with K_r the colon.  Each
     step needs one elimination where intersecting the principal colons
-    would take two.  By monomials g_j, as for (I : m), the generators of
-    the result are its grevlex reduced basis in every ring.
+    would take two.  The result carries its reduced basis, and by monic
+    monomials g_j, as for (I : m), its generators are that basis.
 
     The result is memoized in I's cache, keyed by J's generators, so the
     routes of one command that each need (I : m) share one computation."""

@@ -1,4 +1,8 @@
-"""Multivariate polynomials over F_p with pluggable monomial orders.
+"""Multivariate polynomials over F_p under grevlex.
+
+Every ring is grevlex but one: the elimination ring of an intersection
+(`groebner.ideal_intersection`) is Block(1), its variable t first and then
+grevlex on the rest.  `RingContext` refuses any other order.
 
 A monomial is stored as one packed key (Bachmann and Schönemann, "Monomial
 representations for Gröbner bases computations", ISSAC 1998): a Python int
@@ -11,7 +15,7 @@ polynomial.  Values are immutable and hashable.
 
 Exponent tuples are the edge form: `RingContext.monomial`, `from_dict`,
 `lead_exps` and `exponent_terms` encode or decode them, and printing reads
-them.  `MonomialOrder.key` defines each order on exponent tuples; the
+them.  `MonomialOrder.key` defines both orders on exponent tuples; the
 packing is tested against it.  The parser works on keys too: a sum adds its
 terms into one dict, and monomial factors multiply by adding their keys.
 """
@@ -51,12 +55,6 @@ class Grevlex(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class Lex(MonomialOrder):
-    def key(self, exps):
-        return exps
-
-
-@dataclass(frozen=True)
 class Block(MonomialOrder):
     """Elimination order: the first `split` variables dominate, grevlex
     within each block."""
@@ -74,7 +72,6 @@ class Block(MonomialOrder):
 
 
 GREVLEX = Grevlex()
-LEX = Lex()
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +113,9 @@ class MonomialCodec:
 
     A packed monomial is its own order key: 32-bit fields, most significant
     first, that compare as the order does.
-    - lex: e_1, ..., e_n;
     - grevlex: the degree, then F - e_n, ..., F - e_1;
-    - Block(s): that grevlex layout for the first s variables, then for
-      the rest.
+    - Block(1): that grevlex layout for the first variable, then for the
+      rest.
     F = MAX_PACKED_EXPONENT.  Bit 27 of each exponent field is its guard,
     and bits 28-31 stay clear: a degree field sums at most 8 exponents (a
     ring has at most MAX_VARIABLES = 8, and its elimination ring, Block(1)
@@ -136,17 +132,12 @@ class MonomialCodec:
 
     def __init__(self, nvars: int, order: MonomialOrder):
         n = nvars
-        if isinstance(order, Lex):
-            layout = [("exp", i) for i in range(n)]
-        elif isinstance(order, (Grevlex, Block)):
-            split = min(order.split, n) if isinstance(order, Block) else 0
-            layout = []
-            for block in (range(split), range(split, n)):
-                if block:
-                    layout.append(("deg", block))
-                    layout.extend(("neg", i) for i in reversed(block))
-        else:
-            raise TypeError(f"no packing for the monomial order {order!r}")
+        split = order.split if isinstance(order, Block) else 0
+        layout = []
+        for block in (range(split), range(split, n)):
+            if block:
+                layout.append(("deg", block))
+                layout.extend(("neg", i) for i in reversed(block))
         self.one = self.guard = self.mask = 0
         self.units = [0] * n  # key(x_i) - one
         self.shifts = [0] * n
@@ -164,11 +155,8 @@ class MonomialCodec:
             self.shifts[what] = shift
             self.guard |= 1 << (shift + EXPONENT_BITS)
             self.mask |= MAX_PACKED_EXPONENT << shift
-            if kind == "neg":
-                self.one |= MAX_PACKED_EXPONENT << shift
-                self.units[what] -= 1 << shift
-            else:
-                self.units[what] += 1 << shift
+            self.one |= MAX_PACKED_EXPONENT << shift
+            self.units[what] -= 1 << shift
 
     def encode(self, exps) -> int:
         if max(exps) > MAX_PACKED_EXPONENT:
@@ -207,8 +195,9 @@ def packing_overflow() -> PreconditionError:
 
 @dataclass(frozen=True)
 class RingContext:
-    """A polynomial ring F_p[x_1..x_n] with a default monomial order and the
-    packing of its monomials (`codec`).
+    """A polynomial ring F_p[x_1..x_n] with its monomial order, grevlex or,
+    for an elimination ring, Block(1), and the packing of its monomials
+    (`codec`).
 
     The ring is read as the regular local ring obtained by localizing at
     (x_1..x_n); all user-facing ideals keep their generators inside that
@@ -229,6 +218,8 @@ class RingContext:
             raise PreconditionError(f"modulus {self.p} outside the supported range (needs p^2 < 2^53)")
         if not linalg.is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
+        if self.order not in (GREVLEX, Block(1)):
+            raise ValueError(f"monomial order {self.order!r} is neither grevlex nor the elimination order Block(1)")
         # Block(1) is the elimination order: its ring has t besides the others
         limit = MAX_VARIABLES + (self.order == Block(1))
         if not (1 <= len(self.variables) <= limit):

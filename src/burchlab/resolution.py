@@ -15,8 +15,9 @@ and spans through one act(v, Y) = x_v·Y on `linalg.Triples`:
 subspace of it.  Free-module coordinates are component-major: index
 c·dim R + b.  Both apply an action matrix in its scatter form
 (`linalg.scatter_table`), built once per variable from its Triples, so no
-resolution step takes a matrix product.  Only the test oracle
-`AlgebraModule.poly_operator` evaluates the actions densely.
+resolution step takes a matrix product.  Only `AlgebraModule.poly_operator`
+evaluates the actions densely: it is the test oracle, and it runs the
+relation check of `AlgebraModule(check=True)`.
 
 Every resolution step, the first cover onto M included, runs on Triples:
 the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i, the
@@ -36,7 +37,6 @@ cols, dim R) array, for `Resolution.matrix(i)` and
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -199,7 +199,6 @@ class SyzygyModule:
     ambient_rank: int
     basis: linalg.Triples  # (ambient_rank * dim) x s
     index: int
-    of: AlgebraModule | None  # None once the resolved module has been freed
     m_span: linalg.Triples  # basis of m·Omega^i, from the step that covered it
 
     @property
@@ -245,13 +244,13 @@ class Resolution:
     of R^{betti[i-1]}; matrix(i) is its dense (betti[i-1], betti[i], dim R)
     view.
 
-    The module caches its resolution, so the resolution refers back to it
-    weakly: a module and its resolution are then freed by reference counting
-    alone, without waiting for a cycle collection.
+    The module caches its resolution, and neither the resolution nor a
+    syzygy it hands out refers back to the module: a module and its
+    resolution are then freed by reference counting alone, without waiting
+    for a cycle collection.
     """
 
     def __init__(self, module: AlgebraModule):
-        self._module = weakref.ref(module)
         self.R = module.algebra
         self.betti: list[int] = []
         self._differentials: list[linalg.Triples] = []  # ∂_{i+1} at i
@@ -264,11 +263,6 @@ class Resolution:
         # first kernel is taken at once, while the module's act is at hand.
         G = self._cover(linalg.Triples.identity(module.dim), module.act)
         self._omegas.append(linalg.kernel_basis(_free_map_matrix(self.R, G, module.act), self.R.p))
-
-    @property
-    def module(self) -> AlgebraModule | None:
-        """The resolved module, or None once it has been freed."""
-        return self._module()
 
     def _cover(self, W: linalg.Triples, act, m: int | None = None) -> linalg.Triples:
         """One step: choose minimal generators of span(W), whose vectors x_v
@@ -323,7 +317,7 @@ class Resolution:
             raise PreconditionError("syzygy index must be >= 1")
         self.ensure_length(i)
         # the step that made ∂_i covered Omega^i and kept m·Omega^i
-        return SyzygyModule(self.R, self.betti[i - 1], self._omega(i - 1), i, self.module, self._m_spans[i])
+        return SyzygyModule(self.R, self.betti[i - 1], self._omega(i - 1), i, self._m_spans[i])
 
     def entry_ideal(self, i: int) -> Ideal:
         """I_1(∂_i) lifted to S via standard-monomial representatives."""

@@ -789,15 +789,17 @@ def test_report_has_exactly_the_schema_keys():
 
 
 def test_json_report_does_not_import_jsonschema():
+    """A CLI run imports no test-only package (jsonschema, sympy,
+    hypothesis) and no scipy, which is not a runtime dependency."""
     code = (
         "import sys\n"
         "from burchlab import cli\n"
         f"assert cli.main(['--json', 'check', {DEMO!r}, 'I', '--route', 'all']) == 0\n"
-        "print('jsonschema' in sys.modules, file=sys.stderr)\n"
+        "print(sorted(set(sys.modules) & {'jsonschema', 'sympy', 'scipy', 'hypothesis'}), file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["verdicts"]["routes_agree"] is True
-    assert done.stderr.strip() == "False"
+    assert done.stderr.strip() == "[]"

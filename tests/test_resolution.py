@@ -896,9 +896,24 @@ def test_module_with_resolution_freed_by_refcount(r12):
     try:
         M = module_from_cyclic(r12, ideal(CTX, "x^2", "x*y", "y^2"))
         res = M.resolution(3)
-        assert res.syzygy(2).of is M and res.module is M
         module_ref, res_ref = weakref.ref(M), weakref.ref(res)
         del M, res
         assert module_ref() is None and res_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_held_syzygy_does_not_keep_its_module_alive(r12):
+    """A syzygy still held after the module and its resolution are dropped
+    keeps neither alive, without the cycle collector."""
+    gc.disable()
+    try:
+        M = module_from_cyclic(r12, ideal(CTX, "x^2", "x*y", "y^2"))
+        res = M.resolution(3)
+        Z = res.syzygy(2)
+        module_ref, res_ref = weakref.ref(M), weakref.ref(res)
+        del M, res
+        assert module_ref() is None and res_ref() is None
+        assert Z.index == 2 and Z.dim > 0
     finally:
         gc.enable()
