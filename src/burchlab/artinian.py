@@ -26,8 +26,11 @@ dense arrays built on request; annihilators (`AnnihilatorResult.subspace`)
 stay Triples.
 
 The socle also gives the colon by m without elimination: for m-primary I,
-(I : m) = I + lift(Soc S/I) (`socle_colon`), which presents R/Soc R and is
-the colon-shift route's (mI : m).  Its Groebner basis needs no Buchberger
+(I : m) = I + lift(Soc S/I) (`socle_colon`), which presents R/Soc R, is
+the colon-shift route's (mI : m), and is the decision layer's (I : m)
+(`burch._colon_by_m`: the Burch verdict and witness, Choi's invariant,
+depth zero and weak m-fullness); only the cross-check of `burch` still
+eliminates (I : m), as the oracle.  Its Groebner basis needs no Buchberger
 run either: the lifts of an echelon basis of the socle have distinct
 standard monomials as leads, and with G_I they already form a basis, by a
 count of colengths.

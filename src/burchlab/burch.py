@@ -9,6 +9,15 @@ with R' = R/Soc R, and the derived classifiers (Gorenstein, radical-cube
 zero, fibre products, regular cut-downs).  A depth-zero ring is Burch
 exactly when c_R > 0, which is cross-checked against the syzygy criterion
 "k splits off Omega^2 k" whenever the ring is not a field.
+
+The decision layer takes the colon by m from `_colon_by_m`: for m-primary I
+it reads (I:m) = I + lift(Soc S/I) off the socle of S/I
+(`QuotientAlgebra.socle_colon`, no elimination), and only for other I does
+it eliminate (`groebner.ideal_colon`).  The definition, the witness, Choi's
+invariant, depth zero and weak m-fullness all go this way.  The elimination
+colon is the oracle of `burch_criteria_crosscheck`, whose definition,
+colon-shift and type-count routes read it, so `check --route all` compares
+the two colons' consequences on every m-primary ideal.
 """
 from __future__ import annotations
 
@@ -38,9 +47,17 @@ class InternalConsistencyError(AssertionError):
 # core ideal tests
 
 
+def _colon_by_m(I: Ideal) -> Ideal:
+    """(I : m), read off the socle of S/I when I is m-primary
+    (`QuotientAlgebra.socle_colon`), by elimination otherwise."""
+    if I.is_m_primary():
+        return quotient_algebra(I).socle_colon
+    return ideal_colon(I, max_ideal(I.ctx))
+
+
 def depth_zero_ideal(I: Ideal) -> bool:
     """depth S/I = 0, detected as (I : m) != I."""
-    return ideal_colon(I, max_ideal(I.ctx)) != I
+    return _colon_by_m(I) != I
 
 
 @dataclass
@@ -70,17 +87,19 @@ def _require_proper_nonzero(I: Ideal) -> None:
 def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
     """The defining test mI != m(I:m), with a witness and invariant table.
 
+    Since mI ⊆ m(I:m) always, the two differ exactly when some x_v·g lies
+    outside mI for g in the reduced basis of (I:m), that is when the
+    residue table `_colon_residues` is nonempty; no basis of m(I:m) is
+    built.  (I:m) comes from `_colon_by_m`, so an m-primary I takes no
+    elimination here.
+
     I need not be local when S/I has infinite length, as (x^2 - x) is not:
     (I:m)/I and m(I:m)/mI are supported at m alone, since (I:m)_P = I_P at
     every prime P != m, so the depth-zero and Burch verdicts, the witness
     and Choi's invariant computed in S are those of the localization at m."""
     _require_proper_nonzero(I)
-    m = max_ideal(I.ctx)
-    mI = max_ideal_product(I)
-    J = ideal_colon(I, m)
-    mJ = max_ideal_product(J)
-    burch = mJ != mI
-    depth0 = J != I
+    burch = bool(_colon_residues(I))
+    depth0 = _colon_by_m(I) != I
     report = BurchReport(burch, depth0 or burch, "definition")
     if burch:
         g, v, _ = _colon_residues(I)[0]
@@ -93,16 +112,18 @@ def burch_ideal_test(I: Ideal, with_invariants: bool = True) -> BurchReport:
 
 
 def _colon_residues(I: Ideal) -> list[tuple[Polynomial, int, Polynomial]]:
-    """(g, v, NF(x_v·g, G_mI)) for g in (I:m).gens and v in variable order,
-    the nonzero residues only, memoized in I's cache as `max_ideal_product`
-    is: the Burch witness is the first, Choi's invariant is the rank of
-    them all, and the socle acts on m/mI exactly when there is one."""
+    """(g, v, NF(x_v·g, G_mI)) for g in the reduced basis of (I:m) and v
+    in variable order, the nonzero residues only, memoized in I's cache as
+    `max_ideal_product` is: the Burch verdict is whether there is one and
+    the witness is the first, Choi's invariant is the rank of them all, and
+    the socle acts on m/mI exactly when there is one.  (I:m) comes from
+    `_colon_by_m`; its reduced basis is the same whichever route built it,
+    so the table is too."""
     if "colon_residues" not in I._cache:
         ctx = I.ctx
-        J = ideal_colon(I, max_ideal(ctx))
         reducers_mI = max_ideal_product(I).reducers()
         table = []
-        for g in J.gens:
+        for g in _colon_by_m(I).groebner():
             for v in range(ctx.nvars):
                 r = normal_form(ctx.variable(v) * g, reducers_mI)
                 if not r.is_zero:
@@ -159,13 +180,16 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
     (socle action) Soc(S/I)·m is nonzero in m/Im
     (type count)  depth S/I = 0 and r(S/mI) != r(S/I) + mu(I)
     (I:m) comes from elimination, a chain of n steps in n variables (one
-    elimination each, `groebner.ideal_colon`), shared by `definition` and
-    the colon shift.  For m-primary I the colon shift reads (mI:m) off the
-    socle of A = S/mI (`QuotientAlgebra.socle_colon`, whose basis is G_mI
-    with the socle lifts, with no Buchberger run), otherwise from
-    elimination.  The socle action reads the normal forms of x_v·g modulo
-    mI (`_colon_residues`), which the witness and Choi's invariant share.
-    The length-based routes are skipped (None) when I is not m-primary."""
+    elimination each, `groebner.ideal_colon`), shared by `definition` (with
+    a basis of m(I:m)), the colon shift and the type count: this is the
+    oracle against which the socle route of the decision layer is checked.
+    For m-primary I the colon shift reads (mI:m) off the socle of A = S/mI
+    (`QuotientAlgebra.socle_colon`, whose basis is G_mI with the socle
+    lifts, with no Buchberger run), otherwise from elimination.  The socle
+    action reads the normal forms of x_v·g modulo mI for g in the (I:m)
+    that `_colon_by_m` reads off the socle of S/I (`_colon_residues`),
+    which `burch_ideal_test` and Choi's invariant share.  The length-based
+    routes are skipped (None) when I is not m-primary."""
     _require_proper_nonzero(I)
     ctx = I.ctx
     m = max_ideal(ctx)
@@ -189,9 +213,10 @@ def burch_criteria_crosscheck(I: Ideal) -> CriteriaCrosscheck:
 
 
 def weakly_m_full_test(I: Ideal) -> bool:
-    """(mI : m) = I."""
+    """(mI : m) = I, with (mI : m) from `_colon_by_m`: read off the socle
+    of S/mI when I, and so mI, is m-primary."""
     _require_proper_nonzero(I)
-    return ideal_colon(max_ideal_product(I), max_ideal(I.ctx)) == I
+    return _colon_by_m(max_ideal_product(I)) == I
 
 
 @dataclass
@@ -384,7 +409,6 @@ def mu_growth_test(I: Ideal) -> MuGrowthVerdict:
 class CutStep:
     element: Polynomial
     regular: bool
-    witness: Polynomial | None  # f with f·x ∈ I but f ∉ I, when not regular
     eliminated: str | None
 
 
@@ -413,7 +437,10 @@ def _substitute_variable(f: Polynomial, ctx_new: RingContext, var_index: int, re
 
 def cut_down(I: Ideal, elems, allow_nonlinear: bool = False) -> CutResult:
     """Quotient by a sequence of ring elements, checking stepwise regularity
-    via ((I + previous) : x) = (I + previous).
+    via ((I + previous) : x) = (I + previous).  An element that is not
+    regular raises `PreconditionError` (exit 3 in the CLI) with a witness
+    f, f·x ∈ I + previous but f ∉ I + previous, in its message, so every
+    step of a returned result is regular.
 
     Linear forms are eliminated by substitution, presenting the quotient in
     the remaining variables.  Nonlinear elements (which by the embedded
@@ -461,10 +488,10 @@ def cut_down(I: Ideal, elems, allow_nonlinear: bool = False) -> CutResult:
             ]
             cur = Ideal.make(ctx_new, new_gens)
             pending = [_substitute_variable(f, ctx_new, j, replacement) for f in pending]
-            steps.append(CutStep(x, True, None, old_ctx.variables[j]))
+            steps.append(CutStep(x, True, old_ctx.variables[j]))
         else:
             cur = cur.sum(Ideal.make(cur.ctx, (x,)))
-            steps.append(CutStep(x, True, None, None))
+            steps.append(CutStep(x, True, None))
     return CutResult(cur, steps)
 
 

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burchlab.artinian import QuotientAlgebra
+import burchlab.burch as burch_module
+from burchlab.artinian import QuotientAlgebra, quotient_algebra
 from burchlab.burch import (
     burch_criteria_crosscheck,
     burch_ideal_test,
@@ -17,8 +20,10 @@ from burchlab.burch import (
     cyclic_summand_condition,
     weakly_m_full_test,
 )
+from burchlab.corpus import run_corpus
 from burchlab.groebner import Ideal, PreconditionError, max_ideal
-from burchlab.poly import RingContext, parse_polynomial
+from burchlab.monomial import enumerate_m_primary
+from burchlab.poly import Polynomial, RingContext, monomials_of_degree, parse_polynomial
 
 P = 32003
 CTX = RingContext(P, ("x", "y"))
@@ -153,6 +158,90 @@ def test_colon_residues_are_reduced_once_per_ideal(monkeypatch, ctx, gens):
     outside = [f for f in products if not mI.contains(f)]
     assert rep.burch == bool(outside)
     assert rep.witness_product == (outside[0] if outside else None)
+
+
+def _residue_table(I, J):
+    """The nonzero NF(x_v·g, G_mI) for g in J's reduced basis and v in
+    variable order, from J as given."""
+    ctx = I.ctx
+    reducers = burch_module.max_ideal_product(I).reducers()
+    table = []
+    for g in J.groebner():
+        for v in range(ctx.nvars):
+            r = burch_module.normal_form(ctx.variable(v) * g, reducers)
+            if not r.is_zero:
+                table.append((g, v, r))
+    return table
+
+
+def _assert_socle_colon_matches_elimination(I):
+    """(I : m) read off the socle of S/I has the reduced basis of the
+    elimination colon, and the residue table `_colon_residues` builds from
+    it is the one the elimination colon gives."""
+    I = Ideal.make(I.ctx, I.gens)  # nothing cached
+    J_socle = quotient_algebra(I).socle_colon
+    J_elim = burch_module.ideal_colon(I, max_ideal(I.ctx))
+    assert J_socle.groebner() == J_elim.groebner()
+    assert burch_module._colon_residues(I) == _residue_table(I, J_elim) == _residue_table(I, J_socle)
+
+
+def test_socle_colon_matches_elimination_on_the_sweep():
+    for mi in enumerate_m_primary(CTX, 4):
+        _assert_socle_colon_matches_elimination(mi.to_ideal())
+
+
+def test_socle_colon_matches_elimination_on_the_corpus(monkeypatch):
+    """Every m-primary ideal whose colon by m the corpus asks for."""
+    seen = []
+    real = burch_module._colon_by_m
+    monkeypatch.setattr(burch_module, "_colon_by_m", lambda I: seen.append(I) or real(I))
+    assert run_corpus()[0]
+    monkeypatch.undo()
+    primary = {(I.ctx.p, I.ctx.variables, I.groebner()): I for I in seen if I.is_m_primary()}
+    assert len(primary) >= 10
+    for I in primary.values():
+        _assert_socle_colon_matches_elimination(I)
+
+
+@st.composite
+def query_ideals(draw):
+    """(x^a, y^b, z^c) plus one or two dense forms of degree 2 or 3 in
+    k[x,y,z], the shape of the `queries` benchmark's ideals."""
+    a, b, c = (draw(st.integers(2, 3)) for _ in range(3))
+    gens = [CTX3.monomial((a, 0, 0)), CTX3.monomial((0, b, 0)), CTX3.monomial((0, 0, c))]
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(2, 3))
+        monomials = monomials_of_degree(CTX3, degree)
+        coeffs = draw(st.lists(st.integers(1, P - 1), min_size=len(monomials), max_size=len(monomials)))
+        gens.append(Polynomial.from_dict(CTX3, dict(zip(monomials, coeffs))))
+    return Ideal.make(CTX3, gens)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(query_ideals())
+def test_socle_colon_matches_elimination_on_query_ideals(I):
+    _assert_socle_colon_matches_elimination(I)
+
+
+@pytest.mark.parametrize(
+    "ctx, gens", [(CTX, ("x^4", "x^2*y^2", "y^4")), (CTX3, ("x^2", "y^2", "z^2", "x*y + 3*y*z"))]
+)
+def test_decision_layer_takes_no_elimination_on_m_primary_input(monkeypatch, ctx, gens):
+    """The ideal test, Choi's invariant, depth zero and weak m-fullness read
+    (I : m) and (mI : m) off socles, and build no basis of m(I : m)."""
+    from burchlab import groebner
+
+    def refuse(*args):
+        raise AssertionError("elimination started")
+
+    monkeypatch.setattr(groebner, "ideal_intersection", refuse)
+    I = ideal(ctx, *gens)
+    J = quotient_algebra(I).socle_colon
+    burch_ideal_test(I)
+    choi_invariant(I)
+    depth_zero_ideal(I)
+    weakly_m_full_test(I)
+    assert "m_product" not in J._cache
 
 
 # An ideal of infinite colength need not be local: (x^2 - x) also vanishes at

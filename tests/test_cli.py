@@ -94,8 +94,10 @@ def test_check_all_routes(session_file, capsys):
 
 @pytest.mark.parametrize("name", ["I", "B"])
 def test_check_all_routes_builds_one_basis_of_m_times_colon(session_file, capsys, monkeypatch, name):
-    """`check --route all` asks for m·(I:m) in the definition route of both
-    the test and the cross-check; its Groebner basis is computed once."""
+    """`check --route all` asks for m·(I:m) only in the definition route of
+    the cross-check, whose (I:m) is the elimination oracle; the ideal test
+    reads its verdict off the residues of x_v·(I:m) modulo mI and builds
+    no such basis, so its Groebner basis is computed once."""
     from burchlab import groebner
 
     I = parse_session(session_file).ideal(name)
@@ -356,6 +358,48 @@ def test_resolve_non_local_exit_3(tmp_path, capsys, no_elimination):
     code, out, _ = run_cli(capsys, "resolve", str(f), "k", "--ring", "K", "--length", "3")
     assert code == EXIT_PRECONDITION and "betti" not in out
     assert run_cli(capsys, "check", str(f), "K")[0] == EXIT_PRECONDITION
+
+
+QUERY_SESSION = """\
+ring 32003 x y z
+ideal I = x^3, y^2, z^3, 3*x^2 + 5*x*y + 7*x*z + 11*y^2 + 13*y*z + 17*z^2
+"""
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [(SESSION, "I"), (SESSION, "B"), (SESSION, "HY"), (QUERY_SESSION, "I")],
+    ids=["I", "B", "HY", "query"],
+)
+def test_invariants_run_no_elimination_on_m_primary_input(tmp_path, capsys, monkeypatch, no_elimination, text, name):
+    """`invariants` reads (I : m) off the socle of S/I: on an m-primary
+    ideal it runs no elimination and takes no product m·(I : m)."""
+    from burchlab import artinian, burch
+
+    f = tmp_path / "s.session"
+    f.write_text(text)
+    products = []
+    real = burch.max_ideal_product
+    monkeypatch.setattr(burch, "max_ideal_product", lambda I: products.append(I.groebner()) or real(I))
+    assert run_cli(capsys, "invariants", str(f), name)[0] == EXIT_OK
+    I = parse_session(str(f)).ideal(name)
+    assert I.groebner() in products
+    assert artinian.quotient_algebra(I).socle_colon.groebner() not in products
+
+
+@pytest.mark.parametrize(
+    "text, name", [(SESSION, "I"), (SESSION, "B"), (QUERY_SESSION, "I")], ids=["I", "B", "query"]
+)
+def test_check_all_routes_eliminates_once_per_variable(tmp_path, capsys, monkeypatch, text, name):
+    """`check --route all` eliminates (I : m) once, in the cross-check, by
+    a chain of n steps: n calls to `ideal_intersection` in n variables."""
+    f = tmp_path / "s.session"
+    f.write_text(text)
+    calls = []
+    real = groebner.ideal_intersection
+    monkeypatch.setattr(groebner, "ideal_intersection", lambda I, J: calls.append(1) or real(I, J))
+    assert run_cli(capsys, "check", str(f), name, "--route", "all")[0] == EXIT_OK
+    assert len(calls) == parse_session(str(f)).ctx.nvars
 
 
 def test_syzygy_summand_witness(session_file, capsys):
