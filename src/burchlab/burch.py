@@ -8,7 +8,11 @@ tests, the presentation invariant dim n(I:n)/nI, the intrinsic invariant
 with R' = R/Soc R, and the derived classifiers (Gorenstein, radical-cube
 zero, fibre products, regular cut-downs).  A depth-zero ring is Burch
 exactly when c_R > 0, which is cross-checked against the syzygy criterion
-"k splits off Omega^2 k" whenever the ring is not a field.
+"k splits off Omega^2 k" whenever the ring is not a field.  c_R is
+evaluated in R alone, as rank(Soc(R)^e -> H_1(K^R)) (`burch_invariant`,
+by the long exact Koszul sequence of 0 -> Soc R -> R -> R' -> 0), and the
+fibre-product test reads its socle-outside-m^2 branch in R too: the
+decision layer builds no algebra R/Soc R.
 
 The decision layer takes the colon by m from `_colon_by_m`: for m-primary I
 it reads (I:m) = I + lift(Soc S/I) off the socle of S/I
@@ -36,7 +40,7 @@ from .groebner import (
     normal_form,
 )
 from .poly import Polynomial, RingContext
-from .resolution import k_summand_test, residue_field
+from .resolution import k_summand_test, koszul_socle_rank, residue_field
 
 
 class InternalConsistencyError(AssertionError):
@@ -272,13 +276,23 @@ def choi_invariant(I: Ideal) -> int:
 def burch_invariant(R: QuotientAlgebra) -> int:
     """The intrinsic invariant c_R; positive iff R is Burch of depth zero.
 
+    c_R = s + h - e - h' + e' with s = dim Soc R = dim W, h = dim H_1(K^R),
+    e = edim R and h', e' those of R' = R/W, is read off R alone as the rank
+    of ψ : W^e -> H_1(K^R) (`resolution.koszul_socle_rank`), by the long
+    exact Koszul sequence of 0 -> W -> R -> R' -> 0 on the e generators
+    x of m:
+      m·W = 0 gives H_1(x; W) = W^e and H_0(x; W) = W, and W ⊆ m makes
+      H_0(x; W) -> H_0(x; R) = k zero, so dim H_1(x; R') = h - rank ψ + s;
+      on its own e' generators R' has h' = dim H_1(x; R') - (e - e'), so
+      c_R = s + h - e - (h - rank ψ + s - e + e') + e' = rank ψ.
+    The literal formula, with the algebra R/Soc R (`quotient_by_socle`), is
+    the test suite's oracle.
+
     For a field the value is presentation-dependent (dim n/n^2) and the
     caller should treat it as the degenerate case."""
     if R.is_field:
         return R.ctx.nvars
-    Rp = R.quotient_by_socle()
-    h1p = 0 if Rp.is_field else Rp.koszul_h1
-    return R.socle_dim + R.koszul_h1 - R.edim - h1p + Rp.edim
+    return koszul_socle_rank(R)
 
 
 @dataclass
@@ -508,6 +522,14 @@ class FibreVerdict:
     direct: bool | None  # verdict on the constructed presentation
 
 
+def socle_outside_square(R: QuotientAlgebra) -> bool:
+    """Soc R ⊄ m^2, read in R against the basis of m^2.  This is the
+    edim-drop edim R > edim R/Soc R, with no algebra R/Soc R: the maximal
+    ideal of R/Soc R is m/Soc R, so its edim is dim m/(m^2 + Soc R), which
+    is smaller than dim m/m^2 exactly when Soc R ⊄ m^2."""
+    return not linalg.subspace_le(linalg.Triples.from_dense(R.socle), R.max_power_basis(2), R.p)
+
+
 def fibre_burch_test(RS: QuotientAlgebra, RT: QuotientAlgebra, direct: bool = True) -> FibreVerdict:
     """The fibre product of artinian rings is Burch iff one factor is Burch
     of depth zero (the socle-outside-m^2 branch is subsumed but evaluated).
@@ -517,8 +539,8 @@ def fibre_burch_test(RS: QuotientAlgebra, RT: QuotientAlgebra, direct: bool = Tr
         raise PreconditionError("trivial fibre product: test the other factor directly")
     bS = burch_ring_depth_zero(RS).burch
     bT = burch_ring_depth_zero(RT).burch
-    nS = RS.edim > RS.quotient_by_socle().edim
-    nT = RT.edim > RT.quotient_by_socle().edim
+    nS = socle_outside_square(RS)
+    nT = socle_outside_square(RT)
     verdict = bS or bT or nS or nT
     direct_verdict = None
     if direct:

@@ -481,7 +481,9 @@ def in_column_space(A: Triples, v: Triples, p: int) -> bool:
 
 
 def hstack(blocks: list[Triples], rows: int) -> Triples:
-    """The blocks side by side."""
+    """The blocks side by side; no blocks give a (rows, 0) matrix."""
+    if not blocks:
+        return Triples.zeros(rows, 0)
     offsets = list(itertools.accumulate((B.shape[1] for B in blocks), initial=0))
     return Triples(
         np.concatenate([B.rows for B in blocks]),

@@ -33,6 +33,14 @@ vector of R^rows; the tensor maps ∂_i ⊗ N, entry ideals and ∂∂ = 0 are r
 off it by index arithmetic.  Only `_dense_entries` builds the dense (rows,
 cols, dim R) array, for `Resolution.matrix(i)` and
 `MappingConeResult.presentation`.
+
+The Koszul complex of R is built once per algebra, as far as ∂_2
+(`koszul_start`, cached as `QuotientAlgebra.koszul`), on minimal
+generators x_1..x_e of m chosen among the variables.  Two numbers are read
+off it: dim H_1(K^R) = dim ker ∂_1 - rank ∂_2 (`koszul_h1`), and the rank
+of Soc(R)^e -> H_1(K^R), rank[∂_2 | W^e] - rank ∂_2 for W the socle basis
+(`koszul_socle_rank`), which is the invariant c_R of a ring that is not a
+field.
 """
 from __future__ import annotations
 
@@ -381,21 +389,26 @@ def _witness_coordinate_order(R: QuotientAlgebra, m: int) -> np.ndarray:
 # Koszul homology, Tor, mapping cones
 
 
-def koszul_h1(R: QuotientAlgebra) -> int:
-    """dim H_1 of the Koszul complex on a minimal generating set of m, chosen
-    among the variables: those whose images extend m^2 to m."""
-    if R.is_field:
-        return 0
-    var_vecs = linalg.hstack([R.variable_element(i).column() for i in range(R.ctx.nvars)], R.dim)
-    ops = [R.mult[v] for v in linalg.complete_columns(R.max_power_basis(2), var_vecs, R.p)]
+@dataclass
+class KoszulStart:
+    """What `koszul_h1` and `koszul_socle_rank` share of the Koszul complex
+    of R on x_1..x_e, minimal generators of m chosen among the variables:
+    those whose images extend m^2 to m, in variable order.  K_1 = R^e and
+    K_2 = R^{C(e,2)}, with coordinates component-major as for any R^m."""
+
+    variables: list[int]
+    d2: linalg.Triples  # ∂_2, of shape (e·dim R, C(e,2)·dim R)
+
+
+def koszul_start(R: QuotientAlgebra) -> KoszulStart:
+    """The Koszul generators and ∂_2 of R, which `QuotientAlgebra.koszul`
+    builds once per algebra."""
+    d, p = R.dim, R.p
+    var_vecs = linalg.hstack([R.variable_element(i).column() for i in range(R.ctx.nvars)], d)
+    variables = linalg.complete_columns(R.max_power_basis(2), var_vecs, p)
+    ops = [R.mult[v] for v in variables]
     e = len(ops)
-    d = R.dim
-    p = R.p
-    ker_d1 = e * d - linalg.rank(linalg.hstack(ops, d), p)
-    pairs = list(itertools.combinations(range(e), 2))
-    if not pairs:
-        return ker_d1
-    # column block (i, j) of d2 holds x_i at row block j and -x_j at row block i
+    # column block (i, j) of ∂_2 holds x_i at row block j and -x_j at row block i
     blocks = [
         linalg.Triples(
             np.concatenate([ops[i].rows + j * d, ops[j].rows + i * d]),
@@ -403,9 +416,34 @@ def koszul_h1(R: QuotientAlgebra) -> int:
             np.concatenate([ops[i].vals, p - ops[j].vals]),
             (e * d, d),
         )
-        for i, j in pairs
+        for i, j in itertools.combinations(range(e), 2)
     ]
-    return ker_d1 - linalg.rank(linalg.hstack(blocks, e * d), p)
+    return KoszulStart(variables, linalg.hstack(blocks, e * d))
+
+
+def koszul_h1(R: QuotientAlgebra) -> int:
+    """dim H_1(K^R) = dim ker ∂_1 - rank ∂_2, where ∂_1 : R^e -> R is
+    [x_1 ... x_e]; 0 for a field, where e = 0."""
+    K = R.koszul
+    d1 = linalg.hstack([R.mult[v] for v in K.variables], R.dim)
+    return d1.shape[1] - linalg.rank(d1, R.p) - linalg.rank(K.d2, R.p)
+
+
+def koszul_socle_rank(R: QuotientAlgebra) -> int:
+    """The rank of Soc(R)^e -> H_1(K^R), e the number of Koszul
+    generators: rank[∂_2 | W^e] - rank ∂_2, where W^e puts the socle basis
+    W in each of the e row blocks of K_1 = R^e.  Since m·W = 0, W^e lies in
+    the 1-cycles; the rank is the number of its columns that extend the
+    boundaries, from one rref of [∂_2 | W^e].  This is c_R
+    (`burch.burch_invariant`) for R not a field."""
+    K = R.koszul
+    W = linalg.Triples.from_dense(R.socle)
+    e, d, s = len(K.variables), R.dim, W.shape[1]
+    block = np.arange(e)[:, None]
+    We = linalg.Triples(
+        (block * d + W.rows).ravel(), (block * s + W.cols).ravel(), np.tile(W.vals, e), (e * d, e * s)
+    )
+    return len(linalg.complete_columns(K.d2, We, R.p))
 
 
 def _tensor_map(G: linalg.Triples, N: AlgebraModule) -> linalg.Triples:

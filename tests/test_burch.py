@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import burchlab.burch as burch_module
-from burchlab.artinian import QuotientAlgebra, quotient_algebra
+from burchlab.artinian import QuotientAlgebra, fibre_product, quotient_algebra
 from burchlab.burch import (
     burch_criteria_crosscheck,
     burch_ideal_test,
@@ -41,6 +41,7 @@ def poly(s, ctx=CTX):
 
 R8 = ideal(CTX, "x^4", "x^2*y^2", "y^4")
 M2 = ideal(CTX, "x^2", "x*y", "y^2")
+DENSE3 = ("x^3", "y^2", "z^3", "2*x^2 + 9*x*y + 4*y*z + 8*z^2")
 
 
 # -- definition test -------------------------------------------------------------
@@ -316,6 +317,84 @@ def test_choi_c_agree_on_binomial_ideal():
     assert choi_invariant(I) == burch_invariant(QuotientAlgebra(I))
 
 
+def c_from_socle_quotient(R):
+    """c_R by its definition, dim Soc R + dim H_1(K^R) - edim R
+    - dim H_1(K^{R'}) + edim R' with the algebra R' = R/Soc R: the oracle
+    that `burch_invariant`, the rank of Soc(R)^e -> H_1(K^R), is checked
+    against."""
+    if R.is_field:
+        return R.ctx.nvars
+    Rp = R.quotient_by_socle()
+    h1p = 0 if Rp.is_field else Rp.koszul_h1
+    return R.socle_dim + R.koszul_h1 - R.edim - h1p + Rp.edim
+
+
+@pytest.mark.parametrize("p, degree", [(P, 5), (2, 4), (3, 4)])
+def test_c_invariant_matches_socle_quotient_oracle_on_the_sweep(p, degree):
+    for mi in enumerate_m_primary(RingContext(p, ("x", "y")), degree):
+        R = QuotientAlgebra(mi.to_ideal())
+        assert burch_invariant(R) == c_from_socle_quotient(R), mi.gens
+
+
+def test_c_invariant_matches_socle_quotient_oracle_on_the_corpus(monkeypatch):
+    """Every m-primary ideal the corpus builds an algebra of."""
+    import burchlab.artinian as artinian
+
+    seen = []
+    real = artinian.QuotientAlgebra.__init__
+    monkeypatch.setattr(artinian.QuotientAlgebra, "__init__", lambda self, I: seen.append(I) or real(self, I))
+    assert run_corpus()[0]
+    monkeypatch.undo()
+    primary = {(I.ctx.p, I.ctx.variables, I.groebner()): I for I in seen}
+    assert len(primary) >= 10
+    for I in primary.values():
+        R = QuotientAlgebra(I)
+        assert burch_invariant(R) == c_from_socle_quotient(R), I
+
+
+@st.composite
+def local_ideals(draw):
+    """Non-homogeneous m-primary ideals of k[x,y] or k[x,y,z] over F_p for
+    p in {2, 3, 101, 32003}: a pure power of each variable and one or two
+    polynomials of up to four terms of degree 1 to 3."""
+    p = draw(st.sampled_from((2, 3, 101, P)))
+    n = draw(st.integers(2, 3))
+    ctx = RingContext(p, ("x", "y", "z")[:n])
+    gens = [ctx.monomial(tuple(draw(st.integers(2, 4)) if k == i else 0 for k in range(n))) for i in range(n)]
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 1 <= sum(e) <= 3)
+    polys = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4)
+    gens += [Polynomial.from_dict(ctx, d) for d in draw(st.lists(polys, min_size=1, max_size=2))]
+    return Ideal.make(ctx, gens)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(local_ideals())
+def test_c_invariant_matches_socle_quotient_oracle_on_local_ideals(I):
+    R = QuotientAlgebra(I)
+    assert burch_invariant(R) == c_from_socle_quotient(R)
+
+
+@pytest.mark.parametrize(
+    "ctx, gens",
+    [(CTX, ("x^2", "x*y", "y^2")), (CTX, ("x^4", "x^2*y^2", "y^4")), (CX, ("x^2",)), (CTX3, DENSE3)],
+    ids=["m2", "r8", "x2", "dense3"],
+)
+def test_burch_invariant_builds_no_algebra(monkeypatch, ctx, gens):
+    """c_R and the ring verdict are read off R alone: no algebra R/Soc R,
+    or any other, is built."""
+    import burchlab.artinian as artinian
+
+    R = QuotientAlgebra(ideal(ctx, *gens))
+    built = []
+    real = artinian.QuotientAlgebra.__init__
+    monkeypatch.setattr(artinian.QuotientAlgebra, "__init__", lambda self, I: built.append(I) or real(self, I))
+    c = burch_invariant(R)
+    burch_ring_depth_zero(R)
+    assert built == []
+    monkeypatch.undo()
+    assert c == c_from_socle_quotient(R)
+
+
 # -- ring verdicts ----------------------------------------------------------------
 
 
@@ -512,6 +591,46 @@ def test_fibre_burch_non_burch_factors():
     right = QuotientAlgebra(Ideal.make(cu, [parse_polynomial(s, cu) for s in ("u^2", "v^2")]))
     v = fibre_burch_test(left, right)
     assert not v.burch and v.direct is False
+
+
+def fibre_pools():
+    """The factor pools of acceptance criterion 6: the m-primary monomial
+    ideals of k[x,y] and of k[u,v] with socle degree at most 3 and length
+    at most 12, the maximal ideal left out."""
+    return [
+        [mi for mi in enumerate_m_primary(ctx, 3) if mi.gens != ((0, 1), (1, 0)) and len(mi.standard_monomials()) <= 12]
+        for ctx in (CTX, RingContext(P, ("u", "v")))
+    ]
+
+
+def test_socle_outside_square_is_the_edim_drop_on_the_fibre_pools():
+    """The socle-outside-m^2 branch of `fibre_burch_test`, read in R, is the
+    edim drop edim R > edim R/Soc R that it replaces."""
+    left, right = fibre_pools()
+    outside = []
+    for mi in left + right:
+        R = QuotientAlgebra(mi.to_ideal())
+        assert burch_module.socle_outside_square(R) == (R.edim > R.quotient_by_socle().edim), mi.gens
+        outside.append(burch_module.socle_outside_square(R))
+    assert any(outside) and not all(outside)
+
+
+def test_fibre_burch_test_builds_no_socle_quotient(monkeypatch):
+    """`fibre_burch_test` builds no algebra R/Soc R of a factor: none at all
+    with direct=False, and only the fibre product's with direct=True."""
+    import burchlab.artinian as artinian
+
+    left, right = fibre_pools()
+    pairs = [(QuotientAlgebra(a.to_ideal()), QuotientAlgebra(b.to_ideal())) for a, b in zip(left[::7], right[3::7])]
+    built = []
+    real = artinian.QuotientAlgebra.__init__
+    monkeypatch.setattr(artinian.QuotientAlgebra, "__init__", lambda self, I: built.append(I) or real(self, I))
+    for RS, RT in pairs:
+        fibre_burch_test(RS, RT, direct=False)
+        assert built == []
+        fibre_burch_test(RS, RT)
+        assert built == [fibre_product(RS, RT).ideal]
+        built.clear()
 
 
 def test_fibre_burch_rejects_field_factor():

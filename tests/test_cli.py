@@ -402,6 +402,36 @@ def test_check_all_routes_eliminates_once_per_variable(tmp_path, capsys, monkeyp
     assert len(calls) == parse_session(str(f)).ctx.nvars
 
 
+@pytest.mark.parametrize(
+    "text, name, command, algebras",
+    [
+        (SESSION, "I", "invariants", 1),
+        (SESSION, "HY", "invariants", 1),
+        (QUERY_SESSION, "I", "invariants", 1),
+        (SESSION, "I", "check", 2),
+        (SESSION, "HY", "check", 2),
+        (QUERY_SESSION, "I", "check", 2),
+    ],
+    ids=["invariants-I", "invariants-HY", "invariants-query", "check-I", "check-HY", "check-query"],
+)
+def test_commands_build_no_algebra_of_the_socle_quotient(tmp_path, capsys, monkeypatch, text, name, command, algebras):
+    """c_R is read off R alone: `invariants` on an m-primary ideal builds
+    the one algebra S/I, and `check --route all` builds S/I and S/mI, the
+    colon-shift route's, with no algebra R/Soc R."""
+    from burchlab import artinian
+
+    f = tmp_path / "s.session"
+    f.write_text(text)
+    built = []
+    real = artinian.QuotientAlgebra.__init__
+    monkeypatch.setattr(artinian.QuotientAlgebra, "__init__", lambda self, I: built.append(I) or real(self, I))
+    argv = [command, str(f), name] + (["--route", "all"] if command == "check" else [])
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.undo()
+    I = parse_session(str(f)).ideal(name)
+    assert len(built) == algebras and built[0] == I
+
+
 def test_syzygy_summand_witness(session_file, capsys):
     code, out, _ = run_cli(
         capsys, "syzygy-summand", session_file, "k", "--index", "3", "--ring", "I"
