@@ -6,7 +6,9 @@ read off the normal forms of x_v·b; every invariant (length, Hilbert
 function, socle, type, embedding dimension) is then plain linear algebra
 over F_p.  The Hilbert function is the m-adic one, computed from
 image chains of the multiplication matrices, so it is correct for
-non-homogeneous ideals too.
+non-homogeneous ideals too.  The embedding dimension and the Koszul
+generators need no chain: m/m^2 of S/I is the space of linear forms modulo
+the linear parts of I (`generator_variables`).
 
 Every module-like object (R, the free modules R^m, their submodules and the
 modules of `resolution`) is seen through one interface: a function
@@ -39,16 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
 from .groebner import Ideal, PreconditionError, normal_form, reduce_basis
 from .poly import Exponents, Polynomial, RingContext
-
-if TYPE_CHECKING:
-    from .resolution import KoszulStart
 
 
 class QuotientAlgebra:
@@ -124,16 +122,33 @@ class QuotientAlgebra:
         return tuple(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
 
     @cached_property
-    def edim(self) -> int:
-        """dim m/m^2, from the chain walked to m^2 only; 0 for a field."""
-        dims = self._chain.walk(2) + [0, 0]
-        return dims[1] - dims[2]
+    def generator_variables(self) -> list[int]:
+        """The variables whose images minimally generate m, chosen greedily
+        in variable order: x_v is taken when it is not in m^2 + I + (the
+        earlier variables), as the chain's choice of the images that extend
+        m^2 to m takes it.  m/(m^2 + I) is the linear forms modulo the span
+        L of the linear parts of I, and h_1·g_1 + ... has the linear part
+        h_1(0)·lin(g_1) + ..., so the linear parts of I's reduced basis span
+        L: the choice is one `complete_columns` over the n linear forms,
+        with no chain walk and no rref over R."""
+        codec, n = self.ctx.codec, self.ctx.nvars
+        row = {codec.one + u: v for v, u in enumerate(codec.units)}
+        basis = self.ideal.groebner()
+        linear = [(row[k], j, c) for j, g in enumerate(basis) for k, c in g.terms if k in row]
+        L = linalg.Triples.from_entries(linear, (n, len(basis)))
+        return linalg.complete_columns(L, linalg.Triples.identity(n), self.p)
 
     @cached_property
-    def koszul(self) -> KoszulStart:
-        """The Koszul generators of m and ∂_2, by `resolution.koszul_start`."""
-        from .resolution import koszul_start  # resolution imports this module
-        return koszul_start(self)
+    def edim(self) -> int:
+        """dim m/m^2, the number of `generator_variables`; 0 for a field."""
+        return len(self.generator_variables)
+
+    @cached_property
+    def koszul_d2(self) -> linalg.Triples:
+        """∂_2 of the Koszul complex on `generator_variables`, by
+        `resolution.koszul_d2`."""
+        from .resolution import koszul_d2  # resolution imports this module
+        return koszul_d2(self)
 
     @cached_property
     def koszul_h1(self) -> int:
@@ -271,7 +286,8 @@ def quotient_algebra(I: Ideal) -> QuotientAlgebra:
 
 
 # the deepest power m^j whose basis the m-adic walk keeps: the callers of
-# `max_power_basis` ask for m^2 (`k_summand_test`) and m^3 (the cube test)
+# `max_power_basis` ask for m^2 (`burch.socle_outside_square`) and m^3 (the
+# cube test)
 KEPT_POWER = 3
 
 

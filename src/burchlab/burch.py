@@ -22,6 +22,13 @@ invariant, depth zero and weak m-fullness all go this way.  The elimination
 colon is the oracle of `burch_criteria_crosscheck`, whose definition,
 colon-shift and type-count routes read it, so `check --route all` compares
 the two colons' consequences on every m-primary ideal.
+
+The generator counts mu(I) and mu(mI) of the invariant table and of the
+two-variable criterion mu(mI) < 2 mu(I) come from the one algebra
+A = S/mI that the colon shift and weak m-fullness read too (`_mu_pair`):
+mu(I) = ℓ(A) - ℓ(S/I), and mu(mI) = dim H_1(K^A), the first Koszul
+homology on all n variables, which is Tor_1^S(S/mI, k) = mI/m^2 I.  No
+command builds a basis of m^2 I.
 """
 from __future__ import annotations
 
@@ -137,11 +144,15 @@ def _colon_residues(I: Ideal) -> list[tuple[Polynomial, int, Polynomial]]:
 
 
 def _mu_pair(I: Ideal, len_I: int) -> tuple[int, int]:
-    """(mu(I), mu(mI)) of an m-primary I from the lengths of S/I, S/mI and
-    S/m^2 I, given the first."""
-    mI = max_ideal_product(I)
-    len_mI = mI.length()
-    return len_mI - len_I, max_ideal_product(mI).length() - len_mI
+    """(mu(I), mu(mI)) of an m-primary I, given the length of S/I, from the
+    one algebra A = S/mI that the routes of a command share
+    (`quotient_algebra`, memoized on mI): mu(I) = ℓ(I/mI) = ℓ(A) - ℓ(S/I),
+    and mu(mI) = dim mI/m^2 I = dim Tor_1^S(A, k) = dim H_1(K^A)
+    (`QuotientAlgebra.koszul_h1`), as mI ⊆ m^2 makes the Koszul generators
+    of A all n variables.  No basis of m^2 I is built; ℓ(S/m^2 I) - ℓ(S/mI)
+    is the test suite's oracle."""
+    A = quotient_algebra(max_ideal_product(I))
+    return A.length - len_I, A.koszul_h1
 
 
 def _invariant_table(I: Ideal) -> dict:

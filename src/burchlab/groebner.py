@@ -28,8 +28,8 @@ generators, monic and ascending, kept by the same one-pass lead
 minimalisation that `reduce_basis` runs.  A product of ideals lists each
 product of generators once.  The product m·I lists x_v·f for f in I's
 generators, but its reduced basis starts from x_v·G_I, the products of I's
-reduced basis: when G_I is monomial, as the basis of m·I often is, m²·I
-takes the monomial path and no Buchberger run.
+reduced basis: when G_I is monomial, m·I takes the monomial path and no
+Buchberger run.
 
 An intersection of ideals of a grevlex ring eliminates a single variable t
 under Block(1), the power of t first and then grevlex.  It starts from
@@ -67,9 +67,9 @@ from .poly import (
 
 # The longest S/I whose standard monomials `Ideal._staircase` lists.  Listing
 # 4096 of them takes about 15 ms; the algebra built on them costs more, and
-# a command also lists the staircases of m·I and m²·I: `check --route all` on
-# (x^4091, y), the longest m-adic chain it accepts, takes about 3 s and 44 MB
-# peak (one 2-CPU x86 host).
+# `check` and `invariants` also build the algebra S/mI: `check --route all` on
+# (x^4094, y), the longest m-adic chain they accept, takes about 1.8 s and
+# 36 MB peak (one 2-CPU x86 host).
 MAX_LENGTH = 4096
 
 
@@ -531,8 +531,10 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J by eliminating t from t·I + (1-t)·J under Block(1).
 
     Every multiple of t lies above every t-free monomial there, so the
-    t-free elements of the reduced basis, the first ones, are the grevlex
-    reduced basis of I ∩ J:
+    t-free elements of a Groebner basis form one of I ∩ J, and
+    `reduce_basis` of them alone gives the grevlex reduced basis of I ∩ J:
+    a t-free lead is divisible only by t-free leads, and a t-free element
+    has only t-free terms.  Further:
     - the result carries that basis;
     - t·G_I and (t-1)·G_J, from the reduced bases of I and J, are Groebner
       bases in the elimination ring already, so `buchberger` reduces only
@@ -558,10 +560,8 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         Polynomial(ctx2, tuple([(k + free + t, c) for k, c in g.terms] + [(k + free, p - c) for k, c in g.terms]))
         for g in J.groebner()
     ]
-    gb = reduce_basis(buchberger([], ctx2, (t_I, t_J)), ctx2)
-    meet = Ideal.make(
-        ctx, [Polynomial(ctx, tuple([(k - free, c) for k, c in g.terms])) for g in gb if g.terms[0][0] < t_key]
-    )
+    gb = reduce_basis([g for g in buchberger([], ctx2, (t_I, t_J)) if g.terms[0][0] < t_key], ctx2)
+    meet = Ideal.make(ctx, [Polynomial(ctx, tuple([(k - free, c) for k, c in g.terms])) for g in gb])
     meet._cache["groebner"] = meet.gens
     return meet
 

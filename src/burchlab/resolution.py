@@ -35,10 +35,11 @@ cols, dim R) array, for `Resolution.matrix(i)` and
 `MappingConeResult.presentation`.
 
 The Koszul complex of R is built once per algebra, as far as ∂_2
-(`koszul_start`, cached as `QuotientAlgebra.koszul`), on minimal
-generators x_1..x_e of m chosen among the variables.  Two numbers are read
-off it: dim H_1(K^R) = dim ker ∂_1 - rank ∂_2 (`koszul_h1`), and the rank
-of Soc(R)^e -> H_1(K^R), rank[∂_2 | W^e] - rank ∂_2 for W the socle basis
+(`koszul_d2`, cached as `QuotientAlgebra.koszul_d2`), on minimal
+generators x_1..x_e of m chosen among the variables from the linear parts
+of I.  Two numbers are read off it: dim H_1(K^R) = dim ker ∂_1 - rank ∂_2
+(`koszul_h1`), which for R = S/mI is μ(mI), and the rank of
+Soc(R)^e -> H_1(K^R), rank[∂_2 | W^e] - rank ∂_2 for W the socle basis
 (`koszul_socle_rank`), which is the invariant c_R of a ring that is not a
 field.
 """
@@ -389,24 +390,14 @@ def _witness_coordinate_order(R: QuotientAlgebra, m: int) -> np.ndarray:
 # Koszul homology, Tor, mapping cones
 
 
-@dataclass
-class KoszulStart:
-    """What `koszul_h1` and `koszul_socle_rank` share of the Koszul complex
-    of R on x_1..x_e, minimal generators of m chosen among the variables:
-    those whose images extend m^2 to m, in variable order.  K_1 = R^e and
-    K_2 = R^{C(e,2)}, with coordinates component-major as for any R^m."""
-
-    variables: list[int]
-    d2: linalg.Triples  # ∂_2, of shape (e·dim R, C(e,2)·dim R)
-
-
-def koszul_start(R: QuotientAlgebra) -> KoszulStart:
-    """The Koszul generators and ∂_2 of R, which `QuotientAlgebra.koszul`
-    builds once per algebra."""
+def koszul_d2(R: QuotientAlgebra) -> linalg.Triples:
+    """∂_2 : K_2 = R^{C(e,2)} -> K_1 = R^e of the Koszul complex of R on
+    its generator variables x_1..x_e (`QuotientAlgebra.generator_variables`,
+    read off the linear parts of I: for R = S/mI, as mI ⊆ m^2, all n
+    variables), with coordinates component-major as for any R^m;
+    `QuotientAlgebra.koszul_d2` builds it once per algebra."""
     d, p = R.dim, R.p
-    var_vecs = linalg.hstack([R.variable_element(i).column() for i in range(R.ctx.nvars)], d)
-    variables = linalg.complete_columns(R.max_power_basis(2), var_vecs, p)
-    ops = [R.mult[v] for v in variables]
+    ops = [R.mult[v] for v in R.generator_variables]
     e = len(ops)
     # column block (i, j) of ∂_2 holds x_i at row block j and -x_j at row block i
     blocks = [
@@ -418,32 +409,32 @@ def koszul_start(R: QuotientAlgebra) -> KoszulStart:
         )
         for i, j in itertools.combinations(range(e), 2)
     ]
-    return KoszulStart(variables, linalg.hstack(blocks, e * d))
+    return linalg.hstack(blocks, e * d)
 
 
 def koszul_h1(R: QuotientAlgebra) -> int:
     """dim H_1(K^R) = dim ker ∂_1 - rank ∂_2, where ∂_1 : R^e -> R is
-    [x_1 ... x_e]; 0 for a field, where e = 0."""
-    K = R.koszul
-    d1 = linalg.hstack([R.mult[v] for v in K.variables], R.dim)
-    return d1.shape[1] - linalg.rank(d1, R.p) - linalg.rank(K.d2, R.p)
+    [x_1 ... x_e], whose image is m as the x_i generate it: dim ker ∂_1 =
+    e·dim R - (dim R - 1), and the one rank taken is that of ∂_2.  0 for a
+    field, where e = 0.  With all n variables, as for R = S/J with J ⊆ m^2,
+    this is dim Tor_1^S(S/J, k) = μ(J)."""
+    return R.edim * R.dim - (R.dim - 1) - linalg.rank(R.koszul_d2, R.p)
 
 
 def koszul_socle_rank(R: QuotientAlgebra) -> int:
-    """The rank of Soc(R)^e -> H_1(K^R), e the number of Koszul
+    """The rank of Soc(R)^e -> H_1(K^R), e = edim R the number of Koszul
     generators: rank[∂_2 | W^e] - rank ∂_2, where W^e puts the socle basis
     W in each of the e row blocks of K_1 = R^e.  Since m·W = 0, W^e lies in
     the 1-cycles; the rank is the number of its columns that extend the
     boundaries, from one rref of [∂_2 | W^e].  This is c_R
     (`burch.burch_invariant`) for R not a field."""
-    K = R.koszul
     W = linalg.Triples.from_dense(R.socle)
-    e, d, s = len(K.variables), R.dim, W.shape[1]
+    e, d, s = R.edim, R.dim, W.shape[1]
     block = np.arange(e)[:, None]
     We = linalg.Triples(
         (block * d + W.rows).ravel(), (block * s + W.cols).ravel(), np.tile(W.vals, e), (e * d, e * s)
     )
-    return len(linalg.complete_columns(K.d2, We, R.p))
+    return len(linalg.complete_columns(R.koszul_d2, We, R.p))
 
 
 def _tensor_map(G: linalg.Triples, N: AlgebraModule) -> linalg.Triples:

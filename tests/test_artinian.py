@@ -112,14 +112,14 @@ def test_hilbert_function_m_adic_for_nonhomogeneous():
 def test_invariants_computed_on_first_use():
     """Building the algebra leaves the m-adic chain, Hilbert function, edim
     and socle for their first reader, so a caller that needs only the
-    multiplication matrices never pays for them; edim needs the chain only
-    to m^2, not the Hilbert function."""
+    multiplication matrices never pays for them; edim is read off the
+    linear parts of I and leaves the chain unbuilt."""
     R = quotient(CTX, "x^4", "x^2*y^2", "y^4")
     lazy = {"_chain", "hilbert", "edim", "socle"}
     assert not lazy & vars(R).keys()
     assert R.edim == 2
-    assert {"_chain", "edim"} <= vars(R).keys()
-    assert "hilbert" not in vars(R) and "socle" not in vars(R)
+    assert "edim" in vars(R)
+    assert "_chain" not in vars(R) and "hilbert" not in vars(R) and "socle" not in vars(R)
     assert R.socle_dim == 2 and "socle" in vars(R)
 
 
@@ -151,20 +151,19 @@ def test_madic_walk_keeps_only_the_first_powers(monkeypatch):
     assert [short.max_power_basis(j).shape for j in (1, 2, 3, 5)] == [(2, 1), (2, 0), (2, 0), (2, 0)]
 
 
-def test_edim_walks_the_chain_only_to_m_squared(monkeypatch):
-    """edim is dim m/m^2 from the chain walked to m^2: `burch_invariant` on
-    (x^40, y) walks R two powers, not 40, to choose its Koszul generators,
-    and builds no R/Soc R to walk.  The Hilbert function walked on from
-    there is unchanged, and a field keeps edim 0."""
+def test_edim_walks_no_chain(monkeypatch):
+    """edim and the Koszul generators are read off the linear parts of I:
+    on (x^40, y) neither `edim` nor `burch_invariant` takes an `m_span`,
+    and the Hilbert function still walks all 40 powers.  A field keeps
+    edim 0."""
     spans = []
     real = QuotientAlgebra.m_span
     monkeypatch.setattr(QuotientAlgebra, "m_span", lambda self, W, act: spans.append(1) or real(self, W, act))
     R = quotient(CTX, "x^40", "y")
-    assert R.edim == 1 and len(spans) == 2
-    spans.clear()
+    assert R.edim == 1 and len(spans) == 0
     R = quotient(CTX, "x^40", "y")
-    assert burch_invariant(R) > 0 and len(spans) == 2
-    assert R.hilbert == (1,) * 40 and len(spans) == 2 + 38
+    assert burch_invariant(R) > 0 and len(spans) == 0
+    assert R.hilbert == (1,) * 40 and len(spans) == 40
     field = quotient(CTX, "x", "y")
     assert field.edim == 0 and field.hilbert == (1,)
 

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import burchlab.burch as burch_module
+from burchlab import linalg
 from burchlab.artinian import QuotientAlgebra, fibre_product, quotient_algebra
 from burchlab.burch import (
     burch_criteria_crosscheck,
@@ -21,9 +22,10 @@ from burchlab.burch import (
     weakly_m_full_test,
 )
 from burchlab.corpus import run_corpus
-from burchlab.groebner import Ideal, PreconditionError, max_ideal
+from burchlab.groebner import Ideal, PreconditionError, max_ideal, max_ideal_product
 from burchlab.monomial import enumerate_m_primary
 from burchlab.poly import Polynomial, RingContext, monomials_of_degree, parse_polynomial
+from test_cli import NONHOMOGENEOUS_REPORT_SHA256
 
 P = 32003
 CTX = RingContext(P, ("x", "y"))
@@ -336,8 +338,9 @@ def test_c_invariant_matches_socle_quotient_oracle_on_the_sweep(p, degree):
         assert burch_invariant(R) == c_from_socle_quotient(R), mi.gens
 
 
-def test_c_invariant_matches_socle_quotient_oracle_on_the_corpus(monkeypatch):
-    """Every m-primary ideal the corpus builds an algebra of."""
+def corpus_ideals(monkeypatch):
+    """Every m-primary ideal the corpus builds an algebra of, once each and
+    afresh, with nothing cached."""
     import burchlab.artinian as artinian
 
     seen = []
@@ -347,23 +350,29 @@ def test_c_invariant_matches_socle_quotient_oracle_on_the_corpus(monkeypatch):
     monkeypatch.undo()
     primary = {(I.ctx.p, I.ctx.variables, I.groebner()): I for I in seen}
     assert len(primary) >= 10
-    for I in primary.values():
+    return [Ideal.make(I.ctx, I.gens) for I in primary.values()]
+
+
+def test_c_invariant_matches_socle_quotient_oracle_on_the_corpus(monkeypatch):
+    for I in corpus_ideals(monkeypatch):
         R = QuotientAlgebra(I)
         assert burch_invariant(R) == c_from_socle_quotient(R), I
 
 
 @st.composite
 def local_ideals(draw):
-    """Non-homogeneous m-primary ideals of k[x,y] or k[x,y,z] over F_p for
-    p in {2, 3, 101, 32003}: a pure power of each variable and one or two
-    polynomials of up to four terms of degree 1 to 3."""
+    """Non-homogeneous m-primary ideals of k[x], k[x,y] or k[x,y,z] over
+    F_p for p in {2, 3, 101, 32003}: a power x_i^a of each variable, a in
+    1..4, so some hold a variable and some present a field, and up to two
+    polynomials of up to four terms of degree 1 to 3, whose linear parts
+    need not be variables."""
     p = draw(st.sampled_from((2, 3, 101, P)))
-    n = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
     ctx = RingContext(p, ("x", "y", "z")[:n])
-    gens = [ctx.monomial(tuple(draw(st.integers(2, 4)) if k == i else 0 for k in range(n))) for i in range(n)]
+    gens = [ctx.monomial(tuple(draw(st.integers(1, 4)) if k == i else 0 for k in range(n))) for i in range(n)]
     exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 1 <= sum(e) <= 3)
     polys = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=4)
-    gens += [Polynomial.from_dict(ctx, d) for d in draw(st.lists(polys, min_size=1, max_size=2))]
+    gens += [Polynomial.from_dict(ctx, d) for d in draw(st.lists(polys, max_size=2))]
     return Ideal.make(ctx, gens)
 
 
@@ -372,6 +381,61 @@ def local_ideals(draw):
 def test_c_invariant_matches_socle_quotient_oracle_on_local_ideals(I):
     R = QuotientAlgebra(I)
     assert burch_invariant(R) == c_from_socle_quotient(R)
+
+
+def mu_from_lengths(I):
+    """(μ(I), μ(mI)) as ℓ(S/mI) - ℓ(S/I) and ℓ(S/m²I) - ℓ(S/mI), from a
+    basis of m²I: the oracle that `_mu_pair`, which reads μ(mI) off the
+    Koszul complex of S/mI, is checked against."""
+    mI = max_ideal_product(I)
+    return mI.length() - I.length(), max_ideal_product(mI).length() - mI.length()
+
+
+def generators_from_chain(R):
+    """(edim, Koszul generators) from the m-adic chain walked to m²: dim
+    m - dim m², and the variables whose images extend m² to m, greedily in
+    order.  The oracle of `QuotientAlgebra.generator_variables`."""
+    dims = R._chain.walk(2) + [0, 0]
+    images = linalg.hstack([R.variable_element(v).column() for v in range(R.ctx.nvars)], R.dim)
+    return dims[1] - dims[2], linalg.complete_columns(R.max_power_basis(2), images, R.p)
+
+
+def assert_mu_and_generators_match_oracles(I):
+    """μ(I), μ(mI) and the Koszul generators of S/I and of S/mI, whose
+    generators are all the variables, against the oracles."""
+    R = QuotientAlgebra(I)
+    assert burch_module._mu_pair(I, R.length) == mu_from_lengths(I), I
+    A = quotient_algebra(max_ideal_product(I))
+    assert A.generator_variables == list(range(I.ctx.nvars))
+    for B in (R, A):
+        assert (B.edim, B.generator_variables) == generators_from_chain(B), B
+
+
+def test_mu_and_generators_match_oracles_on_the_sweep():
+    """Every m-primary monomial ideal of k[x,y] to socle degree 6."""
+    for mi in enumerate_m_primary(CTX, 6):
+        assert_mu_and_generators_match_oracles(mi.to_ideal())
+
+
+def test_mu_and_generators_match_oracles_on_the_corpus(monkeypatch):
+    for I in corpus_ideals(monkeypatch):
+        assert_mu_and_generators_match_oracles(I)
+
+
+@pytest.mark.parametrize("gens", [g for g, _, _ in NONHOMOGENEOUS_REPORT_SHA256])
+def test_mu_and_generators_match_oracles_on_nonhomogeneous_ideals(gens):
+    assert_mu_and_generators_match_oracles(ideal(CTX3, *gens.split(", ")))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(local_ideals())
+@example(ideal(CTX, "x^3", "y"))
+@example(ideal(CTX, "x^2", "y + x^2"))
+@example(ideal(CTX, "x", "y"))
+@example(ideal(CX, "x^5"))
+@example(ideal(CTX3, "x + y", "y^2", "z - x^2", "x^3"))
+def test_mu_and_generators_match_oracles_on_local_ideals(I):
+    assert_mu_and_generators_match_oracles(I)
 
 
 @pytest.mark.parametrize(

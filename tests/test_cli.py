@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from burchlab import cli, groebner, linalg, resolution
+from burchlab import burch, cli, groebner, linalg, resolution
 from burchlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION, main, parse_session
 
 SESSION = """\
@@ -117,30 +117,42 @@ def test_check_all_routes_builds_one_basis_of_m_times_colon(session_file, capsys
 
 
 def test_invariants_run_no_buchberger_for_m_squared_times_the_ideal(tmp_path, capsys, monkeypatch):
-    """`invariants` needs the length of S/m²I.  For I = (x², y², z², q) with
-    q a generic quadric, m²I has generators that are not monomials, but
-    m·I = m³ has a monomial basis G and m²I's basis comes from x_v·G: no
-    `buchberger` run computes a basis of m²I, while those of I and m·I run."""
-    f = tmp_path / "quadric.session"
-    f.write_text("ring 32003 x y z\nideal I = x^2, y^2, z^2, 3*x*y + 5*x*z + 7*y*z\n")
-    runs = []
-    real = groebner.buchberger
+    """μ(m·I) is read off the Koszul complex of S/mI, so no command takes
+    the product of m with m·I.  For I = (x², y², z², q) with q a generic
+    quadric, m²I has generators that are not monomials, yet `invariants`
+    runs `buchberger` only for I and m·I, as it does on the query ideal;
+    `check --route all` takes no m·(m·I) either."""
+    quadric = "ring 32003 x y z\nideal I = x^2, y^2, z^2, 3*x*y + 5*x*z + 7*y*z\n"
+    real_buchberger, real_product = groebner.buchberger, groebner.max_ideal_product
+    for text in (quadric, QUERY_SESSION):
+        f = tmp_path / "s.session"
+        f.write_text(text)
+        I = parse_session(str(f)).ideal("I")
+        mI = groebner.max_ideal_product(I)
+        if text == quadric:
+            assert any(len(g.terms) > 1 for g in groebner.max_ideal_product(mI).gens)
+        for command in (["invariants"], ["check", "--route", "all"]):
+            runs, products = [], []
 
-    def recording(gens, ctx, bases=()):
-        runs.append((ctx, gens))
-        return real(gens, ctx, bases)
+            def recording(gens, ctx, bases=()):
+                runs.append((ctx, gens))
+                return real_buchberger(gens, ctx, bases)
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    code, _, _ = run_cli(capsys, "invariants", str(f), "I")
-    monkeypatch.undo()
-    assert code == EXIT_OK
-    I = parse_session(str(f)).ideal("I")
-    mI = groebner.max_ideal_product(I)
-    m2I = groebner.max_ideal_product(mI)
-    assert any(len(g.terms) > 1 for g in m2I.gens)
-    built = [groebner.Ideal.make(ctx, gens) for ctx, gens in runs if ctx == I.ctx]
-    assert I in built and mI in built
-    assert m2I not in built
+            def product(J):
+                products.append(J.gens)
+                return real_product(J)
+
+            monkeypatch.setattr(groebner, "buchberger", recording)
+            monkeypatch.setattr(groebner, "max_ideal_product", product)
+            monkeypatch.setattr(burch, "max_ideal_product", product)
+            code, _, _ = run_cli(capsys, command[0], str(f), "I", *command[1:])
+            monkeypatch.undo()
+            assert code == EXIT_OK
+            assert I.gens in products and mI.gens not in products
+            if command == ["invariants"]:
+                assert all(ctx == I.ctx for ctx, _ in runs)
+                built = [groebner.Ideal.make(ctx, gens) for ctx, gens in runs]
+                assert I in built and mI in built and all(J in (I, mI) for J in built)
 
 
 @pytest.mark.parametrize("name", ["I", "B"])
@@ -227,14 +239,14 @@ def test_check_long_quotient_exit_3(tmp_path):
 
 
 def test_check_long_built_quotient_names_its_ideal(tmp_path, capsys):
-    """S/I of length 4092 is within groebner.MAX_LENGTH, but S/m²I, which
-    `check` builds for μ(m·I), is not: exit 3, and the message names m²I
-    by its first generators and their count."""
+    """S/I of length 4095 is within groebner.MAX_LENGTH, but S/mI, of
+    length 4097, which `check` builds for μ(I) and μ(m·I), is not: exit 3,
+    and the message names m·I by its generators."""
     f = tmp_path / "long.session"
-    f.write_text("ring 32003 x y\nideal I = x^4092, y\n")
+    f.write_text("ring 32003 x y\nideal I = x^4095, y\n")
     code, out, err = run_cli(capsys, "check", str(f), "I")
     assert code == EXIT_PRECONDITION and out == ""
-    assert f"limit of {groebner.MAX_LENGTH}, J = (x^4094, x^2*y, x^4093*y, x*y^2, ... (6 generators))" in err
+    assert f"limit of {groebner.MAX_LENGTH}, J = (x^4096, x*y, x^4095*y, y^2)" in err
 
 
 def test_check_eight_variables(tmp_path):
@@ -403,21 +415,21 @@ def test_check_all_routes_eliminates_once_per_variable(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
-    "text, name, command, algebras",
+    "text, name, command",
     [
-        (SESSION, "I", "invariants", 1),
-        (SESSION, "HY", "invariants", 1),
-        (QUERY_SESSION, "I", "invariants", 1),
-        (SESSION, "I", "check", 2),
-        (SESSION, "HY", "check", 2),
-        (QUERY_SESSION, "I", "check", 2),
+        (SESSION, "I", "invariants"),
+        (SESSION, "HY", "invariants"),
+        (QUERY_SESSION, "I", "invariants"),
+        (SESSION, "I", "check"),
+        (SESSION, "HY", "check"),
+        (QUERY_SESSION, "I", "check"),
     ],
     ids=["invariants-I", "invariants-HY", "invariants-query", "check-I", "check-HY", "check-query"],
 )
-def test_commands_build_no_algebra_of_the_socle_quotient(tmp_path, capsys, monkeypatch, text, name, command, algebras):
-    """c_R is read off R alone: `invariants` on an m-primary ideal builds
-    the one algebra S/I, and `check --route all` builds S/I and S/mI, the
-    colon-shift route's, with no algebra R/Soc R."""
+def test_commands_build_no_algebra_of_the_socle_quotient(tmp_path, capsys, monkeypatch, text, name, command):
+    """c_R is read off R alone: `invariants` and `check --route all` on an
+    m-primary ideal build exactly S/I and S/mI, the algebra that μ(m·I) and
+    the colon-shift route read, with no algebra R/Soc R."""
     from burchlab import artinian
 
     f = tmp_path / "s.session"
@@ -429,7 +441,7 @@ def test_commands_build_no_algebra_of_the_socle_quotient(tmp_path, capsys, monke
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     monkeypatch.undo()
     I = parse_session(str(f)).ideal(name)
-    assert len(built) == algebras and built[0] == I
+    assert [J.gens for J in built] == [I.gens, groebner.max_ideal_product(I).gens]
 
 
 def test_syzygy_summand_witness(session_file, capsys):

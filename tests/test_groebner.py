@@ -890,6 +890,29 @@ def test_elimination_matches_reference_of_lifted_generators(case):
         assert principal._cache["groebner"] == reduced_groebner(principal.gens, ctx)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(elimination_inputs())
+@example(EIGHT_VARIABLE_COLON)
+def test_intersection_reduces_only_the_t_free_elements(case):
+    """Under Block(1) a t-free lead is divisible only by t-free leads, so
+    `reduce_basis` of the t-free elements of the elimination basis equals
+    the t-free part of `reduce_basis` of all of it, and
+    `ideal_intersection`, which reduces only the former, returns it."""
+    ctx, I_gens, J_gens = case
+    ctx2 = groebner._extend_context(ctx)
+    t_key, free = ctx2.codec.one + ctx2.codec.units[0], ctx2.codec.one - ctx.codec.one
+    I, J = Ideal.make(ctx, I_gens), Ideal.make(ctx, J_gens)
+    I.groebner(), J.groebner()
+    bases = []
+    real = groebner.buchberger
+    with mock.patch.object(groebner, "buchberger", lambda gens, c, seeds=(): bases.append(real(gens, c, seeds)) or bases[-1]):
+        meet = ideal_intersection(I, J)
+    (basis,) = bases
+    all_then_filter = tuple(g for g in reduce_basis(basis, ctx2) if g.terms[0][0] < t_key)
+    assert reduce_basis([g for g in basis if g.terms[0][0] < t_key], ctx2) == all_then_filter
+    assert meet.groebner() == tuple(Polynomial(ctx, tuple((k - free, c) for k, c in g.terms)) for g in all_then_filter)
+
+
 def test_intersection_and_colon_refuse_an_elimination_ring():
     """An intersection lifts grevlex keys into its elimination ring, so in a
     Block(1) ring it, and a colon, which intersects, are refused."""
