@@ -4,11 +4,15 @@ The algebra is presented on its standard monomial basis with one
 multiplication-by-variable matrix per variable (`mult`), a `linalg.Triples`
 read off the normal forms of x_v·b; every invariant (length, Hilbert
 function, socle, type, embedding dimension) is then plain linear algebra
-over F_p.  The Hilbert function is the m-adic one, computed from
-image chains of the multiplication matrices, so it is correct for
-non-homogeneous ideals too.  The embedding dimension and the Koszul
-generators need no chain: m/m^2 of S/I is the space of linear forms modulo
-the linear parts of I (`generator_variables`).
+over F_p.  The Hilbert function is the m-adic one.  When the algebra is
+`graded` (every x_v maps basis degree e into e + 1, which holds exactly when
+I is homogeneous) it is the count of standard monomials by degree, and m^j
+is spanned by those of degree >= j (Macaulay); otherwise both come from the
+m-adic chain, m^(j+1) = m·m^j one image span at a time, so they are correct
+for non-homogeneous ideals too.  The chain is also the tests' oracle for the
+graded route.  The embedding dimension and the Koszul generators need no
+chain: m/m^2 of S/I is the space of linear forms modulo the linear parts of
+I (`generator_variables`).
 
 Every module-like object (R, the free modules R^m, their submodules and the
 modules of `resolution`) is seen through one interface: a function
@@ -20,8 +24,9 @@ take such an act: `basis_multiples` (all basis-monomial multiples; one walk
 of an element a gives its dense multiplication matrix `operator(a)`),
 `m_span` (m·W), `socle_span` (the socle of span W) and
 `minimal_generators` (a complement of m·W among W's columns, with m·W,
-from one elimination).  The m-adic chain and the socle start from
-`linalg.Triples.identity`.
+from one elimination).  The m-adic chain starts from
+`linalg.Triples.identity`; the socle of R is the kernel of the stacked
+`mult` matrices themselves.
 
 The results that callers read as arrays, `socle` and `operator(a)`, are
 dense arrays built on request; annihilators (`AnnihilatorResult.subspace`)
@@ -66,7 +71,7 @@ class QuotientAlgebra:
         self._reducers = ideal.reducers()
         self.mult = [self._variable_matrix(i) for i in range(self.ctx.nvars)]
         self._scatters = [linalg.scatter_table(M) for M in self.mult]
-        check_commuting(self.act, self.dim, self.ctx.nvars, "multiplication matrices")
+        check_commuting(self.act, self.mult, "multiplication matrices")
         self._parents = self._basis_parents()
 
     # -- construction ---------------------------------------------------------
@@ -80,14 +85,19 @@ class QuotientAlgebra:
 
     def _variable_matrix(self, i: int) -> linalg.Triples:
         """Multiplication by x_i: column b holds x_i·(basis monomial b), a
-        basis monomial itself or the normal form of the product."""
-        unit = self.ctx.codec.units[i]
+        basis monomial itself or the normal form of the product.  The
+        product is a monomial, so `normal_form` would first take the first
+        reducer whose lead divides it; when that reducer is a monomial, the
+        normal form is 0 and is not taken."""
+        codec = self.ctx.codec
+        unit, guard = codec.units[i], codec.guard
+        rows = self._reducers.rows
         entries = []
         for b, m in enumerate(self.keys):
             prod = m + unit
             if prod in self.index:
                 entries.append((self.index[prod], b, 1))
-            else:
+            elif next(tail for dl, _, tail in rows if not (prod - dl) & guard):
                 r = normal_form(Polynomial(self.ctx, ((prod, 1),)), self._reducers)
                 entries.extend((self.index[k], b, c) for k, c in r.terms)
         return linalg.Triples.from_entries(entries, (self.dim, self.dim))
@@ -116,8 +126,31 @@ class QuotientAlgebra:
         return _MadicChain(self)
 
     @cached_property
+    def basis_degrees(self) -> np.ndarray:
+        """The degree of each basis monomial, in basis order."""
+        return np.array([sum(e) for e in self.basis], dtype=np.int64)
+
+    @cached_property
+    def graded(self) -> bool:
+        """Whether every x_v maps each basis monomial of degree e into the
+        span of those of degree e + 1: a property of the matrices `mult`,
+        not of how I's generators are written, so (x^2 + y, y) is graded.
+        It holds exactly when I is homogeneous: then the normal form of a
+        monomial is homogeneous of its degree, so I, the kernel of the
+        normal form, is spanned by homogeneous elements.  Then m^j is
+        spanned by the basis monomials of degree >= j: a product of j
+        variables raises degree by j, and a standard monomial of degree e is
+        e variables applied to 1."""
+        deg = self.basis_degrees
+        return all(np.array_equal(deg[M.rows], deg[M.cols] + 1) for M in self.mult)
+
+    @cached_property
     def hilbert(self) -> tuple[int, ...]:
-        """The m-adic Hilbert function dim m^j/m^(j+1), j = 0, 1, ..."""
+        """The m-adic Hilbert function dim m^j/m^(j+1), j = 0, 1, ...: for
+        a `graded` algebra the count of basis monomials by degree, otherwise
+        read off the m-adic chain."""
+        if self.graded:
+            return tuple(np.bincount(self.basis_degrees).tolist())
         dims = self._chain.walk()
         return tuple(dims[j] - dims[j + 1] for j in range(len(dims) - 1))
 
@@ -158,10 +191,12 @@ class QuotientAlgebra:
 
     @cached_property
     def socle(self) -> np.ndarray:
-        """Basis of the socle (0 : m) as columns, in the form
-        `linalg.kernel_basis` gives, as W is the identity: each column ends
-        (by key) in a 1, at a coordinate where every other column is 0."""
-        return self.socle_span(linalg.Triples.identity(self.dim), self.act).toarray()
+        """Basis of the socle (0 : m) as columns: the kernel of the `mult`
+        matrices stacked one above the other, in the form
+        `linalg.kernel_basis` gives: each column ends (by key) in a 1, at a
+        coordinate where every other column is 0."""
+        stacked = linalg.hstack([M.T for M in self.mult], self.dim).T
+        return linalg.kernel_basis(stacked, self.p).toarray()
 
     # -- queries ---------------------------------------------------------------
 
@@ -184,7 +219,11 @@ class QuotientAlgebra:
         return self.socle_dim == 1
 
     def max_power_basis(self, j: int) -> linalg.Triples:
-        """Basis of m^j (as a column span); kept for j <= KEPT_POWER."""
+        """Basis of m^j (as a column span): for a `graded` algebra the unit
+        vectors of the basis monomials of degree >= j, otherwise from the
+        m-adic chain, which keeps it for j <= KEPT_POWER."""
+        if self.graded:
+            return linalg.Triples.identity(self.dim).take_columns(np.flatnonzero(self.basis_degrees >= j))
         return self._chain.power(j)
 
     def element(self, f: Polynomial) -> "AlgebraElement":
@@ -285,9 +324,9 @@ def quotient_algebra(I: Ideal) -> QuotientAlgebra:
     return I._cache["algebra"]
 
 
-# the deepest power m^j whose basis the m-adic walk keeps: the callers of
-# `max_power_basis` ask for m^2 (`burch.socle_outside_square`) and m^3 (the
-# cube test)
+# the deepest power m^j whose basis the m-adic walk of an algebra that is not
+# graded keeps: the callers of `max_power_basis` ask for m^2
+# (`burch.socle_outside_square`) and m^3 (the cube test)
 KEPT_POWER = 3
 
 
@@ -360,22 +399,20 @@ class AlgebraElement:
         return f"AlgebraElement({self.to_polynomial()})"
 
 
-def check_commuting(act, dim: int, nvars: int, what: str) -> None:
-    """Raise AssertionError unless x_i·x_j = x_j·x_i for every pair of
-    variables, where act(v, Y) computes x_v·Y on vectors of length dim.  The
-    two products are canonical Triples, so they are equal exactly when their
-    entries, sorted by position, are."""
-    one = linalg.Triples.identity(dim)
-    images = [act(v, one) for v in range(nvars)]
+def check_commuting(act, actions: list[linalg.Triples], what: str) -> None:
+    """Raise AssertionError unless the action matrices M_v of the variables
+    commute: x_i·M_j = x_j·M_i for every pair, where act(v, Y) computes
+    x_v·Y = M_v·Y.  The two products are canonical Triples, so they are
+    equal exactly when their entries, sorted by position, are."""
 
     def entries(T: linalg.Triples) -> np.ndarray:
-        key = T.rows * dim + T.cols
+        key = T.rows * T.shape[1] + T.cols
         order = key.argsort()
         return np.stack([key[order], T.vals[order]])
 
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            if not np.array_equal(entries(act(i, images[j])), entries(act(j, images[i]))):
+    for i in range(len(actions)):
+        for j in range(i + 1, len(actions)):
+            if not np.array_equal(entries(act(i, actions[j])), entries(act(j, actions[i]))):
                 raise AssertionError(f"{what} do not commute")
 
 

@@ -73,7 +73,7 @@ class AlgebraModule:
         self._resolution: "Resolution | None" = None
         self._scatters = [linalg.scatter_table(A) for A in self.actions]
         if check:
-            check_commuting(self.act, self.dim, len(self.actions), "module actions")
+            check_commuting(self.act, self.actions, "module actions")
             for g in self.algebra.ideal.groebner():
                 if self.poly_operator(g).any():
                     raise AssertionError(f"relation {g} does not annihilate the module")
@@ -215,12 +215,12 @@ class SyzygyModule:
         return self.basis.shape[1]
 
 
-def _adic_order(G: linalg.Triples, degrees: np.ndarray) -> np.ndarray:
-    """Smallest degree of a basis monomial supported by each column of G, a
-    matrix of vectors of R^m; degrees[b] is the degree of basis monomial b,
-    and the value for a zero column is dim R."""
-    out = np.full(G.shape[1], degrees.size, dtype=np.int64)
-    np.minimum.at(out, G.cols, degrees[G.rows % degrees.size])
+def _adic_order(G: linalg.Triples, R: QuotientAlgebra) -> np.ndarray:
+    """Smallest degree (`R.basis_degrees`) of a basis monomial supported by
+    each column of G, a matrix of vectors of R^m; the value for a zero
+    column is dim R."""
+    out = np.full(G.shape[1], R.dim, dtype=np.int64)
+    np.minimum.at(out, G.cols, R.basis_degrees[G.rows % R.dim])
     return out
 
 
@@ -229,12 +229,11 @@ def _sort_generators(R: QuotientAlgebra, G: linalg.Triples, m: int) -> linalg.Tr
     m-adic order first, ties broken by the first nonzero coordinate scanning
     components in order and monomials from highest to lowest (so x-entries
     precede y-entries)."""
-    degrees = np.array([sum(e) for e in R.basis], dtype=np.int64)
     # _witness_coordinate_order is its own inverse: it gives each row's place
     first = np.full(G.shape[1], m * R.dim, dtype=np.int64)
     np.minimum.at(first, G.cols, _witness_coordinate_order(R, m)[G.rows])
     # np.lexsort sorts by its last key first, and is stable
-    return G.take_columns(np.lexsort((first, _adic_order(G, degrees))))
+    return G.take_columns(np.lexsort((first, _adic_order(G, R))))
 
 
 def _dense_entries(G: linalg.Triples, d: int) -> np.ndarray:

@@ -4,6 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_burch import corpus_ideals, query_ideals
 from test_cli import NONHOMOGENEOUS_REPORT_SHA256
 
 from burchlab import groebner, linalg
@@ -18,7 +21,7 @@ from burchlab.burch import burch_invariant
 from burchlab.corpus import run_corpus
 from burchlab.groebner import Ideal, PreconditionError, ideal_colon, max_ideal, max_ideal_product, reduced_groebner
 from burchlab.monomial import enumerate_m_primary
-from burchlab.poly import RingContext, parse_polynomial
+from burchlab.poly import Polynomial, RingContext, parse_polynomial
 
 P = 32003
 CTX = RingContext(P, ("x", "y"))
@@ -124,9 +127,10 @@ def test_invariants_computed_on_first_use():
 
 
 def test_madic_walk_keeps_only_the_first_powers(monkeypatch):
-    """The m-adic chain of (x^40, y) is walked once, one `m_span` a power,
-    whatever asks first: `hilbert` keeps only the dimensions, and of the
-    40 bases only m^0 .. m^KEPT_POWER and the deepest power stay kept."""
+    """The m-adic chain of (x^40, y + x^2), which is not graded (x·x = -y),
+    is walked once, one `m_span` a power, whatever asks first: `hilbert`
+    keeps only the dimensions, and of the 40 bases only m^0 .. m^KEPT_POWER
+    and the deepest power stay kept."""
     spans = []
     real = QuotientAlgebra.m_span
 
@@ -137,7 +141,8 @@ def test_madic_walk_keeps_only_the_first_powers(monkeypatch):
     monkeypatch.setattr(QuotientAlgebra, "m_span", counted)
     for power_first in (True, False):
         spans.clear()
-        R = quotient(CTX, "x^40", "y")
+        R = quotient(CTX, "x^40", "y + x^2")
+        assert not R.graded
         if power_first:
             assert R.max_power_basis(3).shape == (40, 37) and len(spans) == 3
         assert R.hilbert == (1,) * 40 and len(spans) == 40
@@ -149,19 +154,22 @@ def test_madic_walk_keeps_only_the_first_powers(monkeypatch):
     assert len(R._chain.kept) == KEPT_POWER + 1
     short = quotient(CTX, "x^2", "y")
     assert [short.max_power_basis(j).shape for j in (1, 2, 3, 5)] == [(2, 1), (2, 0), (2, 0), (2, 0)]
+    short = quotient(CTX, "x^3", "y + x^2")
+    assert not short.graded
+    assert [short.max_power_basis(j).shape for j in (1, 2, 3, 5)] == [(3, 2), (3, 1), (3, 0), (3, 0)]
 
 
 def test_edim_walks_no_chain(monkeypatch):
     """edim and the Koszul generators are read off the linear parts of I:
-    on (x^40, y) neither `edim` nor `burch_invariant` takes an `m_span`,
-    and the Hilbert function still walks all 40 powers.  A field keeps
-    edim 0."""
+    on (x^40, y + x^2), which is not graded, neither `edim` nor
+    `burch_invariant` takes an `m_span`, and the Hilbert function still
+    walks all 40 powers.  A field keeps edim 0."""
     spans = []
     real = QuotientAlgebra.m_span
     monkeypatch.setattr(QuotientAlgebra, "m_span", lambda self, W, act: spans.append(1) or real(self, W, act))
-    R = quotient(CTX, "x^40", "y")
+    R = quotient(CTX, "x^40", "y + x^2")
     assert R.edim == 1 and len(spans) == 0
-    R = quotient(CTX, "x^40", "y")
+    R = quotient(CTX, "x^40", "y + x^2")
     assert burch_invariant(R) > 0 and len(spans) == 0
     assert R.hilbert == (1,) * 40 and len(spans) == 40
     field = quotient(CTX, "x", "y")
@@ -389,3 +397,184 @@ def test_quotient_by_socle_matches_source_generators_plus_lifts(ctx, gens):
     assert new.basis == old.basis
     assert len(new.mult) == len(old.mult)
     assert all(np.array_equal(a.toarray(), b.toarray()) for a, b in zip(new.mult, old.mult))
+
+
+# -- graded algebras against the m-adic chain, the oracle route -------------------
+
+
+def assert_hilbert_and_powers_match_chain(R: QuotientAlgebra) -> None:
+    """`hilbert` and the span of `max_power_basis(j)`, j <= 4, against the
+    m-adic chain walked one `m_span` at a time (`R._chain`), and `graded`
+    against the reduced basis: S/I is graded exactly when I is homogeneous,
+    that is when its reduced basis is."""
+    assert R.graded == all(g.is_homogeneous() for g in R.ideal.groebner()), R
+    dims = R._chain.walk()
+    assert R.hilbert == tuple(a - b for a, b in zip(dims, dims[1:])), R
+    for j in range(5):
+        assert linalg.subspace_eq(R.max_power_basis(j), R._chain.power(j), R.p), (R, j)
+
+
+def test_hilbert_and_powers_match_chain_on_the_sweep():
+    """Every m-primary monomial ideal of k[x,y] to socle degree 6; all are
+    graded."""
+    ideals = list(enumerate_m_primary(CTX, 6))
+    assert len(ideals) == 1429
+    for mi in ideals:
+        R = QuotientAlgebra(mi.to_ideal())
+        assert R.graded
+        assert_hilbert_and_powers_match_chain(R)
+
+
+def test_hilbert_and_powers_match_chain_on_the_corpus(monkeypatch):
+    """Every algebra the corpus builds, graded or not."""
+    algebras = [QuotientAlgebra(I) for I in corpus_ideals(monkeypatch)]
+    for R in algebras:
+        assert_hilbert_and_powers_match_chain(R)
+    assert {R.graded for R in algebras} == {True, False}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(query_ideals())
+def test_hilbert_and_powers_match_chain_on_query_ideals(I):
+    R = QuotientAlgebra(I)
+    assert R.graded
+    assert_hilbert_and_powers_match_chain(R)
+
+
+@st.composite
+def regraded_ideals(draw):
+    """A query-shaped ideal presented by non-homogeneous generators: each
+    generator g_i in turn becomes g_i + h_i·g_(i+1), with h_i of two to
+    four terms of degree at most 2, which changes the generators but not
+    the ideal, so S/I stays graded."""
+    gens = list(draw(query_ideals()).gens)
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2), st.integers(1, P - 1), min_size=2, max_size=4
+    )
+    for i in range(len(gens)):
+        h = Polynomial.from_dict(CTX3, draw(terms))
+        gens[i] = gens[i] + h * gens[(i + 1) % len(gens)]
+    return Ideal.make(CTX3, gens)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(regraded_ideals())
+@example(ideal(CTX, "x^2 + y", "y"))
+@example(ideal(CTX, "x^2", "y + x^2"))
+@example(ideal(CTX, "x^3 + y^2", "y^2", "x*y"))
+def test_hilbert_and_powers_match_chain_on_graded_algebras_with_nonhomogeneous_generators(I):
+    assert not all(g.is_homogeneous() for g in I.gens)
+    R = QuotientAlgebra(I)
+    assert R.graded
+    assert_hilbert_and_powers_match_chain(R)
+
+
+def test_graded_on_nonhomogeneous_ideals():
+    """Six of the twelve pinned non-homogeneous ideals have a reduced basis
+    that is not homogeneous and keep the chain walk, and so does
+    (x^3, y + x^2, z^2), where x·x = -y; the other six, and (x^2, y + x^2)
+    = (x^2, y), are graded."""
+    pins = [ideal(CTX3, *gens.split(", ")) for gens, _, _ in NONHOMOGENEOUS_REPORT_SHA256]
+    graded = []
+    for I in pins + [ideal(CTX3, "x^3", "y + x^2", "z^2"), ideal(CTX, "x^2", "y + x^2")]:
+        R = QuotientAlgebra(I)
+        assert_hilbert_and_powers_match_chain(R)
+        graded.append(R.graded)
+    pinned = [True, False, True, False, True, False, False, False, True, False, True, True]
+    assert graded == pinned + [False, True]
+
+
+def test_graded_algebra_walks_no_chain(monkeypatch):
+    """`hilbert` and `max_power_basis` of a graded algebra take no `m_span`
+    and leave the chain unbuilt, for (x^40, y) and the dense forms."""
+    spans = []
+    real = QuotientAlgebra.m_span
+    monkeypatch.setattr(QuotientAlgebra, "m_span", lambda self, W, act: spans.append(1) or real(self, W, act))
+    R = quotient(CTX, "x^40", "y")
+    assert R.graded and R.hilbert == (1,) * 40
+    assert [R.max_power_basis(j).shape[1] for j in (0, 1, 2, 3, 10, 40)] == [40, 39, 38, 37, 30, 0]
+    for gens in DENSE3:
+        R = quotient(CTX3, *gens)
+        assert R.graded and sum(R.hilbert) == R.dim
+        assert [R.max_power_basis(j).shape[1] for j in range(4)] == [sum(R.hilbert[j:]) for j in range(4)]
+    assert spans == [] and "_chain" not in vars(R)
+
+
+def test_check_commuting_takes_no_act_on_the_identity(monkeypatch):
+    """Building an algebra or a checked module compares x_i·M_j with
+    x_j·M_i: one act per ordered pair of variables, each on an action
+    matrix itself, none on the identity."""
+    from burchlab.resolution import AlgebraModule
+
+    calls = []
+    for cls in (QuotientAlgebra, AlgebraModule):
+        monkeypatch.setattr(cls, "act", lambda self, v, Y, real=cls.act: calls.append((v, Y)) or real(self, v, Y))
+    pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+    R = quotient(CTX3, *DENSE3[0])
+    assert [(v, next(w for w, M in enumerate(R.mult) if Y is M)) for v, Y in calls] == pairs
+    calls.clear()
+    M = AlgebraModule(R, R.mult)
+    assert [(v, next(w for w, A in enumerate(M.actions) if Y is A)) for v, Y in calls] == pairs
+
+
+def test_perturbed_multiplication_matrix_does_not_commute():
+    """One entry of x·(basis monomial y) changed from 1 to 2 breaks
+    x·(y·1) = y·(x·1), and `check_commuting` says so."""
+    from burchlab.artinian import check_commuting
+
+    R = quotient(CTX, "x^3", "y^3")
+    X = R.mult[0]
+    k = np.flatnonzero(X.cols == R.index[R.ctx.codec.encode((0, 1))])[0]
+    vals = X.vals.copy()
+    vals[k] = 2
+    perturbed = [linalg.Triples(X.rows, X.cols, vals, X.shape), R.mult[1]]
+    scatters = [linalg.scatter_table(M) for M in perturbed]
+    check_commuting(R.act, R.mult, "multiplication matrices")
+    with pytest.raises(AssertionError, match="do not commute"):
+        check_commuting(lambda v, Y: linalg.apply_scatter(scatters[v], Y, P), perturbed, "multiplication matrices")
+
+
+def _variable_matrix_by_normal_forms(R: QuotientAlgebra, i: int) -> linalg.Triples:
+    """x_i's matrix with the normal form of every product taken: the
+    construction `_variable_matrix` skips the zero normal forms of."""
+    unit = R.ctx.codec.units[i]
+    entries = []
+    for b, m in enumerate(R.keys):
+        r = groebner.normal_form(Polynomial(R.ctx, ((m + unit, 1),)), R.ideal.reducers())
+        entries.extend((R.index[k], b, c) for k, c in r.terms)
+    return linalg.Triples.from_entries(entries, (R.dim, R.dim))
+
+
+@pytest.mark.parametrize(
+    "ctx, gens",
+    [(CTX3, g) for g in DENSE3]
+    + [(CTX, ("x^4", "x^2*y^2", "y^4")), (CTX, ("x^3", "y - x^2")), (CTX, ("x^2*y", "y^3 - x^3", "x^4"))],
+)
+def test_variable_matrices_match_normal_forms(ctx, gens):
+    """The multiplication matrices, entry for entry and in order, are those
+    of the normal forms of all products x_v·b."""
+    R = quotient(ctx, *gens)
+    for v in range(ctx.nvars):
+        want = _variable_matrix_by_normal_forms(R, v)
+        got = R.mult[v]
+        assert all(np.array_equal(a, b) for a, b in zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals)))
+
+
+def test_monomial_algebra_takes_no_normal_form(monkeypatch):
+    """Every product x_v·b outside the staircase of a monomial ideal is
+    divisible by a monomial reducer, so building S/I takes no `normal_form`:
+    (x^4091, y), and S/mI for the sweep ideals, whose matrices are
+    still those of the normal forms."""
+    import burchlab.artinian as artinian
+
+    ideals = [ideal(CTX, "x^4091", "y")] + [max_ideal_product(mi.to_ideal()) for mi in enumerate_m_primary(CTX, 3)]
+    for I in ideals:
+        assert I.is_m_primary()  # warms the staircase, which takes its own normal forms
+    calls = []
+    monkeypatch.setattr(artinian, "normal_form", lambda f, r: calls.append(f) or groebner.normal_form(f, r))
+    algebras = [QuotientAlgebra(I) for I in ideals]
+    assert calls == []
+    monkeypatch.undo()
+    assert algebras[0].dim == 4091
+    for R in algebras[1:]:
+        assert all(np.array_equal(R.mult[v].toarray(), _variable_matrix_by_normal_forms(R, v).toarray()) for v in (0, 1))

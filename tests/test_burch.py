@@ -397,7 +397,7 @@ def generators_from_chain(R):
     order.  The oracle of `QuotientAlgebra.generator_variables`."""
     dims = R._chain.walk(2) + [0, 0]
     images = linalg.hstack([R.variable_element(v).column() for v in range(R.ctx.nvars)], R.dim)
-    return dims[1] - dims[2], linalg.complete_columns(R.max_power_basis(2), images, R.p)
+    return dims[1] - dims[2], linalg.complete_columns(R._chain.power(2), images, R.p)
 
 
 def assert_mu_and_generators_match_oracles(I):
