@@ -22,17 +22,20 @@ relation check of `AlgebraModule(check=True)`.
 Every resolution step, the first cover onto M included, runs on Triples:
 the basis of Omega^i, its images x_v·Omega^i and the span m·Omega^i, the
 chosen generators, the free map R^β -> Omega^i and its kernel Omega^{i+1}.
-That kernel is taken when the next step or `Resolution.syzygy` asks for
-it, except in the first cover, which acts through M itself; so a
-resolution to length L stops at ∂_L and Omega^L.  `Resolution.syzygy`
-hands Omega^i and m·Omega^i on as they are, and `k_summand_test` tests all
-socle vectors against m·Omega^i with one elimination
-(`linalg.columns_in_span`).  A matrix over R, such as ∂_i or a
-presentation, is the Triples of shape (rows·dim R, cols) whose column j is a
-vector of R^rows; the tensor maps ∂_i ⊗ N, entry ideals and ∂∂ = 0 are read
-off it by index arithmetic.  Only `_dense_entries` builds the dense (rows,
-cols, dim R) array, for `Resolution.matrix(i)` and
-`MappingConeResult.presentation`.
+That kernel is taken when the next step, `Resolution.syzygy` or
+`Resolution.syzygy_basis` asks for it, except in the first cover, which
+acts through M itself; so a resolution to length L stops at ∂_L and
+Omega^L, and the k-basis of Omega^{L+1}, the kernel of ∂_L, costs no cover:
+`tor_profile` reads rank(∂_{L+1} ⊗ N) off it.  Before the kernel of ∂_i is
+taken, the free module R^{β_i} it lives in is checked against
+`MAX_FREE_DIM` coordinates.  `Resolution.syzygy` hands Omega^i and
+m·Omega^i on as they are, and `k_summand_test` tests all socle vectors
+against m·Omega^i with one elimination (`linalg.columns_in_span`).  A
+matrix over R, such as ∂_i or a presentation, is the Triples of shape
+(rows·dim R, cols) whose column j is a vector of R^rows; the tensor maps
+∂_i ⊗ N, entry ideals and ∂∂ = 0 are read off it by index arithmetic.
+Only `_dense_entries` builds the dense (rows, cols, dim R) array, for
+`Resolution.matrix(i)` and `MappingConeResult.presentation`.
 
 The Koszul complex of R is built once per algebra, as far as ∂_2
 (`koszul_d2`, cached as `QuotientAlgebra.koszul_d2`), on minimal
@@ -55,6 +58,15 @@ from . import linalg
 from .artinian import AlgebraElement, QuotientAlgebra, check_commuting, quotient_algebra
 from .groebner import Ideal, PreconditionError
 from .poly import Polynomial
+
+# The largest free module R^β, counted in coordinates β·dim R, whose kernel a
+# resolution step takes: the kernel of ∂_i is refused when β_i·dim R is
+# larger.  Over the length-12 ring I of scripts/sessions/demo.session,
+# `resolve k --length 14` takes its last kernel on R^8192 (98304
+# coordinates), in 0.7 s and 72 MB peak, and `tor M k --max-index 13` on
+# R^10923 (131076), in 3.0 s and 79 MB; the next step of either, on R^16384
+# or R^21845, is refused (one 2-CPU x86 host).
+MAX_FREE_DIM = 150_000
 
 
 class AlgebraModule:
@@ -171,14 +183,15 @@ def direct_sum(*modules: AlgebraModule) -> AlgebraModule:
 
 
 def _block_diagonal(blocks: list[linalg.Triples]) -> linalg.Triples:
-    """The square matrices `blocks` along the diagonal, in order."""
-    offsets = list(itertools.accumulate((B.shape[0] for B in blocks), initial=0))
+    """The matrices `blocks` along the diagonal, in order."""
+    rows_at = list(itertools.accumulate((B.shape[0] for B in blocks), initial=0))
+    cols_at = list(itertools.accumulate((B.shape[1] for B in blocks), initial=0))
     empty = np.zeros(0, dtype=np.int64)  # np.concatenate refuses an empty list
     return linalg.Triples(
-        np.concatenate([empty] + [B.rows + at for B, at in zip(blocks, offsets)]),
-        np.concatenate([empty] + [B.cols + at for B, at in zip(blocks, offsets)]),
+        np.concatenate([empty] + [B.rows + at for B, at in zip(blocks, rows_at)]),
+        np.concatenate([empty] + [B.cols + at for B, at in zip(blocks, cols_at)]),
         np.concatenate([empty] + [B.vals for B in blocks]),
-        (offsets[-1], offsets[-1]),
+        (rows_at[-1], cols_at[-1]),
     )
 
 
@@ -290,9 +303,16 @@ class Resolution:
 
     def _omega(self, i: int) -> linalg.Triples:
         """The basis of Omega^{i+1} in R^{betti[i]}; for i >= 1 the kernel of
-        the free map of ∂_i, taken on first use."""
+        the free map of ∂_i, taken on first use, and refused when R^{betti[i]}
+        has more than MAX_FREE_DIM coordinates."""
         if i == len(self._omegas):
             R = self.R
+            size = self.betti[i] * R.dim
+            if size > MAX_FREE_DIM:
+                raise PreconditionError(
+                    f"resolution step {i + 1}: free module R^{self.betti[i]} of {size} coordinates,"
+                    f" above the limit of {MAX_FREE_DIM}"
+                )
             self._omegas.append(linalg.kernel_basis(_free_map_matrix(R, self._differentials[i - 1], R.act), R.p))
         return self._omegas[i]
 
@@ -318,6 +338,14 @@ class Resolution:
     def matrix(self, i: int) -> np.ndarray:
         """∂_i for i >= 1, as its dense (betti[i-1], betti[i], dim R) array."""
         return _dense_entries(self.differential(i), self.R.dim)
+
+    def syzygy_basis(self, i: int) -> linalg.Triples:
+        """A k-basis of Omega^i in R^{betti[i-1]}, for i >= 1: the kernel of
+        ∂_{i-1}, from a resolution to length i - 1, with no cover of it."""
+        if i < 1:
+            raise PreconditionError("syzygy index must be >= 1")
+        self.ensure_length(i - 1)
+        return self._omega(i - 1)
 
     def syzygy(self, i: int) -> SyzygyModule:
         """Omega^i M with its embedding, for i >= 1."""
@@ -371,10 +399,14 @@ def k_summand_test(Z: SyzygyModule) -> SummandVerdict:
     outside = (~linalg.columns_in_span(Z.m_span, socle_vectors, p)).nonzero()[0]
     if not outside.size:
         return SummandVerdict(False, None, None, socle_dim)
-    # the first vector outside mZ among those with the fewest components
-    touched = np.zeros((len(pivots), m), dtype=bool)
-    touched[socle_vectors.cols, socle_vectors.rows // R.dim] = True
-    components = touched.sum(axis=1)
+    # the first vector outside mZ among those with the fewest components,
+    # counted from its distinct (vector, component) pairs, found by a sort:
+    # np.unique hashes, which costs its first call 10 ms and 0.8 MB, and it
+    # took 15x as long as the sort on 60000 pairs
+    pairs = np.sort(socle_vectors.cols * m + socle_vectors.rows // R.dim)
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    components = np.bincount(pairs[first] // m, minlength=len(pivots))
     witness = socle_vectors.take_columns([outside[components[outside].argmin()]]).toarray().ravel()
     entries = tuple(R.lift(witness[c * R.dim : (c + 1) * R.dim]) for c in range(m))
     return SummandVerdict(True, witness, entries, socle_dim)
@@ -459,20 +491,28 @@ def tor(M: AlgebraModule, N: AlgebraModule, i: int) -> int:
 
 
 def tor_profile(M: AlgebraModule, N: AlgebraModule, max_index: int) -> list[int]:
-    """[dim Tor_i(M, N) for i = 0..max_index], sharing one resolution of M
-    and one rank computation per differential."""
+    """[dim Tor_i(M, N) for i = 0..max_index], from one resolution of M to
+    length L = max_index and one elimination.
+
+    dim Tor_i = betti[i]·dim N - rank(∂_i ⊗ N) - rank(∂_{i+1} ⊗ N).  The
+    last rank needs no ∂_{L+1}: tensoring is right exact, so the image of
+    ∂_{L+1} ⊗ N is that of Omega^{L+1} ⊗ N -> F_L ⊗ N, and any k-basis of
+    Omega^{L+1} generates it over R; so rank(∂_{L+1} ⊗ N) is the rank of
+    the tensor map of that basis (`Resolution.syzygy_basis`), a matrix over
+    R like ∂_i.  ∂_1..∂_L and the basis are placed block-diagonally, and
+    ⊗ N keeps the blocks apart; the RREF of a block-diagonal matrix is made
+    of its blocks' RREFs, so block i's rank is the number of pivots in its
+    column range, all read off one `linalg.rref`."""
     if max_index < 0:
         raise PreconditionError("Tor index must be >= 0")
-    res = M.resolution(max_index + 1)
-    p = M.p
-    dN = N.dim
-    ranks = {}
-    for i in range(1, max_index + 2):
-        ranks[i] = linalg.rank(_tensor_map(res.differential(i), N), p) if res.betti[i] else 0
-    dims = [res.betti[0] * dN - ranks[1]]
-    for i in range(1, max_index + 1):
-        dims.append(res.betti[i] * dN - ranks[i] - ranks[i + 1])
-    return dims
+    res = M.resolution(max_index)
+    blocks = [res.differential(i) for i in range(1, max_index + 1)] + [res.syzygy_basis(max_index + 1)]
+    _, pivots = linalg.rref(_tensor_map(_block_diagonal(blocks), N), M.p)
+    # column j of a block goes to columns j·dim N .. (j+1)·dim N - 1 of its
+    # tensor map; ranks[i] = rank(∂_i ⊗ N) for i = 1..max_index + 1, ∂_0 is 0
+    edges = np.cumsum([0] + [B.shape[1] for B in blocks]) * N.dim
+    ranks = [0] + np.diff(np.searchsorted(pivots, edges)).tolist()
+    return [res.betti[i] * N.dim - ranks[i] - ranks[i + 1] for i in range(max_index + 1)]
 
 
 @dataclass

@@ -817,6 +817,91 @@ def test_resolve_to_length_twelve_eliminates_small_components(monkeypatch, capsy
     assert hashlib.sha256(blob).hexdigest() == "d7da4a4a6ea65e040967043cbaf88765539ee6ab66ad55a72fb6a5dd3d494525"
 
 
+# SHA-256 of `--json tor DEMO first second --ring I --max-index n`, with
+# args.file removed as above, recorded from the route that resolved M to
+# length n + 1 and took one rank per differential
+TOR_REPORT_SHA256 = {
+    ("k", "k", 0): "79b9528a2bb9dbd2e40fc340613766f8c4bc9b2c49a21554dd2269d8ffa64253",
+    ("k", "k", 1): "5a2bbfcdbc1075e6e300be300926121275a01a034674bbf592d6c0be8c427371",
+    ("k", "k", 6): "a21e45eee9dd7933acc34159f4583e8b5e4adfa887e35ca57e4a183a7b44c630",
+    ("k", "k", 11): "21daa70756c7167ae860178b0e0f5b1bafe696f8b3ea5b2db569d66cd56caf57",
+    ("k", "M", 0): "e635d7b35c3e25fc207210945d682a5ea1375eb55ba0c8781606dee3fff764d6",
+    ("k", "M", 1): "548e5a66d77417ee6dcc7e65f7702db735bdb024b96e44d419d8c27222abd635",
+    ("k", "M", 6): "8500fe8f140f93656165dbe735173412c53a2af5d9b42e1987b633259d4b94a6",
+    ("k", "M", 11): "527e3fbe1cf453bbddcdb7c593acd5705d06f798a27c2b6dd065e963adeee09f",
+    ("M", "k", 0): "63812038a89175e3f2fea8161856f58f0c7072b3bf03c7179843080f88cb1d36",
+    ("M", "k", 1): "a666ea81a2ae6374dccf49c5b380ae0f3984a05947406dd32f4e7a127445448c",
+    ("M", "k", 6): "542bf9a5de786ccec3fbcc221820a8002b495954b18bff8acb7e43ad5d34b5b2",
+    ("M", "k", 11): "0067d10b0c2896390fd358790217f6538a42bd9f0e18e13d44c1f3315bfcd5d9",
+    ("M", "M", 0): "343e5a25f2c763501e0bdc285c54e6c7d41f8e58c150ae27b8ce9d46778739c4",
+    ("M", "M", 1): "e1f2314ddf7dd614996528c402a372c12137e5f0520c3ba9d9d8bc4dbb9e921f",
+    ("M", "M", 6): "f79619f4cec7cd822ec388222872869f3db4732261dc9c9eeb35185c65c9ccbc",
+    ("M", "M", 11): "5b9f8b181ea7fb4bce7a1e012d96073c66486c3b5458eefb84720ec2111d31bc",
+}
+
+
+@pytest.mark.parametrize("first, second, max_index", list(TOR_REPORT_SHA256), ids=lambda arg: str(arg))
+def test_tor_json_reports_match_pinned_digests(first, second, max_index, capsys):
+    argv = ("tor", DEMO, first, second, "--ring", "I", "--max-index", str(max_index))
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    del data["args"]["file"]
+    blob = json.dumps(data, sort_keys=True, indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest() == TOR_REPORT_SHA256[first, second, max_index]
+
+
+def _cli_with_peak_rss(*argv, timeout):
+    """The CLI in a fresh interpreter that prints its own peak RSS in MB as
+    the last line of stderr.  It reads VmHWM, not ru_maxrss: Linux carries
+    the forking process's peak, here pytest's, into the ru_maxrss of the
+    program it execs."""
+    code = (
+        "import sys\n"
+        "from burchlab import cli\n"
+        f"status = cli.main({list(argv)!r})\n"
+        "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(int(peak.split()[1]) / 1024, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=timeout, env=env)
+    *message, peak = done.stderr.splitlines()
+    return done.returncode, done.stdout, "\n".join(message), float(peak)
+
+
+def test_resolve_to_length_fourteen_peaks_under_80_mb():
+    """The longest resolution of k over the demo ring that `resolve` accepts
+    gives the report pinned before `k_summand_test` counted components
+    without a dense mask, in under 80 MB (about 190 MB with the mask)."""
+    code, out, _, peak = _cli_with_peak_rss("--json", "resolve", DEMO, "k", "--ring", "I", "--length", "14", timeout=60)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    del data["args"]["file"]
+    blob = json.dumps(data, sort_keys=True, indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest() == "4510b05a7d1964cc0d35364251caae607e37bbd7666a2ececb5960dd0abc1679"
+    assert peak < 80
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("resolve", DEMO, "k", "--ring", "I", "--length", "20"), ("tor", DEMO, "k", "M", "--ring", "I", "--max-index", "20")],
+    ids=["resolve", "tor"],
+)
+def test_resolution_past_the_free_module_limit_exit_3(argv):
+    """Over the demo ring β_14(k) = 16384, so the kernel of ∂_14 would lie
+    in R^16384 of 196608 coordinates, above resolution.MAX_FREE_DIM: the run
+    is refused at step 15, well inside its timeout, with exit 3."""
+    code, out, err, peak = _cli_with_peak_rss(*argv, timeout=30)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err == (
+        "precondition failed: resolution step 15: free module R^16384 of 196608 coordinates,"
+        f" above the limit of {resolution.MAX_FREE_DIM}"
+    )
+    assert peak < 300
+
+
 # -- report schema -----------------------------------------------------------
 
 

@@ -276,6 +276,76 @@ def test_tor_is_the_profile_entry(oracle_rings):
         tor(k, k, -1)
 
 
+def _tor_profile_by_differentials(M, N, L):
+    """The oracle route: resolve M to length L + 1 and take one rank of
+    ∂_i ⊗ N per differential."""
+    res = M.resolution(L + 1)
+    ranks = [0] + [linalg.rank(_tensor_map(res.differential(i), N), P) for i in range(1, L + 2)]
+    return [res.betti[i] * N.dim - ranks[i] - ranks[i + 1] for i in range(L + 1)]
+
+
+def _tor_modules(R):
+    """Constructors of fresh modules over R, by name: k, two cyclic modules,
+    a direct sum, the cokernel of a seeded 2 x 3 matrix with entries in m,
+    and a free module, whose Omega^{L+1} is 0."""
+    ctx = R.ctx
+    x, square = ctx.variable(0), ctx.monomial(next(e for e in R.basis if sum(e) == 2))
+    pres = np.random.default_rng(32).integers(0, P, size=(2, 3, R.dim))
+    pres[..., 0] = 0
+    return {
+        "k": lambda: residue_field(R),
+        "R/(x)": lambda: module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [x]))),
+        "R/(m^2 monomial)": lambda: module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [square]))),
+        "k + R/(x)": lambda: direct_sum(residue_field(R), module_from_cyclic(R, R.ideal.sum(Ideal.make(ctx, [x])))),
+        "coker": lambda: module_from_presentation(R, _relations(pres)),
+        "R^2": lambda: free_module(R, 2),
+    }
+
+
+def test_tor_profile_matches_the_per_differential_route(oracle_rings):
+    """tor_profile, which resolves M to length L and reads rank(∂_{L+1} ⊗ N)
+    off the basis of Omega^{L+1}, all ranks from one elimination, agrees
+    with one rank per differential of a resolution to length L + 1, for
+    L = 0..6; and it leaves M resolved to length L, not L + 1."""
+    for R in oracle_rings:
+        modules = _tor_modules(R)
+        partners = [modules[name]() for name in ("k", "R/(x)", "k + R/(x)", "coker")]
+        for name, make in modules.items():
+            for N in partners:
+                want = _tor_profile_by_differentials(make(), N, 6)
+                for L in range(7):
+                    M = make()
+                    assert tor_profile(M, N, L) == want[: L + 1], (R.ideal, name, N.label, L)
+                    assert len(M.resolution(0).betti) == L + 1
+
+
+def test_syzygy_basis_is_the_kernel_of_the_last_differential(r12):
+    """syzygy_basis(i) resolves only to length i - 1 and is the basis that
+    syzygy(i) embeds."""
+    k = residue_field(r12)
+    res = k.resolution(0)
+    basis = res.syzygy_basis(3)
+    assert len(res.betti) == 3
+    assert np.array_equal(basis.toarray(), res.syzygy(3).basis.toarray())
+    with pytest.raises(PreconditionError, match="syzygy index"):
+        res.syzygy_basis(0)
+
+
+def test_free_modules_above_the_limit_are_refused(r12, monkeypatch):
+    """Over r12, β_i(k) = 2^i, so R^{β_3} has 96 coordinates: with the limit
+    at 95, a resolution to length 3 and Tor up to index 2 still run, and the
+    kernel of ∂_3, which step 4 and tor_profile(k, k, 3) need, is refused."""
+    monkeypatch.setattr(resolution, "MAX_FREE_DIM", 95)
+    k = residue_field(r12)
+    assert k.resolution(3).betti == [1, 2, 4, 8]
+    assert tor_profile(residue_field(r12), k, 2) == [1, 2, 4]
+    message = "resolution step 4: free module R\\^8 of 96 coordinates, above the limit of 95"
+    with pytest.raises(PreconditionError, match=message):
+        k.resolution(4)
+    with pytest.raises(PreconditionError, match=message):
+        tor_profile(residue_field(r12), k, 3)
+
+
 def test_negative_tor_index_and_resolution_length_are_refused(oracle_rings):
     k = residue_field(oracle_rings[0])
     with pytest.raises(PreconditionError, match="Tor index"):
